@@ -18,6 +18,9 @@ from .errors import InsufficientCoefficientsError
 from .linops import ContractionPair, as_operator, trace_norm
 from .ssf import SpectralShift, evaluate_ssf_grid
 
+# grid size of the circle quadrature route
+QUADRATURE_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class CoefficientSeries:
@@ -135,8 +138,7 @@ def trace_rhs_circle(s: SpectralShift, phi: CoefficientSeries) -> complex:
 
 
 def trace_rhs_circle_quadrature(s: SpectralShift, phi: CoefficientSeries,
-                                abel_radius: float = 0.999,
-                                num_points: int = 4096) -> complex:
+                                abel_radius: float = 0.999) -> complex:
     """Grid quadrature of (d/dt phi(e^{it})) * xi_r(t) over [0, 2*pi).
 
     Independent of the coefficient pairing: the shift function enters
@@ -145,11 +147,11 @@ def trace_rhs_circle_quadrature(s: SpectralShift, phi: CoefficientSeries,
     if phi.degree > s.n_max:
         raise InsufficientCoefficientsError(
             f"series degree {phi.degree} exceeds coefficient table order {s.n_max}")
-    t = 2.0 * np.pi * np.arange(num_points) / num_points
+    t = 2.0 * np.pi * np.arange(QUADRATURE_POINTS) / QUADRATURE_POINTS
     k = np.arange(len(phi.coeffs))
     phi_prime = np.exp(1j * np.outer(t, k)) @ (1j * k * phi.coeffs)
     xi_r = evaluate_ssf_grid(s, t, abel_radius)
-    return complex((2.0 * np.pi / num_points) * np.sum(phi_prime * xi_r))
+    return complex((2.0 * np.pi / QUADRATURE_POINTS) * np.sum(phi_prime * xi_r))
 
 
 def laurent_difference_trace(pair: ContractionPair, psi: LaurentSeries) -> complex:

@@ -1,0 +1,190 @@
+"""What ``ssftrace verify`` checks: every check, threshold and test symbol.
+
+The CLI and the acceptance tests both call these suite functions.  Layer
+functions are called through their modules (``ssf.moments(...)``), not
+from-imports, so a profiler that rebinds module attributes sees every call.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import calculus, dilation, disc, kernel_integral, linops, ssf
+
+SUITES = ("lemma", "dilation", "circle", "disc")
+
+DEFAULT_TOLERANCES = {
+    "semigroup_tol": 1e-8,
+    "identity_tol": 1e-12,
+    "orthonormality_tol": 1e-10,
+    "offblock_tol": 1e-12,
+    "compression_tol": 1e-10,
+    "trace_transfer_tol": 1e-9,
+    "circle_tol": 1e-9,
+    "quad_budget_factor": 10.0,
+    "quad_match_tol": 1e-8,
+    "disc_gap_extra": 1e-9,
+    "cross_theorem_tol": 1e-10,
+}
+
+WINDOW_N = 8  # dilation window radius; powers 1..N are checked
+ABEL_RADIUS = 0.999  # radius of the circle quadrature route
+CONSTANT_SHIFT = 3.7  # replaces xi_hat(0) in the constant-independence check
+
+CIRCLE_SERIES = {
+    "poly": {1: 0.5, 2: 1.0, 3: -0.25},
+    "exp": {k: 1.0 / float(math.factorial(k)) for k in range(21)},
+    "geom": {k: 0.7 ** k / k for k in range(1, 31)},
+}
+DISC_TABLES = {
+    "one_sided": {1: 1.0, 2: 0.5},
+    "real_sym": {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: -0.1j, -2: 0.1j},
+    "mixed": {-1: 0.4, 1: 0.25, 3: 0.1},
+}
+# the circle pairing needs xi_hat(-k) up to the largest degree of its symbols
+CIRCLE_MIN_N_MAX = max(max(terms) for terms in CIRCLE_SERIES.values())
+DISC_MAX_ORDER = max(abs(n) for terms in DISC_TABLES.values() for n in terms)
+
+
+@dataclass
+class CheckResult:
+    name: str
+    passed: bool
+    measured: float
+    threshold: float
+
+    def __post_init__(self):
+        self.passed = bool(self.passed)
+        self.measured = float(self.measured)
+        self.threshold = float(self.threshold)
+
+
+def _within(name: str, measured, threshold) -> CheckResult:
+    return CheckResult(name, measured <= threshold, measured, threshold)
+
+
+def lemma_checks(pair: linops.ContractionPair, tol: dict) -> list[CheckResult]:
+    """Defect-difference identity, trace-norm bound and semigroup integral, per side."""
+    report = kernel_integral.defect_difference_check(pair)
+    results = [
+        _within("lemma/identity_left", report.identity_error_left, tol["identity_tol"]),
+        _within("lemma/identity_right", report.identity_error_right, tol["identity_tol"]),
+    ]
+    for side, (lhs, rhs) in (("left", report.left), ("right", report.right)):
+        results.append(_within(f"lemma/trace_bound_{side}", lhs, rhs + 1e-12))
+    for side in ("left", "right"):
+        r = kernel_integral.semigroup_integral(linops.defect(pair.T, side),
+                                               linops.defect(pair.T0, side),
+                                               tol=tol["semigroup_tol"])
+        results.append(_within(f"lemma/semigroup_{side}", r.frobenius_error,
+                               10.0 * tol["semigroup_tol"]))
+    return results
+
+
+def _four_blocks_residual(pair, WT, W0) -> float:
+    """Worst block of WT - W0 against its closed form, or against zero off the four slots."""
+    blocks = dilation.dilation_difference_blocks(pair)
+    expected = {(-1, 0): blocks.at_m10, (-1, 1): blocks.at_m11,
+                (0, 0): blocks.at_00, (0, 1): blocks.at_01}
+    N = WT.window_radius_n
+    worst = 0.0
+    for i in range(-N, N + 1):
+        for j in range(-N, N + 1):
+            blk = WT.block(i, j) - W0.block(i, j)
+            ref = expected.get((i, j))
+            res = np.linalg.norm(blk - ref if ref is not None else blk, "fro")
+            worst = max(worst, float(res))
+    return worst
+
+
+def dilation_checks(pair: linops.ContractionPair, tol: dict) -> list[CheckResult]:
+    """Window structure, compressions and trace transfer for powers 1..WINDOW_N."""
+    N = WINDOW_N
+    WT = dilation.build_window_dilation(pair.T, N)
+    W0 = dilation.build_window_dilation(pair.T0, N)
+    results = [_within(f"dilation/orthonormal_{name}",
+                       dilation.interior_column_orthonormality(W), tol["orthonormality_tol"])
+               for name, W in (("T", WT), ("T0", W0))]
+    results.append(_within("dilation/four_blocks", _four_blocks_residual(pair, WT, W0),
+                           tol["offblock_tol"]))
+    for n in range(1, N + 1):
+        results.append(_within(f"dilation/compression_n{n}",
+                               dilation.compression_power_check(WT, pair.T, n),
+                               tol["compression_tol"]))
+        lhs, rhs = dilation.dilation_trace_transfer(pair, n, N)
+        results.append(_within(f"dilation/trace_transfer_n{n}", abs(lhs - rhs),
+                               tol["trace_transfer_tol"]))
+    return results
+
+
+def _quadrature_budget(xi, phi, tol: dict) -> float:
+    """Budget factor times (Abel tail 2*pi sum k|a_k||xi_hat(-k)|(1 - r^k) + grid term)."""
+    tail = 2.0 * np.pi * sum(
+        k * abs(phi.coeffs[k]) * abs(xi.coeff(-k)) * (1.0 - ABEL_RADIUS ** k)
+        for k in range(1, phi.degree + 1))
+    grid = 1e-12 * (1.0 + phi.weighted_norm)
+    return tol["quad_budget_factor"] * (tail + grid)
+
+
+def circle_checks(pair: linops.ContractionPair, xi: ssf.SpectralShift, tol: dict,
+                  series: dict = CIRCLE_SERIES) -> list[CheckResult]:
+    """Circle formula per symbol: pairing vs. left side, quadrature, constant shift."""
+    results = []
+    for name, terms in series.items():
+        phi = calculus.CoefficientSeries.from_terms(terms)
+        lhs = calculus.trace_lhs_circle(pair, phi)
+        rhs = calculus.trace_rhs_circle(xi, phi)
+        results.append(_within(f"circle/formula_{name}", abs(lhs - rhs),
+                               tol["circle_tol"] * (1.0 + phi.weighted_norm)))
+        quad = calculus.trace_rhs_circle_quadrature(xi, phi, abel_radius=ABEL_RADIUS)
+        results.append(_within(f"circle/quadrature_{name}", abs(quad - rhs),
+                               _quadrature_budget(xi, phi, tol)))
+        shifted = calculus.trace_rhs_circle(xi.with_constant(CONSTANT_SHIFT), phi)
+        results.append(_within(f"circle/constant_independence_{name}",
+                               abs(shifted - rhs), 0.0))
+    return results
+
+
+def cross_theorem_check(pair: linops.ContractionPair, name: str,
+                        psi: calculus.LaurentSeries, tol: dict) -> CheckResult:
+    """Disc and circle left sides agree on a table with no negative modes."""
+    gap = abs(calculus.laurent_difference_trace(pair, psi)
+              - calculus.trace_lhs_circle(pair, psi.to_one_sided()))
+    return _within(f"disc/cross_theorem_{name}", gap, tol["cross_theorem_tol"])
+
+
+def disc_checks(pair: linops.ContractionPair, xi: ssf.SpectralShift,
+                tol: dict) -> list[CheckResult]:
+    """Disc formula per table: quadrature vs. closed form, limit gap, cross-theorem."""
+    cfg = disc.DiscQuadratureConfig()
+    results = []
+    for name, terms in DISC_TABLES.items():
+        psi = calculus.LaurentSeries.from_terms(terms)
+        report = disc.verify_disc_trace_formula(pair, xi, psi, cfg)
+        worst = max(abs(q - c) for _, q, c in report.per_radius)
+        results.append(_within(f"disc/quad_vs_closed_{name}", worst, tol["quad_match_tol"]))
+        results.append(_within(f"disc/limit_gap_{name}", report.final_gap(),
+                               report.tail_bound + tol["disc_gap_extra"]))
+        if all(n >= 0 for n in terms):
+            results.append(cross_theorem_check(pair, name, psi, tol))
+    return results
+
+
+def run(pair: linops.ContractionPair, suites, tol: dict, n_max: int) -> list[CheckResult]:
+    """Every check of the selected suites, in SUITES order; the circle and disc
+    suites share one shift function of order max(n_max, DISC_MAX_ORDER)."""
+    results = []
+    if "lemma" in suites:
+        results += lemma_checks(pair, tol)
+    if "dilation" in suites:
+        results += dilation_checks(pair, tol)
+    if "circle" in suites or "disc" in suites:
+        xi = ssf.ssf_from_moments(ssf.moments(pair, max(n_max, DISC_MAX_ORDER)))
+        if "circle" in suites:
+            results += circle_checks(pair, xi, tol)
+        if "disc" in suites:
+            results += disc_checks(pair, xi, tol)
+    return results

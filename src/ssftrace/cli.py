@@ -13,68 +13,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import calculus, dilation, disc, kernel_integral, linops, serialize, ssf
+from . import calculus, checks, disc, linops, serialize, ssf
 from .errors import SsftraceError
-
-DEFAULT_TOLERANCES = {
-    "semigroup_tol": 1e-8,
-    "identity_tol": 1e-12,
-    "orthonormality_tol": 1e-10,
-    "offblock_tol": 1e-12,
-    "compression_tol": 1e-10,
-    "trace_transfer_tol": 1e-9,
-    "circle_tol": 1e-9,
-    "quad_budget_factor": 10.0,
-    "quad_match_tol": 1e-8,
-    "disc_gap_extra": 1e-9,
-    "cross_theorem_tol": 1e-10,
-}
-
-# Test symbols used by the verify suites.
-CIRCLE_SERIES = {
-    "poly": {1: 0.5, 2: 1.0, 3: -0.25},
-    "exp": {k: 1.0 / float(math.factorial(k)) for k in range(21)},
-    "geom": {k: 0.7 ** k / k for k in range(1, 31)},
-}
-DISC_TABLES = {
-    "one_sided": {1: 1.0, 2: 0.5},
-    "real_sym": {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: -0.1j, -2: 0.1j},
-    "mixed": {-1: 0.4, 1: 0.25, 3: 0.1},
-}
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    dim: int = 4
-    delta: float = 0.2
-    n_max: int = 64
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    output_dir: Path = Path(".")
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if any(v <= 0 for v in self.tolerances.values()):
-            raise ValueError("all tolerances must be positive")
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    measured: float
-    threshold: float
-
-    def __post_init__(self):
-        self.passed = bool(self.passed)
-        self.measured = float(self.measured)
-        self.threshold = float(self.threshold)
 
 
 def _thread_cap() -> int | None:
@@ -117,164 +62,61 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _suite_lemma(pair, tol) -> list[CheckResult]:
-    checks = []
-    report = kernel_integral.defect_difference_check(pair)
-    checks.append(CheckResult("lemma/identity_left", report.identity_error_left
-                              <= tol["identity_tol"], report.identity_error_left,
-                              tol["identity_tol"]))
-    checks.append(CheckResult("lemma/identity_right", report.identity_error_right
-                              <= tol["identity_tol"], report.identity_error_right,
-                              tol["identity_tol"]))
-    for side, (lhs, rhs) in (("left", report.left), ("right", report.right)):
-        checks.append(CheckResult(f"lemma/trace_bound_{side}",
-                                  lhs <= rhs + 1e-12, lhs, rhs + 1e-12))
-    for side in ("left", "right"):
-        A = linops.defect(pair.T, side)
-        B = linops.defect(pair.T0, side)
-        r = kernel_integral.semigroup_integral(A, B, tol=tol["semigroup_tol"])
-        limit = 10.0 * tol["semigroup_tol"]
-        checks.append(CheckResult(f"lemma/semigroup_{side}",
-                                  r.frobenius_error <= limit,
-                                  r.frobenius_error, limit))
-    return checks
-
-
-def _suite_dilation(pair, tol, N: int = 8) -> list[CheckResult]:
-    checks = []
-    WT = dilation.build_window_dilation(pair.T, N)
-    W0 = dilation.build_window_dilation(pair.T0, N)
-    for name, W in (("T", WT), ("T0", W0)):
-        dev = dilation.interior_column_orthonormality(W)
-        checks.append(CheckResult(f"dilation/orthonormal_{name}",
-                                  dev <= tol["orthonormality_tol"], dev,
-                                  tol["orthonormality_tol"]))
-    # every block of the window difference outside the four expected slots
-    blocks = dilation.dilation_difference_blocks(pair)
-    diff = WT.base - W0.base
-    d = WT.block_dim_d
-    worst = 0.0
-    expected = {(-1, 0): blocks.at_m10, (-1, 1): blocks.at_m11,
-                (0, 0): blocks.at_00, (0, 1): blocks.at_01}
-    for i in range(-N, N + 1):
-        for j in range(-N, N + 1):
-            blk = diff[(i + N) * d:(i + N + 1) * d, (j + N) * d:(j + N + 1) * d]
-            ref = expected.get((i, j))
-            res = np.linalg.norm(blk - ref, "fro") if ref is not None \
-                else np.linalg.norm(blk, "fro")
-            worst = max(worst, float(res))
-    checks.append(CheckResult("dilation/four_blocks", worst <= tol["offblock_tol"],
-                              worst, tol["offblock_tol"]))
-    for n in range(1, N + 1):
-        err = dilation.compression_power_check(WT, pair.T, n)
-        checks.append(CheckResult(f"dilation/compression_n{n}",
-                                  err <= tol["compression_tol"], err,
-                                  tol["compression_tol"]))
-        lhs, rhs = dilation.dilation_trace_transfer(pair, n, N)
-        gap = abs(lhs - rhs)
-        checks.append(CheckResult(f"dilation/trace_transfer_n{n}",
-                                  gap <= tol["trace_transfer_tol"], gap,
-                                  tol["trace_transfer_tol"]))
-    return checks
-
-
-def _suite_circle(pair, tol, n_max: int) -> list[CheckResult]:
-    checks = []
-    xi = ssf.ssf_from_moments(ssf.moments(pair, n_max))
-    abel_radius = 0.999
-    for name, terms in CIRCLE_SERIES.items():
-        phi = calculus.CoefficientSeries.from_terms(terms)
-        lhs = calculus.trace_lhs_circle(pair, phi)
-        rhs = calculus.trace_rhs_circle(xi, phi)
-        limit = tol["circle_tol"] * (1.0 + phi.weighted_norm)
-        checks.append(CheckResult(f"circle/formula_{name}",
-                                  abs(lhs - rhs) <= limit, abs(lhs - rhs), limit))
-        quad = calculus.trace_rhs_circle_quadrature(xi, phi, abel_radius=abel_radius)
-        tail = 2.0 * np.pi * sum(
-            k * abs(phi.coeffs[k]) * abs(xi.coeff(-k)) * (1.0 - abel_radius ** k)
-            for k in range(1, phi.degree + 1))
-        grid = 1e-12 * (1.0 + phi.weighted_norm)
-        budget = tol["quad_budget_factor"] * (tail + grid)
-        checks.append(CheckResult(f"circle/quadrature_{name}",
-                                  abs(quad - rhs) <= budget, abs(quad - rhs), budget))
-        shifted = calculus.trace_rhs_circle(xi.with_constant(3.7), phi)
-        gap = abs(shifted - rhs)
-        checks.append(CheckResult(f"circle/constant_independence_{name}",
-                                  gap == 0.0, gap, 0.0))
-    return checks
-
-
-def _suite_disc(pair, tol, n_max: int) -> list[CheckResult]:
-    checks = []
-    cfg = disc.DiscQuadratureConfig()
-    for name, terms in DISC_TABLES.items():
-        psi = calculus.LaurentSeries.from_terms(terms)
-        report = disc.verify_disc_trace_formula(pair, psi, cfg, n_max=n_max)
-        worst = max(abs(q - c) for _, q, c in report.per_radius)
-        checks.append(CheckResult(f"disc/quad_vs_closed_{name}",
-                                  worst <= tol["quad_match_tol"], worst,
-                                  tol["quad_match_tol"]))
-        limit = report.tail_bound + tol["disc_gap_extra"]
-        checks.append(CheckResult(f"disc/limit_gap_{name}",
-                                  report.final_gap() <= limit,
-                                  report.final_gap(), limit))
-        if all(n >= 0 for n in terms):
-            phi = psi.to_one_sided()
-            gap = abs(calculus.laurent_difference_trace(pair, psi)
-                      - calculus.trace_lhs_circle(pair, phi))
-            checks.append(CheckResult(f"disc/cross_theorem_{name}",
-                                      gap <= tol["cross_theorem_tol"], gap,
-                                      tol["cross_theorem_tol"]))
-    return checks
-
-
-def _write_verify_reports(out: Path, checks: list[CheckResult], failures: list[str]):
+def _write_verify_reports(out: Path, results: list[checks.CheckResult],
+                          failures: list[str]):
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["name", "passed", "measured", "threshold"])
-        for c in checks:
+        for c in results:
             writer.writerow([c.name, c.passed, repr(c.measured), repr(c.threshold)])
     summary = {
-        "passed": not failures and all(c.passed for c in checks),
-        "num_checks": len(checks),
-        "failures": failures + [c.name for c in checks if not c.passed],
-        "checks": [asdict(c) for c in checks],
+        "passed": not failures and all(c.passed for c in results),
+        "num_checks": len(results),
+        "failures": failures + [c.name for c in results if not c.passed],
+        "checks": [asdict(c) for c in results],
     }
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary
 
 
-def cmd_verify(args) -> int:
-    tol = dict(DEFAULT_TOLERANCES)
-    for item in args.tol or []:
-        name, _, value = item.partition("=")
+def _tolerances(items) -> dict:
+    """DEFAULT_TOLERANCES with NAME=VALUE overrides; ValueError on a bad item."""
+    tol = dict(checks.DEFAULT_TOLERANCES)
+    for item in items or []:
+        name, _, raw = item.partition("=")
         if name not in tol:
-            print(f"unknown tolerance {name!r}", file=sys.stderr)
-            return 2
-        tol[name] = float(value)
+            raise ValueError(f"unknown tolerance {name!r}")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"tolerance {name}: {raw!r} is not a number") from None
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"tolerance {name} must be finite and positive, got {raw}")
+        tol[name] = value
+    return tol
+
+
+def cmd_verify(args) -> int:
+    try:
+        tol = _tolerances(args.tol)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    suites = checks.SUITES if args.suite == "all" else (args.suite,)
+    if "circle" in suites and args.n_max < checks.CIRCLE_MIN_N_MAX:
+        print(f"--n-max {args.n_max} is below {checks.CIRCLE_MIN_N_MAX}, the largest "
+              "degree of the circle test symbols", file=sys.stderr)
+        return 2
     out = Path(args.out)
-    checks: list[CheckResult] = []
-    failures: list[str] = []
     try:
         _thread_cap()
         pair = _load_pair(args.t, args.t0)
     except (SsftraceError, ValueError, KeyError) as exc:
-        failures.append(f"load: {type(exc).__name__}: {exc}")
-        summary = _write_verify_reports(out, checks, failures)
-        print(json.dumps({"passed": summary["passed"],
-                          "failures": summary["failures"]}))
-        return 1
-    suites = {
-        "lemma": lambda: _suite_lemma(pair, tol),
-        "dilation": lambda: _suite_dilation(pair, tol),
-        "circle": lambda: _suite_circle(pair, tol, args.n_max),
-        "disc": lambda: _suite_disc(pair, tol, args.n_max),
-    }
-    selected = list(suites) if args.suite == "all" else [args.suite]
-    for name in selected:
-        checks.extend(suites[name]())
-    summary = _write_verify_reports(out, checks, failures)
+        results, failures = [], [f"load: {type(exc).__name__}: {exc}"]
+    else:
+        results, failures = checks.run(pair, suites, tol, args.n_max), []
+    summary = _write_verify_reports(out, results, failures)
     print(json.dumps({"passed": summary["passed"], "failures": summary["failures"]}))
     return 0 if summary["passed"] else 1
 
@@ -284,12 +126,12 @@ def cmd_ssf(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         pair = _load_pair(args.t, args.t0)
+        table = ssf.ssf_from_moments(ssf.moments(pair, args.n_max))
+        t_grid = 2.0 * np.pi * np.arange(args.grid) / args.grid
+        values = ssf.evaluate_ssf_grid(table, t_grid, args.abel_radius)
     except (SsftraceError, ValueError, KeyError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    table = ssf.ssf_from_moments(ssf.moments(pair, args.n_max))
-    t_grid = 2.0 * np.pi * np.arange(args.grid) / args.grid
-    values = ssf.evaluate_ssf_grid(table, t_grid, args.abel_radius)
     serialize.write_ssf_grid_csv(out / "ssf.csv", t_grid, values)
     (out / "ssf_coeffs.json").write_text(
         json.dumps(serialize.ssf_to_dict(table), sort_keys=True) + "\n")
@@ -305,11 +147,12 @@ def cmd_disc_report(args) -> int:
             psi = serialize.series_from_dict(
                 json.loads(Path(args.psi).read_text()), two_sided=True)
         else:
-            psi = calculus.LaurentSeries.from_terms(DISC_TABLES["real_sym"])
+            psi = calculus.LaurentSeries.from_terms(checks.DISC_TABLES["real_sym"])
         cfg = disc.DiscQuadratureConfig(
             radius_schedule=tuple(args.radii) if args.radii else
             disc.DiscQuadratureConfig().radius_schedule)
-        report = disc.verify_disc_trace_formula(pair, psi, cfg, n_max=args.n_max)
+        xi = ssf.ssf_from_moments(ssf.moments(pair, max(args.n_max, psi.order)))
+        report = disc.verify_disc_trace_formula(pair, xi, psi, cfg)
     except (SsftraceError, ValueError, KeyError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -334,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites on a pair")
     p.add_argument("--t", required=True)
     p.add_argument("--t0", required=True)
-    p.add_argument("--suite", choices=["lemma", "dilation", "circle", "disc", "all"],
-                   default="all")
+    p.add_argument("--suite", choices=[*checks.SUITES, "all"], default="all")
     p.add_argument("--n-max", type=int, default=64)
     p.add_argument("--tol", action="append", metavar="NAME=VALUE")
     p.add_argument("--out", required=True)

@@ -10,15 +10,16 @@ the two-sided functional-calculus difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .calculus import LaurentSeries, laurent_difference_trace
-from .errors import InvalidRadiusError, OutsideOpenDiscError, RequiresStrictContractionError
+from .errors import (InsufficientCoefficientsError, InvalidRadiusError,
+                     OutsideOpenDiscError, RequiresStrictContractionError)
 from .linops import ContractionPair, DELTA_MIN
-from .ssf import SpectralShift, moments, ssf_from_moments
+from .ssf import SpectralShift
 
 BOUNDARY_GUARD = 1e-6
 
@@ -66,7 +67,6 @@ class DiscQuadratureConfig:
 @dataclass(frozen=True)
 class DiscPairingReport:
     per_radius: tuple[tuple[float, complex, complex], ...]
-    limit_estimate: complex
     lhs_trace: complex
     tail_bound: float
 
@@ -122,17 +122,16 @@ def _boundary_values(table, t_grid) -> np.ndarray:
 
 
 def fatou_check(s: SpectralShift, r_schedule, t_grid,
-                strictness_margin: float,
-                delta_min: float = DELTA_MIN) -> FatouReport:
+                strictness_margin: float) -> FatouReport:
     """Radial convergence of the extension toward the boundary series.
 
     Requires a strict-strict pair (caller passes the smaller of the two
     strictness margins): only then do the coefficients decay
     geometrically and the boundary series define a continuous function.
     """
-    if strictness_margin < delta_min:
+    if strictness_margin < DELTA_MIN:
         raise RequiresStrictContractionError(
-            f"strictness margin {strictness_margin} below {delta_min}; no "
+            f"strictness margin {strictness_margin} below {DELTA_MIN}; no "
             "continuous boundary representative is guaranteed")
     t = np.asarray(t_grid, dtype=float)
     boundary = _boundary_values(s, t)
@@ -200,54 +199,51 @@ def disc_integral_quadrature(xi, psi, R: float,
     return complex(-2j * np.sum(wr * r * angular))
 
 
+def _paired_modes(xi, psi):
+    """(n, psi_hat(n), xi_hat(-n)) for each nonzero mode n of psi that xi holds."""
+    xo, xc = _centered(xi)
+    po, pc = _centered(psi)
+    for k in range(1, po + 1):
+        for n in (k, -k):
+            if 0 <= xo - n < len(xc):
+                yield n, pc[n + po], xc[xo - n]
+
+
 def disc_integral_closed_form(xi, psi, R: float) -> complex:
     """2*pi*i * sum_{n != 0} n psi_hat(n) xi_hat(-n) R^(2|n|); R = 1 is the limit value."""
     if not 0.0 < R <= 1.0:
         raise InvalidRadiusError(f"R must lie in (0, 1], got {R}")
-    xo, xc = _centered(xi)
-    po, pc = _centered(psi)
     total = 0.0 + 0.0j
-    for n in range(1, po + 1):
-        for sign in (1, -1):
-            m = sign * n
-            x_idx = -m + xo
-            if not 0 <= x_idx < len(xc):
-                continue
-            total += m * pc[m + po] * xc[x_idx] * R ** (2 * n)
+    for n, p, x in _paired_modes(xi, psi):
+        total += n * p * x * R ** (2 * abs(n))
     return complex(2j * np.pi * total)
 
 
 def disc_tail_bound(xi, psi, R: float) -> float:
     """2*pi * sum |n psi_hat(n) xi_hat(-n)| (1 - R^(2|n|)): gap to the R -> 1 limit."""
-    xo, xc = _centered(xi)
-    po, pc = _centered(psi)
     total = 0.0
-    for n in range(1, po + 1):
-        for sign in (1, -1):
-            m = sign * n
-            x_idx = -m + xo
-            if not 0 <= x_idx < len(xc):
-                continue
-            total += abs(n * pc[m + po] * xc[x_idx]) * (1.0 - R ** (2 * n))
+    for n, p, x in _paired_modes(xi, psi):
+        total += abs(abs(n) * p * x) * (1.0 - R ** (2 * abs(n)))
     return 2.0 * np.pi * total
 
 
-def verify_disc_trace_formula(pair: ContractionPair, psi: LaurentSeries,
-                              cfg: DiscQuadratureConfig | None = None,
-                              n_max: int = 64) -> DiscPairingReport:
-    """Both routes of the disc trace formula on one pair and one table."""
+def verify_disc_trace_formula(pair: ContractionPair, xi: SpectralShift, psi: LaurentSeries,
+                              cfg: DiscQuadratureConfig | None = None) -> DiscPairingReport:
+    """Both routes of the disc trace formula on one pair and one table.
+
+    ``xi`` is the shift function of ``pair``; its order must reach psi's.
+    """
+    if psi.order > xi.n_max:
+        raise InsufficientCoefficientsError(
+            f"table order {psi.order} exceeds coefficient table order {xi.n_max}")
     cfg = cfg or DiscQuadratureConfig()
-    n_max = max(n_max, psi.order)
-    xi = ssf_from_moments(moments(pair, n_max))
     lhs = laurent_difference_trace(pair, psi)
     rows = []
     for R in cfg.radius_schedule:
         rows.append((float(R),
                      disc_integral_quadrature(xi, psi, R, cfg),
                      disc_integral_closed_form(xi, psi, R)))
-    limit = disc_integral_closed_form(xi, psi, 1.0)
     tail = disc_tail_bound(xi, psi, cfg.radius_schedule[-1])
     return DiscPairingReport(per_radius=tuple(rows),
-                             limit_estimate=limit,
                              lhs_trace=lhs,
                              tail_bound=tail)

@@ -65,9 +65,7 @@ def _gauss_panels(upper: float, nodes_per_unit: int):
     return nodes, weights
 
 
-def semigroup_integral(A, B, tol: float = 1e-8,
-                       delta_floor: float = DELTA_FLOOR,
-                       nodes_per_unit: int = NODES_PER_UNIT) -> IntegralReport:
+def semigroup_integral(A, B, tol: float = 1e-8) -> IntegralReport:
     """Quadrature evaluation of the semigroup integral for A - B.
 
     The integral is truncated at s* chosen so the dropped tail has trace
@@ -79,9 +77,9 @@ def semigroup_integral(A, B, tol: float = 1e-8,
     if HA.shape != HB.shape:
         raise ValueError("A and B must have the same dimension")
     delta_b = float(wb.min())
-    if delta_b < delta_floor:
+    if delta_b < DELTA_FLOOR:
         raise SingularBError(
-            f"smallest eigenvalue of B is {delta_b}, below {delta_floor}")
+            f"smallest eigenvalue of B is {delta_b}, below {DELTA_FLOOR}")
 
     C = HA @ HA - HB @ HB
     c1 = trace_norm(C)
@@ -91,7 +89,7 @@ def semigroup_integral(A, B, tol: float = 1e-8,
         s_star = 1.0
     s_star = max(s_star, 1.0)
 
-    t, wts = _gauss_panels(s_star, nodes_per_unit)
+    t, wts = _gauss_panels(s_star, NODES_PER_UNIT)
     # exp(-t A) for all nodes at once via the eigenbasis
     EA = np.einsum("ij,tj,kj->tik", Va, np.exp(-np.outer(t, wa)), Va.conj())
     EB = np.einsum("ij,tj,kj->tik", Vb, np.exp(-np.outer(t, wb)), Vb.conj())
@@ -106,14 +104,14 @@ def semigroup_integral(A, B, tol: float = 1e-8,
                           nodes_used=len(t))
 
 
-def difference_trace_bound(A, B, delta_floor: float = DELTA_FLOOR):
+def difference_trace_bound(A, B):
     """Return (||A - B||_1, ||A^2 - B^2||_1 / delta_B); the first never exceeds the second."""
     HA, _, _ = _positive_contraction_eig(A)
     HB, wb, _ = _positive_contraction_eig(B)
     delta_b = float(wb.min())
-    if delta_b < delta_floor:
+    if delta_b < DELTA_FLOOR:
         raise SingularBError(
-            f"smallest eigenvalue of B is {delta_b}, below {delta_floor}")
+            f"smallest eigenvalue of B is {delta_b}, below {DELTA_FLOOR}")
     lhs = trace_norm(HA - HB)
     rhs = trace_norm(HA @ HA - HB @ HB) / delta_b
     return lhs, rhs

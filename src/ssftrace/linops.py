@@ -20,7 +20,8 @@ from .errors import (
     RequiresStrictContractionError,
 )
 
-# Default tolerances; overridable per call.
+# strict means 1 - ||M|| >= DELTA_MIN; norms up to 1 + NORM_TOL count as
+# contractions; PSD_TOL is the default negative-eigenvalue slack of psd_sqrt
 DELTA_MIN = 1e-6
 NORM_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -65,24 +66,22 @@ def operator_norm(M) -> float:
     return float(np.linalg.norm(as_operator(M), 2))
 
 
-def validate_contraction(M, delta_min: float = DELTA_MIN,
-                         tol_norm: float = NORM_TOL) -> ContractionCertificate:
+def validate_contraction(M) -> ContractionCertificate:
     """Certify that M is a contraction and measure its strictness margin."""
     A = as_operator(M)
     s = float(np.linalg.norm(A, 2))
-    if s > 1.0 + tol_norm:
-        raise NotAContractionError(f"operator norm {s} exceeds 1 + {tol_norm}")
+    if s > 1.0 + NORM_TOL:
+        raise NotAContractionError(f"operator norm {s} exceeds 1 + {NORM_TOL}")
     delta = 1.0 - s
     return ContractionCertificate(operator_norm=s,
                                   strictness_margin_delta=delta,
-                                  is_strict=delta >= delta_min)
+                                  is_strict=delta >= DELTA_MIN)
 
 
-def make_pair(T, T0, delta_min: float = DELTA_MIN,
-              tol_norm: float = NORM_TOL) -> ContractionPair:
+def make_pair(T, T0) -> ContractionPair:
     """Validate and assemble a ContractionPair (T0 must be strict).
 
-    Norms in (1, 1 + tol_norm] are renormalized to exactly 1; such
+    Norms in (1, 1 + NORM_TOL] are renormalized to exactly 1; such
     overshoots are floating-point artifacts, not genuine expansions.
     """
     T = as_operator(T)
@@ -92,18 +91,18 @@ def make_pair(T, T0, delta_min: float = DELTA_MIN,
 
     def _clip(A):
         s = float(np.linalg.norm(A, 2))
-        if 1.0 < s <= 1.0 + tol_norm:
+        if 1.0 < s <= 1.0 + NORM_TOL:
             return A / s
         return A
 
-    cert_T = validate_contraction(T, delta_min, tol_norm)
-    cert_T0 = validate_contraction(T0, delta_min, tol_norm)
+    cert_T = validate_contraction(T)
+    cert_T0 = validate_contraction(T0)
     T = _clip(T)
     T0 = _clip(T0)
     if not cert_T0.is_strict:
         raise RequiresStrictContractionError(
             f"T0 has norm {cert_T0.operator_norm}; strictness margin "
-            f"{cert_T0.strictness_margin_delta} below {delta_min}")
+            f"{cert_T0.strictness_margin_delta} below {DELTA_MIN}")
     return ContractionPair(T=T, T0=T0, cert_T=cert_T, cert_T0=cert_T0)
 
 
@@ -174,7 +173,7 @@ def random_positive_contraction(dim: int, eig_min: float, eig_max: float,
 
 
 def random_pair(dim: int, delta: float, perturbation_trace_norm: float,
-                seed: int, delta_min: float = DELTA_MIN) -> ContractionPair:
+                seed: int) -> ContractionPair:
     """Deterministic random pair: strict T0 plus a low-rank trace-norm perturbation."""
     if not 0.0 < delta < 1.0:
         raise InvalidDeltaError(f"delta must lie in (0, 1), got {delta}")
@@ -184,6 +183,10 @@ def random_pair(dim: int, delta: float, perturbation_trace_norm: float,
         raise ValueError("perturbation_trace_norm must be positive")
     rng = np.random.default_rng(seed)
     T0 = random_contraction(dim, 1.0 - delta, rng)
+    # rounding can leave 1 - ||T0|| a few ulps short of delta, and so of
+    # DELTA_MIN when delta = DELTA_MIN: step the norm down an ulp at a time
+    while delta >= DELTA_MIN and not validate_contraction(T0).is_strict:
+        T0 = T0 * np.nextafter(1.0, 0.0)
     rank = min(dim, 2)
     u = ginibre(rng, dim, rank)
     v = ginibre(rng, dim, rank)
@@ -193,4 +196,4 @@ def random_pair(dim: int, delta: float, perturbation_trace_norm: float,
     s = float(np.linalg.norm(T, 2))
     if s > 1.0:
         T = T / s
-    return make_pair(T, T0, delta_min=delta_min)
+    return make_pair(T, T0)

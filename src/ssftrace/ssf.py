@@ -54,11 +54,6 @@ class SpectralShift:
         return SpectralShift(n_max=self.n_max, coeffs=coeffs)
 
 
-def _trace(M: np.ndarray) -> complex:
-    d = np.diagonal(M)
-    return complex(math.fsum(d.real), math.fsum(d.imag))
-
-
 def moments(pair: ContractionPair, n_max: int) -> MomentSequence:
     """Moment traces m_n = Tr(T^n) - Tr(T0^n), n = 1..n_max, with compensated sums."""
     if n_max < 1:
@@ -96,8 +91,7 @@ def moments_from_ssf(s: SpectralShift) -> MomentSequence:
     return MomentSequence(n_max=s.n_max, moments=vals)
 
 
-def evaluate_ssf_grid(s: SpectralShift, t_grid, abel_radius: float,
-                      real_tol: float = REAL_TOL) -> np.ndarray:
+def evaluate_ssf_grid(s: SpectralShift, t_grid, abel_radius: float) -> np.ndarray:
     """Abel-summed values sum_n xi_hat(n) r^|n| e^{int} on a grid of angles."""
     if not 0.0 < abel_radius < 1.0:
         raise ValueError(f"abel_radius must lie in (0, 1), got {abel_radius}")
@@ -106,17 +100,16 @@ def evaluate_ssf_grid(s: SpectralShift, t_grid, abel_radius: float,
     damped = s.coeffs * abel_radius ** np.abs(n)
     vals = np.exp(1j * np.outer(t, n)) @ damped
     resid = float(np.abs(vals.imag).max(initial=0.0))
-    if resid > real_tol:
+    if resid > REAL_TOL:
         raise NonRealResultError(
-            f"imaginary residual {resid} exceeds {real_tol}; coefficient "
+            f"imaginary residual {resid} exceeds {REAL_TOL}; coefficient "
             "table has lost conjugate symmetry")
     return vals.real
 
 
-def evaluate_ssf(s: SpectralShift, t: float, abel_radius: float,
-                 real_tol: float = REAL_TOL) -> float:
+def evaluate_ssf(s: SpectralShift, t: float, abel_radius: float) -> float:
     """Abel-summed value of the shift function at a single angle."""
-    return float(evaluate_ssf_grid(s, [t], abel_radius, real_tol)[0])
+    return float(evaluate_ssf_grid(s, [t], abel_radius)[0])
 
 
 @dataclass(frozen=True)

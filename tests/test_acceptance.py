@@ -1,36 +1,40 @@
 """Acceptance gate: one test per headline claim, one printed verdict each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-pass/fail lines as they are produced.
+pass/fail lines as they are produced.  C3, C4, C7 and C8 run the checks of
+``ssftrace verify`` (``ssftrace.checks``) with its default tolerances over
+seeded pair sets.
 """
 
-import math
-
 import numpy as np
-import pytest
 
 from pairs import (random_pairs, random_positive_pair, random_strict_pair,
                    scalar_pair)
-from ssftrace import calculus, dilation, disc, kernel_integral, linops, ssf
-from ssftrace.calculus import CoefficientSeries, LaurentSeries
+from ssftrace import calculus, checks, disc, kernel_integral, ssf
+from ssftrace.calculus import LaurentSeries
 
+TOL = checks.DEFAULT_TOLERANCES
+# the verify symbols plus two sparse ones
 ACCEPTANCE_SERIES = {
-    "poly": {1: 0.5, 2: 1.0, 3: -0.25},
-    "exp": {k: 1.0 / float(math.factorial(k)) for k in range(21)},
-    "geom": {k: 0.7 ** k / k for k in range(1, 31)},
+    **checks.CIRCLE_SERIES,
     "odd": {1: 1.0, 3: -1.0 / 3.0, 5: 0.2},
     "quad": {2: 1.0},
-}
-ACCEPTANCE_TABLES = {
-    "one_sided": {1: 1.0, 2: 0.5},
-    "real_sym": {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: -0.1j, -2: 0.1j},
-    "mixed": {-1: 0.4, 1: 0.25, 3: 0.1},
 }
 
 
 def verdict(label: str, ok: bool, detail: str):
     print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
     assert ok, f"{label}: {detail}"
+
+
+def max_measured(results, prefix: str) -> float:
+    """Largest measured value over the checks whose name starts with prefix."""
+    return max(c.measured for c in results if c.name.startswith(prefix))
+
+
+def max_ratio(results, prefix: str) -> float:
+    """Largest measured/threshold over the checks whose name starts with prefix."""
+    return max(c.measured / c.threshold for c in results if c.name.startswith(prefix))
 
 
 def test_c1_semigroup_integral():
@@ -61,67 +65,31 @@ def test_c2_defect_difference():
 
 
 def test_c3_dilation():
-    N = 8
-    worst = {"ortho": 0.0, "blocks": 0.0, "compress": 0.0, "transfer": 0.0}
+    results = []
     for pair in random_pairs(50, seed=9200, dims=(2, 3, 4, 5, 6)):
-        WT = dilation.build_window_dilation(pair.T, N)
-        W0 = dilation.build_window_dilation(pair.T0, N)
-        worst["ortho"] = max(worst["ortho"],
-                             dilation.interior_column_orthonormality(WT),
-                             dilation.interior_column_orthonormality(W0))
-        blocks = dilation.dilation_difference_blocks(pair)
-        diff = WT.base - W0.base
-        d = WT.block_dim_d
-        expected = {(-1, 0): blocks.at_m10, (-1, 1): blocks.at_m11,
-                    (0, 0): blocks.at_00, (0, 1): blocks.at_01}
-        for i in range(-N, N + 1):
-            for j in range(-N, N + 1):
-                blk = diff[(i + N) * d:(i + N + 1) * d,
-                           (j + N) * d:(j + N + 1) * d]
-                ref = expected.get((i, j))
-                res = np.linalg.norm(blk - ref if ref is not None else blk, "fro")
-                worst["blocks"] = max(worst["blocks"], float(res))
-        for n in range(1, N + 1):
-            worst["compress"] = max(
-                worst["compress"],
-                dilation.compression_power_check(WT, pair.T, n))
-            lhs, rhs = dilation.dilation_trace_transfer(pair, n, N)
-            worst["transfer"] = max(worst["transfer"], abs(lhs - rhs))
-    ok = (worst["ortho"] <= 1e-10 and worst["blocks"] <= 1e-12
-          and worst["compress"] <= 1e-10 and worst["transfer"] <= 1e-9)
+        results += checks.dilation_checks(pair, TOL)
+    ok = all(c.passed for c in results)
     verdict("C3 truncated dilation", ok,
-            "worst ortho {ortho:.3e}, off-blocks {blocks:.3e}, "
-            "compression {compress:.3e}, trace transfer {transfer:.3e}"
-            .format(**worst))
+            f"worst ortho {max_measured(results, 'dilation/orthonormal_'):.3e}, "
+            f"off-blocks {max_measured(results, 'dilation/four_blocks'):.3e}, "
+            f"compression {max_measured(results, 'dilation/compression_'):.3e}, "
+            f"trace transfer {max_measured(results, 'dilation/trace_transfer_'):.3e}")
 
 
 def test_c4_circle_formula():
-    series = {k: CoefficientSeries.from_terms(v)
-              for k, v in ACCEPTANCE_SERIES.items()}
-    n_max = max(phi.degree for phi in series.values())
-    r = 0.999
-    worst_rel = 0.0
-    worst_quad = 0.0
-    const_exact = True
+    n_max = max(max(terms) for terms in ACCEPTANCE_SERIES.values())
+    results = []
     for pair in random_pairs(50, seed=9300):
         xi = ssf.ssf_from_moments(ssf.moments(pair, n_max))
-        for phi in series.values():
-            lhs = calculus.trace_lhs_circle(pair, phi)
-            rhs = calculus.trace_rhs_circle(xi, phi)
-            worst_rel = max(worst_rel,
-                            abs(lhs - rhs) / (1.0 + phi.weighted_norm))
-            quad = calculus.trace_rhs_circle_quadrature(xi, phi, abel_radius=r)
-            tail = 2.0 * np.pi * sum(
-                k * abs(phi.coeffs[k]) * abs(xi.coeff(-k)) * (1.0 - r ** k)
-                for k in range(1, phi.degree + 1))
-            budget = 10.0 * (tail + 1e-12 * (1.0 + phi.weighted_norm))
-            worst_quad = max(worst_quad, abs(quad - rhs) / budget)
-            const_exact &= (calculus.trace_rhs_circle(xi.with_constant(2.0), phi)
-                            == rhs)
-    ok = worst_rel <= 1e-9 and worst_quad <= 1.0 and const_exact
+        results += checks.circle_checks(pair, xi, TOL, ACCEPTANCE_SERIES)
+    ok = all(c.passed for c in results)
+    # |lhs - rhs| / (1 + sum k|a_k|)
+    scaled_gap = max_ratio(results, "circle/formula_") * TOL["circle_tol"]
+    const_exact = max_measured(results, "circle/constant_independence_") == 0.0
     verdict("C4 circle trace formula", ok,
-            f"worst scaled gap {worst_rel:.3e}, worst quadrature/budget "
-            f"{worst_quad:.3f}, constant independence exact: {const_exact}")
+            f"worst scaled gap {scaled_gap:.3e}, "
+            f"worst quadrature/budget {max_ratio(results, 'circle/quadrature_'):.3f}, "
+            f"constant independence exact: {const_exact}")
 
 
 def test_c5_adjoint_relation():
@@ -167,19 +135,12 @@ def test_c6_poisson_fatou():
 
 
 def test_c7_disc_formula():
-    tables = {k: LaurentSeries.from_terms(v)
-              for k, v in ACCEPTANCE_TABLES.items()}
-    cfg = disc.DiscQuadratureConfig()
-    inner_radii = {0.5, 0.8, 0.9, 0.99}
-    worst_match = 0.0
-    gap_ok = True
+    results = []
     for pair in random_pairs(25, seed=9500, dims=(2, 4, 6)):
-        for psi in tables.values():
-            rep = disc.verify_disc_trace_formula(pair, psi, cfg, n_max=32)
-            for R, quad, closed in rep.per_radius:
-                if R in inner_radii:
-                    worst_match = max(worst_match, abs(quad - closed))
-            gap_ok &= rep.final_gap() <= rep.tail_bound + 1e-9
+        xi = ssf.ssf_from_moments(ssf.moments(pair, 32))
+        results += checks.disc_checks(pair, xi, TOL)
+    disc_ok = all(c.passed for c in results)
+    gap_ok = all(c.passed for c in results if c.name.startswith("disc/limit_gap_"))
     # angular orthogonality of monomial Jacobians on a fixed disc
     ortho_ok = True
     R = 0.85
@@ -190,23 +151,19 @@ def test_c7_disc_formula():
             val = disc.disc_integral_quadrature(xi, psi, R)
             want = -4j * np.pi * R ** (n + m) / (n + m) if n == m else 0.0
             ortho_ok &= abs(val - want) <= 1e-12
-    ok = worst_match <= 1e-8 and gap_ok and ortho_ok
+    ok = disc_ok and ortho_ok
     verdict("C7 disc Jacobian trace formula", ok,
-            f"worst quad-vs-closed {worst_match:.3e}, limit gaps within tail "
-            f"{gap_ok}, angular orthogonality {ortho_ok}")
+            f"worst quad-vs-closed {max_measured(results, 'disc/quad_vs_closed_'):.3e}, "
+            f"limit gaps within tail {gap_ok}, angular orthogonality {ortho_ok}")
 
 
 def test_c8_cross_theorem():
-    psi = LaurentSeries.from_terms(ACCEPTANCE_TABLES["one_sided"])
-    phi = psi.to_one_sided()
-    worst = 0.0
-    for pair in random_pairs(25, seed=9500, dims=(2, 4, 6)):
-        gap = abs(calculus.laurent_difference_trace(pair, psi)
-                  - calculus.trace_lhs_circle(pair, phi))
-        worst = max(worst, gap)
-    ok = worst <= 1e-10
+    psi = LaurentSeries.from_terms(checks.DISC_TABLES["one_sided"])
+    results = [checks.cross_theorem_check(pair, "one_sided", psi, TOL)
+               for pair in random_pairs(25, seed=9500, dims=(2, 4, 6))]
+    ok = all(c.passed for c in results)
     verdict("C8 cross-theorem consistency", ok,
-            f"max one-sided LHS gap {worst:.3e}")
+            f"max one-sided LHS gap {max_measured(results, 'disc/cross_theorem_'):.3e}")
 
 
 def test_c9_scalar_golden():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ssftrace import cli, linops, serialize, ssf
+from ssftrace import checks, cli, linops, serialize, ssf
 
 
 def run(argv):
@@ -107,12 +107,32 @@ class TestVerify:
                     "--out", str(out)])
         assert code == 1
 
-    def test_unknown_tolerance_rejected(self, tmp_path):
+    def test_unknown_tolerance_rejected(self, tmp_path, capsys):
         pair_dir = gen_pair(tmp_path, seed=9)
-        code = run(["verify", "--t", str(pair_dir / "T.json"),
-                    "--t0", str(pair_dir / "T0.json"),
-                    "--tol", "nope=1", "--out", str(tmp_path / "x")])
-        assert code == 2
+        for item in ("nope=1", "circle_tol=abc", "circle_tol=-1", "circle_tol=0",
+                     "circle_tol=nan", "circle_tol=inf"):
+            code = run(["verify", "--t", str(pair_dir / "T.json"),
+                        "--t0", str(pair_dir / "T0.json"),
+                        "--tol", item, "--out", str(tmp_path / "x")])
+            assert code == 2, item
+            assert "tolerance" in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
+
+    def test_circle_n_max_below_symbol_degree(self, tmp_path, capsys):
+        pair_dir = gen_pair(tmp_path, seed=9)
+        argv = ["verify", "--t", str(pair_dir / "T.json"),
+                "--t0", str(pair_dir / "T0.json")]
+        low = checks.CIRCLE_MIN_N_MAX - 1
+        for suite in ("circle", "all"):
+            out = tmp_path / f"low-{suite}"
+            assert run([*argv, "--suite", suite, "--n-max", str(low),
+                        "--out", str(out)]) == 2
+            assert "--n-max" in capsys.readouterr().err
+            assert not out.exists()
+        assert run([*argv, "--suite", "circle", "--n-max",
+                    str(checks.CIRCLE_MIN_N_MAX), "--out", str(tmp_path / "ok")]) == 0
+        assert run([*argv, "--suite", "disc", "--n-max", "0",
+                    "--out", str(tmp_path / "disc0")]) == 0
 
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         pair_dir = gen_pair(tmp_path, seed=13)
@@ -146,6 +166,14 @@ class TestSsfCommand:
         back = serialize.ssf_from_dict(
             json.loads((out / "ssf_coeffs.json").read_text()))
         np.testing.assert_allclose(back.coeffs, table.coeffs, atol=1e-15)
+
+    @pytest.mark.parametrize("option", [["--n-max", "0"], ["--abel-radius", "1.5"]])
+    def test_bad_option_is_error(self, tmp_path, capsys, option):
+        pair_dir = gen_pair(tmp_path, seed=21)
+        assert run(["ssf", "--t", str(pair_dir / "T.json"),
+                    "--t0", str(pair_dir / "T0.json"), *option,
+                    "--out", str(tmp_path / "s")]) == 1
+        assert "ValueError" in capsys.readouterr().err
 
     def test_load_error(self, tmp_path):
         missingish = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ from pairs import random_pairs, random_strict_pair, scalar_pair
 from ssftrace import calculus, disc, ssf
 from ssftrace.calculus import LaurentSeries
 from ssftrace.errors import (
+    InsufficientCoefficientsError,
     InvalidRadiusError,
     OutsideOpenDiscError,
     RequiresStrictContractionError,
@@ -218,7 +219,9 @@ class TestDiscIntegral:
 class TestVerifyDiscFormula:
     def test_equal_pair(self):
         psi = LaurentSeries.from_terms({-1: 0.5, 2: 1.0})
-        rep = disc.verify_disc_trace_formula(scalar_pair(0.4, 0.4), psi, n_max=8)
+        pair = scalar_pair(0.4, 0.4)
+        xi = ssf.ssf_from_moments(ssf.moments(pair, 8))
+        rep = disc.verify_disc_trace_formula(pair, xi, psi)
         assert rep.lhs_trace == 0.0
         for _, quad, closed in rep.per_radius:
             assert abs(quad) <= 1e-12
@@ -226,18 +229,27 @@ class TestVerifyDiscFormula:
 
     def test_scalar_pair_curve(self):
         psi = LaurentSeries.from_terms({1: 1.0})
-        rep = disc.verify_disc_trace_formula(scalar_pair(0.5, 0.25), psi, n_max=16)
+        pair = scalar_pair(0.5, 0.25)
+        xi = ssf.ssf_from_moments(ssf.moments(pair, 16))
+        rep = disc.verify_disc_trace_formula(pair, xi, psi)
         assert rep.lhs_trace == pytest.approx(0.25, abs=1e-14)
         for R, _, closed in rep.per_radius:
             assert closed == pytest.approx(0.25 * R ** 2, abs=1e-12)
         assert rep.final_gap() <= rep.tail_bound + 1e-9
+
+    def test_table_beyond_shift_order(self):
+        pair = scalar_pair(0.5, 0.25)
+        xi = ssf.ssf_from_moments(ssf.moments(pair, 1))
+        with pytest.raises(InsufficientCoefficientsError):
+            disc.verify_disc_trace_formula(pair, xi, LaurentSeries.from_terms({2: 1.0}))
 
     def test_real_symmetric_table(self):
         terms = {1: 0.4 - 0.1j, 3: 0.2j}
         terms.update({-n: np.conj(v) for n, v in terms.items()})
         psi = LaurentSeries.from_terms(terms)
         pair = random_pairs(1, seed=613, dims=(5,))[0]
-        rep = disc.verify_disc_trace_formula(pair, psi, n_max=48)
+        xi = ssf.ssf_from_moments(ssf.moments(pair, 48))
+        rep = disc.verify_disc_trace_formula(pair, xi, psi)
         assert abs(rep.lhs_trace.imag) <= 1e-10
         for _, quad, closed in rep.per_radius:
             assert abs(quad.imag) <= 1e-10

@@ -185,6 +185,14 @@ class TestRandomPair:
         with pytest.raises(InvalidDeltaError):
             linops.random_pair(4, 1.5, 0.1, seed=0)
 
+    def test_delta_min_certifies(self):
+        # rounding puts 1 - (1 - DELTA_MIN) below DELTA_MIN
+        for dim in (1, 2, 5, 16):
+            for seed in range(20):
+                pair = linops.random_pair(dim, linops.DELTA_MIN, 0.1, seed)
+                assert pair.cert_T0.strictness_margin_delta >= linops.DELTA_MIN
+                assert pair.cert_T0.operator_norm >= 1.0 - 1.001 * linops.DELTA_MIN
+
 
 class TestMakePair:
     def test_requires_strict_t0(self):
