@@ -47,6 +47,8 @@ DISC_TABLES = {
 # the circle pairing needs xi_hat(-k) up to the largest degree of its symbols
 CIRCLE_MIN_N_MAX = max(max(terms) for terms in CIRCLE_SERIES.values())
 DISC_MAX_ORDER = max(abs(n) for terms in DISC_TABLES.values() for n in terms)
+# the disc quadrature resolves shift functions up to this order
+DISC_MAX_N_MAX = disc.DiscQuadratureConfig().max_order
 
 
 @dataclass
@@ -102,19 +104,15 @@ def _four_blocks_residual(pair, WT, W0) -> float:
 
 def dilation_checks(pair: linops.ContractionPair, tol: dict) -> list[CheckResult]:
     """Window structure, compressions and trace transfer for powers 1..WINDOW_N."""
-    N = WINDOW_N
-    WT = dilation.build_window_dilation(pair.T, N)
-    W0 = dilation.build_window_dilation(pair.T0, N)
+    WT = dilation.build_window_dilation(pair.T, WINDOW_N)
+    W0 = dilation.build_window_dilation(pair.T0, WINDOW_N)
     results = [_within(f"dilation/orthonormal_{name}",
                        dilation.interior_column_orthonormality(W), tol["orthonormality_tol"])
                for name, W in (("T", WT), ("T0", W0))]
     results.append(_within("dilation/four_blocks", _four_blocks_residual(pair, WT, W0),
                            tol["offblock_tol"]))
-    for n in range(1, N + 1):
-        results.append(_within(f"dilation/compression_n{n}",
-                               dilation.compression_power_check(WT, pair.T, n),
-                               tol["compression_tol"]))
-        lhs, rhs = dilation.dilation_trace_transfer(pair, n, N)
+    for n, gap, lhs, rhs in dilation.power_walk(pair, WT, W0):
+        results.append(_within(f"dilation/compression_n{n}", gap, tol["compression_tol"]))
         results.append(_within(f"dilation/trace_transfer_n{n}", abs(lhs - rhs),
                                tol["trace_transfer_tol"]))
     return results

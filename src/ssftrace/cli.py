@@ -21,6 +21,9 @@ import numpy as np
 from . import calculus, checks, disc, linops, serialize, ssf
 from .errors import SsftraceError
 
+# what a bad pair, table or option raises; a missing or unreadable file is an OSError
+INPUT_ERRORS = (SsftraceError, ValueError, KeyError, OSError)
+
 
 def _thread_cap() -> int | None:
     """SSF_DISC_THREADS caps internal parallelism; computation here is serial."""
@@ -45,9 +48,9 @@ def _cert_dict(cert: linops.ContractionCertificate) -> dict:
 
 
 def cmd_gen(args) -> int:
+    pair = linops.random_pair(args.dim, args.delta, args.perturbation, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    pair = linops.random_pair(args.dim, args.delta, args.perturbation, args.seed)
     serialize.save_matrix(out / "T.json", pair.T)
     serialize.save_matrix(out / "T0.json", pair.T0)
     manifest = {
@@ -108,11 +111,15 @@ def cmd_verify(args) -> int:
         print(f"--n-max {args.n_max} is below {checks.CIRCLE_MIN_N_MAX}, the largest "
               "degree of the circle test symbols", file=sys.stderr)
         return 2
+    if "disc" in suites and args.n_max > checks.DISC_MAX_N_MAX:
+        print(f"--n-max {args.n_max} is above {checks.DISC_MAX_N_MAX}, the largest "
+              "order the disc quadrature resolves", file=sys.stderr)
+        return 2
     out = Path(args.out)
     try:
         _thread_cap()
         pair = _load_pair(args.t, args.t0)
-    except (SsftraceError, ValueError, KeyError) as exc:
+    except INPUT_ERRORS as exc:
         results, failures = [], [f"load: {type(exc).__name__}: {exc}"]
     else:
         results, failures = checks.run(pair, suites, tol, args.n_max), []
@@ -122,16 +129,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ssf(args) -> int:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be >= 1, got {args.grid}")
+    pair = _load_pair(args.t, args.t0)
+    table = ssf.ssf_from_moments(ssf.moments(pair, args.n_max))
+    t_grid = 2.0 * np.pi * np.arange(args.grid) / args.grid
+    values = ssf.evaluate_ssf_grid(table, t_grid, args.abel_radius)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        pair = _load_pair(args.t, args.t0)
-        table = ssf.ssf_from_moments(ssf.moments(pair, args.n_max))
-        t_grid = 2.0 * np.pi * np.arange(args.grid) / args.grid
-        values = ssf.evaluate_ssf_grid(table, t_grid, args.abel_radius)
-    except (SsftraceError, ValueError, KeyError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     serialize.write_ssf_grid_csv(out / "ssf.csv", t_grid, values)
     (out / "ssf_coeffs.json").write_text(
         json.dumps(serialize.ssf_to_dict(table), sort_keys=True) + "\n")
@@ -139,23 +144,19 @@ def cmd_ssf(args) -> int:
 
 
 def cmd_disc_report(args) -> int:
+    pair = _load_pair(args.t, args.t0)
+    if args.psi:
+        psi = serialize.series_from_dict(
+            json.loads(Path(args.psi).read_text()), two_sided=True)
+    else:
+        psi = calculus.LaurentSeries.from_terms(checks.DISC_TABLES["real_sym"])
+    cfg = disc.DiscQuadratureConfig(
+        radius_schedule=tuple(args.radii) if args.radii else
+        disc.DiscQuadratureConfig().radius_schedule)
+    xi = ssf.ssf_from_moments(ssf.moments(pair, max(args.n_max, psi.order)))
+    report = disc.verify_disc_trace_formula(pair, xi, psi, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        pair = _load_pair(args.t, args.t0)
-        if args.psi:
-            psi = serialize.series_from_dict(
-                json.loads(Path(args.psi).read_text()), two_sided=True)
-        else:
-            psi = calculus.LaurentSeries.from_terms(checks.DISC_TABLES["real_sym"])
-        cfg = disc.DiscQuadratureConfig(
-            radius_schedule=tuple(args.radii) if args.radii else
-            disc.DiscQuadratureConfig().radius_schedule)
-        xi = ssf.ssf_from_moments(ssf.moments(pair, max(args.n_max, psi.order)))
-        report = disc.verify_disc_trace_formula(pair, xi, psi, cfg)
-    except (SsftraceError, ValueError, KeyError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     serialize.write_disc_report_csv(out / "disc.csv", report)
     return 0
 
@@ -204,8 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a bad input or option ends it with exit 1 and a
+    one-line message on stderr (``verify`` records load errors in its report)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

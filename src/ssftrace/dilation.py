@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PowerExceedsWindowError
 from .linops import ContractionPair, as_operator, defect, trace_norm, validate_contraction
 
 
@@ -76,20 +75,6 @@ def interior_column_orthonormality(W: WindowDilation) -> float:
     return float(np.abs(G - np.eye(G.shape[0])).max())
 
 
-def compression_power_check(W: WindowDilation, T, n: int) -> float:
-    """Frobenius gap between the central block of base^n and T^n."""
-    T = as_operator(T)
-    if n > W.window_radius_n:
-        raise PowerExceedsWindowError(
-            f"power {n} exceeds window radius {W.window_radius_n}")
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
-    P = np.linalg.matrix_power(W.base, n)
-    N, d = W.window_radius_n, W.block_dim_d
-    central = P[N * d:(N + 1) * d, N * d:(N + 1) * d]
-    return float(np.linalg.norm(central - np.linalg.matrix_power(T, n), "fro"))
-
-
 def dilation_difference_blocks(pair: ContractionPair) -> DifferenceBlocks:
     """The four nonzero blocks of the dilation difference.
 
@@ -97,13 +82,12 @@ def dilation_difference_blocks(pair: ContractionPair) -> DifferenceBlocks:
     shift parts coincide.
     """
     T, T0 = pair.T, pair.T0
-    blocks = DifferenceBlocks(
+    return DifferenceBlocks(
         at_00=T - T0,
         at_01=defect(T, "right") - defect(T0, "right"),
         at_m10=defect(T, "left") - defect(T0, "left"),
         at_m11=-(T - T0).conj().T,
     )
-    return blocks
 
 
 def difference_block_trace_norm_sum(blocks: DifferenceBlocks) -> float:
@@ -112,15 +96,22 @@ def difference_block_trace_norm_sum(blocks: DifferenceBlocks) -> float:
             + trace_norm(blocks.at_m10) + trace_norm(blocks.at_m11))
 
 
-def dilation_trace_transfer(pair: ContractionPair, n: int, N: int):
-    """Tr(T^n - T0^n) against the window trace of the dilation power difference."""
-    if n > N:
-        raise PowerExceedsWindowError(f"power {n} exceeds window radius {N}")
-    T, T0 = pair.T, pair.T0
-    lhs = complex(np.trace(np.linalg.matrix_power(T, n))
-                  - np.trace(np.linalg.matrix_power(T0, n)))
-    WT = build_window_dilation(T, N)
-    W0 = build_window_dilation(T0, N)
-    rhs = complex(np.trace(np.linalg.matrix_power(WT.base, n))
-                  - np.trace(np.linalg.matrix_power(W0.base, n)))
-    return lhs, rhs
+def power_walk(pair: ContractionPair, WT: WindowDilation, W0: WindowDilation) -> list:
+    """Powers n = 1..N of T, T0 and their windows WT, W0 of radius N.
+
+    Entry n is (n, ||[WT^n]_00 - T^n||_F, Tr(T^n - T0^n), Tr(WT^n - W0^n)).
+    Each power is one product with the previous one; T^n and T0^n come from
+    T and T0 alone, never from the windows.
+    """
+    N, d = WT.window_radius_n, WT.block_dim_d
+    c = slice(N * d, (N + 1) * d)
+    Tn, T0n, PT, P0 = pair.T, pair.T0, WT.base, W0.base
+    walk = []
+    for n in range(1, N + 1):
+        if n > 1:
+            Tn, T0n = Tn @ pair.T, T0n @ pair.T0
+            PT, P0 = PT @ WT.base, P0 @ W0.base
+        walk.append((n, float(np.linalg.norm(PT[c, c] - Tn, "fro")),
+                     complex(np.trace(Tn) - np.trace(T0n)),
+                     complex(np.trace(PT) - np.trace(P0))))
+    return walk

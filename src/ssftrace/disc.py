@@ -56,9 +56,14 @@ class DiscQuadratureConfig:
         if not (0.0 < rs[0] and rs[-1] < 1.0):
             raise ValueError("radius_schedule must stay inside (0, 1)")
 
+    @property
+    def max_order(self) -> int:
+        """Largest table order the angular rule resolves: 4 (2 order + 1) <= angular_nodes."""
+        return (self.angular_nodes // 4 - 1) // 2
+
     def check_resolves(self, order: int):
         """Angular rule must be at least 4x the table length to kill aliasing."""
-        if self.angular_nodes < 4 * (2 * order + 1):
+        if order > self.max_order:
             raise ValueError(
                 f"{self.angular_nodes} angular nodes cannot resolve a table "
                 f"of order {order}")

@@ -37,10 +37,6 @@ class SingularBError(SsftraceError):
     """Smallest eigenvalue of the second positive contraction is too close to zero."""
 
 
-class PowerExceedsWindowError(SsftraceError):
-    pass
-
-
 class NonRealResultError(SsftraceError):
     """A value that must be real carries an imaginary residual above tolerance."""
 

@@ -45,6 +45,15 @@ class TestGen:
             pair.cert_T0.operator_norm, abs=1e-12)
         assert c0["strictness_margin_delta"] >= 0.25 - 1e-9
 
+    @pytest.mark.parametrize("option", [["--dim", "0"], ["--delta", "1.5"],
+                                        ["--perturbation", "0"]])
+    def test_bad_option_is_error(self, tmp_path, capsys, option):
+        # the later of two repeated options wins
+        assert run(["gen", "--dim", "4", "--delta", "0.25", "--seed", "1", *option,
+                    "--out", str(tmp_path / "g")]) == 1
+        assert "Error" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
 
 class TestVerify:
     def test_all_suites_pass(self, tmp_path):
@@ -97,6 +106,11 @@ class TestVerify:
         out = tmp_path / "verify-corrupt"
         assert run(["verify", "--t", str(bad), "--t0", str(ok),
                     "--out", str(out)]) == 1
+        missing = tmp_path / "verify-missing"
+        assert run(["verify", "--t", str(tmp_path / "none.json"), "--t0", str(ok),
+                    "--out", str(missing)]) == 1
+        summary = json.loads((missing / "summary.json").read_text())
+        assert any("FileNotFoundError" in f for f in summary["failures"])
 
     def test_tolerance_override_can_fail(self, tmp_path):
         pair_dir = gen_pair(tmp_path, seed=9)
@@ -134,6 +148,22 @@ class TestVerify:
         assert run([*argv, "--suite", "disc", "--n-max", "0",
                     "--out", str(tmp_path / "disc0")]) == 0
 
+    def test_disc_n_max_above_quadrature_order(self, tmp_path, capsys):
+        pair_dir = gen_pair(tmp_path, seed=9)
+        argv = ["verify", "--t", str(pair_dir / "T.json"),
+                "--t0", str(pair_dir / "T0.json")]
+        high = checks.DISC_MAX_N_MAX + 1
+        for suite in ("disc", "all"):
+            out = tmp_path / f"high-{suite}"
+            assert run([*argv, "--suite", suite, "--n-max", str(high),
+                        "--out", str(out)]) == 2
+            assert "--n-max" in capsys.readouterr().err
+            assert not out.exists()
+        assert run([*argv, "--suite", "disc", "--n-max", str(checks.DISC_MAX_N_MAX),
+                    "--out", str(tmp_path / "ok")]) == 0
+        assert run([*argv, "--suite", "circle", "--n-max", str(high),
+                    "--out", str(tmp_path / "circle-high")]) == 0
+
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         pair_dir = gen_pair(tmp_path, seed=13)
         monkeypatch.setenv("SSF_DISC_THREADS", "2")
@@ -167,13 +197,15 @@ class TestSsfCommand:
             json.loads((out / "ssf_coeffs.json").read_text()))
         np.testing.assert_allclose(back.coeffs, table.coeffs, atol=1e-15)
 
-    @pytest.mark.parametrize("option", [["--n-max", "0"], ["--abel-radius", "1.5"]])
+    @pytest.mark.parametrize("option", [["--n-max", "0"], ["--abel-radius", "1.5"],
+                                        ["--grid", "0"]])
     def test_bad_option_is_error(self, tmp_path, capsys, option):
         pair_dir = gen_pair(tmp_path, seed=21)
         assert run(["ssf", "--t", str(pair_dir / "T.json"),
                     "--t0", str(pair_dir / "T0.json"), *option,
                     "--out", str(tmp_path / "s")]) == 1
         assert "ValueError" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_load_error(self, tmp_path):
         missingish = tmp_path / "bad.json"
@@ -181,6 +213,8 @@ class TestSsfCommand:
         ok = tmp_path / "ok.json"
         serialize.save_matrix(ok, 0.5 * np.eye(2))
         assert run(["ssf", "--t", str(missingish), "--t0", str(ok),
+                    "--out", str(tmp_path / "s")]) == 1
+        assert run(["ssf", "--t", str(tmp_path / "none.json"), "--t0", str(ok),
                     "--out", str(tmp_path / "s")]) == 1
 
 
@@ -209,3 +243,13 @@ class TestDiscReport:
                     "--t0", str(pair_dir / "T0.json"), "--psi", str(psi_path),
                     "--n-max", "32", "--out", str(out)]) == 0
         assert (out / "disc.csv").is_file()
+
+    @pytest.mark.parametrize("option", [["--radii", "0.9", "0.5"], ["--radii", "1.5"],
+                                        ["--psi", "no-such-table.json"]])
+    def test_bad_option_is_error(self, tmp_path, capsys, option):
+        pair_dir = gen_pair(tmp_path, seed=31)
+        assert run(["disc-report", "--t", str(pair_dir / "T.json"),
+                    "--t0", str(pair_dir / "T0.json"), *option,
+                    "--out", str(tmp_path / "d")]) == 1
+        assert "Error: " in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()

@@ -5,7 +5,6 @@ import pytest
 
 from pairs import random_pairs, scalar_pair
 from ssftrace import dilation, linops
-from ssftrace.errors import PowerExceedsWindowError
 
 
 def test_zero_contraction_structure():
@@ -42,36 +41,54 @@ def test_interior_orthonormality_random():
         assert dilation.interior_column_orthonormality(W) <= 1e-10
 
 
+def walk(pair, N):
+    """power_walk over the two windows of radius N, as {n: (gap, lhs, rhs)}."""
+    WT = dilation.build_window_dilation(pair.T, N)
+    W0 = dilation.build_window_dilation(pair.T0, N)
+    return {n: rest for n, *rest in dilation.power_walk(pair, WT, W0)}
+
+
+def test_walk_matches_matrix_power():
+    pair = random_pairs(1, seed=407, dims=(3,))[0]
+    N, c = 5, slice(5 * 3, 6 * 3)  # window radius and the central block of d = 3
+    WT = dilation.build_window_dilation(pair.T, N)
+    W0 = dilation.build_window_dilation(pair.T0, N)
+    entries = dilation.power_walk(pair, WT, W0)
+    assert [e[0] for e in entries] == list(range(1, N + 1))
+    for n, gap, lhs, rhs in entries:
+        P = np.linalg.matrix_power(WT.base, n)
+        Tn = np.linalg.matrix_power(pair.T, n)
+        T0n = np.linalg.matrix_power(pair.T0, n)
+        assert gap == pytest.approx(np.linalg.norm(P[c, c] - Tn, "fro"), abs=1e-14)
+        assert lhs == pytest.approx(np.trace(Tn) - np.trace(T0n), abs=1e-14)
+        assert rhs == pytest.approx(
+            np.trace(P) - np.trace(np.linalg.matrix_power(W0.base, n)), abs=1e-14)
+
+
 class TestCompression:
     def test_shift_power_is_zero(self):
-        W = dilation.build_window_dilation(np.array([[0.0]]), N=4)
+        gaps = walk(scalar_pair(0.0, 0.0), 4)
         for n in range(1, 5):
-            assert dilation.compression_power_check(W, np.array([[0.0]]), n) == 0.0
+            assert gaps[n][0] == 0.0
 
     def test_scalar_square(self):
         W = dilation.build_window_dilation(np.array([[0.5]]), N=2)
         P = np.linalg.matrix_power(W.base, 2)
         central = P[2, 2]
         assert central == pytest.approx(0.25)
-        assert dilation.compression_power_check(W, np.array([[0.5]]), 2) <= 1e-12
+        assert walk(scalar_pair(0.5, 0.5), 2)[2][0] <= 1e-12
 
     def test_random_contraction(self):
         rng = np.random.default_rng(23)
         T = linops.random_contraction(4, 0.9, rng)
-        W = dilation.build_window_dilation(T, N=4)
-        assert dilation.compression_power_check(W, T, 3) <= 1e-10
+        assert walk(linops.make_pair(T, T), 4)[3][0] <= 1e-10
 
     def test_all_powers_within_window(self):
         rng = np.random.default_rng(29)
         T = linops.random_contraction(3, 0.95, rng)
-        W = dilation.build_window_dilation(T, N=6)
+        gaps = walk(linops.make_pair(T, T), 6)
         for n in range(1, 7):
-            assert dilation.compression_power_check(W, T, n) <= 1e-10
-
-    def test_power_exceeds_window(self):
-        W = dilation.build_window_dilation(np.array([[0.5]]), N=2)
-        with pytest.raises(PowerExceedsWindowError):
-            dilation.compression_power_check(W, np.array([[0.5]]), 3)
+            assert gaps[n][0] <= 1e-10
 
 
 class TestDifferenceBlocks:
@@ -119,20 +136,16 @@ class TestDifferenceBlocks:
 
 class TestTraceTransfer:
     def test_equal_pair(self):
-        lhs, rhs = dilation.dilation_trace_transfer(scalar_pair(0.5, 0.5), 3, 4)
+        _, lhs, rhs = walk(scalar_pair(0.5, 0.5), 4)[3]
         assert lhs == 0.0
         assert abs(rhs) <= 1e-12
 
     def test_scalar_square(self):
-        lhs, rhs = dilation.dilation_trace_transfer(scalar_pair(0.5, 0.25), 2, 3)
+        _, lhs, rhs = walk(scalar_pair(0.5, 0.25), 3)[2]
         assert lhs == pytest.approx(0.1875)
         assert abs(lhs - rhs) <= 1e-12
 
     def test_random_pair(self):
         pair = random_pairs(1, seed=406, dims=(4,))[0]
-        lhs, rhs = dilation.dilation_trace_transfer(pair, 5, 6)
+        _, lhs, rhs = walk(pair, 6)[5]
         assert abs(lhs - rhs) <= 1e-9
-
-    def test_exceeds_window(self):
-        with pytest.raises(PowerExceedsWindowError):
-            dilation.dilation_trace_transfer(scalar_pair(0.5, 0.25), 5, 4)

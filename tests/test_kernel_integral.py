@@ -1,5 +1,7 @@
 """Semigroup integral representation and the defect-difference bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,38 @@ def test_random_pairs_converge():
         A, B = random_positive_pair(dim=4 + i % 9, delta_b=0.2, seed=1000 + i)
         r = kernel_integral.semigroup_integral(A, B, tol=1e-8)
         assert r.frobenius_error <= 1e-7
+
+
+def test_kernel_matches_per_node_products():
+    # reference: the same Gauss nodes summed one node at a time,
+    # w_t exp(-tA) (A^2 - B^2) exp(-tB), as before the kernel form
+    A, B = random_positive_pair(dim=5, delta_b=0.3, seed=41)
+    r = kernel_integral.semigroup_integral(A, B)
+    t, w = kernel_integral._gauss_panels(r.upper_time_limit, kernel_integral.NODES_PER_UNIT)
+    assert len(t) == r.nodes_used
+    A, B = (A + A.conj().T) / 2, (B + B.conj().T) / 2
+    (wa, Va), (wb, Vb) = np.linalg.eigh(A), np.linalg.eigh(B)
+    C = A @ A - B @ B
+    ref = sum(wk * (Va * np.exp(-tk * wa)) @ Va.conj().T @ C @ (Vb * np.exp(-tk * wb))
+              @ Vb.conj().T for tk, wk in zip(t, w))
+    np.testing.assert_allclose(r.computed_difference, ref, atol=1e-14)
+
+
+def test_near_strict_pair_bounded_memory():
+    # delta = 1e-5 puts over 10^5 quadrature nodes on each defect pair; the
+    # kernel is d x d, so memory grows with nodes * d, not nodes * d^2
+    pair = linops.random_pair(16, 1e-5, 0.1, seed=3)
+    tracemalloc.start()
+    try:
+        for side in ("left", "right"):
+            r = kernel_integral.semigroup_integral(linops.defect(pair.T, side),
+                                                   linops.defect(pair.T0, side), tol=1e-8)
+            assert r.nodes_used > 100_000
+            assert r.frobenius_error <= 1e-7
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2 ** 20
 
 
 def test_trace_bound_scalar():

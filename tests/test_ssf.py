@@ -33,8 +33,9 @@ def test_moments_telescoping_bound():
 def test_moments_match_dilation_route():
     pair = random_pairs(1, seed=501, dims=(8,))[0]
     m = ssf.moments(pair, 6)
-    for n in range(1, 7):
-        _, rhs = dilation.dilation_trace_transfer(pair, n, N=6)
+    WT = dilation.build_window_dilation(pair.T, 6)
+    W0 = dilation.build_window_dilation(pair.T0, 6)
+    for n, _, _, rhs in dilation.power_walk(pair, WT, W0):
         assert abs(m.moment(n) - rhs) <= 1e-9
 
 
