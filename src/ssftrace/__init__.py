@@ -1,6 +1,6 @@
 """Spectral shift functions and trace formulas for pairs of contractions."""
 
-from . import calculus, checks, cli, dilation, disc, errors, kernel_integral, linops, serialize, ssf
+from . import calculus, checks, dilation, disc, errors, kernel_integral, linops, serialize, ssf
 from .linops import ContractionCertificate, ContractionPair, make_pair, random_pair
 
 __version__ = "0.1.0"
@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 __all__ = [
     "calculus",
     "checks",
-    "cli",
     "dilation",
     "disc",
     "errors",

@@ -1,7 +1,8 @@
 """Functional calculus from finite coefficient tables.
 
 One-sided tables (analytic symbols, weighted norm sum k|a_k|) act on a
-contraction as sum a_k T^k; two-sided tables act as
+contraction as sum a_k T^k; two-sided tables (``ssf.LaurentSeries``, the
+class of the shift function too) act as
 psi_hat(0) I + sum psi_hat(-n) (T*)^n + sum psi_hat(n) T^n.  Both sides
 of the circle trace formula and the trace of the two-sided difference
 are computed here.
@@ -10,13 +11,13 @@ are computed here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientCoefficientsError
 from .linops import ContractionPair, as_operator, trace_norm
-from .ssf import SpectralShift, evaluate_ssf_grid
+from .ssf import LaurentSeries, evaluate_ssf_grid
 
 # grid size of the circle quadrature route
 QUADRATURE_POINTS = 4096
@@ -46,46 +47,6 @@ class CoefficientSeries:
     def weighted_norm(self) -> float:
         k = np.arange(len(self.coeffs))
         return float(np.abs(k * self.coeffs).sum())
-
-
-@dataclass(frozen=True)
-class LaurentSeries:
-    """Two-sided table psi_hat(-K)..psi_hat(K), stored centered."""
-
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.coeffs) % 2 != 1:
-            raise ValueError("centered table must have odd length")
-
-    @classmethod
-    def from_terms(cls, terms: dict[int, complex]) -> "LaurentSeries":
-        K = max((abs(n) for n in terms), default=0)
-        c = np.zeros(2 * K + 1, dtype=complex)
-        for n, a in terms.items():
-            c[n + K] = a
-        return cls(coeffs=c)
-
-    @property
-    def order(self) -> int:
-        return (len(self.coeffs) - 1) // 2
-
-    def coeff(self, n: int) -> complex:
-        if abs(n) > self.order:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[n + self.order])
-
-    @property
-    def weighted_norm(self) -> float:
-        n = np.arange(-self.order, self.order + 1)
-        return float(np.abs(n * self.coeffs).sum())
-
-    def to_one_sided(self) -> CoefficientSeries:
-        """Drop to a one-sided table; requires no negative modes."""
-        neg = self.coeffs[:self.order]
-        if np.any(neg != 0):
-            raise ValueError("table has negative modes")
-        return CoefficientSeries(coeffs=self.coeffs[self.order:].copy())
 
 
 def apply_series(phi: CoefficientSeries, T) -> np.ndarray:
@@ -126,27 +87,27 @@ def series_difference_bound(pair: ContractionPair, phi: CoefficientSeries):
     return lhs, phi.weighted_norm * trace_norm(pair.T - pair.T0)
 
 
-def trace_rhs_circle(s: SpectralShift, phi: CoefficientSeries) -> complex:
+def trace_rhs_circle(s: LaurentSeries, phi: CoefficientSeries) -> complex:
     """Coefficient pairing 2*pi*i * sum_k k a_k xi_hat(-k)."""
-    if phi.degree > s.n_max:
+    if phi.degree > s.order:
         raise InsufficientCoefficientsError(
-            f"series degree {phi.degree} exceeds coefficient table order {s.n_max}")
+            f"series degree {phi.degree} exceeds coefficient table order {s.order}")
     total = 0.0 + 0.0j
     for k in range(1, phi.degree + 1):
         total += k * phi.coeffs[k] * s.coeff(-k)
     return 2j * np.pi * total
 
 
-def trace_rhs_circle_quadrature(s: SpectralShift, phi: CoefficientSeries,
+def trace_rhs_circle_quadrature(s: LaurentSeries, phi: CoefficientSeries,
                                 abel_radius: float = 0.999) -> complex:
     """Grid quadrature of (d/dt phi(e^{it})) * xi_r(t) over [0, 2*pi).
 
     Independent of the coefficient pairing: the shift function enters
     only through its Abel-regularized pointwise values.
     """
-    if phi.degree > s.n_max:
+    if phi.degree > s.order:
         raise InsufficientCoefficientsError(
-            f"series degree {phi.degree} exceeds coefficient table order {s.n_max}")
+            f"series degree {phi.degree} exceeds coefficient table order {s.order}")
     t = 2.0 * np.pi * np.arange(QUADRATURE_POINTS) / QUADRATURE_POINTS
     k = np.arange(len(phi.coeffs))
     phi_prime = np.exp(1j * np.outer(t, k)) @ (1j * k * phi.coeffs)

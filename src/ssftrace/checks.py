@@ -70,20 +70,18 @@ def _within(name: str, measured, threshold) -> CheckResult:
 
 def lemma_checks(pair: linops.ContractionPair, tol: dict) -> list[CheckResult]:
     """Defect-difference identity, trace-norm bound and semigroup integral, per side."""
-    report = kernel_integral.defect_difference_check(pair)
-    results = [
-        _within("lemma/identity_left", report.identity_error_left, tol["identity_tol"]),
-        _within("lemma/identity_right", report.identity_error_right, tol["identity_tol"]),
-    ]
-    for side, (lhs, rhs) in (("left", report.left), ("right", report.right)):
-        results.append(_within(f"lemma/trace_bound_{side}", lhs, rhs + 1e-12))
+    identity, bound, semigroup = [], [], []
     for side in ("left", "right"):
-        r = kernel_integral.semigroup_integral(linops.defect(pair.T, side),
-                                               linops.defect(pair.T0, side),
-                                               tol=tol["semigroup_tol"])
-        results.append(_within(f"lemma/semigroup_{side}", r.frobenius_error,
-                               10.0 * tol["semigroup_tol"]))
-    return results
+        A, B = linops.defect(pair.T, side), linops.defect(pair.T0, side)
+        identity.append(_within(f"lemma/identity_{side}",
+                                kernel_integral.defect_identity_error(pair, side),
+                                tol["identity_tol"]))
+        lhs, rhs = kernel_integral.difference_trace_bound(A, B)
+        bound.append(_within(f"lemma/trace_bound_{side}", lhs, rhs + 1e-12))
+        r = kernel_integral.semigroup_integral(A, B, tol=tol["semigroup_tol"])
+        semigroup.append(_within(f"lemma/semigroup_{side}", r.frobenius_error,
+                                 10.0 * tol["semigroup_tol"]))
+    return identity + bound + semigroup
 
 
 def _four_blocks_residual(pair, WT, W0) -> float:
@@ -127,7 +125,7 @@ def _quadrature_budget(xi, phi, tol: dict) -> float:
     return tol["quad_budget_factor"] * (tail + grid)
 
 
-def circle_checks(pair: linops.ContractionPair, xi: ssf.SpectralShift, tol: dict,
+def circle_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries, tol: dict,
                   series: dict = CIRCLE_SERIES) -> list[CheckResult]:
     """Circle formula per symbol: pairing vs. left side, quadrature, constant shift."""
     results = []
@@ -146,28 +144,28 @@ def circle_checks(pair: linops.ContractionPair, xi: ssf.SpectralShift, tol: dict
     return results
 
 
-def cross_theorem_check(pair: linops.ContractionPair, name: str,
-                        psi: calculus.LaurentSeries, tol: dict) -> CheckResult:
+def cross_theorem_check(pair: linops.ContractionPair, name: str, terms: dict,
+                        tol: dict) -> CheckResult:
     """Disc and circle left sides agree on a table with no negative modes."""
-    gap = abs(calculus.laurent_difference_trace(pair, psi)
-              - calculus.trace_lhs_circle(pair, psi.to_one_sided()))
+    gap = abs(calculus.laurent_difference_trace(pair, ssf.LaurentSeries.from_terms(terms))
+              - calculus.trace_lhs_circle(pair, calculus.CoefficientSeries.from_terms(terms)))
     return _within(f"disc/cross_theorem_{name}", gap, tol["cross_theorem_tol"])
 
 
-def disc_checks(pair: linops.ContractionPair, xi: ssf.SpectralShift,
+def disc_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries,
                 tol: dict) -> list[CheckResult]:
     """Disc formula per table: quadrature vs. closed form, limit gap, cross-theorem."""
     cfg = disc.DiscQuadratureConfig()
     results = []
     for name, terms in DISC_TABLES.items():
-        psi = calculus.LaurentSeries.from_terms(terms)
+        psi = ssf.LaurentSeries.from_terms(terms)
         report = disc.verify_disc_trace_formula(pair, xi, psi, cfg)
         worst = max(abs(q - c) for _, q, c in report.per_radius)
         results.append(_within(f"disc/quad_vs_closed_{name}", worst, tol["quad_match_tol"]))
         results.append(_within(f"disc/limit_gap_{name}", report.final_gap(),
                                report.tail_bound + tol["disc_gap_extra"]))
         if all(n >= 0 for n in terms):
-            results.append(cross_theorem_check(pair, name, psi, tol))
+            results.append(cross_theorem_check(pair, name, terms, tol))
     return results
 
 

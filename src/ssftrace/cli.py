@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calculus, checks, disc, linops, serialize, ssf
+from . import checks, disc, linops, serialize, ssf
 from .errors import SsftraceError
 
 # what a bad pair, table or option raises; a missing or unreadable file is an OSError
@@ -149,7 +149,7 @@ def cmd_disc_report(args) -> int:
         psi = serialize.series_from_dict(
             json.loads(Path(args.psi).read_text()), two_sided=True)
     else:
-        psi = calculus.LaurentSeries.from_terms(checks.DISC_TABLES["real_sym"])
+        psi = ssf.LaurentSeries.from_terms(checks.DISC_TABLES["real_sym"])
     cfg = disc.DiscQuadratureConfig(
         radius_schedule=tuple(args.radii) if args.radii else
         disc.DiscQuadratureConfig().radius_schedule)

@@ -110,7 +110,10 @@ def power_walk(pair: ContractionPair, WT: WindowDilation, W0: WindowDilation) ->
     for n in range(1, N + 1):
         if n > 1:
             Tn, T0n = Tn @ pair.T, T0n @ pair.T0
-            PT, P0 = PT @ WT.base, P0 @ W0.base
+            # one window product at a time: the old PT is freed before P0's
+            # product is formed, so five window-sized arrays are live, not six
+            PT = PT @ WT.base
+            P0 = P0 @ W0.base
         walk.append((n, float(np.linalg.norm(PT[c, c] - Tn, "fro")),
                      complex(np.trace(Tn) - np.trace(T0n)),
                      complex(np.trace(PT) - np.trace(P0))))

@@ -15,25 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .calculus import LaurentSeries, laurent_difference_trace
+from .calculus import laurent_difference_trace
 from .errors import (InsufficientCoefficientsError, InvalidRadiusError,
                      OutsideOpenDiscError, RequiresStrictContractionError)
 from .linops import ContractionPair, DELTA_MIN
-from .ssf import SpectralShift
+from .ssf import LaurentSeries
 
 BOUNDARY_GUARD = 1e-6
-
-
-def _centered(table):
-    """(order, centered coefficient array) for any two-sided table."""
-    if isinstance(table, SpectralShift):
-        return table.n_max, table.coeffs
-    if isinstance(table, LaurentSeries):
-        return table.order, table.coeffs
-    c = np.asarray(table, dtype=complex)
-    if c.ndim != 1 or len(c) % 2 != 1:
-        raise ValueError("raw table must be a 1-d array of odd length")
-    return (len(c) - 1) // 2, c
 
 
 @dataclass(frozen=True)
@@ -88,9 +76,9 @@ class FatouReport:
     coefficient_bound: float  # sum |n c_n|, the Lipschitz constant in (1 - r)
 
 
-def poisson_extend(table, z: complex) -> complex:
+def poisson_extend(table: LaurentSeries, z: complex) -> complex:
     """Harmonic extension c_0 + sum c_(-n) zbar^n + sum c_n z^n at |z| < 1."""
-    order, c = _centered(table)
+    order, c = table.order, table.coeffs
     z = complex(z)
     if abs(z) > 1.0 - BOUNDARY_GUARD:
         raise OutsideOpenDiscError(f"|z| = {abs(z)} is outside the guarded disc")
@@ -119,14 +107,7 @@ def kernel_expansion_check(z: complex, t_grid, n_trunc: int) -> float:
     return float(np.abs(direct - expansion).max())
 
 
-def _boundary_values(table, t_grid) -> np.ndarray:
-    order, c = _centered(table)
-    t = np.asarray(t_grid, dtype=float)
-    n = np.arange(-order, order + 1)
-    return np.exp(1j * np.outer(t, n)) @ c
-
-
-def fatou_check(s: SpectralShift, r_schedule, t_grid,
+def fatou_check(s: LaurentSeries, r_schedule, t_grid,
                 strictness_margin: float) -> FatouReport:
     """Radial convergence of the extension toward the boundary series.
 
@@ -139,27 +120,26 @@ def fatou_check(s: SpectralShift, r_schedule, t_grid,
             f"strictness margin {strictness_margin} below {DELTA_MIN}; no "
             "continuous boundary representative is guaranteed")
     t = np.asarray(t_grid, dtype=float)
-    boundary = _boundary_values(s, t)
-    n = np.arange(-s.n_max, s.n_max + 1)
+    n = np.arange(-s.order, s.order + 1)
+    modes = np.exp(1j * np.outer(t, n))
+    boundary = modes @ s.coeffs
     sups = []
     cs = []
     for r in r_schedule:
         if not 0.0 < r < 1.0:
             raise ValueError(f"radii must lie in (0, 1), got {r}")
-        radial = np.exp(1j * np.outer(t, n)) @ (s.coeffs * r ** np.abs(n))
-        sup = float(np.abs(radial - boundary).max())
+        sup = float(np.abs(modes @ (s.coeffs * r ** np.abs(n)) - boundary).max())
         sups.append(sup)
         cs.append(sup / (1.0 - r))
-    bound = float(np.abs(n * s.coeffs).sum())
     return FatouReport(radii=tuple(float(r) for r in r_schedule),
                        sup_differences=tuple(sups),
                        fitted_constants=tuple(cs),
-                       coefficient_bound=bound)
+                       coefficient_bound=s.weighted_norm)
 
 
-def _wirtinger(table, z, conjugate: bool):
+def _wirtinger(table: LaurentSeries, z, conjugate: bool):
     """d/dz (conjugate=False) or d/dzbar (True) of the extension; z may be an array."""
-    order, c = _centered(table)
+    order, c = table.order, table.coeffs
     if order < 1:
         return np.zeros_like(np.asarray(z, dtype=complex))
     n = np.arange(1, order + 1)
@@ -189,8 +169,7 @@ def disc_integral_quadrature(xi, psi, R: float,
     if not 0.0 < R < 1.0:
         raise InvalidRadiusError(f"R must lie in (0, 1), got {R}")
     cfg = cfg or DiscQuadratureConfig()
-    order = max(_centered(xi)[0], _centered(psi)[0])
-    cfg.check_resolves(order)
+    cfg.check_resolves(max(xi.order, psi.order))
 
     x, w = np.polynomial.legendre.leggauss(cfg.radial_nodes)
     r = R * (x + 1.0) / 2.0
@@ -206,12 +185,9 @@ def disc_integral_quadrature(xi, psi, R: float,
 
 def _paired_modes(xi, psi):
     """(n, psi_hat(n), xi_hat(-n)) for each nonzero mode n of psi that xi holds."""
-    xo, xc = _centered(xi)
-    po, pc = _centered(psi)
-    for k in range(1, po + 1):
+    for k in range(1, min(psi.order, xi.order) + 1):
         for n in (k, -k):
-            if 0 <= xo - n < len(xc):
-                yield n, pc[n + po], xc[xo - n]
+            yield n, psi.coeffs[psi.order + n], xi.coeffs[xi.order - n]
 
 
 def disc_integral_closed_form(xi, psi, R: float) -> complex:
@@ -232,15 +208,15 @@ def disc_tail_bound(xi, psi, R: float) -> float:
     return 2.0 * np.pi * total
 
 
-def verify_disc_trace_formula(pair: ContractionPair, xi: SpectralShift, psi: LaurentSeries,
+def verify_disc_trace_formula(pair: ContractionPair, xi: LaurentSeries, psi: LaurentSeries,
                               cfg: DiscQuadratureConfig | None = None) -> DiscPairingReport:
     """Both routes of the disc trace formula on one pair and one table.
 
     ``xi`` is the shift function of ``pair``; its order must reach psi's.
     """
-    if psi.order > xi.n_max:
+    if psi.order > xi.order:
         raise InsufficientCoefficientsError(
-            f"table order {psi.order} exceeds coefficient table order {xi.n_max}")
+            f"table order {psi.order} exceeds coefficient table order {xi.order}")
     cfg = cfg or DiscQuadratureConfig()
     lhs = laurent_difference_trace(pair, psi)
     rows = []

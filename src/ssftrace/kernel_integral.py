@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linops
 from .errors import NotPositiveContractionError, SingularBError
 from .linops import ContractionPair, as_operator, trace_norm
 
@@ -30,14 +29,6 @@ class IntegralReport:
     frobenius_error: float
     upper_time_limit: float
     nodes_used: int
-
-
-@dataclass(frozen=True)
-class DefectDifferenceReport:
-    left: tuple[float, float]
-    right: tuple[float, float]
-    identity_error_left: float
-    identity_error_right: float
 
 
 def _positive_contraction_eig(M, tol: float = 1e-10):
@@ -119,29 +110,12 @@ def difference_trace_bound(A, B):
     return lhs, rhs
 
 
-def defect_difference_check(pair: ContractionPair) -> DefectDifferenceReport:
-    """Defect-difference bounds for a contraction pair.
-
-    Checks the algebraic identity
-        D_T^2 - D_T0^2 = (T0 - T)* T0 + T* (T0 - T)
-    (and its adjoint-side analog) and applies the trace bound with
-    A = D_T, B = D_T0 on each side.
-    """
-    T, T0 = pair.T, pair.T0
+def defect_identity_error(pair: ContractionPair, side: str) -> float:
+    """Frobenius residual of D_T^2 - D_T0^2 = (T0 - T)* T0 + T* (T0 - T) for
+    side='left'; 'right' is the same identity for the adjoint pair (T*, T0*)."""
+    T, T0 = (pair.T, pair.T0) if side == "left" else (pair.T.conj().T, pair.T0.conj().T)
     Ts, T0s = T.conj().T, T0.conj().T
     E = T0 - T
-
-    lhs_sq_left = (np.eye(len(T)) - Ts @ T) - (np.eye(len(T)) - T0s @ T0)
-    rhs_sq_left = E.conj().T @ T0 + Ts @ E
-    lhs_sq_right = (np.eye(len(T)) - T @ Ts) - (np.eye(len(T)) - T0 @ T0s)
-    rhs_sq_right = E @ T0s + T @ E.conj().T
-    id_err_left = float(np.linalg.norm(lhs_sq_left - rhs_sq_left, "fro"))
-    id_err_right = float(np.linalg.norm(lhs_sq_right - rhs_sq_right, "fro"))
-
-    left = difference_trace_bound(linops.defect(T, "left"),
-                                  linops.defect(T0, "left"))
-    right = difference_trace_bound(linops.defect(T, "right"),
-                                   linops.defect(T0, "right"))
-    return DefectDifferenceReport(left=left, right=right,
-                                  identity_error_left=id_err_left,
-                                  identity_error_right=id_err_right)
+    eye = np.eye(len(T))
+    lhs = (eye - Ts @ T) - (eye - T0s @ T0)
+    return float(np.linalg.norm(lhs - (E.conj().T @ T0 + Ts @ E), "fro"))

@@ -7,6 +7,7 @@ functions are pure; matrices are plain complex numpy arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,8 +180,9 @@ def random_pair(dim: int, delta: float, perturbation_trace_norm: float,
         raise InvalidDeltaError(f"delta must lie in (0, 1), got {delta}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if perturbation_trace_norm <= 0.0:
-        raise ValueError("perturbation_trace_norm must be positive")
+    if not (math.isfinite(perturbation_trace_norm) and perturbation_trace_norm > 0.0):
+        raise ValueError("perturbation_trace_norm must be finite and positive, "
+                         f"got {perturbation_trace_norm}")
     rng = np.random.default_rng(seed)
     T0 = random_contraction(dim, 1.0 - delta, rng)
     # rounding can leave 1 - ||T0|| a few ulps short of delta, and so of

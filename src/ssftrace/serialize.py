@@ -1,22 +1,23 @@
 """File formats: matrix JSON, coefficient-table JSON, CSV reports.
 
 Matrix JSON: {"rows": int, "cols": int, "data": [[re, im], ...]} in
-row-major order; readers reject length mismatches.  Shift-function
-JSON: {"n_max": int, "coeffs": [[n, re, im], ...]}.  Series JSON:
-{"coeffs": [[k, re, im], ...]} (negative k allowed for two-sided
-tables).
+row-major order.  Shift-function JSON: {"n_max": int, "coeffs":
+[[n, re, im], ...]}.  Series JSON: {"coeffs": [[k, re, im], ...]}
+(negative k allowed for two-sided tables).  Readers raise ValueError on
+a length mismatch or a wrongly shaped value.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .calculus import CoefficientSeries, LaurentSeries
-from .ssf import SpectralShift
+from .calculus import CoefficientSeries
+from .ssf import LaurentSeries
 
 
 def matrix_to_dict(M) -> dict:
@@ -27,13 +28,22 @@ def matrix_to_dict(M) -> dict:
     return {"rows": A.shape[0], "cols": A.shape[1], "data": data}
 
 
+@contextmanager
+def _reading(what: str):
+    """Turn the TypeError of a wrongly shaped JSON value into a named ValueError."""
+    try:
+        yield
+    except TypeError as exc:
+        raise ValueError(f"malformed {what} JSON: {exc}") from None
+
+
 def matrix_from_dict(d: dict) -> np.ndarray:
-    rows, cols = int(d["rows"]), int(d["cols"])
-    data = d["data"]
-    if len(data) != rows * cols:
+    with _reading("matrix"):
+        rows, cols = int(d["rows"]), int(d["cols"])
+        flat = np.array([complex(re, im) for re, im in d["data"]])
+    if len(flat) != rows * cols:
         raise ValueError(
-            f"data length {len(data)} does not match {rows}x{cols}")
-    flat = np.array([complex(re, im) for re, im in data])
+            f"data length {len(flat)} does not match {rows}x{cols}")
     return flat.reshape(rows, cols)
 
 
@@ -45,21 +55,22 @@ def load_matrix(path) -> np.ndarray:
     return matrix_from_dict(json.loads(Path(path).read_text()))
 
 
-def ssf_to_dict(s: SpectralShift) -> dict:
+def ssf_to_dict(s: LaurentSeries) -> dict:
     coeffs = [[n, float(s.coeff(n).real), float(s.coeff(n).imag)]
-              for n in range(-s.n_max, s.n_max + 1)]
-    return {"n_max": s.n_max, "coeffs": coeffs}
+              for n in range(-s.order, s.order + 1)]
+    return {"n_max": s.order, "coeffs": coeffs}
 
 
-def ssf_from_dict(d: dict) -> SpectralShift:
-    n_max = int(d["n_max"])
-    coeffs = np.zeros(2 * n_max + 1, dtype=complex)
-    for n, re, im in d["coeffs"]:
-        n = int(n)
-        if abs(n) > n_max:
-            raise ValueError(f"coefficient index {n} outside [-{n_max}, {n_max}]")
-        coeffs[n + n_max] = complex(re, im)
-    return SpectralShift(n_max=n_max, coeffs=coeffs)
+def ssf_from_dict(d: dict) -> LaurentSeries:
+    with _reading("shift-function"):
+        n_max = int(d["n_max"])
+        coeffs = np.zeros(2 * n_max + 1, dtype=complex)
+        for n, re, im in d["coeffs"]:
+            n = int(n)
+            if abs(n) > n_max:
+                raise ValueError(f"coefficient index {n} outside [-{n_max}, {n_max}]")
+            coeffs[n + n_max] = complex(re, im)
+    return LaurentSeries(coeffs=coeffs)
 
 
 def series_to_dict(series) -> dict:
@@ -73,7 +84,8 @@ def series_to_dict(series) -> dict:
 
 
 def series_from_dict(d: dict, two_sided: bool):
-    terms = {int(k): complex(re, im) for k, re, im in d["coeffs"]}
+    with _reading("series"):
+        terms = {int(k): complex(re, im) for k, re, im in d["coeffs"]}
     if two_sided:
         return LaurentSeries.from_terms(terms)
     return CoefficientSeries.from_terms(terms)

@@ -2,15 +2,16 @@
 
 The moments m_n = Tr(T^n - T0^n) determine the Fourier coefficients of
 the shift function through xi_hat(-n) = m_n / (2*pi*i*n); the additive
-constant is fixed by xi_hat(0) = 0.  Pointwise values are Abel means
-(never raw partial sums), which coincide with the Poisson harmonic
-extension evaluated on the circle of radius r.
+constant is fixed by xi_hat(0) = 0.  The table is a ``LaurentSeries``,
+the two-sided class the disc symbols use too.  Pointwise values are
+Abel means (never raw partial sums), which coincide with the Poisson
+harmonic extension evaluated on the circle of radius r.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,26 +33,42 @@ class MomentSequence:
 
 
 @dataclass(frozen=True)
-class SpectralShift:
-    """Two-sided Fourier coefficient table of a real circle function."""
+class LaurentSeries:
+    """Two-sided Fourier table c_(-K)..c_K of a circle function, stored centered."""
 
-    n_max: int
-    coeffs: np.ndarray  # index n + n_max, n in [-n_max, n_max]
+    coeffs: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if len(self.coeffs) % 2 != 1:
+            raise ValueError("centered table must have odd length")
+
+    @classmethod
+    def from_terms(cls, terms: dict[int, complex]) -> "LaurentSeries":
+        K = max((abs(n) for n in terms), default=0)
+        c = np.zeros(2 * K + 1, dtype=complex)
+        for n, a in terms.items():
+            c[n + K] = a
+        return cls(coeffs=c)
 
     @property
     def order(self) -> int:
-        return self.n_max
+        return (len(self.coeffs) - 1) // 2
 
     def coeff(self, n: int) -> complex:
-        if abs(n) > self.n_max:
+        if abs(n) > self.order:
             return 0.0 + 0.0j
-        return complex(self.coeffs[n + self.n_max])
+        return complex(self.coeffs[n + self.order])
 
-    def with_constant(self, c: complex) -> "SpectralShift":
+    @property
+    def weighted_norm(self) -> float:
+        n = np.arange(-self.order, self.order + 1)
+        return float(np.abs(n * self.coeffs).sum())
+
+    def with_constant(self, c: complex) -> "LaurentSeries":
         """Same table with the constant (index-0) coefficient replaced."""
         coeffs = self.coeffs.copy()
-        coeffs[self.n_max] = c
-        return SpectralShift(n_max=self.n_max, coeffs=coeffs)
+        coeffs[self.order] = c
+        return LaurentSeries(coeffs=coeffs)
 
 
 def moments(pair: ContractionPair, n_max: int) -> MomentSequence:
@@ -74,7 +91,7 @@ def moments(pair: ContractionPair, n_max: int) -> MomentSequence:
     return MomentSequence(n_max=n_max, moments=vals)
 
 
-def ssf_from_moments(m: MomentSequence) -> SpectralShift:
+def ssf_from_moments(m: MomentSequence) -> LaurentSeries:
     """Coefficient table with xi_hat(-n) = m_n / (2*pi*i*n) and conjugate symmetry."""
     n_max = m.n_max
     coeffs = np.zeros(2 * n_max + 1, dtype=complex)
@@ -82,21 +99,21 @@ def ssf_from_moments(m: MomentSequence) -> SpectralShift:
         c = m.moments[n - 1] / (2j * np.pi * n)
         coeffs[n_max - n] = c
         coeffs[n_max + n] = np.conj(c)
-    return SpectralShift(n_max=n_max, coeffs=coeffs)
+    return LaurentSeries(coeffs=coeffs)
 
 
-def moments_from_ssf(s: SpectralShift) -> MomentSequence:
+def moments_from_ssf(s: LaurentSeries) -> MomentSequence:
     """Inverse of ssf_from_moments: m_n = 2*pi*i*n*xi_hat(-n)."""
-    vals = np.array([2j * np.pi * n * s.coeff(-n) for n in range(1, s.n_max + 1)])
-    return MomentSequence(n_max=s.n_max, moments=vals)
+    vals = np.array([2j * np.pi * n * s.coeff(-n) for n in range(1, s.order + 1)])
+    return MomentSequence(n_max=s.order, moments=vals)
 
 
-def evaluate_ssf_grid(s: SpectralShift, t_grid, abel_radius: float) -> np.ndarray:
+def evaluate_ssf_grid(s: LaurentSeries, t_grid, abel_radius: float) -> np.ndarray:
     """Abel-summed values sum_n xi_hat(n) r^|n| e^{int} on a grid of angles."""
     if not 0.0 < abel_radius < 1.0:
         raise ValueError(f"abel_radius must lie in (0, 1), got {abel_radius}")
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    n = np.arange(-s.n_max, s.n_max + 1)
+    n = np.arange(-s.order, s.order + 1)
     damped = s.coeffs * abel_radius ** np.abs(n)
     vals = np.exp(1j * np.outer(t, n)) @ damped
     resid = float(np.abs(vals.imag).max(initial=0.0))
@@ -107,7 +124,7 @@ def evaluate_ssf_grid(s: SpectralShift, t_grid, abel_radius: float) -> np.ndarra
     return vals.real
 
 
-def evaluate_ssf(s: SpectralShift, t: float, abel_radius: float) -> float:
+def evaluate_ssf(s: LaurentSeries, t: float, abel_radius: float) -> float:
     """Abel-summed value of the shift function at a single angle."""
     return float(evaluate_ssf_grid(s, [t], abel_radius)[0])
 
@@ -116,8 +133,8 @@ def evaluate_ssf(s: SpectralShift, t: float, abel_radius: float) -> float:
 class AdjointShiftReport:
     n_max: int
     max_deviation: float
-    xi: SpectralShift
-    chi: SpectralShift
+    xi: LaurentSeries
+    chi: LaurentSeries
 
 
 def adjoint_ssf_check(pair: ContractionPair, n_max: int) -> AdjointShiftReport:

@@ -1,9 +1,9 @@
 """Acceptance gate: one test per headline claim, one printed verdict each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-pass/fail lines as they are produced.  C3, C4, C7 and C8 run the checks of
-``ssftrace verify`` (``ssftrace.checks``) with its default tolerances over
-seeded pair sets.
+pass/fail lines as they are produced.  C2, C3, C4, C7 and C8 run the
+checks of ``ssftrace verify`` (``ssftrace.checks``) with its default
+tolerances over seeded pair sets.
 """
 
 import numpy as np
@@ -52,14 +52,12 @@ def test_c1_semigroup_integral():
 
 
 def test_c2_defect_difference():
-    worst_id = 0.0
-    violations = 0
-    for i, pair in enumerate(random_pairs(100, seed=9100, delta=0.2)):
-        rep = kernel_integral.defect_difference_check(pair)
-        worst_id = max(worst_id, rep.identity_error_left, rep.identity_error_right)
-        violations += rep.left[0] > rep.left[1] + 1e-12
-        violations += rep.right[0] > rep.right[1] + 1e-12
-    ok = worst_id <= 1e-12 and violations == 0
+    results = []
+    for pair in random_pairs(100, seed=9100, delta=0.2):
+        results += checks.lemma_checks(pair, TOL)
+    worst_id = max_measured(results, "lemma/identity_")
+    violations = sum(not c.passed for c in results if c.name.startswith("lemma/trace_bound_"))
+    ok = all(c.passed for c in results)
     verdict("C2 defect difference", ok,
             f"max identity error {worst_id:.3e}, bound violations {violations}")
 
@@ -158,8 +156,8 @@ def test_c7_disc_formula():
 
 
 def test_c8_cross_theorem():
-    psi = LaurentSeries.from_terms(checks.DISC_TABLES["one_sided"])
-    results = [checks.cross_theorem_check(pair, "one_sided", psi, TOL)
+    terms = checks.DISC_TABLES["one_sided"]
+    results = [checks.cross_theorem_check(pair, "one_sided", terms, TOL)
                for pair in random_pairs(25, seed=9500, dims=(2, 4, 6))]
     ok = all(c.passed for c in results)
     verdict("C8 cross-theorem consistency", ok,

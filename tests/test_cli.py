@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ssftrace
 from ssftrace import checks, cli, linops, serialize, ssf
 
 
@@ -46,13 +51,26 @@ class TestGen:
         assert c0["strictness_margin_delta"] >= 0.25 - 1e-9
 
     @pytest.mark.parametrize("option", [["--dim", "0"], ["--delta", "1.5"],
-                                        ["--perturbation", "0"]])
+                                        ["--perturbation", "0"], ["--perturbation", "nan"],
+                                        ["--perturbation", "inf"]])
     def test_bad_option_is_error(self, tmp_path, capsys, option):
         # the later of two repeated options wins
         assert run(["gen", "--dim", "4", "--delta", "0.25", "--seed", "1", *option,
                     "--out", str(tmp_path / "g")]) == 1
         assert "Error" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
+
+    def test_module_run_without_runtime_warning(self, tmp_path):
+        # the package must not import cli itself, or ``-m ssftrace.cli`` warns
+        src = str(Path(ssftrace.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ssftrace.cli", "gen",
+             "--dim", "2", "--delta", "0.5", "--seed", "1", "--out", str(tmp_path / "g")],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "g" / "T.json").is_file()
 
 
 class TestVerify:
@@ -106,6 +124,18 @@ class TestVerify:
         out = tmp_path / "verify-corrupt"
         assert run(["verify", "--t", str(bad), "--t0", str(ok),
                     "--out", str(out)]) == 1
+        # wrongly shaped values: a null entry, a number for data, a top-level list
+        for i, doc in enumerate(({"rows": 2, "cols": 2,
+                                  "data": [[None, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+                                 {"rows": 2, "cols": 2, "data": 5},
+                                 [[1.0, 0.0]])):
+            bad.write_text(json.dumps(doc))
+            shaped = tmp_path / f"verify-shape{i}"
+            assert run(["verify", "--t", str(bad), "--t0", str(ok),
+                        "--out", str(shaped)]) == 1
+            summary = json.loads((shaped / "summary.json").read_text())
+            assert any(f.startswith("load: ValueError: malformed matrix JSON")
+                       for f in summary["failures"])
         missing = tmp_path / "verify-missing"
         assert run(["verify", "--t", str(tmp_path / "none.json"), "--t0", str(ok),
                     "--out", str(missing)]) == 1
@@ -245,8 +275,11 @@ class TestDiscReport:
         assert (out / "disc.csv").is_file()
 
     @pytest.mark.parametrize("option", [["--radii", "0.9", "0.5"], ["--radii", "1.5"],
-                                        ["--psi", "no-such-table.json"]])
-    def test_bad_option_is_error(self, tmp_path, capsys, option):
+                                        ["--psi", "no-such-table.json"],
+                                        ["--psi", "coeffs-number.json"]])
+    def test_bad_option_is_error(self, tmp_path, capsys, option, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "coeffs-number.json").write_text(json.dumps({"coeffs": 5}))
         pair_dir = gen_pair(tmp_path, seed=31)
         assert run(["disc-report", "--t", str(pair_dir / "T.json"),
                     "--t0", str(pair_dir / "T0.json"), *option,

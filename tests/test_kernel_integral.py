@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pairs import random_pairs, random_positive_pair, scalar_pair
-from ssftrace import kernel_integral, linops
+from ssftrace import checks, kernel_integral, linops
 from ssftrace.errors import NotPositiveContractionError, SingularBError
 
 
@@ -112,25 +112,29 @@ def test_trace_bound_symmetric_swap():
 
 
 class TestDefectDifference:
+    TOL = checks.DEFAULT_TOLERANCES
+
+    @staticmethod
+    def by_name(results):
+        return {c.name: c for c in results}
+
     def test_equal_pair(self):
         T0 = 0.5 * np.eye(3)
-        pair = linops.make_pair(T0, T0)
-        rep = kernel_integral.defect_difference_check(pair)
-        for lhs, rhs in (rep.left, rep.right):
-            assert lhs == pytest.approx(0.0, abs=1e-12)
-            assert rhs == pytest.approx(0.0, abs=1e-12)
+        checked = self.by_name(checks.lemma_checks(linops.make_pair(T0, T0), self.TOL))
+        for side in ("left", "right"):
+            bound = checked[f"lemma/trace_bound_{side}"]
+            assert bound.measured == pytest.approx(0.0, abs=1e-12)
+            assert bound.threshold - 1e-12 == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_closed_form(self):
-        rep = kernel_integral.defect_difference_check(scalar_pair(0.6, 0.5))
+        checked = self.by_name(checks.lemma_checks(scalar_pair(0.6, 0.5), self.TOL))
         d_gap = abs(0.8 - np.sqrt(0.75))
         bound = abs(0.64 - 0.75) / np.sqrt(0.75)
-        assert rep.left[0] == pytest.approx(d_gap, abs=1e-12)
-        assert rep.left[1] == pytest.approx(bound, abs=1e-12)
+        assert checked["lemma/trace_bound_left"].measured == pytest.approx(d_gap, abs=1e-12)
+        assert checked["lemma/trace_bound_left"].threshold - 1e-12 == pytest.approx(
+            bound, abs=1e-12)
 
     def test_random_pairs(self):
         for pair in random_pairs(10, seed=300, dims=(8,), delta=0.3):
-            rep = kernel_integral.defect_difference_check(pair)
-            assert rep.identity_error_left <= 1e-12
-            assert rep.identity_error_right <= 1e-12
-            assert rep.left[0] <= rep.left[1] + 1e-12
-            assert rep.right[0] <= rep.right[1] + 1e-12
+            for c in checks.lemma_checks(pair, self.TOL):
+                assert c.passed, c

@@ -185,6 +185,11 @@ class TestRandomPair:
         with pytest.raises(InvalidDeltaError):
             linops.random_pair(4, 1.5, 0.1, seed=0)
 
+    def test_non_finite_perturbation(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="perturbation_trace_norm"):
+                linops.random_pair(4, 0.25, value, seed=0)
+
     def test_delta_min_certifies(self):
         # rounding puts 1 - (1 - DELTA_MIN) below DELTA_MIN
         for dim in (1, 2, 5, 16):

@@ -42,13 +42,25 @@ def test_ssf_round_trip():
     pair = random_pairs(1, seed=701, dims=(4,))[0]
     s = ssf.ssf_from_moments(ssf.moments(pair, 12))
     back = serialize.ssf_from_dict(serialize.ssf_to_dict(s))
-    assert back.n_max == s.n_max
+    assert back.order == s.order
     np.testing.assert_array_equal(back.coeffs, s.coeffs)
 
 
 def test_ssf_rejects_out_of_range_index():
     with pytest.raises(ValueError):
         serialize.ssf_from_dict({"n_max": 1, "coeffs": [[3, 0.0, 0.0]]})
+
+
+def test_readers_name_wrongly_shaped_values():
+    def two_sided(d):
+        return serialize.series_from_dict(d, two_sided=True)
+
+    for read, doc in ((serialize.matrix_from_dict, [[1.0, 0.0]]),
+                      (serialize.matrix_from_dict, {"rows": 1, "cols": 1, "data": [[None, 0]]}),
+                      (serialize.ssf_from_dict, {"n_max": None, "coeffs": []}),
+                      (two_sided, {"coeffs": 5})):
+        with pytest.raises(ValueError, match="malformed"):
+            read(doc)
 
 
 def test_series_round_trips():

@@ -80,7 +80,7 @@ class TestCoefficients:
 
 class TestEvaluate:
     def test_zero_table(self):
-        s = ssf.SpectralShift(n_max=4, coeffs=np.zeros(9, dtype=complex))
+        s = ssf.LaurentSeries(coeffs=np.zeros(9, dtype=complex))
         for t in np.linspace(0, 2 * np.pi, 7):
             assert ssf.evaluate_ssf(s, t, 0.9) == 0.0
 
@@ -89,7 +89,7 @@ class TestEvaluate:
         coeffs = np.zeros(3, dtype=complex)
         coeffs[0] = np.conj(c)
         coeffs[2] = c
-        s = ssf.SpectralShift(n_max=1, coeffs=coeffs)
+        s = ssf.LaurentSeries(coeffs=coeffs)
         r = 0.8
         for t in np.linspace(0, 2 * np.pi, 9):
             expected = 2.0 * (c * r * np.exp(1j * t)).real
@@ -107,12 +107,12 @@ class TestEvaluate:
     def test_non_real_rejected(self):
         coeffs = np.zeros(5, dtype=complex)
         coeffs[3] = 1.0  # n=1 without its conjugate partner
-        s = ssf.SpectralShift(n_max=2, coeffs=coeffs)
+        s = ssf.LaurentSeries(coeffs=coeffs)
         with pytest.raises(NonRealResultError):
             ssf.evaluate_ssf(s, 0.3, 0.9)
 
     def test_bad_radius(self):
-        s = ssf.SpectralShift(n_max=1, coeffs=np.zeros(3, dtype=complex))
+        s = ssf.LaurentSeries(coeffs=np.zeros(3, dtype=complex))
         with pytest.raises(ValueError):
             ssf.evaluate_ssf(s, 0.0, 1.0)
 
