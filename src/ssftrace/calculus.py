@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InsufficientCoefficientsError
 from .linops import ContractionPair, as_operator, trace_norm
-from .ssf import LaurentSeries, evaluate_ssf_grid
+from .ssf import LaurentSeries, evaluate_ssf_uniform, uniform_trig_values
 
 # grid size of the circle quadrature route
 QUADRATURE_POINTS = 4096
@@ -103,15 +103,15 @@ def trace_rhs_circle_quadrature(s: LaurentSeries, phi: CoefficientSeries,
     """Grid quadrature of (d/dt phi(e^{it})) * xi_r(t) over [0, 2*pi).
 
     Independent of the coefficient pairing: the shift function enters
-    only through its Abel-regularized pointwise values.
+    only through its Abel-regularized pointwise values, and the product
+    is summed point by point on the grid.
     """
     if phi.degree > s.order:
         raise InsufficientCoefficientsError(
             f"series degree {phi.degree} exceeds coefficient table order {s.order}")
-    t = 2.0 * np.pi * np.arange(QUADRATURE_POINTS) / QUADRATURE_POINTS
     k = np.arange(len(phi.coeffs))
-    phi_prime = np.exp(1j * np.outer(t, k)) @ (1j * k * phi.coeffs)
-    xi_r = evaluate_ssf_grid(s, t, abel_radius)
+    phi_prime = uniform_trig_values(k, 1j * k * phi.coeffs, QUADRATURE_POINTS)
+    xi_r = evaluate_ssf_uniform(s, QUADRATURE_POINTS, abel_radius)
     return complex((2.0 * np.pi / QUADRATURE_POINTS) * np.sum(phi_prime * xi_r))
 
 

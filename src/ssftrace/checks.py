@@ -8,6 +8,8 @@ from-imports, so a profiler that rebinds module attributes sees every call.
 from __future__ import annotations
 
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +49,9 @@ DISC_TABLES = {
 # the circle pairing needs xi_hat(-k) up to the largest degree of its symbols
 CIRCLE_MIN_N_MAX = max(max(terms) for terms in CIRCLE_SERIES.values())
 DISC_MAX_ORDER = max(abs(n) for terms in DISC_TABLES.values() for n in terms)
+DISC_CONFIG = disc.DiscQuadratureConfig()
 # the disc quadrature resolves shift functions up to this order
-DISC_MAX_N_MAX = disc.DiscQuadratureConfig().max_order
+DISC_MAX_N_MAX = DISC_CONFIG.max_order
 
 
 @dataclass
@@ -155,11 +158,10 @@ def cross_theorem_check(pair: linops.ContractionPair, name: str, terms: dict,
 def disc_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries,
                 tol: dict) -> list[CheckResult]:
     """Disc formula per table: quadrature vs. closed form, limit gap, cross-theorem."""
-    cfg = disc.DiscQuadratureConfig()
     results = []
     for name, terms in DISC_TABLES.items():
         psi = ssf.LaurentSeries.from_terms(terms)
-        report = disc.verify_disc_trace_formula(pair, xi, psi, cfg)
+        report = disc.verify_disc_trace_formula(pair, xi, psi, DISC_CONFIG)
         worst = max(abs(q - c) for _, q, c in report.per_radius)
         results.append(_within(f"disc/quad_vs_closed_{name}", worst, tol["quad_match_tol"]))
         results.append(_within(f"disc/limit_gap_{name}", report.final_gap(),
@@ -169,18 +171,46 @@ def disc_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries,
     return results
 
 
-def run(pair: linops.ContractionPair, suites, tol: dict, n_max: int) -> list[CheckResult]:
-    """Every check of the selected suites, in SUITES order; the circle and disc
-    suites share one shift function of order max(n_max, DISC_MAX_ORDER)."""
-    results = []
+def config(tol: dict, n_max: int) -> dict:
+    """The settings a verify run checks with, as ``summary.json`` records them."""
+    return {
+        "tolerances": dict(tol),
+        "n_max": n_max,
+        "window_n": WINDOW_N,
+        "abel_radius": ABEL_RADIUS,
+        "quadrature_points": calculus.QUADRATURE_POINTS,
+        "disc_grid": {"radial_nodes": DISC_CONFIG.radial_nodes,
+                      "angular_nodes": DISC_CONFIG.angular_nodes,
+                      "radius_schedule": list(DISC_CONFIG.radius_schedule)},
+    }
+
+
+@contextmanager
+def _stopwatch(timings: dict, name: str):
+    start = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - start
+
+
+def run(pair: linops.ContractionPair, suites, tol: dict,
+        n_max: int) -> tuple[list[CheckResult], dict[str, float]]:
+    """Every check of the selected suites, in SUITES order, and the wall seconds
+    of each suite.  The circle and disc suites share one shift function of
+    order max(n_max, DISC_MAX_ORDER); building it is timed as "xi"."""
+    results, timings = [], {}
     if "lemma" in suites:
-        results += lemma_checks(pair, tol)
+        with _stopwatch(timings, "lemma"):
+            results += lemma_checks(pair, tol)
     if "dilation" in suites:
-        results += dilation_checks(pair, tol)
+        with _stopwatch(timings, "dilation"):
+            results += dilation_checks(pair, tol)
     if "circle" in suites or "disc" in suites:
-        xi = ssf.ssf_from_moments(ssf.moments(pair, max(n_max, DISC_MAX_ORDER)))
+        with _stopwatch(timings, "xi"):
+            xi = ssf.ssf_from_moments(ssf.moments(pair, max(n_max, DISC_MAX_ORDER)))
         if "circle" in suites:
-            results += circle_checks(pair, xi, tol)
+            with _stopwatch(timings, "circle"):
+                results += circle_checks(pair, xi, tol)
         if "disc" in suites:
-            results += disc_checks(pair, xi, tol)
-    return results
+            with _stopwatch(timings, "disc"):
+                results += disc_checks(pair, xi, tol)
+    return results, timings

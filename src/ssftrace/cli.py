@@ -66,7 +66,7 @@ def cmd_gen(args) -> int:
 
 
 def _write_verify_reports(out: Path, results: list[checks.CheckResult],
-                          failures: list[str]):
+                          failures: list[str], timings: dict, config: dict):
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -78,6 +78,8 @@ def _write_verify_reports(out: Path, results: list[checks.CheckResult],
         "num_checks": len(results),
         "failures": failures + [c.name for c in results if not c.passed],
         "checks": [asdict(c) for c in results],
+        "timings_s": timings,
+        "config": config,
     }
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary
@@ -120,10 +122,13 @@ def cmd_verify(args) -> int:
         _thread_cap()
         pair = _load_pair(args.t, args.t0)
     except INPUT_ERRORS as exc:
-        results, failures = [], [f"load: {type(exc).__name__}: {exc}"]
+        results, timings = [], {}
+        failures = [f"load: {type(exc).__name__}: {exc}"]
     else:
-        results, failures = checks.run(pair, suites, tol, args.n_max), []
-    summary = _write_verify_reports(out, results, failures)
+        results, timings = checks.run(pair, suites, tol, args.n_max)
+        failures = []
+    summary = _write_verify_reports(out, results, failures, timings,
+                                    checks.config(tol, args.n_max))
     print(json.dumps({"passed": summary["passed"], "failures": summary["failures"]}))
     return 0 if summary["passed"] else 1
 

@@ -50,7 +50,12 @@ class DiscQuadratureConfig:
         return (self.angular_nodes // 4 - 1) // 2
 
     def check_resolves(self, order: int):
-        """Angular rule must be at least 4x the table length to kill aliasing."""
+        """Angular rule must be at least 4x the table length to kill aliasing.
+
+        It also keeps the zero-padded ring FFT of the quadrature from
+        truncating: ``fft(..., n=angular_nodes)`` drops modes beyond
+        ``angular_nodes`` without an error.
+        """
         if order > self.max_order:
             raise ValueError(
                 f"{self.angular_nodes} angular nodes cannot resolve a table "
@@ -150,6 +155,25 @@ def _wirtinger(table: LaurentSeries, z, conjugate: bool):
     return npoly.polyval(np.asarray(z, dtype=complex), coef)
 
 
+def _ring_wirtinger(table: LaurentSeries, r: np.ndarray, M: int):
+    """(d/dz, d/dzbar) of the extension on the rings r * e^(2*pi*i*j/M), j < M.
+
+    On each ring both derivatives are trigonometric polynomials in the
+    angle: d/dz = sum n c_n r^(n-1) e^(i(n-1)t) is one inverse FFT and
+    d/dzbar = sum n c_(-n) r^(n-1) e^(-i(n-1)t) one forward FFT of the
+    scaled coefficients, each of shape (len(r), M).  Needs order <= M.
+    """
+    order, c = table.order, table.coeffs
+    if order < 1:
+        zero = np.zeros((len(r), M), dtype=complex)
+        return zero, zero
+    n = np.arange(1, order + 1)
+    scale = r[:, None] ** (n - 1)
+    dz = M * np.fft.ifft(scale * (n * c[order + 1:]), n=M, axis=1)
+    dzbar = np.fft.fft(scale * (n * c[order - 1::-1]), n=M, axis=1)
+    return dz, dzbar
+
+
 def jacobian_at(xi, psi, z: complex) -> complex:
     """J = (d xi/dz)(d psi/dzbar) - (d psi/dz)(d xi/dzbar) at a point of the disc."""
     z = complex(z)
@@ -164,7 +188,10 @@ def disc_integral_quadrature(xi, psi, R: float,
     """Quadrature of the Jacobian over the disc of radius R.
 
     Gauss-Legendre radially, uniform trapezoid angularly; the -2i factor
-    converts dz ^ dzbar to the planar measure.
+    converts dz ^ dzbar to the planar measure.  The derivatives come from
+    one FFT per ring, but the Jacobian is formed and summed pointwise on
+    the grid, never paired coefficient by coefficient: that pairing is
+    ``disc_integral_closed_form``, the route this one checks.
     """
     if not 0.0 < R < 1.0:
         raise InvalidRadiusError(f"R must lie in (0, 1), got {R}")
@@ -174,11 +201,10 @@ def disc_integral_quadrature(xi, psi, R: float,
     x, w = np.polynomial.legendre.leggauss(cfg.radial_nodes)
     r = R * (x + 1.0) / 2.0
     wr = w * R / 2.0
-    t = 2.0 * np.pi * np.arange(cfg.angular_nodes) / cfg.angular_nodes
-    z = r[:, None] * np.exp(1j * t)[None, :]
+    xz, xzb = _ring_wirtinger(xi, r, cfg.angular_nodes)
+    pz, pzb = _ring_wirtinger(psi, r, cfg.angular_nodes)
 
-    J = (_wirtinger(xi, z, False) * _wirtinger(psi, z, True)
-         - _wirtinger(psi, z, False) * _wirtinger(xi, z, True))
+    J = xz * pzb - pz * xzb
     angular = J.sum(axis=1) * (2.0 * np.pi / cfg.angular_nodes)
     return complex(-2j * np.sum(wr * r * angular))
 

@@ -108,20 +108,43 @@ def moments_from_ssf(s: LaurentSeries) -> MomentSequence:
     return MomentSequence(n_max=s.order, moments=vals)
 
 
-def evaluate_ssf_grid(s: LaurentSeries, t_grid, abel_radius: float) -> np.ndarray:
-    """Abel-summed values sum_n xi_hat(n) r^|n| e^{int} on a grid of angles."""
+def _abel_values(s: LaurentSeries, abel_radius: float, evaluate) -> np.ndarray:
+    """Real part of ``evaluate(n, c_n r^|n|)``, the Abel-damped table summed
+    on some grid, after checking the radius and the imaginary residual."""
     if not 0.0 < abel_radius < 1.0:
         raise ValueError(f"abel_radius must lie in (0, 1), got {abel_radius}")
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     n = np.arange(-s.order, s.order + 1)
-    damped = s.coeffs * abel_radius ** np.abs(n)
-    vals = np.exp(1j * np.outer(t, n)) @ damped
+    vals = evaluate(n, s.coeffs * abel_radius ** np.abs(n))
     resid = float(np.abs(vals.imag).max(initial=0.0))
     if resid > REAL_TOL:
         raise NonRealResultError(
             f"imaginary residual {resid} exceeds {REAL_TOL}; coefficient "
             "table has lost conjugate symmetry")
     return vals.real
+
+
+def uniform_trig_values(n: np.ndarray, c: np.ndarray, M: int) -> np.ndarray:
+    """sum_k c_k e^(i n_k t_j) at t_j = 2*pi*j/M, j < M, by one inverse FFT.
+
+    Modes are folded n -> n mod M first, which is exact on this grid for
+    any mode range, so a table longer than M is not truncated.
+    """
+    folded = np.zeros(M, dtype=complex)
+    np.add.at(folded, n % M, c)
+    return M * np.fft.ifft(folded)
+
+
+def evaluate_ssf_grid(s: LaurentSeries, t_grid, abel_radius: float) -> np.ndarray:
+    """Abel-summed values sum_n xi_hat(n) r^|n| e^{int} on a grid of angles."""
+    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    return _abel_values(s, abel_radius,
+                        lambda n, damped: np.exp(1j * np.outer(t, n)) @ damped)
+
+
+def evaluate_ssf_uniform(s: LaurentSeries, M: int, abel_radius: float) -> np.ndarray:
+    """Abel-summed values on the uniform grid t_j = 2*pi*j/M, j < M, by FFT."""
+    return _abel_values(s, abel_radius,
+                        lambda n, damped: uniform_trig_values(n, damped, M))
 
 
 def evaluate_ssf(s: LaurentSeries, t: float, abel_radius: float) -> float:

@@ -8,7 +8,7 @@ import pytest
 from pairs import random_pairs, scalar_pair
 from ssftrace import calculus, ssf
 from ssftrace.calculus import CoefficientSeries, LaurentSeries
-from ssftrace.errors import InsufficientCoefficientsError
+from ssftrace.errors import InsufficientCoefficientsError, NonRealResultError
 
 EXP_SERIES = CoefficientSeries.from_terms(
     {k: 1.0 / math.factorial(k) for k in range(21)})
@@ -108,6 +108,26 @@ class TestCircleRhs:
             k * abs(phi.coeffs[k]) * abs(s.coeff(-k)) * (1.0 - r ** k)
             for k in range(1, phi.degree + 1))
         assert abs(quad - rhs) <= 10.0 * (tail + 1e-12)
+
+    def test_quadrature_independent_of_pairing(self, monkeypatch):
+        # the quadrature is the route that checks the coefficient pairing,
+        # so it must not reach for it
+        phi = CoefficientSeries.from_terms({k: 0.7 ** k / k for k in range(1, 31)})
+        pair = random_pairs(1, seed=605, dims=(8,))[0]
+        s = ssf.ssf_from_moments(ssf.moments(pair, 64))
+        expected = calculus.trace_rhs_circle_quadrature(s, phi)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quadrature used the coefficient pairing")
+
+        monkeypatch.setattr(calculus, "trace_rhs_circle", forbidden)
+        assert calculus.trace_rhs_circle_quadrature(s, phi) == expected
+
+    def test_quadrature_rejects_non_real_shift(self):
+        s = LaurentSeries.from_terms({-2: 0.5, 1: 0.1})  # no conjugate partners
+        phi = CoefficientSeries.from_terms({1: 1.0, 2: 0.5})
+        with pytest.raises(NonRealResultError):
+            calculus.trace_rhs_circle_quadrature(s, phi)
 
     def test_additive_constant_independence(self):
         pair = random_pairs(1, seed=606, dims=(4,))[0]

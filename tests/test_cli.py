@@ -90,6 +90,18 @@ class TestVerify:
         assert len(rows) - 1 == summary["num_checks"]
         prefixes = {r[0].split("/")[0] for r in rows[1:]}
         assert prefixes == {"lemma", "dilation", "circle", "disc"}
+        timings = summary["timings_s"]
+        assert set(timings) == {"lemma", "dilation", "xi", "circle", "disc"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        assert summary["config"] == {
+            "tolerances": checks.DEFAULT_TOLERANCES,
+            "n_max": 48,
+            "window_n": 8,
+            "abel_radius": 0.999,
+            "quadrature_points": 4096,
+            "disc_grid": {"radial_nodes": 64, "angular_nodes": 1024,
+                          "radius_schedule": [0.5, 0.8, 0.9, 0.99, 0.999]},
+        }
 
     def test_single_suite(self, tmp_path):
         pair_dir = gen_pair(tmp_path, seed=5)
@@ -100,6 +112,10 @@ class TestVerify:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert all(c["name"].startswith("lemma/") for c in summary["checks"])
+        assert list(summary["timings_s"]) == ["lemma"]
+        assert summary["timings_s"]["lemma"] >= 0.0
+        assert summary["config"]["tolerances"] == checks.DEFAULT_TOLERANCES
+        assert summary["config"]["n_max"] == 64
 
     def test_non_contraction_is_load_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -113,6 +129,7 @@ class TestVerify:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["passed"] is False
         assert any("NotAContraction" in f for f in summary["failures"])
+        assert summary["timings_s"] == {}
         printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert printed["passed"] is False
 
@@ -150,6 +167,8 @@ class TestVerify:
                     "--n-max", "48", "--tol", "circle_tol=1e-30",
                     "--out", str(out)])
         assert code == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["tolerances"]["circle_tol"] == 1e-30
 
     def test_unknown_tolerance_rejected(self, tmp_path, capsys):
         pair_dir = gen_pair(tmp_path, seed=9)

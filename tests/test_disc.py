@@ -124,6 +124,24 @@ class TestFatou:
             disc.fatou_check(s, [0.9], self.T_GRID, strictness_margin=0.0)
 
 
+class TestRingWirtinger:
+    @pytest.mark.parametrize("order", [1, 7, disc.DiscQuadratureConfig().max_order])
+    @pytest.mark.parametrize("R", [0.5, 0.999])
+    def test_matches_point_evaluator(self, order, R):
+        # undamped coefficients, so the top modes carry weight at R = 0.999
+        rng = np.random.default_rng(order)
+        table = LaurentSeries(coeffs=rng.standard_normal(2 * order + 1)
+                              + 1j * rng.standard_normal(2 * order + 1))
+        M = disc.DiscQuadratureConfig().angular_nodes
+        r = R * np.array([0.25, 0.5, 1.0])
+        z = r[:, None] * np.exp(2j * np.pi * np.arange(M) / M)
+        dz, dzbar = disc._ring_wirtinger(table, r, M)
+        # weighted_norm = sum |n c_n| bounds both derivatives on the closed disc
+        scale = table.weighted_norm
+        assert np.abs(dz - disc._wirtinger(table, z, False)).max() <= 1e-13 * scale
+        assert np.abs(dzbar - disc._wirtinger(table, z, True)).max() <= 1e-13 * scale
+
+
 class TestJacobian:
     def test_zero_field(self):
         zero = ssf.LaurentSeries(coeffs=np.zeros(5, dtype=complex))
@@ -199,6 +217,20 @@ class TestDiscIntegral:
         quad = disc.disc_integral_quadrature(xi, psi, 0.9)
         closed = disc.disc_integral_closed_form(xi, psi, 0.9)
         assert quad == pytest.approx(closed, abs=1e-8)
+
+    def test_independent_of_closed_form(self, monkeypatch):
+        # the quadrature is the route that checks the coefficient pairing,
+        # so it must not reach for it
+        xi = random_table(10, seed=8)
+        psi = random_table(7, seed=9)
+        expected = disc.disc_integral_quadrature(xi, psi, 0.9)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quadrature used the closed-form route")
+
+        monkeypatch.setattr(disc, "disc_integral_closed_form", forbidden)
+        monkeypatch.setattr(disc, "_paired_modes", forbidden)
+        assert disc.disc_integral_quadrature(xi, psi, 0.9) == expected
 
     def test_invalid_radius(self):
         t = random_table(2, seed=10)

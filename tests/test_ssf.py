@@ -104,17 +104,33 @@ class TestEvaluate:
             w = disc.poisson_extend(s, r * np.exp(1j * t))
             assert v == pytest.approx(w.real, abs=1e-12)
 
+    @pytest.mark.parametrize("M", [4096, 256, 16])
+    def test_uniform_matches_dense(self, M):
+        # orders 64 and 200: 2K + 1 exceeds M = 16 and M = 256, so the
+        # FFT route folds modes instead of truncating them
+        pair = random_pairs(1, seed=620, dims=(6,))[0]
+        t = 2.0 * np.pi * np.arange(M) / M
+        for order in (64, 200):
+            s = ssf.ssf_from_moments(ssf.moments(pair, order))
+            np.testing.assert_allclose(ssf.evaluate_ssf_uniform(s, M, 0.999),
+                                       ssf.evaluate_ssf_grid(s, t, 0.999),
+                                       rtol=0, atol=1e-13)
+
     def test_non_real_rejected(self):
         coeffs = np.zeros(5, dtype=complex)
         coeffs[3] = 1.0  # n=1 without its conjugate partner
         s = ssf.LaurentSeries(coeffs=coeffs)
         with pytest.raises(NonRealResultError):
             ssf.evaluate_ssf(s, 0.3, 0.9)
+        with pytest.raises(NonRealResultError):
+            ssf.evaluate_ssf_uniform(s, 16, 0.9)
 
     def test_bad_radius(self):
         s = ssf.LaurentSeries(coeffs=np.zeros(3, dtype=complex))
         with pytest.raises(ValueError):
             ssf.evaluate_ssf(s, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            ssf.evaluate_ssf_uniform(s, 16, 1.0)
 
 
 def test_constant_shift_moves_values_not_pairing():
