@@ -109,6 +109,9 @@ def cmd_verify(args) -> int:
         print(exc, file=sys.stderr)
         return 2
     suites = checks.SUITES if args.suite == "all" else (args.suite,)
+    if args.n_max < 0:
+        print(f"--n-max must be >= 0, got {args.n_max}", file=sys.stderr)
+        return 2
     if "circle" in suites and args.n_max < checks.CIRCLE_MIN_N_MAX:
         print(f"--n-max {args.n_max} is below {checks.CIRCLE_MIN_N_MAX}, the largest "
               "degree of the circle test symbols", file=sys.stderr)
@@ -139,7 +142,7 @@ def cmd_ssf(args) -> int:
     pair = _load_pair(args.t, args.t0)
     table = ssf.ssf_from_moments(ssf.moments(pair, args.n_max))
     t_grid = 2.0 * np.pi * np.arange(args.grid) / args.grid
-    values = ssf.evaluate_ssf_grid(table, t_grid, args.abel_radius)
+    values = ssf.evaluate_ssf_uniform(table, args.grid, args.abel_radius)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     serialize.write_ssf_grid_csv(out / "ssf.csv", t_grid, values)

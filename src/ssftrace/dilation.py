@@ -5,10 +5,17 @@ The dilation acts on a bilateral sequence space; block row -1 carries
 other row k holds the identity in column k+1 (a shift).  Truncating to
 the window [-N, N] keeps the band structure, so central compressions of
 powers up to N and window traces of power differences are exact.
+
+Only 2N+3 of the window's (2N+1)^2 blocks are nonzero, so the power walk
+and the column Gram work on blocks: each built window is read once into
+its nonzero d x d blocks (every block is tested, so an entry off the
+pattern above is kept), and products C_ik = sum_j A_ij B_jk run over
+those blocks only.  No window-sized product is formed.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,16 +70,50 @@ def build_window_dilation(T, N: int) -> WindowDilation:
     return WindowDilation(window_radius_n=N, block_dim_d=d, base=base)
 
 
+def _nonzero_blocks(W: WindowDilation) -> dict:
+    """{(i, j): W.block(i, j)} over the blocks of W that hold a nonzero entry."""
+    N, d = W.window_radius_n, W.block_dim_d
+    held = W.base.reshape(2 * N + 1, d, 2 * N + 1, d).any(axis=(1, 3))
+    return {(i - N, j - N): W.block(i - N, j - N) for i, j in np.argwhere(held).tolist()}
+
+
+def _block_product(A: dict, B: dict) -> dict:
+    """C_ik = sum_j A_ij B_jk over the nonzero blocks of A and B."""
+    rows = defaultdict(list)
+    for (j, k), b in B.items():
+        rows[j].append((k, b))
+    C = {}
+    for (i, j), a in A.items():
+        for k, b in rows[j]:
+            prod = a @ b
+            C[(i, k)] = C[(i, k)] + prod if (i, k) in C else prod
+    return C
+
+
 def interior_column_orthonormality(W: WindowDilation) -> float:
     """Max deviation from orthonormality over the in-window columns.
 
     Only block column -N maps outside the window (its identity sits at
     row -N-1); every other column is complete and must be orthonormal.
+    The Gram block of columns (j, k) is sum_i W_ij* W_ik over the nonzero
+    row blocks the two share; it is compared with the identity when
+    j = k and with zero otherwise.  Pairs sharing no row block have a
+    zero Gram block, and a column with no nonzero block deviates by 1.
     """
-    d = W.block_dim_d
-    cols = W.base[:, d:]
-    G = cols.conj().T @ cols
-    return float(np.abs(G - np.eye(G.shape[0])).max())
+    N, d = W.window_radius_n, W.block_dim_d
+    blocks = _nonzero_blocks(W)
+    columns = {j: {i: b for (i, c), b in blocks.items() if c == j} for j in range(-N + 1, N + 1)}
+    eye = np.eye(d)
+    worst = 0.0
+    for j, cj in columns.items():
+        for k in range(j, N + 1):
+            ck = columns[k]
+            shared = sorted(cj.keys() & ck.keys())
+            if k > j and not shared:
+                continue
+            G = sum((cj[i].conj().T @ ck[i] for i in shared), np.zeros((d, d), dtype=complex))
+            worst = max(worst, float(np.abs(G - eye if j == k else G).max()))
+    return worst
 
 
 def dilation_difference_blocks(pair: ContractionPair) -> DifferenceBlocks:
@@ -96,25 +137,39 @@ def difference_block_trace_norm_sum(blocks: DifferenceBlocks) -> float:
             + trace_norm(blocks.at_m10) + trace_norm(blocks.at_m11))
 
 
+def _window_powers(W: WindowDilation) -> list:
+    """([W^n]_00, Tr W^n) for n = 1..N, W^n kept as its nonzero blocks.
+
+    Each power is one block product with W's blocks; the trace sums the
+    traces of the diagonal blocks in window order.
+    """
+    N = W.window_radius_n
+    U = P = _nonzero_blocks(W)
+    zero = np.zeros((W.block_dim_d, W.block_dim_d), dtype=complex)
+    powers = []
+    for n in range(1, N + 1):
+        if n > 1:
+            P = _block_product(P, U)
+        powers.append((P.get((0, 0), zero),
+                       sum((np.trace(P[(i, i)]) for i in range(-N, N + 1) if (i, i) in P), 0j)))
+    return powers
+
+
 def power_walk(pair: ContractionPair, WT: WindowDilation, W0: WindowDilation) -> list:
     """Powers n = 1..N of T, T0 and their windows WT, W0 of radius N.
 
     Entry n is (n, ||[WT^n]_00 - T^n||_F, Tr(T^n - T0^n), Tr(WT^n - W0^n)).
-    Each power is one product with the previous one; T^n and T0^n come from
-    T and T0 alone, never from the windows.
+    The window powers are block products over the windows' nonzero
+    blocks, one window after the other, so only two powers of one window
+    are live at a time.  T^n and T0^n come from T and T0 alone, never
+    from the windows.
     """
-    N, d = WT.window_radius_n, WT.block_dim_d
-    c = slice(N * d, (N + 1) * d)
-    Tn, T0n, PT, P0 = pair.T, pair.T0, WT.base, W0.base
+    Tn, T0n = pair.T, pair.T0
     walk = []
-    for n in range(1, N + 1):
+    for n, (central, trace_T), (_, trace_0) in zip(
+            range(1, WT.window_radius_n + 1), _window_powers(WT), _window_powers(W0)):
         if n > 1:
             Tn, T0n = Tn @ pair.T, T0n @ pair.T0
-            # one window product at a time: the old PT is freed before P0's
-            # product is formed, so five window-sized arrays are live, not six
-            PT = PT @ WT.base
-            P0 = P0 @ W0.base
-        walk.append((n, float(np.linalg.norm(PT[c, c] - Tn, "fro")),
-                     complex(np.trace(Tn) - np.trace(T0n)),
-                     complex(np.trace(PT) - np.trace(P0))))
+        walk.append((n, float(np.linalg.norm(central - Tn, "fro")),
+                     complex(np.trace(Tn) - np.trace(T0n)), complex(trace_T - trace_0)))
     return walk

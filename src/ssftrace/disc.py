@@ -11,6 +11,7 @@ the two-sided functional-calculus difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -43,6 +44,13 @@ class DiscQuadratureConfig:
             raise ValueError("radius_schedule must be strictly increasing")
         if not (0.0 < rs[0] and rs[-1] < 1.0):
             raise ValueError("radius_schedule must stay inside (0, 1)")
+
+    @cached_property
+    def radial_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Legendre nodes and weights on [-1, 1], built once per config."""
+        x, w = np.polynomial.legendre.leggauss(self.radial_nodes)
+        x.flags.writeable = w.flags.writeable = False
+        return x, w
 
     @property
     def max_order(self) -> int:
@@ -198,7 +206,7 @@ def disc_integral_quadrature(xi, psi, R: float,
     cfg = cfg or DiscQuadratureConfig()
     cfg.check_resolves(max(xi.order, psi.order))
 
-    x, w = np.polynomial.legendre.leggauss(cfg.radial_nodes)
+    x, w = cfg.radial_rule
     r = R * (x + 1.0) / 2.0
     wr = w * R / 2.0
     xz, xzb = _ring_wirtinger(xi, r, cfg.angular_nodes)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -53,10 +54,18 @@ def _margin(wb) -> float:
     return delta_b
 
 
+@cache
+def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per node count."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_panels(upper: float, nodes_per_unit: int):
     """Composite Gauss-Legendre nodes/weights on [0, upper], one panel per unit."""
     panels = max(int(math.ceil(upper)), 1)
-    x, w = np.polynomial.legendre.leggauss(nodes_per_unit)
+    x, w = _legendre_rule(nodes_per_unit)
     width = upper / panels
     starts = width * np.arange(panels)
     nodes = (starts[:, None] + width * (x[None, :] + 1.0) / 2.0).ravel()

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,16 @@ class TestVerify:
         assert run([*argv, "--suite", "disc", "--n-max", "0",
                     "--out", str(tmp_path / "disc0")]) == 0
 
+    def test_negative_n_max_rejected(self, tmp_path, capsys):
+        pair_dir = gen_pair(tmp_path, seed=9)
+        for suite in ("lemma", "dilation", "disc", "circle", "all"):
+            out = tmp_path / f"neg-{suite}"
+            assert run(["verify", "--t", str(pair_dir / "T.json"),
+                        "--t0", str(pair_dir / "T0.json"), "--suite", suite,
+                        "--n-max", "-5", "--out", str(out)]) == 2
+            assert "--n-max" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_disc_n_max_above_quadrature_order(self, tmp_path, capsys):
         pair_dir = gen_pair(tmp_path, seed=9)
         argv = ["verify", "--t", str(pair_dir / "T.json"),
@@ -236,8 +247,7 @@ class TestSsfCommand:
         pair = linops.make_pair(serialize.load_matrix(pair_dir / "T.json"),
                                 serialize.load_matrix(pair_dir / "T0.json"))
         table = ssf.ssf_from_moments(ssf.moments(pair, 32))
-        t_grid = 2.0 * np.pi * np.arange(64) / 64
-        expected = ssf.evaluate_ssf_grid(table, t_grid, 0.99)
+        expected = ssf.evaluate_ssf_uniform(table, 64, 0.99)
         with open(out / "ssf.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         got = np.array([float(r[1]) for r in rows])
@@ -245,6 +255,19 @@ class TestSsfCommand:
         back = serialize.ssf_from_dict(
             json.loads((out / "ssf_coeffs.json").read_text()))
         np.testing.assert_allclose(back.coeffs, table.coeffs, atol=1e-15)
+
+    def test_fine_grid_memory(self, tmp_path):
+        # a dense grid-by-modes matrix here would be 4096 x 4001 complex, 250 MiB
+        pair_dir = gen_pair(tmp_path, seed=21)
+        tracemalloc.start()
+        try:
+            assert run(["ssf", "--t", str(pair_dir / "T.json"),
+                        "--t0", str(pair_dir / "T0.json"), "--n-max", "2000",
+                        "--grid", "4096", "--out", str(tmp_path / "fine")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     @pytest.mark.parametrize("option", [["--n-max", "0"], ["--abel-radius", "1.5"],
                                         ["--grid", "0"]])

@@ -1,10 +1,12 @@
 """Truncated Schäffer dilation: structure, compressions, trace transfer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pairs import random_pairs, scalar_pair
-from ssftrace import dilation, linops
+from ssftrace import checks, dilation, linops
 
 
 def test_zero_contraction_structure():
@@ -63,6 +65,48 @@ def test_walk_matches_matrix_power():
         assert lhs == pytest.approx(np.trace(Tn) - np.trace(T0n), abs=1e-14)
         assert rhs == pytest.approx(
             np.trace(P) - np.trace(np.linalg.matrix_power(W0.base, n)), abs=1e-14)
+
+
+@pytest.mark.parametrize("edit", ["extra_block", "empty_column"])
+def test_block_route_reads_built_window(edit):
+    # windows off the documented pattern: the block route must use what was built
+    pair = random_pairs(1, seed=408, dims=(3,))[0]
+    N, d, c = 4, 3, slice(4 * 3, 5 * 3)
+    W0 = dilation.build_window_dilation(pair.T0, N)
+    WT = dilation.WindowDilation(N, d, dilation.build_window_dilation(pair.T, N).base.copy())
+    if edit == "extra_block":
+        WT.block(2, -2)[:] = 0.3 * np.random.default_rng(409).standard_normal((d, d))
+    else:
+        WT.base[:, (1 + N) * d:(2 + N) * d] = 0.0  # block column 1
+    for n, gap, _, rhs in dilation.power_walk(pair, WT, W0):
+        P = np.linalg.matrix_power(WT.base, n)
+        Tn = np.linalg.matrix_power(pair.T, n)
+        assert gap == pytest.approx(np.linalg.norm(P[c, c] - Tn, "fro"), abs=1e-13)
+        assert rhs == pytest.approx(
+            np.trace(P) - np.trace(np.linalg.matrix_power(W0.base, n)), abs=1e-13)
+    cols = WT.base[:, d:]
+    dense = float(np.abs(cols.conj().T @ cols - np.eye(cols.shape[1])).max())
+    assert dilation.interior_column_orthonormality(WT) == pytest.approx(dense, abs=1e-13)
+    if edit == "empty_column":
+        assert dense == dilation.interior_column_orthonormality(WT) == 1.0
+
+
+def test_d64_suite_passes_within_one_window_of_memory():
+    pair = linops.random_pair(64, 0.25, 0.1, seed=1)
+    rows = checks.dilation_checks(pair, checks.DEFAULT_TOLERANCES)
+    assert len(rows) == 19
+    assert [r.name for r in rows if not r.passed] == []
+    WT = dilation.build_window_dilation(pair.T, checks.WINDOW_N)
+    W0 = dilation.build_window_dilation(pair.T0, checks.WINDOW_N)
+    tracemalloc.start()
+    try:
+        dilation.power_walk(pair, WT, W0)
+        dilation.interior_column_orthonormality(WT)
+        dilation.interior_column_orthonormality(W0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < WT.base.nbytes
 
 
 class TestCompression:
