@@ -2,13 +2,15 @@
 """Generate a random contraction pair and run every verification suite.
 
 Writes T.json / T0.json / manifest.json plus report.csv / summary.json
-under --out, then prints one line per check.
+under --out, then prints one line per check and the wall seconds of each
+suite (``timings_s`` of summary.json).
 
     python3 scripts/run_pair_experiment.py --dim 6 --delta 0.25 --seed 1 --out runs/demo
 """
 
 import argparse
 import csv
+import json
 import sys
 from pathlib import Path
 
@@ -38,6 +40,8 @@ def main() -> int:
         for name, passed, measured, threshold in list(csv.reader(fh))[1:]:
             mark = "ok " if passed == "True" else "FAIL"
             print(f"{mark} {name:40s} measured={measured} threshold={threshold}")
+    timings = json.loads((out / "summary.json").read_text())["timings_s"]
+    print("timings_s " + " ".join(f"{k}={v:.4f}" for k, v in timings.items()))
     return code
 
 

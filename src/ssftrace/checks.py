@@ -159,9 +159,9 @@ def disc_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries,
                 tol: dict) -> list[CheckResult]:
     """Disc formula per table: quadrature vs. closed form, limit gap, cross-theorem."""
     results = []
-    for name, terms in DISC_TABLES.items():
-        psi = ssf.LaurentSeries.from_terms(terms)
-        report = disc.verify_disc_trace_formula(pair, xi, psi, DISC_CONFIG)
+    psis = [ssf.LaurentSeries.from_terms(terms) for terms in DISC_TABLES.values()]
+    reports = disc.verify_disc_trace_formula(pair, xi, psis, DISC_CONFIG)
+    for (name, terms), report in zip(DISC_TABLES.items(), reports):
         worst = max(abs(q - c) for _, q, c in report.per_radius)
         results.append(_within(f"disc/quad_vs_closed_{name}", worst, tol["quad_match_tol"]))
         results.append(_within(f"disc/limit_gap_{name}", report.final_gap(),

@@ -26,7 +26,7 @@ INPUT_ERRORS = (SsftraceError, ValueError, KeyError, OSError)
 
 
 def _thread_cap() -> int | None:
-    """SSF_DISC_THREADS caps internal parallelism; computation here is serial."""
+    """SSF_DISC_THREADS is validated but caps nothing: BLAS threads follow OPENBLAS_NUM_THREADS."""
     raw = os.environ.get("SSF_DISC_THREADS")
     if raw is None:
         return None
@@ -162,7 +162,7 @@ def cmd_disc_report(args) -> int:
         radius_schedule=tuple(args.radii) if args.radii else
         disc.DiscQuadratureConfig().radius_schedule)
     xi = ssf.ssf_from_moments(ssf.moments(pair, max(args.n_max, psi.order)))
-    report = disc.verify_disc_trace_formula(pair, xi, psi, cfg)
+    report, = disc.verify_disc_trace_formula(pair, xi, [psi], cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     serialize.write_disc_report_csv(out / "disc.csv", report)

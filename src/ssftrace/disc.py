@@ -6,6 +6,10 @@ two such extensions integrates over discs of radius R < 1 (measure
 convention dz ^ dzbar = -2i dx dy) and converges, as R -> 1, to
 2*pi*i * sum n psi_hat(n) xi_hat(-n) -- the same number as the trace of
 the two-sided functional-calculus difference.
+
+The quadrature takes xi's ring derivatives once per radius for every table,
+by one product with a roots-of-unity mode matrix, and sums the Jacobian on
+the grid, never from the coefficients (Parseval): that is the closed form.
 """
 
 from __future__ import annotations
@@ -58,16 +62,10 @@ class DiscQuadratureConfig:
         return (self.angular_nodes // 4 - 1) // 2
 
     def check_resolves(self, order: int):
-        """Angular rule must be at least 4x the table length to kill aliasing.
-
-        It also keeps the zero-padded ring FFT of the quadrature from
-        truncating: ``fft(..., n=angular_nodes)`` drops modes beyond
-        ``angular_nodes`` without an error.
-        """
+        """Angular rule 4x the table length, 4 (2 order + 1) <= angular_nodes, kills aliasing."""
         if order > self.max_order:
-            raise ValueError(
-                f"{self.angular_nodes} angular nodes cannot resolve a table "
-                f"of order {order}")
+            raise ValueError(f"{self.angular_nodes} angular nodes cannot resolve "
+                             f"a table of order {order}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +75,7 @@ class DiscPairingReport:
     tail_bound: float
 
     def final_gap(self) -> float:
-        _, _, closed = self.per_radius[-1]
-        return abs(closed - self.lhs_trace)
+        return abs(self.per_radius[-1][2] - self.lhs_trace)
 
 
 @dataclass(frozen=True)
@@ -136,8 +133,7 @@ def fatou_check(s: LaurentSeries, r_schedule, t_grid,
     n = np.arange(-s.order, s.order + 1)
     modes = np.exp(1j * np.outer(t, n))
     boundary = modes @ s.coeffs
-    sups = []
-    cs = []
+    sups, cs = [], []
     for r in r_schedule:
         if not 0.0 < r < 1.0:
             raise ValueError(f"radii must lie in (0, 1), got {r}")
@@ -145,41 +141,40 @@ def fatou_check(s: LaurentSeries, r_schedule, t_grid,
         sups.append(sup)
         cs.append(sup / (1.0 - r))
     return FatouReport(radii=tuple(float(r) for r in r_schedule),
-                       sup_differences=tuple(sups),
-                       fitted_constants=tuple(cs),
+                       sup_differences=tuple(sups), fitted_constants=tuple(cs),
                        coefficient_bound=s.weighted_norm)
 
 
 def _wirtinger(table: LaurentSeries, z, conjugate: bool):
     """d/dz (conjugate=False) or d/dzbar (True) of the extension; z may be an array."""
     order, c = table.order, table.coeffs
+    z = np.asarray(z, dtype=complex)
     if order < 1:
-        return np.zeros_like(np.asarray(z, dtype=complex))
+        return np.zeros_like(z)
     n = np.arange(1, order + 1)
     if conjugate:
-        coef = n * c[order - 1::-1]
-        return npoly.polyval(np.conj(np.asarray(z, dtype=complex)), coef)
-    coef = n * c[order + 1:]
-    return npoly.polyval(np.asarray(z, dtype=complex), coef)
+        return npoly.polyval(np.conj(z), n * c[order - 1::-1])
+    return npoly.polyval(z, n * c[order + 1:])
 
 
-def _ring_wirtinger(table: LaurentSeries, r: np.ndarray, M: int):
-    """(d/dz, d/dzbar) of the extension on the rings r * e^(2*pi*i*j/M), j < M.
+def _mode_matrix(order: int, M: int) -> np.ndarray:
+    """E[m, j] = w^(m j mod M) for m < order, j < M, gathered from the M-th roots of unity w."""
+    return np.exp(2j * np.pi * np.arange(M) / M)[np.outer(np.arange(order), np.arange(M)) % M]
 
-    On each ring both derivatives are trigonometric polynomials in the
-    angle: d/dz = sum n c_n r^(n-1) e^(i(n-1)t) is one inverse FFT and
-    d/dzbar = sum n c_(-n) r^(n-1) e^(-i(n-1)t) one forward FFT of the
-    scaled coefficients, each of shape (len(r), M).  Needs order <= M.
-    """
+
+def _ring_wirtinger(table: LaurentSeries, r: np.ndarray, E: np.ndarray):
+    """(d/dz, d/dzbar) of the extension on the rings r * e^(2*pi*i*j/M), j < M, as two
+    distinct (len(r), M) arrays: d/dz = sum n c_n r^(n-1) e^(i(n-1)t) is the scaled
+    coefficients times the mode matrix E (at least ``order`` rows), and d/dzbar,
+    with e^(-i(n-1)t) and c_(-n), the conjugate of such a product."""
     order, c = table.order, table.coeffs
     if order < 1:
-        zero = np.zeros((len(r), M), dtype=complex)
-        return zero, zero
+        return np.zeros((len(r), E.shape[1]), complex), np.zeros((len(r), E.shape[1]), complex)
     n = np.arange(1, order + 1)
     scale = r[:, None] ** (n - 1)
-    dz = M * np.fft.ifft(scale * (n * c[order + 1:]), n=M, axis=1)
-    dzbar = np.fft.fft(scale * (n * c[order - 1::-1]), n=M, axis=1)
-    return dz, dzbar
+    dz, dzbar = np.split(np.vstack([scale * (n * c[order + 1:]),
+                                    scale * np.conj(n * c[order - 1::-1])]) @ E[:order], 2)
+    return dz, np.conj(dzbar, out=dzbar)
 
 
 def jacobian_at(xi, psi, z: complex) -> complex:
@@ -191,30 +186,39 @@ def jacobian_at(xi, psi, z: complex) -> complex:
                    - _wirtinger(psi, z, False) * _wirtinger(xi, z, True))
 
 
+def _ring_sums(xz, xzb, psi, r, E) -> np.ndarray:
+    """Per-ring sums of J = xz * dpsi/dzbar - dpsi/dz * xzb; psi's grids are freed on return."""
+    pz, pzb = _ring_wirtinger(psi, r, E)
+    # optimize=True lets numpy take the row dot products as one batched matmul
+    return (np.einsum("kj,kj->k", xz, pzb, optimize=True)
+            - np.einsum("kj,kj->k", pz, xzb, optimize=True))
+
+
+def _quadratures(xi, psis, radii, cfg: DiscQuadratureConfig) -> list[list[complex]]:
+    """Jacobian quadrature of xi against each of ``psis``, a row per radius: Gauss-Legendre
+    radially, trapezoid angularly, -2i for dz ^ dzbar.  E is built once, at the largest
+    order, and xi's ring derivatives once per radius for every table."""
+    order = max(table.order for table in [xi, *psis])
+    cfg.check_resolves(order)
+    (x, w), dt = cfg.radial_rule, 2.0 * np.pi / cfg.angular_nodes
+    E = _mode_matrix(order, cfg.angular_nodes)
+    rows = []
+    for R in radii:
+        r, wr = R * (x + 1.0) / 2.0, w * R / 2.0
+        xz, xzb = _ring_wirtinger(xi, r, E)
+        rows.append([complex(-2j * np.sum(wr * r * (_ring_sums(xz, xzb, psi, r, E) * dt)))
+                     for psi in psis])
+    return rows
+
+
 def disc_integral_quadrature(xi, psi, R: float,
                              cfg: DiscQuadratureConfig | None = None) -> complex:
-    """Quadrature of the Jacobian over the disc of radius R.
-
-    Gauss-Legendre radially, uniform trapezoid angularly; the -2i factor
-    converts dz ^ dzbar to the planar measure.  The derivatives come from
-    one FFT per ring, but the Jacobian is formed and summed pointwise on
-    the grid, never paired coefficient by coefficient: that pairing is
-    ``disc_integral_closed_form``, the route this one checks.
-    """
+    """Quadrature of the Jacobian over the disc of radius R, summed on the grid and
+    never paired coefficient by coefficient: that is ``disc_integral_closed_form``,
+    the route this one checks."""
     if not 0.0 < R < 1.0:
         raise InvalidRadiusError(f"R must lie in (0, 1), got {R}")
-    cfg = cfg or DiscQuadratureConfig()
-    cfg.check_resolves(max(xi.order, psi.order))
-
-    x, w = cfg.radial_rule
-    r = R * (x + 1.0) / 2.0
-    wr = w * R / 2.0
-    xz, xzb = _ring_wirtinger(xi, r, cfg.angular_nodes)
-    pz, pzb = _ring_wirtinger(psi, r, cfg.angular_nodes)
-
-    J = xz * pzb - pz * xzb
-    angular = J.sum(axis=1) * (2.0 * np.pi / cfg.angular_nodes)
-    return complex(-2j * np.sum(wr * r * angular))
+    return _quadratures(xi, [psi], [R], cfg or DiscQuadratureConfig())[0][0]
 
 
 def _paired_modes(xi, psi):
@@ -242,23 +246,19 @@ def disc_tail_bound(xi, psi, R: float) -> float:
     return 2.0 * np.pi * total
 
 
-def verify_disc_trace_formula(pair: ContractionPair, xi: LaurentSeries, psi: LaurentSeries,
-                              cfg: DiscQuadratureConfig | None = None) -> DiscPairingReport:
-    """Both routes of the disc trace formula on one pair and one table.
-
-    ``xi`` is the shift function of ``pair``; its order must reach psi's.
-    """
-    if psi.order > xi.order:
+def verify_disc_trace_formula(pair: ContractionPair, xi: LaurentSeries, psis: list[LaurentSeries],
+                              cfg: DiscQuadratureConfig | None = None) -> list[DiscPairingReport]:
+    """Both routes of the disc trace formula on one pair, one report per table of ``psis``;
+    ``xi`` is the shift function of ``pair``, its order reaching every table's."""
+    order = max((psi.order for psi in psis), default=0)
+    if order > xi.order:
         raise InsufficientCoefficientsError(
-            f"table order {psi.order} exceeds coefficient table order {xi.order}")
+            f"table order {order} exceeds coefficient table order {xi.order}")
     cfg = cfg or DiscQuadratureConfig()
-    lhs = laurent_difference_trace(pair, psi)
-    rows = []
-    for R in cfg.radius_schedule:
-        rows.append((float(R),
-                     disc_integral_quadrature(xi, psi, R, cfg),
-                     disc_integral_closed_form(xi, psi, R)))
-    tail = disc_tail_bound(xi, psi, cfg.radius_schedule[-1])
-    return DiscPairingReport(per_radius=tuple(rows),
-                             lhs_trace=lhs,
-                             tail_bound=tail)
+    radii = cfg.radius_schedule
+    per_table = zip(*_quadratures(xi, psis, radii, cfg))
+    return [DiscPairingReport(
+        per_radius=tuple((float(R), q, disc_integral_closed_form(xi, psi, R))
+                         for R, q in zip(radii, quads)),
+        lhs_trace=laurent_difference_trace(pair, psi),
+        tail_bound=disc_tail_bound(xi, psi, radii[-1])) for psi, quads in zip(psis, per_table)]

@@ -1,10 +1,13 @@
 """Harmonic extension, Jacobian pairing and the disc trace formula."""
 
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pairs import random_pairs, random_strict_pair, scalar_pair
-from ssftrace import calculus, disc, ssf
+from ssftrace import calculus, checks, disc, linops, ssf
 from ssftrace.calculus import LaurentSeries
 from ssftrace.errors import (
     InsufficientCoefficientsError,
@@ -135,11 +138,22 @@ class TestRingWirtinger:
         M = disc.DiscQuadratureConfig().angular_nodes
         r = R * np.array([0.25, 0.5, 1.0])
         z = r[:, None] * np.exp(2j * np.pi * np.arange(M) / M)
-        dz, dzbar = disc._ring_wirtinger(table, r, M)
+        dz, dzbar = disc._ring_wirtinger(table, r, disc._mode_matrix(order, M))
         # weighted_norm = sum |n c_n| bounds both derivatives on the closed disc
         scale = table.weighted_norm
         assert np.abs(dz - disc._wirtinger(table, z, False)).max() <= 1e-13 * scale
         assert np.abs(dzbar - disc._wirtinger(table, z, True)).max() <= 1e-13 * scale
+
+    def test_order_zero_grids_are_distinct(self):
+        # the quadrature conjugates d/dzbar in place, so the two zero grids
+        # of a constant table must not be one array
+        const = LaurentSeries.from_terms({0: 2.5})
+        dz, dzbar = disc._ring_wirtinger(const, np.array([0.5, 0.9]), disc._mode_matrix(3, 64))
+        assert dz is not dzbar and not np.shares_memory(dz, dzbar)
+        assert not dz.any() and not dzbar.any()
+        xi = random_table(3, seed=12)
+        assert disc.disc_integral_quadrature(xi, const, 0.9) == 0.0
+        assert disc.disc_integral_quadrature(const, xi, 0.9) == 0.0
 
 
 class TestJacobian:
@@ -253,7 +267,7 @@ class TestVerifyDiscFormula:
         psi = LaurentSeries.from_terms({-1: 0.5, 2: 1.0})
         pair = scalar_pair(0.4, 0.4)
         xi = ssf.ssf_from_moments(ssf.moments(pair, 8))
-        rep = disc.verify_disc_trace_formula(pair, xi, psi)
+        rep, = disc.verify_disc_trace_formula(pair, xi, [psi])
         assert rep.lhs_trace == 0.0
         for _, quad, closed in rep.per_radius:
             assert abs(quad) <= 1e-12
@@ -263,7 +277,7 @@ class TestVerifyDiscFormula:
         psi = LaurentSeries.from_terms({1: 1.0})
         pair = scalar_pair(0.5, 0.25)
         xi = ssf.ssf_from_moments(ssf.moments(pair, 16))
-        rep = disc.verify_disc_trace_formula(pair, xi, psi)
+        rep, = disc.verify_disc_trace_formula(pair, xi, [psi])
         assert rep.lhs_trace == pytest.approx(0.25, abs=1e-14)
         for R, _, closed in rep.per_radius:
             assert closed == pytest.approx(0.25 * R ** 2, abs=1e-12)
@@ -273,7 +287,7 @@ class TestVerifyDiscFormula:
         pair = scalar_pair(0.5, 0.25)
         xi = ssf.ssf_from_moments(ssf.moments(pair, 1))
         with pytest.raises(InsufficientCoefficientsError):
-            disc.verify_disc_trace_formula(pair, xi, LaurentSeries.from_terms({2: 1.0}))
+            disc.verify_disc_trace_formula(pair, xi, [LaurentSeries.from_terms({2: 1.0})])
 
     def test_real_symmetric_table(self):
         terms = {1: 0.4 - 0.1j, 3: 0.2j}
@@ -281,7 +295,7 @@ class TestVerifyDiscFormula:
         psi = LaurentSeries.from_terms(terms)
         pair = random_pairs(1, seed=613, dims=(5,))[0]
         xi = ssf.ssf_from_moments(ssf.moments(pair, 48))
-        rep = disc.verify_disc_trace_formula(pair, xi, psi)
+        rep, = disc.verify_disc_trace_formula(pair, xi, [psi])
         assert abs(rep.lhs_trace.imag) <= 1e-10
         for _, quad, closed in rep.per_radius:
             assert abs(quad.imag) <= 1e-10
@@ -294,3 +308,55 @@ class TestVerifyDiscFormula:
         lhs_circle = calculus.trace_lhs_circle(pair,
                                                calculus.CoefficientSeries.from_terms(terms))
         assert abs(lhs_disc - lhs_circle) <= 1e-10
+
+
+class TestSharedQuadrature:
+    def test_matches_single_calls(self, monkeypatch):
+        xi = random_table(64, seed=20)
+        psis = [random_table(order, seed=21 + order) for order in (1, 3, 12)]
+        cfg = disc.DiscQuadratureConfig()
+        reports = disc.verify_disc_trace_formula(scalar_pair(0.5, 0.25), xi, psis, cfg)
+        shared = [[q for _, q, _ in rep.per_radius] for rep in reports]
+        for psi, values in zip(psis, shared):
+            for R, q in zip(cfg.radius_schedule, values):
+                single = disc.disc_integral_quadrature(xi, psi, R, cfg)
+                assert abs(q - single) <= 1e-14 * (1.0 + abs(q))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quadrature used the closed-form route")
+
+        monkeypatch.setattr(disc, "disc_integral_closed_form", forbidden)
+        monkeypatch.setattr(disc, "_paired_modes", forbidden)
+        rows = disc._quadratures(xi, psis, cfg.radius_schedule, cfg)
+        assert [list(values) for values in zip(*rows)] == shared
+
+    def test_suite_evaluates_each_ring_grid_once(self, monkeypatch):
+        pair = linops.random_pair(8, 0.25, 0.1, seed=1)
+        xi = ssf.ssf_from_moments(ssf.moments(pair, 64))
+        calls = collections.Counter()
+        ring_wirtinger = disc._ring_wirtinger
+
+        def counted(table, r, E):
+            calls[table.coeffs.tobytes()] += 1
+            return ring_wirtinger(table, r, E)
+
+        monkeypatch.setattr(disc, "_ring_wirtinger", counted)
+        checks.disc_checks(pair, xi, checks.DEFAULT_TOLERANCES)
+        radii = len(checks.DISC_CONFIG.radius_schedule)
+        tables = [ssf.LaurentSeries.from_terms(t) for t in checks.DISC_TABLES.values()]
+        assert calls == {t.coeffs.tobytes(): radii for t in [xi, *tables]}
+
+    def test_suite_memory_at_d32(self):
+        # xi's two grids, one table's two, the mode matrix and small change:
+        # below seven (radial x angular) complex grids
+        pair = linops.random_pair(32, 0.25, 0.1, seed=1)
+        xi = ssf.ssf_from_moments(ssf.moments(pair, 64))
+        cfg = checks.DISC_CONFIG
+        tracemalloc.start()
+        try:
+            results = checks.disc_checks(pair, xi, checks.DEFAULT_TOLERANCES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c.passed for c in results)
+        assert peak < 7 * cfg.radial_nodes * cfg.angular_nodes * 16
