@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -23,17 +22,6 @@ from .errors import SsftraceError
 
 # what a bad pair, table or option raises; a missing or unreadable file is an OSError
 INPUT_ERRORS = (SsftraceError, ValueError, KeyError, OSError)
-
-
-def _thread_cap() -> int | None:
-    """SSF_DISC_THREADS is validated but caps nothing: BLAS threads follow OPENBLAS_NUM_THREADS."""
-    raw = os.environ.get("SSF_DISC_THREADS")
-    if raw is None:
-        return None
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("SSF_DISC_THREADS must be a positive integer")
-    return cap
 
 
 def _load_pair(t_path, t0_path) -> linops.ContractionPair:
@@ -122,7 +110,6 @@ def cmd_verify(args) -> int:
         return 2
     out = Path(args.out)
     try:
-        _thread_cap()
         pair = _load_pair(args.t, args.t0)
     except INPUT_ERRORS as exc:
         results, timings = [], {}

@@ -6,11 +6,11 @@ other row k holds the identity in column k+1 (a shift).  Truncating to
 the window [-N, N] keeps the band structure, so central compressions of
 powers up to N and window traces of power differences are exact.
 
-Only 2N+3 of the window's (2N+1)^2 blocks are nonzero, so the power walk
-and the column Gram work on blocks: each built window is read once into
-its nonzero d x d blocks (every block is tested, so an entry off the
-pattern above is kept), and products C_ik = sum_j A_ij B_jk run over
-those blocks only.  No window-sized product is formed.
+A window is held as its blocks: the 2N+2 blocks above, built from one
+SVD of T, and zero everywhere else.  No window-sized array is formed.
+The power walk and the column Gram read the blocks a window holds, not
+the pattern above, and products C_ik = sum_j A_ij B_jk run over those
+blocks only.
 """
 
 from __future__ import annotations
@@ -20,21 +20,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import ContractionPair, as_operator, defect, trace_norm, validate_contraction
+from .linops import ContractionPair, as_operator, defects, trace_norm
 
 
 @dataclass(frozen=True)
 class WindowDilation:
+    """Window [-N, N] of a dilation: ``blocks`` maps (i, j) to a d x d
+    block, and every block it does not hold is zero."""
+
     window_radius_n: int
     block_dim_d: int
-    base: np.ndarray
+    blocks: dict
 
     def block(self, i: int, j: int) -> np.ndarray:
         """Block at window position (i, j); indices run in [-N, N]."""
         N, d = self.window_radius_n, self.block_dim_d
         if not (-N <= i <= N and -N <= j <= N):
             raise IndexError(f"block index ({i}, {j}) outside window [-{N}, {N}]")
-        return self.base[(i + N) * d:(i + N + 1) * d, (j + N) * d:(j + N + 1) * d]
+        held = self.blocks.get((i, j))
+        return np.zeros((d, d), dtype=complex) if held is None else held
 
 
 @dataclass(frozen=True)
@@ -45,40 +49,31 @@ class DifferenceBlocks:
     at_m11: np.ndarray
 
 
+def _read_only(block: np.ndarray) -> np.ndarray:
+    view = block.view()
+    view.flags.writeable = False
+    return view
+
+
 def build_window_dilation(T, N: int) -> WindowDilation:
-    """Assemble the truncated dilation of a contraction on window [-N, N]."""
+    """Assemble the truncated dilation of a contraction on window [-N, N].
+
+    The blocks are read-only views, so an edit cannot reach T or the
+    identity that every shift block shares.
+    """
     T = as_operator(T)
-    validate_contraction(T)
+    D, D_star = defects(T)
     if N < 1:
         raise ValueError(f"window radius must be >= 1, got {N}")
-    d = T.shape[0]
-    size = (2 * N + 1) * d
-    base = np.zeros((size, size), dtype=complex)
-
-    def put(i, j, blockmat):
-        base[(i + N) * d:(i + N + 1) * d, (j + N) * d:(j + N + 1) * d] = blockmat
-
-    eye = np.eye(d, dtype=complex)
-    for k in range(-N, N + 1):
-        if k in (-1, 0) or k + 1 > N:
-            continue
-        put(k, k + 1, eye)
-    put(-1, 0, defect(T, "left"))
-    put(-1, 1, -T.conj().T)
-    put(0, 0, T)
-    put(0, 1, defect(T, "right"))
-    return WindowDilation(window_radius_n=N, block_dim_d=d, base=base)
-
-
-def _nonzero_blocks(W: WindowDilation) -> dict:
-    """{(i, j): W.block(i, j)} over the blocks of W that hold a nonzero entry."""
-    N, d = W.window_radius_n, W.block_dim_d
-    held = W.base.reshape(2 * N + 1, d, 2 * N + 1, d).any(axis=(1, 3))
-    return {(i - N, j - N): W.block(i - N, j - N) for i, j in np.argwhere(held).tolist()}
+    eye = np.eye(len(T), dtype=complex)
+    blocks = {(k, k + 1): eye for k in range(-N, N) if k not in (-1, 0)}
+    blocks.update({(-1, 0): D, (-1, 1): -T.conj().T, (0, 0): T, (0, 1): D_star})
+    return WindowDilation(window_radius_n=N, block_dim_d=len(T),
+                          blocks={ij: _read_only(b) for ij, b in blocks.items()})
 
 
 def _block_product(A: dict, B: dict) -> dict:
-    """C_ik = sum_j A_ij B_jk over the nonzero blocks of A and B."""
+    """C_ik = sum_j A_ij B_jk over the blocks A and B hold."""
     rows = defaultdict(list)
     for (j, k), b in B.items():
         rows[j].append((k, b))
@@ -95,14 +90,13 @@ def interior_column_orthonormality(W: WindowDilation) -> float:
 
     Only block column -N maps outside the window (its identity sits at
     row -N-1); every other column is complete and must be orthonormal.
-    The Gram block of columns (j, k) is sum_i W_ij* W_ik over the nonzero
-    row blocks the two share; it is compared with the identity when
+    The Gram block of columns (j, k) is sum_i W_ij* W_ik over the row
+    blocks the two hold in common; it is compared with the identity when
     j = k and with zero otherwise.  Pairs sharing no row block have a
-    zero Gram block, and a column with no nonzero block deviates by 1.
+    zero Gram block, and a column that holds no block deviates by 1.
     """
     N, d = W.window_radius_n, W.block_dim_d
-    blocks = _nonzero_blocks(W)
-    columns = {j: {i: b for (i, c), b in blocks.items() if c == j} for j in range(-N + 1, N + 1)}
+    columns = {j: {i: b for (i, c), b in W.blocks.items() if c == j} for j in range(-N + 1, N + 1)}
     eye = np.eye(d)
     worst = 0.0
     for j, cj in columns.items():
@@ -123,10 +117,11 @@ def dilation_difference_blocks(pair: ContractionPair) -> DifferenceBlocks:
     shift parts coincide.
     """
     T, T0 = pair.T, pair.T0
+    (D, D_star), (D0, D0_star) = defects(T), defects(T0)
     return DifferenceBlocks(
         at_00=T - T0,
-        at_01=defect(T, "right") - defect(T0, "right"),
-        at_m10=defect(T, "left") - defect(T0, "left"),
+        at_01=D_star - D0_star,
+        at_m10=D - D0,
         at_m11=-(T - T0).conj().T,
     )
 
@@ -138,13 +133,13 @@ def difference_block_trace_norm_sum(blocks: DifferenceBlocks) -> float:
 
 
 def _window_powers(W: WindowDilation) -> list:
-    """([W^n]_00, Tr W^n) for n = 1..N, W^n kept as its nonzero blocks.
+    """([W^n]_00, Tr W^n) for n = 1..N, W^n kept as its blocks.
 
     Each power is one block product with W's blocks; the trace sums the
     traces of the diagonal blocks in window order.
     """
     N = W.window_radius_n
-    U = P = _nonzero_blocks(W)
+    U = P = W.blocks
     zero = np.zeros((W.block_dim_d, W.block_dim_d), dtype=complex)
     powers = []
     for n in range(1, N + 1):
@@ -159,10 +154,10 @@ def power_walk(pair: ContractionPair, WT: WindowDilation, W0: WindowDilation) ->
     """Powers n = 1..N of T, T0 and their windows WT, W0 of radius N.
 
     Entry n is (n, ||[WT^n]_00 - T^n||_F, Tr(T^n - T0^n), Tr(WT^n - W0^n)).
-    The window powers are block products over the windows' nonzero
-    blocks, one window after the other, so only two powers of one window
-    are live at a time.  T^n and T0^n come from T and T0 alone, never
-    from the windows.
+    The window powers are block products over the windows' blocks, one
+    window after the other, so only two powers of one window are live at
+    a time.  T^n and T0^n come from T and T0 alone, never from the
+    windows.
     """
     Tn, T0n = pair.T, pair.T0
     walk = []

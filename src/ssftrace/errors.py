@@ -13,14 +13,6 @@ class NotAContractionError(SsftraceError):
     pass
 
 
-class NotHermitianError(SsftraceError):
-    pass
-
-
-class NotPSDError(SsftraceError):
-    pass
-
-
 class InvalidDeltaError(SsftraceError):
     pass
 

@@ -1,8 +1,9 @@
 """Dense complex matrix kernel.
 
-Contraction validation, positive-semidefinite square roots, defect
-operators, trace norms and reproducible random pair generation.  All
-functions are pure; matrices are plain complex numpy arrays.
+Contraction validation, defect operators, trace norms and reproducible
+random pair generation.  Both defect operators of a contraction come
+from its one singular value decomposition.  All functions are pure;
+matrices are plain complex numpy arrays.
 """
 
 from __future__ import annotations
@@ -15,17 +16,14 @@ import numpy as np
 from .errors import (
     InvalidDeltaError,
     NotAContractionError,
-    NotHermitianError,
-    NotPSDError,
     NotSquareError,
     RequiresStrictContractionError,
 )
 
 # strict means 1 - ||M|| >= DELTA_MIN; norms up to 1 + NORM_TOL count as
-# contractions; PSD_TOL is the default negative-eigenvalue slack of psd_sqrt
+# contractions
 DELTA_MIN = 1e-6
 NORM_TOL = 1e-10
-PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,10 +61,6 @@ def as_operator(M) -> np.ndarray:
     return A
 
 
-def operator_norm(M) -> float:
-    return float(np.linalg.norm(as_operator(M), 2))
-
-
 def validate_contraction(M) -> ContractionCertificate:
     """Certify that M is a contraction and measure its strictness margin."""
     A = as_operator(M)
@@ -90,16 +84,13 @@ def make_pair(T, T0) -> ContractionPair:
     if T.shape != T0.shape:
         raise NotSquareError(f"dimension mismatch: {T.shape} vs {T0.shape}")
 
-    def _clip(A):
-        s = float(np.linalg.norm(A, 2))
-        if 1.0 < s <= 1.0 + NORM_TOL:
-            return A / s
-        return A
+    def _clip(A, cert):
+        return A / cert.operator_norm if cert.operator_norm > 1.0 else A
 
     cert_T = validate_contraction(T)
     cert_T0 = validate_contraction(T0)
-    T = _clip(T)
-    T0 = _clip(T0)
+    T = _clip(T, cert_T)
+    T0 = _clip(T0, cert_T0)
     if not cert_T0.is_strict:
         raise RequiresStrictContractionError(
             f"T0 has norm {cert_T0.operator_norm}; strictness margin "
@@ -107,39 +98,19 @@ def make_pair(T, T0) -> ContractionPair:
     return ContractionPair(T=T, T0=T0, cert_T=cert_T, cert_T0=cert_T0)
 
 
-def psd_sqrt(P, tol_psd: float = PSD_TOL) -> np.ndarray:
-    """Hermitian square root of a PSD matrix via eigendecomposition.
+def defects(M) -> tuple[np.ndarray, np.ndarray]:
+    """Defect operators (D_M, D_M*) = ((I - M*M)^(1/2), (I - MM*)^(1/2)).
 
-    Eigenvalues in [-tol_psd, 0) are clamped to zero.
+    Both come from one SVD M = U diag(s) V*: D_M = V diag(r) V* and
+    D_M* = U diag(r) U* with r = sqrt((1 - s)(1 + s)), so M D_M = D_M* M
+    holds in factored form even where s is near 1.
     """
-    P = as_operator(P)
-    pnorm = float(np.linalg.norm(P, "fro"))
-    herm_err = float(np.linalg.norm(P - P.conj().T, "fro"))
-    if herm_err > 1e-12 * max(pnorm, 1.0):
-        raise NotHermitianError(f"Hermitian residual {herm_err} for norm {pnorm}")
-    H = (P + P.conj().T) / 2.0
-    w, V = np.linalg.eigh(H)
-    if w.min(initial=0.0) < -tol_psd:
-        raise NotPSDError(f"eigenvalue {w.min()} below -{tol_psd}")
-    w = np.clip(w, 0.0, None)
-    Q = (V * np.sqrt(w)) @ V.conj().T
-    return (Q + Q.conj().T) / 2.0
-
-
-def defect(M, side: str) -> np.ndarray:
-    """Defect operator: (I - M*M)^(1/2) for side='left', (I - MM*)^(1/2) for 'right'."""
-    A = as_operator(M)
-    validate_contraction(A)
-    eye = np.eye(A.shape[0], dtype=complex)
-    if side == "left":
-        G = eye - A.conj().T @ A
-    elif side == "right":
-        G = eye - A @ A.conj().T
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    # norm may overshoot 1 by up to NORM_TOL, pushing eigenvalues slightly
-    # below zero; allow that overshoot before clamping
-    return psd_sqrt(G, tol_psd=1e-9)
+    U, s, Vh = np.linalg.svd(as_operator(M))
+    if s.max(initial=0.0) > 1.0 + NORM_TOL:
+        raise NotAContractionError(f"operator norm {s.max()} exceeds 1 + {NORM_TOL}")
+    # a norm overshooting 1 by up to NORM_TOL gives r = 0, not NaN
+    r = np.sqrt(np.clip((1.0 - s) * (1.0 + s), 0.0, None))
+    return (Vh.conj().T * r) @ Vh, (U * r) @ U.conj().T
 
 
 def trace_norm(M) -> float:

@@ -29,6 +29,23 @@ def random_positive_pair(dim, delta_b, seed):
     return A, B
 
 
+NORM_ONE_IDS = ("unitary_d4", "half_isometry_d16", "half_isometry_d64")
+
+
+def norm_one_pairs():
+    """Pairs with ||T|| = 1, the paper's minimal hypothesis (only T0 strict):
+    a unitary T against T0 = I/2 at d = 4, and T = Q diag(1, ..., 1, 0.2..0.9)
+    (half its singular values 1) against a random T0 of norm 0.75 at d = 16, 64."""
+    rng = np.random.default_rng(2024)
+    Q, _ = np.linalg.qr(linops.ginibre(rng, 4))
+    pairs = [linops.make_pair(Q, 0.5 * np.eye(4))]
+    for d in (16, 64):
+        Q, _ = np.linalg.qr(linops.ginibre(rng, d))
+        s = np.concatenate([np.ones(d // 2), np.linspace(0.2, 0.9, d - d // 2)])
+        pairs.append(linops.make_pair(Q * s, linops.random_contraction(d, 0.75, rng)))
+    return pairs
+
+
 def scalar_pair(t, t0):
     return linops.make_pair(np.array([[t]], dtype=complex),
                             np.array([[t0]], dtype=complex))

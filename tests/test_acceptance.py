@@ -3,13 +3,14 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 pass/fail lines as they are produced.  C2, C3, C4, C7 and C8 run the
 checks of ``ssftrace verify`` (``ssftrace.checks``) with its default
-tolerances over seeded pair sets.
+tolerances over seeded pair sets; C2, C3, C4 and C7 add the pairs with
+||T|| = 1 from ``norm_one_pairs``.
 """
 
 import numpy as np
 
-from pairs import (random_pairs, random_positive_pair, random_strict_pair,
-                   scalar_pair)
+from pairs import (norm_one_pairs, random_pairs, random_positive_pair,
+                   random_strict_pair, scalar_pair)
 from ssftrace import calculus, checks, disc, kernel_integral, ssf
 from ssftrace.calculus import LaurentSeries
 
@@ -53,7 +54,7 @@ def test_c1_semigroup_integral():
 
 def test_c2_defect_difference():
     results = []
-    for pair in random_pairs(100, seed=9100, delta=0.2):
+    for pair in random_pairs(100, seed=9100, delta=0.2) + norm_one_pairs():
         results += checks.lemma_checks(pair, TOL)
     worst_id = max_measured(results, "lemma/identity_")
     violations = sum(not c.passed for c in results if c.name.startswith("lemma/trace_bound_"))
@@ -64,7 +65,7 @@ def test_c2_defect_difference():
 
 def test_c3_dilation():
     results = []
-    for pair in random_pairs(50, seed=9200, dims=(2, 3, 4, 5, 6)):
+    for pair in random_pairs(50, seed=9200, dims=(2, 3, 4, 5, 6)) + norm_one_pairs():
         results += checks.dilation_checks(pair, TOL)
     ok = all(c.passed for c in results)
     verdict("C3 truncated dilation", ok,
@@ -77,7 +78,7 @@ def test_c3_dilation():
 def test_c4_circle_formula():
     n_max = max(max(terms) for terms in ACCEPTANCE_SERIES.values())
     results = []
-    for pair in random_pairs(50, seed=9300):
+    for pair in random_pairs(50, seed=9300) + norm_one_pairs():
         xi = ssf.ssf_from_moments(ssf.moments(pair, n_max))
         results += checks.circle_checks(pair, xi, TOL, ACCEPTANCE_SERIES)
     ok = all(c.passed for c in results)
@@ -134,7 +135,7 @@ def test_c6_poisson_fatou():
 
 def test_c7_disc_formula():
     results = []
-    for pair in random_pairs(25, seed=9500, dims=(2, 4, 6)):
+    for pair in random_pairs(25, seed=9500, dims=(2, 4, 6)) + norm_one_pairs():
         xi = ssf.ssf_from_moments(ssf.moments(pair, 32))
         results += checks.disc_checks(pair, xi, TOL)
     disc_ok = all(c.passed for c in results)

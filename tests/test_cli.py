@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ssftrace
+from pairs import NORM_ONE_IDS, norm_one_pairs
 from ssftrace import checks, cli, linops, serialize, ssf
 
 
@@ -224,17 +225,20 @@ class TestVerify:
         assert run([*argv, "--suite", "circle", "--n-max", str(high),
                     "--out", str(tmp_path / "circle-high")]) == 0
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        pair_dir = gen_pair(tmp_path, seed=13)
-        monkeypatch.setenv("SSF_DISC_THREADS", "2")
-        out = tmp_path / "verify-threads"
-        assert run(["verify", "--t", str(pair_dir / "T.json"),
-                    "--t0", str(pair_dir / "T0.json"), "--suite", "lemma",
-                    "--out", str(out)]) == 0
-        monkeypatch.setenv("SSF_DISC_THREADS", "0")
-        assert run(["verify", "--t", str(pair_dir / "T.json"),
-                    "--t0", str(pair_dir / "T0.json"), "--suite", "lemma",
-                    "--out", str(tmp_path / "verify-threads0")]) == 1
+    @pytest.mark.parametrize("index", range(3), ids=NORM_ONE_IDS)
+    def test_norm_one_pair_passes(self, tmp_path, index):
+        # only T0 need be strict: a valid pair with ||T|| = 1 passes every check
+        pair = norm_one_pairs()[index]
+        serialize.save_matrix(tmp_path / "T.json", pair.T)
+        serialize.save_matrix(tmp_path / "T0.json", pair.T0)
+        out = tmp_path / "verify"
+        assert run(["verify", "--t", str(tmp_path / "T.json"), "--t0", str(tmp_path / "T0.json"),
+                    "--suite", "all", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is True
+        assert summary["num_checks"] == 41
+        with open(out / "report.csv", newline="") as fh:
+            assert all(row["passed"] == "True" for row in csv.DictReader(fh))
 
 
 class TestSsfCommand:

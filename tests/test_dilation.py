@@ -9,6 +9,12 @@ from pairs import random_pairs, scalar_pair
 from ssftrace import checks, dilation, linops
 
 
+def dense_window(W):
+    """The window as one ((2N+1)d)^2 array, assembled from its blocks (test oracle)."""
+    idx = range(-W.window_radius_n, W.window_radius_n + 1)
+    return np.block([[W.block(i, j) for j in idx] for i in idx])
+
+
 def test_zero_contraction_structure():
     W = dilation.build_window_dilation(np.array([[0.0]]), N=2)
     assert W.block(-1, 0)[0, 0] == pytest.approx(1.0)   # D_T = 1
@@ -29,7 +35,7 @@ def test_scalar_unit_column():
     W = dilation.build_window_dilation(np.array([[0.5]]), N=3)
     assert W.block(-1, 0)[0, 0] == pytest.approx(np.sqrt(0.75))
     assert W.block(0, 0)[0, 0] == pytest.approx(0.5)
-    col = W.base[:, 3 * 1]  # block column 0
+    col = dense_window(W)[:, 3 * 1]  # block column 0
     assert np.linalg.norm(col) == pytest.approx(1.0)
 
 
@@ -57,14 +63,15 @@ def test_walk_matches_matrix_power():
     W0 = dilation.build_window_dilation(pair.T0, N)
     entries = dilation.power_walk(pair, WT, W0)
     assert [e[0] for e in entries] == list(range(1, N + 1))
+    dense_T, dense_0 = dense_window(WT), dense_window(W0)
     for n, gap, lhs, rhs in entries:
-        P = np.linalg.matrix_power(WT.base, n)
+        P = np.linalg.matrix_power(dense_T, n)
         Tn = np.linalg.matrix_power(pair.T, n)
         T0n = np.linalg.matrix_power(pair.T0, n)
         assert gap == pytest.approx(np.linalg.norm(P[c, c] - Tn, "fro"), abs=1e-14)
         assert lhs == pytest.approx(np.trace(Tn) - np.trace(T0n), abs=1e-14)
         assert rhs == pytest.approx(
-            np.trace(P) - np.trace(np.linalg.matrix_power(W0.base, n)), abs=1e-14)
+            np.trace(P) - np.trace(np.linalg.matrix_power(dense_0, n)), abs=1e-14)
 
 
 @pytest.mark.parametrize("edit", ["extra_block", "empty_column"])
@@ -73,18 +80,20 @@ def test_block_route_reads_built_window(edit):
     pair = random_pairs(1, seed=408, dims=(3,))[0]
     N, d, c = 4, 3, slice(4 * 3, 5 * 3)
     W0 = dilation.build_window_dilation(pair.T0, N)
-    WT = dilation.WindowDilation(N, d, dilation.build_window_dilation(pair.T, N).base.copy())
+    blocks = dict(dilation.build_window_dilation(pair.T, N).blocks)
     if edit == "extra_block":
-        WT.block(2, -2)[:] = 0.3 * np.random.default_rng(409).standard_normal((d, d))
+        blocks[(2, -2)] = 0.3 * np.random.default_rng(409).standard_normal((d, d))
     else:
-        WT.base[:, (1 + N) * d:(2 + N) * d] = 0.0  # block column 1
+        blocks = {ij: b for ij, b in blocks.items() if ij[1] != 1}  # block column 1
+    WT = dilation.WindowDilation(N, d, blocks)
+    dense_T, dense_0 = dense_window(WT), dense_window(W0)
     for n, gap, _, rhs in dilation.power_walk(pair, WT, W0):
-        P = np.linalg.matrix_power(WT.base, n)
+        P = np.linalg.matrix_power(dense_T, n)
         Tn = np.linalg.matrix_power(pair.T, n)
         assert gap == pytest.approx(np.linalg.norm(P[c, c] - Tn, "fro"), abs=1e-13)
         assert rhs == pytest.approx(
-            np.trace(P) - np.trace(np.linalg.matrix_power(W0.base, n)), abs=1e-13)
-    cols = WT.base[:, d:]
+            np.trace(P) - np.trace(np.linalg.matrix_power(dense_0, n)), abs=1e-13)
+    cols = dense_T[:, d:]
     dense = float(np.abs(cols.conj().T @ cols - np.eye(cols.shape[1])).max())
     assert dilation.interior_column_orthonormality(WT) == pytest.approx(dense, abs=1e-13)
     if edit == "empty_column":
@@ -93,20 +102,46 @@ def test_block_route_reads_built_window(edit):
 
 def test_d64_suite_passes_within_one_window_of_memory():
     pair = linops.random_pair(64, 0.25, 0.1, seed=1)
-    rows = checks.dilation_checks(pair, checks.DEFAULT_TOLERANCES)
-    assert len(rows) == 19
-    assert [r.name for r in rows if not r.passed] == []
-    WT = dilation.build_window_dilation(pair.T, checks.WINDOW_N)
-    W0 = dilation.build_window_dilation(pair.T0, checks.WINDOW_N)
     tracemalloc.start()
     try:
-        dilation.power_walk(pair, WT, W0)
-        dilation.interior_column_orthonormality(WT)
-        dilation.interior_column_orthonormality(W0)
+        rows = checks.dilation_checks(pair, checks.DEFAULT_TOLERANCES)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < WT.base.nbytes
+    assert len(rows) == 19
+    assert [r.name for r in rows if not r.passed] == []
+    # one dense complex window array of radius WINDOW_N: 18.1 MiB
+    assert peak < ((2 * checks.WINDOW_N + 1) * 64) ** 2 * 16
+
+
+class TestWindowBlocks:
+    def test_holds_the_band(self):
+        N, d = 3, 2
+        W = dilation.build_window_dilation(0.5 * np.eye(d), N)
+        shift = {(k, k + 1) for k in range(-N, N) if k not in (-1, 0)}
+        assert W.blocks.keys() == shift | {(-1, 0), (-1, 1), (0, 0), (0, 1)}
+        np.testing.assert_array_equal(W.block(2, -2), np.zeros((d, d)))
+        for i, j in ((N + 1, 0), (0, -N - 1)):
+            with pytest.raises(IndexError):
+                W.block(i, j)
+
+    def test_blocks_are_read_only(self):
+        T = np.array([[0.5]], dtype=complex)
+        W = dilation.build_window_dilation(T, N=3)
+        for block in W.blocks.values():
+            with pytest.raises(ValueError):
+                block[0, 0] = 2.0
+        assert T[0, 0] == 0.5
+        T[0, 0] = 0.25  # T itself stays writable
+
+    def test_four_blocks_sees_a_block_off_the_pattern(self):
+        pair = random_pairs(1, seed=410, dims=(3,))[0]
+        WT = dilation.build_window_dilation(pair.T, 4)
+        W0 = dilation.build_window_dilation(pair.T0, 4)
+        assert checks._four_blocks_residual(pair, WT, W0) <= 1e-12
+        extra = np.full((3, 3), 1e-6)
+        edited = dilation.WindowDilation(4, 3, {**W0.blocks, (3, -2): extra})
+        assert checks._four_blocks_residual(pair, WT, edited) == pytest.approx(3e-6)
 
 
 class TestCompression:
@@ -117,7 +152,7 @@ class TestCompression:
 
     def test_scalar_square(self):
         W = dilation.build_window_dilation(np.array([[0.5]]), N=2)
-        P = np.linalg.matrix_power(W.base, 2)
+        P = np.linalg.matrix_power(dense_window(W), 2)
         central = P[2, 2]
         assert central == pytest.approx(0.25)
         assert walk(scalar_pair(0.5, 0.5), 2)[2][0] <= 1e-12
@@ -173,7 +208,7 @@ class TestDifferenceBlocks:
         N = 3
         WT = dilation.build_window_dilation(pair.T, N)
         W0 = dilation.build_window_dilation(pair.T0, N)
-        total = linops.trace_norm(WT.base - W0.base)
+        total = linops.trace_norm(dense_window(WT) - dense_window(W0))
         blocks = dilation.dilation_difference_blocks(pair)
         assert total <= dilation.difference_block_trace_norm_sum(blocks) + 1e-10
 

@@ -70,9 +70,8 @@ def test_near_strict_pair_bounded_memory():
     pair = linops.random_pair(16, 1e-5, 0.1, seed=3)
     tracemalloc.start()
     try:
-        for side in ("left", "right"):
-            r = kernel_integral.semigroup_integral(linops.defect(pair.T, side),
-                                                   linops.defect(pair.T0, side), tol=1e-8)
+        for A, B in zip(linops.defects(pair.T), linops.defects(pair.T0)):
+            r = kernel_integral.semigroup_integral(A, B, tol=1e-8)
             assert r.nodes_used > 100_000
             assert r.frobenius_error <= 1e-7
         peak = tracemalloc.get_traced_memory()[1]

@@ -1,16 +1,15 @@
-"""Matrix kernel: certificates, square roots, defects, trace norms, random pairs."""
+"""Matrix kernel: certificates, defects, trace norms, random pairs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairs import NORM_ONE_IDS, norm_one_pairs
 from ssftrace import linops
 from ssftrace.errors import (
     InvalidDeltaError,
     NotAContractionError,
-    NotHermitianError,
-    NotPSDError,
     NotSquareError,
     RequiresStrictContractionError,
 )
@@ -46,49 +45,30 @@ class TestValidateContraction:
             linops.validate_contraction(np.array([[np.nan]]))
 
 
-class TestPsdSqrt:
-    def test_scalar(self):
-        assert linops.psd_sqrt(np.array([[0.64]]))[0, 0] == pytest.approx(0.8)
-
-    def test_zero(self):
-        np.testing.assert_allclose(linops.psd_sqrt(np.zeros((3, 3))), 0.0)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(linops.psd_sqrt(np.diag([4.0, 1.0])),
-                                   np.diag([2.0, 1.0]), atol=1e-14)
-
-    def test_not_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            linops.psd_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_not_psd(self):
-        with pytest.raises(NotPSDError):
-            linops.psd_sqrt(np.diag([1.0, -0.5]))
-
-    def test_clamps_tiny_negative(self):
-        Q = linops.psd_sqrt(np.diag([1.0, -5e-11]))
-        assert Q[1, 1] == 0.0
+def intertwining_error(M, D, D_star) -> float:
+    """||M D_M - D_M* M||, zero in exact arithmetic."""
+    return float(np.linalg.norm(M @ D - D_star @ M, 2))
 
 
 class TestDefect:
     def test_scalar_left(self):
-        assert linops.defect(np.array([[0.6]]), "left")[0, 0] == pytest.approx(0.8)
+        D, D_star = linops.defects(np.array([[0.6]]))
+        assert D[0, 0] == pytest.approx(0.8)
+        assert D_star[0, 0] == pytest.approx(0.8)
 
     def test_zero_operator(self):
-        for side in ("left", "right"):
-            np.testing.assert_allclose(linops.defect(np.zeros((4, 4)), side),
-                                       np.eye(4), atol=1e-14)
+        for D in linops.defects(np.zeros((4, 4))):
+            np.testing.assert_allclose(D, np.eye(4), atol=1e-14)
 
     def test_jordan_block_sides(self):
         M = np.array([[0, 1], [0, 0]], dtype=complex)
-        np.testing.assert_allclose(linops.defect(M, "left"), np.diag([1.0, 0.0]),
-                                   atol=1e-14)
-        np.testing.assert_allclose(linops.defect(M, "right"), np.diag([0.0, 1.0]),
-                                   atol=1e-14)
+        D, D_star = linops.defects(M)
+        np.testing.assert_allclose(D, np.diag([1.0, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(D_star, np.diag([0.0, 1.0]), atol=1e-14)
 
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            linops.defect(np.zeros((2, 2)), "up")
+    def test_rejects_expansion(self):
+        with pytest.raises(NotAContractionError):
+            linops.defects(1.5 * np.eye(2))
 
     def test_defects_hermitian_psd_contractive(self):
         # spec-scale sweep: 200 random contractions, d <= 16
@@ -96,19 +76,30 @@ class TestDefect:
         for i in range(200):
             d = int(rng.integers(1, 17))
             M = linops.random_contraction(d, float(rng.uniform(0.05, 1.0)), rng)
-            for side in ("left", "right"):
-                D = linops.defect(M, side)
+            D, D_star = linops.defects(M)
+            assert intertwining_error(M, D, D_star) <= 1e-14
+            for D in (D, D_star):
                 assert np.linalg.norm(D - D.conj().T) < 1e-12
                 w = np.linalg.eigvalsh(D)
                 assert w.min() >= 0.0
                 assert w.max() <= 1.0 + 1e-10
+
+    @pytest.mark.parametrize("index", range(3), ids=NORM_ONE_IDS)
+    def test_norm_one_intertwines(self, index):
+        # singular values at 1: two separate square roots disagreed here
+        T = norm_one_pairs()[index].T
+        D, D_star = linops.defects(T)
+        assert intertwining_error(T, D, D_star) <= 1e-14
+        eye = np.eye(len(T))
+        np.testing.assert_allclose(D @ D, eye - T.conj().T @ T, atol=1e-14)
+        np.testing.assert_allclose(D_star @ D_star, eye - T @ T.conj().T, atol=1e-14)
 
     def test_strict_lower_bound(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             norm = float(rng.uniform(0.1, 0.95))
             M = linops.random_contraction(6, norm, rng)
-            w = np.linalg.eigvalsh(linops.defect(M, "left"))
+            w = np.linalg.eigvalsh(linops.defects(M)[0])
             assert w.min() >= (1.0 - norm) - 1e-10
 
 
@@ -146,17 +137,6 @@ class TestTraceNorm:
         V, _ = np.linalg.qr(linops.ginibre(rng, 5))
         assert linops.trace_norm(U @ A @ V) == pytest.approx(
             linops.trace_norm(A), abs=1e-10)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**9))
-def test_psd_sqrt_squares_back(seed):
-    rng = np.random.default_rng(seed)
-    G = linops.ginibre(rng, 6)
-    P = G @ G.conj().T
-    Q = linops.psd_sqrt(P)
-    err = np.linalg.norm(Q @ Q - P, "fro")
-    assert err <= 1e-10 * max(np.linalg.norm(P, "fro"), 1e-30)
 
 
 class TestRandomPair:
