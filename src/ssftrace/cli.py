@@ -29,12 +29,6 @@ def _load_pair(t_path, t0_path) -> linops.ContractionPair:
                             serialize.load_matrix(t0_path))
 
 
-def _cert_dict(cert: linops.ContractionCertificate) -> dict:
-    return {"operator_norm": cert.operator_norm,
-            "strictness_margin_delta": cert.strictness_margin_delta,
-            "is_strict": cert.is_strict}
-
-
 def cmd_gen(args) -> int:
     pair = linops.random_pair(args.dim, args.delta, args.perturbation, args.seed)
     out = Path(args.out)
@@ -47,7 +41,7 @@ def cmd_gen(args) -> int:
         "perturbation_trace_norm": args.perturbation,
         "seed": args.seed,
         "files": {"T": "T.json", "T0": "T0.json"},
-        "certificates": {"T": _cert_dict(pair.cert_T), "T0": _cert_dict(pair.cert_T0)},
+        "certificates": {"T": asdict(pair.cert_T), "T0": asdict(pair.cert_T0)},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return 0

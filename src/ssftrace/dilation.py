@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import ContractionPair, as_operator, defects, trace_norm
+from .linops import ContractionPair, as_operator, defects
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,6 @@ def dilation_difference_blocks(pair: ContractionPair) -> DifferenceBlocks:
         at_m10=D - D0,
         at_m11=-(T - T0).conj().T,
     )
-
-
-def difference_block_trace_norm_sum(blocks: DifferenceBlocks) -> float:
-    """Subadditive upper bound for the trace norm of the dilation difference."""
-    return (trace_norm(blocks.at_00) + trace_norm(blocks.at_01)
-            + trace_norm(blocks.at_m10) + trace_norm(blocks.at_m11))
 
 
 def _window_powers(W: WindowDilation) -> list:

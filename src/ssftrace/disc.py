@@ -16,33 +16,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .calculus import laurent_difference_trace
 from .errors import (InsufficientCoefficientsError, InvalidRadiusError,
-                     OutsideOpenDiscError, RequiresStrictContractionError)
+                     RequiresStrictContractionError)
 from .linops import ContractionPair, DELTA_MIN
 from .ssf import LaurentSeries
-
-BOUNDARY_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
 class DiscQuadratureConfig:
-    """Polar grid and radius schedule for the disc integrals."""
+    """Polar grid and radius schedule for the disc integrals; the grid is fixed."""
 
-    radial_nodes: int = 64
-    angular_nodes: int = 1024
+    radial_nodes: ClassVar[int] = 64
+    angular_nodes: ClassVar[int] = 1024
     radius_schedule: tuple[float, ...] = (0.5, 0.8, 0.9, 0.99, 1.0 - 1e-3)
 
     def __post_init__(self):
-        if self.radial_nodes < 1:
-            raise ValueError("radial_nodes must be >= 1")
-        m = self.angular_nodes
-        if m < 4 or (m & (m - 1)) != 0:
-            raise ValueError(f"angular_nodes must be a power of two >= 4, got {m}")
         rs = self.radius_schedule
         if not rs or any(b <= a for a, b in zip(rs, rs[1:])):
             raise ValueError("radius_schedule must be strictly increasing")
@@ -86,37 +79,6 @@ class FatouReport:
     coefficient_bound: float  # sum |n c_n|, the Lipschitz constant in (1 - r)
 
 
-def poisson_extend(table: LaurentSeries, z: complex) -> complex:
-    """Harmonic extension c_0 + sum c_(-n) zbar^n + sum c_n z^n at |z| < 1."""
-    order, c = table.order, table.coeffs
-    z = complex(z)
-    if abs(z) > 1.0 - BOUNDARY_GUARD:
-        raise OutsideOpenDiscError(f"|z| = {abs(z)} is outside the guarded disc")
-    pos = c[order + 1:]
-    neg = c[order - 1::-1]  # index n-1 holds c_(-n)
-    val = c[order]
-    if order >= 1:
-        val = val + z * npoly.polyval(z, pos) + np.conj(z) * npoly.polyval(np.conj(z), neg)
-    return complex(val)
-
-
-def kernel_expansion_check(z: complex, t_grid, n_trunc: int) -> float:
-    """Max error of the truncated geometric expansion of the Poisson kernel."""
-    z = complex(z)
-    if abs(z) > 0.95:
-        raise ValueError(f"|z| = {abs(z)} exceeds 0.95")
-    t = np.asarray(t_grid, dtype=float)
-    direct = (1.0 - abs(z) ** 2) / np.abs(np.exp(1j * t) - z) ** 2
-    w = np.conj(z) * np.exp(1j * t)
-    partial = np.ones_like(t, dtype=complex)
-    wp = np.ones_like(t, dtype=complex)
-    for _ in range(n_trunc):
-        wp = wp * w
-        partial = partial + wp
-    expansion = 2.0 * partial.real - 1.0  # 1 + 2 Re sum_{n>=1} (zbar e^{it})^n
-    return float(np.abs(direct - expansion).max())
-
-
 def fatou_check(s: LaurentSeries, r_schedule, t_grid,
                 strictness_margin: float) -> FatouReport:
     """Radial convergence of the extension toward the boundary series.
@@ -145,18 +107,6 @@ def fatou_check(s: LaurentSeries, r_schedule, t_grid,
                        coefficient_bound=s.weighted_norm)
 
 
-def _wirtinger(table: LaurentSeries, z, conjugate: bool):
-    """d/dz (conjugate=False) or d/dzbar (True) of the extension; z may be an array."""
-    order, c = table.order, table.coeffs
-    z = np.asarray(z, dtype=complex)
-    if order < 1:
-        return np.zeros_like(z)
-    n = np.arange(1, order + 1)
-    if conjugate:
-        return npoly.polyval(np.conj(z), n * c[order - 1::-1])
-    return npoly.polyval(z, n * c[order + 1:])
-
-
 def _mode_matrix(order: int, M: int) -> np.ndarray:
     """E[m, j] = w^(m j mod M) for m < order, j < M, gathered from the M-th roots of unity w."""
     return np.exp(2j * np.pi * np.arange(M) / M)[np.outer(np.arange(order), np.arange(M)) % M]
@@ -175,15 +125,6 @@ def _ring_wirtinger(table: LaurentSeries, r: np.ndarray, E: np.ndarray):
     dz, dzbar = np.split(np.vstack([scale * (n * c[order + 1:]),
                                     scale * np.conj(n * c[order - 1::-1])]) @ E[:order], 2)
     return dz, np.conj(dzbar, out=dzbar)
-
-
-def jacobian_at(xi, psi, z: complex) -> complex:
-    """J = (d xi/dz)(d psi/dzbar) - (d psi/dz)(d xi/dzbar) at a point of the disc."""
-    z = complex(z)
-    if abs(z) > 1.0 - BOUNDARY_GUARD:
-        raise OutsideOpenDiscError(f"|z| = {abs(z)} is outside the guarded disc")
-    return complex(_wirtinger(xi, z, False) * _wirtinger(psi, z, True)
-                   - _wirtinger(psi, z, False) * _wirtinger(xi, z, True))
 
 
 def _ring_sums(xz, xzb, psi, r, E) -> np.ndarray:
@@ -209,16 +150,6 @@ def _quadratures(xi, psis, radii, cfg: DiscQuadratureConfig) -> list[list[comple
         rows.append([complex(-2j * np.sum(wr * r * (_ring_sums(xz, xzb, psi, r, E) * dt)))
                      for psi in psis])
     return rows
-
-
-def disc_integral_quadrature(xi, psi, R: float,
-                             cfg: DiscQuadratureConfig | None = None) -> complex:
-    """Quadrature of the Jacobian over the disc of radius R, summed on the grid and
-    never paired coefficient by coefficient: that is ``disc_integral_closed_form``,
-    the route this one checks."""
-    if not 0.0 < R < 1.0:
-        raise InvalidRadiusError(f"R must lie in (0, 1), got {R}")
-    return _quadratures(xi, [psi], [R], cfg or DiscQuadratureConfig())[0][0]
 
 
 def _paired_modes(xi, psi):

@@ -37,9 +37,5 @@ class InsufficientCoefficientsError(SsftraceError):
     pass
 
 
-class OutsideOpenDiscError(SsftraceError):
-    pass
-
-
 class InvalidRadiusError(SsftraceError):
     pass

@@ -21,6 +21,8 @@ from .linops import ContractionPair, as_operator, trace_norm
 
 DELTA_FLOOR = 1e-4
 NODES_PER_UNIT = 32
+# spectra within SPECTRUM_TOL of [0, 1] count as positive contractions
+SPECTRUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,7 @@ class IntegralReport:
     nodes_used: int
 
 
-def _positive_contraction_eig(M, tol: float = 1e-10):
+def _positive_contraction_eig(M):
     """Eigendecomposition of a Hermitian matrix with spectrum in [0, 1]."""
     A = as_operator(M)
     herm_err = float(np.linalg.norm(A - A.conj().T, "fro"))
@@ -40,7 +42,7 @@ def _positive_contraction_eig(M, tol: float = 1e-10):
         raise NotPositiveContractionError(f"not Hermitian (residual {herm_err})")
     H = (A + A.conj().T) / 2.0
     w, V = np.linalg.eigh(H)
-    if w.min() < -tol or w.max() > 1.0 + tol:
+    if w.min() < -SPECTRUM_TOL or w.max() > 1.0 + SPECTRUM_TOL:
         raise NotPositiveContractionError(
             f"spectrum [{w.min()}, {w.max()}] not within [0, 1]")
     return H, np.clip(w, 0.0, 1.0), V

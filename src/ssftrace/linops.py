@@ -52,10 +52,12 @@ class ContractionPair:
 
 
 def as_operator(M) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+    """Coerce to a nonempty square complex matrix with finite entries."""
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {A.shape}")
+    if A.size == 0:
+        raise ValueError("matrix is empty (0x0)")
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     return A
@@ -133,15 +135,6 @@ def random_contraction(dim: int, target_norm: float,
     """Ginibre matrix rescaled to the given operator norm."""
     G = ginibre(rng, dim)
     return G * (target_norm / float(np.linalg.norm(G, 2)))
-
-
-def random_positive_contraction(dim: int, eig_min: float, eig_max: float,
-                                rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian matrix with eigenvalues uniform in [eig_min, eig_max]."""
-    Q, _ = np.linalg.qr(ginibre(rng, dim))
-    w = rng.uniform(eig_min, eig_max, dim)
-    A = (Q * w) @ Q.conj().T
-    return (A + A.conj().T) / 2.0
 
 
 def random_pair(dim: int, delta: float, perturbation_trace_norm: float,

@@ -1,10 +1,11 @@
 """File formats: matrix JSON, coefficient-table JSON, CSV reports.
 
 Matrix JSON: {"rows": int, "cols": int, "data": [[re, im], ...]} in
-row-major order.  Shift-function JSON: {"n_max": int, "coeffs":
-[[n, re, im], ...]}.  Series JSON: {"coeffs": [[k, re, im], ...]}
-(negative k allowed for two-sided tables).  Readers raise ValueError on
-a length mismatch or a wrongly shaped value.
+row-major order.  Shift-function JSON, written by ``ssf``: {"n_max": int,
+"coeffs": [[n, re, im], ...]}.  Series JSON, read by ``disc-report --psi``:
+{"coeffs": [[k, re, im], ...]} (negative k allowed for two-sided tables),
+so a shift-function file reads as a two-sided series.  Readers raise
+ValueError on a length mismatch or a wrongly shaped value.
 """
 
 from __future__ import annotations
@@ -59,28 +60,6 @@ def ssf_to_dict(s: LaurentSeries) -> dict:
     coeffs = [[n, float(s.coeff(n).real), float(s.coeff(n).imag)]
               for n in range(-s.order, s.order + 1)]
     return {"n_max": s.order, "coeffs": coeffs}
-
-
-def ssf_from_dict(d: dict) -> LaurentSeries:
-    with _reading("shift-function"):
-        n_max = int(d["n_max"])
-        coeffs = np.zeros(2 * n_max + 1, dtype=complex)
-        for n, re, im in d["coeffs"]:
-            n = int(n)
-            if abs(n) > n_max:
-                raise ValueError(f"coefficient index {n} outside [-{n_max}, {n_max}]")
-            coeffs[n + n_max] = complex(re, im)
-    return LaurentSeries(coeffs=coeffs)
-
-
-def series_to_dict(series) -> dict:
-    if isinstance(series, CoefficientSeries):
-        pairs = [(k, series.coeffs[k]) for k in range(len(series.coeffs))]
-    elif isinstance(series, LaurentSeries):
-        pairs = [(n, series.coeff(n)) for n in range(-series.order, series.order + 1)]
-    else:
-        raise TypeError(f"unsupported series type {type(series)!r}")
-    return {"coeffs": [[k, float(v.real), float(v.imag)] for k, v in pairs]}
 
 
 def series_from_dict(d: dict, two_sided: bool):

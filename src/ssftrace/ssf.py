@@ -26,11 +26,6 @@ class MomentSequence:
     n_max: int
     moments: np.ndarray  # m_1 .. m_n_max
 
-    def moment(self, n: int) -> complex:
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"moment index {n} outside 1..{self.n_max}")
-        return complex(self.moments[n - 1])
-
 
 @dataclass(frozen=True)
 class LaurentSeries:
@@ -102,27 +97,6 @@ def ssf_from_moments(m: MomentSequence) -> LaurentSeries:
     return LaurentSeries(coeffs=coeffs)
 
 
-def moments_from_ssf(s: LaurentSeries) -> MomentSequence:
-    """Inverse of ssf_from_moments: m_n = 2*pi*i*n*xi_hat(-n)."""
-    vals = np.array([2j * np.pi * n * s.coeff(-n) for n in range(1, s.order + 1)])
-    return MomentSequence(n_max=s.order, moments=vals)
-
-
-def _abel_values(s: LaurentSeries, abel_radius: float, evaluate) -> np.ndarray:
-    """Real part of ``evaluate(n, c_n r^|n|)``, the Abel-damped table summed
-    on some grid, after checking the radius and the imaginary residual."""
-    if not 0.0 < abel_radius < 1.0:
-        raise ValueError(f"abel_radius must lie in (0, 1), got {abel_radius}")
-    n = np.arange(-s.order, s.order + 1)
-    vals = evaluate(n, s.coeffs * abel_radius ** np.abs(n))
-    resid = float(np.abs(vals.imag).max(initial=0.0))
-    if resid > REAL_TOL:
-        raise NonRealResultError(
-            f"imaginary residual {resid} exceeds {REAL_TOL}; coefficient "
-            "table has lost conjugate symmetry")
-    return vals.real
-
-
 def uniform_trig_values(n: np.ndarray, c: np.ndarray, M: int) -> np.ndarray:
     """sum_k c_k e^(i n_k t_j) at t_j = 2*pi*j/M, j < M, by one inverse FFT.
 
@@ -134,22 +108,19 @@ def uniform_trig_values(n: np.ndarray, c: np.ndarray, M: int) -> np.ndarray:
     return M * np.fft.ifft(folded)
 
 
-def evaluate_ssf_grid(s: LaurentSeries, t_grid, abel_radius: float) -> np.ndarray:
-    """Abel-summed values sum_n xi_hat(n) r^|n| e^{int} on a grid of angles."""
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    return _abel_values(s, abel_radius,
-                        lambda n, damped: np.exp(1j * np.outer(t, n)) @ damped)
-
-
 def evaluate_ssf_uniform(s: LaurentSeries, M: int, abel_radius: float) -> np.ndarray:
-    """Abel-summed values on the uniform grid t_j = 2*pi*j/M, j < M, by FFT."""
-    return _abel_values(s, abel_radius,
-                        lambda n, damped: uniform_trig_values(n, damped, M))
-
-
-def evaluate_ssf(s: LaurentSeries, t: float, abel_radius: float) -> float:
-    """Abel-summed value of the shift function at a single angle."""
-    return float(evaluate_ssf_grid(s, [t], abel_radius)[0])
+    """Abel-summed values on the uniform grid t_j = 2*pi*j/M, j < M, by FFT: the real
+    part, after checking the radius and the imaginary residual."""
+    if not 0.0 < abel_radius < 1.0:
+        raise ValueError(f"abel_radius must lie in (0, 1), got {abel_radius}")
+    n = np.arange(-s.order, s.order + 1)
+    vals = uniform_trig_values(n, s.coeffs * abel_radius ** np.abs(n), M)
+    resid = float(np.abs(vals.imag).max(initial=0.0))
+    if resid > REAL_TOL:
+        raise NonRealResultError(
+            f"imaginary residual {resid} exceeds {REAL_TOL}; coefficient "
+            "table has lost conjugate symmetry")
+    return vals.real
 
 
 @dataclass(frozen=True)

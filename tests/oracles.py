@@ -1,0 +1,103 @@
+"""Reference evaluations the tests check the package against.
+
+None of these depend on a contraction pair, and no ``ssftrace`` command
+runs them: pointwise harmonic extension, Wirtinger derivatives and
+Jacobian by Horner ``polyval``, the truncated Poisson kernel, Abel values
+at arbitrary angles by the dense mode matrix, the inverse of
+``ssf_from_moments``, a trace-norm bound for the dilation difference,
+and one value of the shared disc quadrature.
+"""
+
+import numpy as np
+from numpy.polynomial import polynomial as npoly
+
+from ssftrace import disc, ssf
+from ssftrace.errors import SsftraceError
+from ssftrace.linops import trace_norm
+from ssftrace.ssf import LaurentSeries, MomentSequence
+
+BOUNDARY_GUARD = 1e-6
+
+
+class OutsideOpenDiscError(SsftraceError):
+    pass
+
+
+def poisson_extend(table: LaurentSeries, z: complex) -> complex:
+    """Harmonic extension c_0 + sum c_(-n) zbar^n + sum c_n z^n at |z| < 1."""
+    order, c = table.order, table.coeffs
+    z = complex(z)
+    if abs(z) > 1.0 - BOUNDARY_GUARD:
+        raise OutsideOpenDiscError(f"|z| = {abs(z)} is outside the guarded disc")
+    pos = c[order + 1:]
+    neg = c[order - 1::-1]  # index n-1 holds c_(-n)
+    val = c[order]
+    if order >= 1:
+        val = val + z * npoly.polyval(z, pos) + np.conj(z) * npoly.polyval(np.conj(z), neg)
+    return complex(val)
+
+
+def kernel_expansion_check(z: complex, t_grid, n_trunc: int) -> float:
+    """Max error of the truncated geometric expansion of the Poisson kernel."""
+    z = complex(z)
+    if abs(z) > 0.95:
+        raise ValueError(f"|z| = {abs(z)} exceeds 0.95")
+    t = np.asarray(t_grid, dtype=float)
+    direct = (1.0 - abs(z) ** 2) / np.abs(np.exp(1j * t) - z) ** 2
+    w = np.conj(z) * np.exp(1j * t)
+    partial = np.ones_like(t, dtype=complex)
+    wp = np.ones_like(t, dtype=complex)
+    for _ in range(n_trunc):
+        wp = wp * w
+        partial = partial + wp
+    expansion = 2.0 * partial.real - 1.0  # 1 + 2 Re sum_{n>=1} (zbar e^{it})^n
+    return float(np.abs(direct - expansion).max())
+
+
+def _wirtinger(table: LaurentSeries, z, conjugate: bool):
+    """d/dz (conjugate=False) or d/dzbar (True) of the extension; z may be an array."""
+    order, c = table.order, table.coeffs
+    z = np.asarray(z, dtype=complex)
+    if order < 1:
+        return np.zeros_like(z)
+    n = np.arange(1, order + 1)
+    if conjugate:
+        return npoly.polyval(np.conj(z), n * c[order - 1::-1])
+    return npoly.polyval(z, n * c[order + 1:])
+
+
+def jacobian_at(xi, psi, z: complex) -> complex:
+    """J = (d xi/dz)(d psi/dzbar) - (d psi/dz)(d xi/dzbar) at a point of the disc."""
+    z = complex(z)
+    if abs(z) > 1.0 - BOUNDARY_GUARD:
+        raise OutsideOpenDiscError(f"|z| = {abs(z)} is outside the guarded disc")
+    return complex(_wirtinger(xi, z, False) * _wirtinger(psi, z, True)
+                   - _wirtinger(psi, z, False) * _wirtinger(xi, z, True))
+
+
+def disc_quadrature(xi, psi, R: float, cfg=None) -> complex:
+    """The shared disc quadrature of ``verify_disc_trace_formula`` for one table at
+    one radius R in (0, 1)."""
+    return disc._quadratures(xi, [psi], [R], cfg or disc.DiscQuadratureConfig())[0][0]
+
+
+def evaluate_ssf_grid(s: LaurentSeries, t_grid, abel_radius: float) -> np.ndarray:
+    """Abel-summed values sum_n xi_hat(n) r^|n| e^{int} on any grid of angles, by the
+    dense mode matrix; the table must be conjugate symmetric."""
+    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    n = np.arange(-s.order, s.order + 1)
+    vals = np.exp(1j * np.outer(t, n)) @ (s.coeffs * abel_radius ** np.abs(n))
+    assert np.abs(vals.imag).max(initial=0.0) <= ssf.REAL_TOL
+    return vals.real
+
+
+def moments_from_ssf(s: LaurentSeries) -> MomentSequence:
+    """Inverse of ssf_from_moments: m_n = 2*pi*i*n*xi_hat(-n)."""
+    vals = np.array([2j * np.pi * n * s.coeff(-n) for n in range(1, s.order + 1)])
+    return MomentSequence(n_max=s.order, moments=vals)
+
+
+def difference_block_trace_norm_sum(blocks) -> float:
+    """Subadditive upper bound for the trace norm of the dilation difference."""
+    return (trace_norm(blocks.at_00) + trace_norm(blocks.at_01)
+            + trace_norm(blocks.at_m10) + trace_norm(blocks.at_m11))

@@ -21,11 +21,19 @@ def random_strict_pair(dim, norm_t, norm_t0, seed):
     return linops.make_pair(T, T0)
 
 
+def random_positive_contraction(dim, eig_min, eig_max, rng):
+    """Random Hermitian matrix with eigenvalues uniform in [eig_min, eig_max]."""
+    Q, _ = np.linalg.qr(linops.ginibre(rng, dim))
+    w = rng.uniform(eig_min, eig_max, dim)
+    A = (Q * w) @ Q.conj().T
+    return (A + A.conj().T) / 2.0
+
+
 def random_positive_pair(dim, delta_b, seed):
     """Hermitian positive contractions (A, B) with B bounded below by delta_b."""
     rng = np.random.default_rng(seed)
-    A = linops.random_positive_contraction(dim, 0.0, 1.0, rng)
-    B = linops.random_positive_contraction(dim, delta_b, 1.0, rng)
+    A = random_positive_contraction(dim, 0.0, 1.0, rng)
+    B = random_positive_contraction(dim, delta_b, 1.0, rng)
     return A, B
 
 

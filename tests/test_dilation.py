@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import difference_block_trace_norm_sum
 from pairs import random_pairs, scalar_pair
 from ssftrace import checks, dilation, linops
 
@@ -210,7 +211,7 @@ class TestDifferenceBlocks:
         W0 = dilation.build_window_dilation(pair.T0, N)
         total = linops.trace_norm(dense_window(WT) - dense_window(W0))
         blocks = dilation.dilation_difference_blocks(pair)
-        assert total <= dilation.difference_block_trace_norm_sum(blocks) + 1e-10
+        assert total <= difference_block_trace_norm_sum(blocks) + 1e-10
 
 
 class TestTraceTransfer:

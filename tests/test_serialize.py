@@ -8,7 +8,6 @@ import pytest
 
 from pairs import random_pairs
 from ssftrace import serialize, ssf
-from ssftrace.calculus import CoefficientSeries, LaurentSeries
 
 
 def test_matrix_round_trip(tmp_path):
@@ -39,16 +38,15 @@ def test_save_is_deterministic(tmp_path):
 
 
 def test_ssf_round_trip():
+    # the shift-function JSON reads back as a two-sided series, as disc-report --psi does
     pair = random_pairs(1, seed=701, dims=(4,))[0]
     s = ssf.ssf_from_moments(ssf.moments(pair, 12))
-    back = serialize.ssf_from_dict(serialize.ssf_to_dict(s))
+    doc = json.loads(json.dumps(serialize.ssf_to_dict(s)))
+    assert doc["n_max"] == 12
+    assert [n for n, _, _ in doc["coeffs"]] == list(range(-12, 13))
+    back = serialize.series_from_dict(doc, two_sided=True)
     assert back.order == s.order
     np.testing.assert_array_equal(back.coeffs, s.coeffs)
-
-
-def test_ssf_rejects_out_of_range_index():
-    with pytest.raises(ValueError):
-        serialize.ssf_from_dict({"n_max": 1, "coeffs": [[3, 0.0, 0.0]]})
 
 
 def test_readers_name_wrongly_shaped_values():
@@ -57,22 +55,21 @@ def test_readers_name_wrongly_shaped_values():
 
     for read, doc in ((serialize.matrix_from_dict, [[1.0, 0.0]]),
                       (serialize.matrix_from_dict, {"rows": 1, "cols": 1, "data": [[None, 0]]}),
-                      (serialize.ssf_from_dict, {"n_max": None, "coeffs": []}),
                       (two_sided, {"coeffs": 5})):
         with pytest.raises(ValueError, match="malformed"):
             read(doc)
 
 
-def test_series_round_trips():
-    phi = CoefficientSeries.from_terms({0: 1.0, 3: -0.5})
-    back = serialize.series_from_dict(serialize.series_to_dict(phi),
-                                      two_sided=False)
-    np.testing.assert_array_equal(back.coeffs, phi.coeffs)
+def test_series_reads_json():
+    phi = serialize.series_from_dict({"coeffs": [[0, 1.0, 0.0], [3, -0.5, 0.0]]},
+                                     two_sided=False)
+    np.testing.assert_array_equal(phi.coeffs, [1.0, 0.0, 0.0, -0.5])
+    with pytest.raises(ValueError):
+        serialize.series_from_dict({"coeffs": [[-1, 1.0, 0.0]]}, two_sided=False)
 
-    psi = LaurentSeries.from_terms({-2: 0.3j, 1: 1.0})
-    back2 = serialize.series_from_dict(serialize.series_to_dict(psi),
-                                       two_sided=True)
-    np.testing.assert_array_equal(back2.coeffs, psi.coeffs)
+    psi = serialize.series_from_dict({"coeffs": [[-2, 0.0, 0.3], [1, 1.0, 0.0]]},
+                                     two_sided=True)
+    np.testing.assert_array_equal(psi.coeffs, [0.3j, 0.0, 0.0, 1.0, 0.0])
 
 
 def test_ssf_grid_csv_exact_values(tmp_path):

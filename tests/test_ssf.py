@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import evaluate_ssf_grid, moments_from_ssf, poisson_extend
 from pairs import random_pairs, scalar_pair
-from ssftrace import dilation, disc, linops, ssf
+from ssftrace import dilation, linops, ssf
 from ssftrace.errors import NonRealResultError
 
 
@@ -16,9 +17,7 @@ def test_moments_equal_pair():
 
 def test_moments_scalar():
     m = ssf.moments(scalar_pair(0.5, 0.25), 3)
-    assert m.moment(1) == pytest.approx(0.25)
-    assert m.moment(2) == pytest.approx(0.1875)
-    assert m.moment(3) == pytest.approx(0.109375)
+    np.testing.assert_allclose(m.moments, [0.25, 0.1875, 0.109375])
 
 
 def test_moments_telescoping_bound():
@@ -27,7 +26,7 @@ def test_moments_telescoping_bound():
         tn = linops.trace_norm(pair.T - pair.T0)
         rho = max(pair.cert_T.operator_norm, pair.cert_T0.operator_norm)
         for n in range(1, 33):
-            assert abs(m.moment(n)) <= n * tn * rho ** (n - 1) + 1e-12
+            assert abs(m.moments[n - 1]) <= n * tn * rho ** (n - 1) + 1e-12
 
 
 def test_moments_match_dilation_route():
@@ -36,7 +35,7 @@ def test_moments_match_dilation_route():
     WT = dilation.build_window_dilation(pair.T, 6)
     W0 = dilation.build_window_dilation(pair.T0, 6)
     for n, _, _, rhs in dilation.power_walk(pair, WT, W0):
-        assert abs(m.moment(n) - rhs) <= 1e-9
+        assert abs(m.moments[n - 1] - rhs) <= 1e-9
 
 
 class TestCoefficients:
@@ -51,7 +50,7 @@ class TestCoefficients:
     def test_round_trip(self):
         pair = random_pairs(1, seed=502, dims=(6,))[0]
         m = ssf.moments(pair, 24)
-        back = ssf.moments_from_ssf(ssf.ssf_from_moments(m))
+        back = moments_from_ssf(ssf.ssf_from_moments(m))
         np.testing.assert_allclose(back.moments, m.moments, atol=1e-12)
 
     def test_conjugate_symmetry_and_zero_constant(self):
@@ -81,8 +80,7 @@ class TestCoefficients:
 class TestEvaluate:
     def test_zero_table(self):
         s = ssf.LaurentSeries(coeffs=np.zeros(9, dtype=complex))
-        for t in np.linspace(0, 2 * np.pi, 7):
-            assert ssf.evaluate_ssf(s, t, 0.9) == 0.0
+        assert not ssf.evaluate_ssf_uniform(s, 7, 0.9).any()
 
     def test_single_pair_identity(self):
         c = -1j / (4.0 * np.pi)
@@ -91,17 +89,18 @@ class TestEvaluate:
         coeffs[2] = c
         s = ssf.LaurentSeries(coeffs=coeffs)
         r = 0.8
-        for t in np.linspace(0, 2 * np.pi, 9):
-            expected = 2.0 * (c * r * np.exp(1j * t)).real
-            assert ssf.evaluate_ssf(s, t, r) == pytest.approx(expected, abs=1e-14)
+        t = 2.0 * np.pi * np.arange(9) / 9
+        expected = 2.0 * (c * r * np.exp(1j * t)).real
+        np.testing.assert_allclose(ssf.evaluate_ssf_uniform(s, 9, r), expected,
+                                   rtol=0, atol=1e-14)
 
     def test_matches_poisson_extension(self):
         s = ssf.ssf_from_moments(ssf.moments(scalar_pair(0.9, 0.5), 128))
         r = 0.99
         ts = 2.0 * np.pi * np.arange(256) / 256
-        vals = ssf.evaluate_ssf_grid(s, ts, r)
+        vals = ssf.evaluate_ssf_uniform(s, 256, r)
         for t, v in zip(ts[::16], vals[::16]):
-            w = disc.poisson_extend(s, r * np.exp(1j * t))
+            w = poisson_extend(s, r * np.exp(1j * t))
             assert v == pytest.approx(w.real, abs=1e-12)
 
     @pytest.mark.parametrize("M", [4096, 256, 16])
@@ -113,7 +112,7 @@ class TestEvaluate:
         for order in (64, 200):
             s = ssf.ssf_from_moments(ssf.moments(pair, order))
             np.testing.assert_allclose(ssf.evaluate_ssf_uniform(s, M, 0.999),
-                                       ssf.evaluate_ssf_grid(s, t, 0.999),
+                                       evaluate_ssf_grid(s, t, 0.999),
                                        rtol=0, atol=1e-13)
 
     def test_non_real_rejected(self):
@@ -121,27 +120,23 @@ class TestEvaluate:
         coeffs[3] = 1.0  # n=1 without its conjugate partner
         s = ssf.LaurentSeries(coeffs=coeffs)
         with pytest.raises(NonRealResultError):
-            ssf.evaluate_ssf(s, 0.3, 0.9)
-        with pytest.raises(NonRealResultError):
             ssf.evaluate_ssf_uniform(s, 16, 0.9)
 
     def test_bad_radius(self):
         s = ssf.LaurentSeries(coeffs=np.zeros(3, dtype=complex))
-        with pytest.raises(ValueError):
-            ssf.evaluate_ssf(s, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            ssf.evaluate_ssf_uniform(s, 16, 1.0)
+        for r in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                ssf.evaluate_ssf_uniform(s, 16, r)
 
 
 def test_constant_shift_moves_values_not_pairing():
     pair = random_pairs(1, seed=505, dims=(6,))[0]
     s = ssf.ssf_from_moments(ssf.moments(pair, 16))
     shifted = s.with_constant(2.5)
-    for t in (0.1, 1.7, 4.0):
-        gap = ssf.evaluate_ssf(shifted, t, 0.9) - ssf.evaluate_ssf(s, t, 0.9)
-        assert gap == pytest.approx(2.5, abs=1e-12)
-    np.testing.assert_allclose(ssf.moments_from_ssf(shifted).moments,
-                               ssf.moments_from_ssf(s).moments)
+    gap = ssf.evaluate_ssf_uniform(shifted, 16, 0.9) - ssf.evaluate_ssf_uniform(s, 16, 0.9)
+    np.testing.assert_allclose(gap, 2.5, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(moments_from_ssf(shifted).moments,
+                               moments_from_ssf(s).moments)
 
 
 class TestAdjointRelation:
