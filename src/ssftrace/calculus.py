@@ -99,7 +99,7 @@ def trace_rhs_circle(s: LaurentSeries, phi: CoefficientSeries) -> complex:
 
 
 def trace_rhs_circle_quadrature(s: LaurentSeries, phi: CoefficientSeries,
-                                abel_radius: float = 0.999) -> complex:
+                                abel_radius: float) -> complex:
     """Grid quadrature of (d/dt phi(e^{it})) * xi_r(t) over [0, 2*pi).
 
     Independent of the coefficient pairing: the shift function enters

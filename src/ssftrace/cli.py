@@ -135,13 +135,11 @@ def cmd_ssf(args) -> int:
 def cmd_disc_report(args) -> int:
     pair = _load_pair(args.t, args.t0)
     if args.psi:
-        psi = serialize.series_from_dict(
-            json.loads(Path(args.psi).read_text()), two_sided=True)
+        psi = serialize.series_from_dict(json.loads(Path(args.psi).read_text()))
     else:
         psi = ssf.LaurentSeries.from_terms(checks.DISC_TABLES["real_sym"])
-    cfg = disc.DiscQuadratureConfig(
-        radius_schedule=tuple(args.radii) if args.radii else
-        disc.DiscQuadratureConfig().radius_schedule)
+    cfg = (disc.DiscQuadratureConfig(radius_schedule=tuple(args.radii)) if args.radii
+           else checks.DISC_CONFIG)
     xi = ssf.ssf_from_moments(ssf.moments(pair, max(args.n_max, psi.order)))
     report, = disc.verify_disc_trace_formula(pair, xi, [psi], cfg)
     out = Path(args.out)

@@ -41,14 +41,6 @@ class WindowDilation:
         return np.zeros((d, d), dtype=complex) if held is None else held
 
 
-@dataclass(frozen=True)
-class DifferenceBlocks:
-    at_00: np.ndarray
-    at_01: np.ndarray
-    at_m10: np.ndarray
-    at_m11: np.ndarray
-
-
 def _read_only(block: np.ndarray) -> np.ndarray:
     view = block.view()
     view.flags.writeable = False
@@ -90,40 +82,29 @@ def interior_column_orthonormality(W: WindowDilation) -> float:
 
     Only block column -N maps outside the window (its identity sits at
     row -N-1); every other column is complete and must be orthonormal.
-    The Gram block of columns (j, k) is sum_i W_ij* W_ik over the row
-    blocks the two hold in common; it is compared with the identity when
-    j = k and with zero otherwise.  Pairs sharing no row block have a
-    zero Gram block, and a column that holds no block deviates by 1.
+    The Gram blocks G_jk = sum_i W_ij* W_ik of those columns are one block
+    product; G_jj is compared with the identity and G_jk, j < k, with zero
+    (G is Hermitian).  A Gram block the product does not hold is zero, so
+    a column that holds no block deviates by 1.
     """
     N, d = W.window_radius_n, W.block_dim_d
-    columns = {j: {i: b for (i, c), b in W.blocks.items() if c == j} for j in range(-N + 1, N + 1)}
+    inside = {(i, j): b for (i, j), b in W.blocks.items() if j > -N}
+    G = _block_product({(j, i): b.conj().T for (i, j), b in inside.items()}, inside)
     eye = np.eye(d)
-    worst = 0.0
-    for j, cj in columns.items():
-        for k in range(j, N + 1):
-            ck = columns[k]
-            shared = sorted(cj.keys() & ck.keys())
-            if k > j and not shared:
-                continue
-            G = sum((cj[i].conj().T @ ck[i] for i in shared), np.zeros((d, d), dtype=complex))
-            worst = max(worst, float(np.abs(G - eye if j == k else G).max()))
-    return worst
+    return max([float(np.abs(G.get((j, j), 0.0) - eye).max()) for j in range(-N + 1, N + 1)]
+               + [float(np.abs(g).max()) for (j, k), g in G.items() if j < k])
 
 
-def dilation_difference_blocks(pair: ContractionPair) -> DifferenceBlocks:
-    """The four nonzero blocks of the dilation difference.
+def dilation_difference_blocks(pair: ContractionPair) -> dict:
+    """The four nonzero blocks of the dilation difference, keyed by window position.
 
     Every other block of U_T - U_T0 vanishes identically because the
     shift parts coincide.
     """
     T, T0 = pair.T, pair.T0
-    (D, D_star), (D0, D0_star) = defects(T), defects(T0)
-    return DifferenceBlocks(
-        at_00=T - T0,
-        at_01=D_star - D0_star,
-        at_m10=D - D0,
-        at_m11=-(T - T0).conj().T,
-    )
+    (D, D_star), (D0, D0_star) = pair.defects
+    return {(0, 0): T - T0, (0, 1): D_star - D0_star,
+            (-1, 0): D - D0, (-1, 1): -(T - T0).conj().T}
 
 
 def _window_powers(W: WindowDilation) -> list:

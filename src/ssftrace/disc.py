@@ -15,7 +15,6 @@ the grid, never from the coefficients (Parseval): that is the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from .calculus import laurent_difference_trace
 from .errors import (InsufficientCoefficientsError, InvalidRadiusError,
                      RequiresStrictContractionError)
+from .kernel_integral import legendre_rule
 from .linops import ContractionPair, DELTA_MIN
 from .ssf import LaurentSeries
 
@@ -41,13 +41,6 @@ class DiscQuadratureConfig:
             raise ValueError("radius_schedule must be strictly increasing")
         if not (0.0 < rs[0] and rs[-1] < 1.0):
             raise ValueError("radius_schedule must stay inside (0, 1)")
-
-    @cached_property
-    def radial_rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss-Legendre nodes and weights on [-1, 1], built once per config."""
-        x, w = np.polynomial.legendre.leggauss(self.radial_nodes)
-        x.flags.writeable = w.flags.writeable = False
-        return x, w
 
     @property
     def max_order(self) -> int:
@@ -141,7 +134,7 @@ def _quadratures(xi, psis, radii, cfg: DiscQuadratureConfig) -> list[list[comple
     order, and xi's ring derivatives once per radius for every table."""
     order = max(table.order for table in [xi, *psis])
     cfg.check_resolves(order)
-    (x, w), dt = cfg.radial_rule, 2.0 * np.pi / cfg.angular_nodes
+    (x, w), dt = legendre_rule(cfg.radial_nodes), 2.0 * np.pi / cfg.angular_nodes
     E = _mode_matrix(order, cfg.angular_nodes)
     rows = []
     for R in radii:
@@ -178,14 +171,13 @@ def disc_tail_bound(xi, psi, R: float) -> float:
 
 
 def verify_disc_trace_formula(pair: ContractionPair, xi: LaurentSeries, psis: list[LaurentSeries],
-                              cfg: DiscQuadratureConfig | None = None) -> list[DiscPairingReport]:
+                              cfg: DiscQuadratureConfig) -> list[DiscPairingReport]:
     """Both routes of the disc trace formula on one pair, one report per table of ``psis``;
     ``xi`` is the shift function of ``pair``, its order reaching every table's."""
     order = max((psi.order for psi in psis), default=0)
     if order > xi.order:
         raise InsufficientCoefficientsError(
             f"table order {order} exceeds coefficient table order {xi.order}")
-    cfg = cfg or DiscQuadratureConfig()
     radii = cfg.radius_schedule
     per_table = zip(*_quadratures(xi, psis, radii, cfg))
     return [DiscPairingReport(

@@ -5,7 +5,8 @@ For Hermitian 0 <= A, B <= I with B bounded below by delta > 0,
     A - B = integral_0^inf exp(-tA) (A^2 - B^2) exp(-tB) dt,
 
 and the trace-norm estimate ||A - B||_1 <= ||A^2 - B^2||_1 / delta.
-Both are realized numerically and applied to defect-operator pairs.
+Both come from one eigendecomposition of each of A and B and are applied
+to defect-operator pairs.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ class IntegralReport:
     frobenius_error: float
     upper_time_limit: float
     nodes_used: int
+    trace_norm_difference: float  # ||A - B||_1
+    trace_bound: float  # ||A^2 - B^2||_1 / delta_B, at least trace_norm_difference
 
 
 def _positive_contraction_eig(M):
@@ -48,16 +51,8 @@ def _positive_contraction_eig(M):
     return H, np.clip(w, 0.0, 1.0), V
 
 
-def _margin(wb) -> float:
-    """Smallest eigenvalue delta_B of B, which must reach DELTA_FLOOR."""
-    delta_b = float(wb.min())
-    if delta_b < DELTA_FLOOR:
-        raise SingularBError(f"smallest eigenvalue of B is {delta_b}, below {DELTA_FLOOR}")
-    return delta_b
-
-
 @cache
-def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], built once per node count."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     x.flags.writeable = w.flags.writeable = False
@@ -67,7 +62,7 @@ def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def _gauss_panels(upper: float, nodes_per_unit: int):
     """Composite Gauss-Legendre nodes/weights on [0, upper], one panel per unit."""
     panels = max(int(math.ceil(upper)), 1)
-    x, w = _legendre_rule(nodes_per_unit)
+    x, w = legendre_rule(nodes_per_unit)
     width = upper / panels
     starts = width * np.arange(panels)
     nodes = (starts[:, None] + width * (x[None, :] + 1.0) / 2.0).ravel()
@@ -75,18 +70,22 @@ def _gauss_panels(upper: float, nodes_per_unit: int):
     return nodes, weights
 
 
-def semigroup_integral(A, B, tol: float = 1e-8) -> IntegralReport:
+def semigroup_integral(A, B, tol: float) -> IntegralReport:
     """Quadrature evaluation of the semigroup integral for A - B.
 
     The integral is truncated at s* chosen so the dropped tail has trace
     norm at most tol; the report's Frobenius error compares against the
-    direct difference A - B.
+    direct difference A - B.  The same eigendecompositions give the
+    trace-norm bound ||A - B||_1 <= ||A^2 - B^2||_1 / delta_B, where
+    delta_B, the smallest eigenvalue of B, must reach DELTA_FLOOR.
     """
     HA, wa, Va = _positive_contraction_eig(A)
     HB, wb, Vb = _positive_contraction_eig(B)
     if HA.shape != HB.shape:
         raise ValueError("A and B must have the same dimension")
-    delta_b = _margin(wb)
+    delta_b = float(wb.min())
+    if delta_b < DELTA_FLOOR:
+        raise SingularBError(f"smallest eigenvalue of B is {delta_b}, below {DELTA_FLOOR}")
 
     C = HA @ HA - HB @ HB
     c1 = trace_norm(C)
@@ -108,17 +107,9 @@ def semigroup_integral(A, B, tol: float = 1e-8) -> IntegralReport:
                           direct_difference=direct,
                           frobenius_error=err,
                           upper_time_limit=s_star,
-                          nodes_used=len(t))
-
-
-def difference_trace_bound(A, B):
-    """Return (||A - B||_1, ||A^2 - B^2||_1 / delta_B); the first never exceeds the second."""
-    HA, _, _ = _positive_contraction_eig(A)
-    HB, wb, _ = _positive_contraction_eig(B)
-    delta_b = _margin(wb)
-    lhs = trace_norm(HA - HB)
-    rhs = trace_norm(HA @ HA - HB @ HB) / delta_b
-    return lhs, rhs
+                          nodes_used=len(t),
+                          trace_norm_difference=trace_norm(direct),
+                          trace_bound=c1 / delta_b)
 
 
 def defect_identity_error(pair: ContractionPair, side: str) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,15 @@ class ContractionPair:
     @property
     def dim(self) -> int:
         return self.T.shape[0]
+
+    @cached_property
+    def defects(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """((D_T, D_T*), (D_T0, D_T0*)), one ``defects`` call per contraction on
+        first use; the four arrays are read-only, as every reader shares them."""
+        pairs = defects(self.T), defects(self.T0)
+        for D in (*pairs[0], *pairs[1]):
+            D.flags.writeable = False
+        return pairs
 
     def adjoint(self) -> "ContractionPair":
         """The pair (T*, T0*); valid because operator norms are adjoint-invariant."""

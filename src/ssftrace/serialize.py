@@ -5,7 +5,8 @@ row-major order.  Shift-function JSON, written by ``ssf``: {"n_max": int,
 "coeffs": [[n, re, im], ...]}.  Series JSON, read by ``disc-report --psi``:
 {"coeffs": [[k, re, im], ...]} (negative k allowed for two-sided tables),
 so a shift-function file reads as a two-sided series.  Readers raise
-ValueError on a length mismatch or a wrongly shaped value.
+ValueError on a length mismatch, a wrongly shaped value, a size or index
+that is not a JSON integer, or a repeated index.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .calculus import CoefficientSeries
 from .ssf import LaurentSeries
 
 
@@ -31,16 +31,23 @@ def matrix_to_dict(M) -> dict:
 
 @contextmanager
 def _reading(what: str):
-    """Turn the TypeError of a wrongly shaped JSON value into a named ValueError."""
+    """Turn the TypeError of a wrongly shaped or typed JSON value into a named ValueError."""
     try:
         yield
     except TypeError as exc:
         raise ValueError(f"malformed {what} JSON: {exc}") from None
 
 
+def _integer(value, field: str) -> int:
+    """``value`` if it is a JSON integer; TypeError for a float, string or bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_from_dict(d: dict) -> np.ndarray:
     with _reading("matrix"):
-        rows, cols = int(d["rows"]), int(d["cols"])
+        rows, cols = _integer(d["rows"], "rows"), _integer(d["cols"], "cols")
         flat = np.array([complex(re, im) for re, im in d["data"]])
     if len(flat) != rows * cols:
         raise ValueError(
@@ -62,12 +69,15 @@ def ssf_to_dict(s: LaurentSeries) -> dict:
     return {"n_max": s.order, "coeffs": coeffs}
 
 
-def series_from_dict(d: dict, two_sided: bool):
+def series_from_dict(d: dict) -> LaurentSeries:
+    terms = {}
     with _reading("series"):
-        terms = {int(k): complex(re, im) for k, re, im in d["coeffs"]}
-    if two_sided:
-        return LaurentSeries.from_terms(terms)
-    return CoefficientSeries.from_terms(terms)
+        for k, re, im in d["coeffs"]:
+            k = _integer(k, "coeffs index")
+            if k in terms:
+                raise ValueError(f"malformed series JSON: coeffs index {k} appears twice")
+            terms[k] = complex(re, im)
+    return LaurentSeries.from_terms(terms)
 
 
 def write_ssf_grid_csv(path, t_grid, values):

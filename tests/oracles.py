@@ -99,5 +99,4 @@ def moments_from_ssf(s: LaurentSeries) -> MomentSequence:
 
 def difference_block_trace_norm_sum(blocks) -> float:
     """Subadditive upper bound for the trace norm of the dilation difference."""
-    return (trace_norm(blocks.at_00) + trace_norm(blocks.at_01)
-            + trace_norm(blocks.at_m10) + trace_norm(blocks.at_m11))
+    return sum(trace_norm(b) for b in blocks.values())

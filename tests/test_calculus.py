@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pairs import random_pairs, scalar_pair
-from ssftrace import calculus, ssf
+from ssftrace import calculus, checks, ssf
 from ssftrace.calculus import CoefficientSeries, LaurentSeries
 from ssftrace.errors import InsufficientCoefficientsError, NonRealResultError
 
@@ -115,19 +115,19 @@ class TestCircleRhs:
         phi = CoefficientSeries.from_terms({k: 0.7 ** k / k for k in range(1, 31)})
         pair = random_pairs(1, seed=605, dims=(8,))[0]
         s = ssf.ssf_from_moments(ssf.moments(pair, 64))
-        expected = calculus.trace_rhs_circle_quadrature(s, phi)
+        expected = calculus.trace_rhs_circle_quadrature(s, phi, checks.ABEL_RADIUS)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("quadrature used the coefficient pairing")
 
         monkeypatch.setattr(calculus, "trace_rhs_circle", forbidden)
-        assert calculus.trace_rhs_circle_quadrature(s, phi) == expected
+        assert calculus.trace_rhs_circle_quadrature(s, phi, checks.ABEL_RADIUS) == expected
 
     def test_quadrature_rejects_non_real_shift(self):
         s = LaurentSeries.from_terms({-2: 0.5, 1: 0.1})  # no conjugate partners
         phi = CoefficientSeries.from_terms({1: 1.0, 2: 0.5})
         with pytest.raises(NonRealResultError):
-            calculus.trace_rhs_circle_quadrature(s, phi)
+            calculus.trace_rhs_circle_quadrature(s, phi, checks.ABEL_RADIUS)
 
     def test_additive_constant_independence(self):
         pair = random_pairs(1, seed=606, dims=(4,))[0]
@@ -143,7 +143,7 @@ class TestCircleRhs:
         with pytest.raises(InsufficientCoefficientsError):
             calculus.trace_rhs_circle(s, phi)
         with pytest.raises(InsufficientCoefficientsError):
-            calculus.trace_rhs_circle_quadrature(s, phi)
+            calculus.trace_rhs_circle_quadrature(s, phi, checks.ABEL_RADIUS)
 
 
 class TestLaurentTrace:

@@ -266,7 +266,7 @@ class TestSsfCommand:
         np.testing.assert_array_equal(got, expected)
         doc = json.loads((out / "ssf_coeffs.json").read_text())
         assert doc["n_max"] == 32
-        back = serialize.series_from_dict(doc, two_sided=True)
+        back = serialize.series_from_dict(doc)
         np.testing.assert_allclose(back.coeffs, table.coeffs, atol=1e-15)
 
     def test_fine_grid_memory(self, tmp_path):
@@ -335,12 +335,26 @@ class TestDiscReport:
     @pytest.mark.parametrize("option", [["--radii", "0.9", "0.5"], ["--radii", "1.5"],
                                         ["--psi", "no-such-table.json"],
                                         ["--psi", "coeffs-number.json"],
-                                        ["--t", "empty.json", "--t0", "empty.json"]])
+                                        ["--t", "empty.json", "--t0", "empty.json"],
+                                        ["--psi", "index-1.7.json"],
+                                        ["--psi", "index-true.json"],
+                                        ["--psi", "index-repeated.json"],
+                                        ["--t", "rows-1.9.json", "--t0", "rows-1.9.json"],
+                                        ["--t", "rows-true.json", "--t0", "rows-true.json"],
+                                        ["--t", "rows-str.json", "--t0", "rows-str.json"]])
     def test_bad_option_is_error(self, tmp_path, capsys, option, monkeypatch):
-        # the later of two repeated options wins, so the last case loads a 0x0 pair
+        # the later of two repeated options wins, so the --t cases load their own pair;
+        # the index-* and rows-* files once read as index 1 and as a 1x1 matrix
         monkeypatch.chdir(tmp_path)
         (tmp_path / "coeffs-number.json").write_text(json.dumps({"coeffs": 5}))
         serialize.save_matrix(tmp_path / "empty.json", np.zeros((0, 0)))
+        for name, index in (("1.7", 1.7), ("true", True)):
+            (tmp_path / f"index-{name}.json").write_text(json.dumps({"coeffs": [[index, 1, 0]]}))
+        (tmp_path / "index-repeated.json").write_text(
+            json.dumps({"coeffs": [[1, 1, 0], [1, 2, 0]]}))
+        for name, size in (("1.9", 1.9), ("true", True), ("str", "1")):
+            (tmp_path / f"rows-{name}.json").write_text(
+                json.dumps({"rows": size, "cols": size, "data": [[0.5, 0.0]]}))
         pair_dir = gen_pair(tmp_path, seed=31)
         assert run(["disc-report", "--t", str(pair_dir / "T.json"),
                     "--t0", str(pair_dir / "T0.json"), *option,

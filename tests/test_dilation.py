@@ -175,16 +175,17 @@ class TestDifferenceBlocks:
     def test_equal_pair(self):
         pair = scalar_pair(0.5, 0.5)
         blocks = dilation.dilation_difference_blocks(pair)
-        for blk in (blocks.at_00, blocks.at_01, blocks.at_m10, blocks.at_m11):
+        assert set(blocks) == {(0, 0), (0, 1), (-1, 0), (-1, 1)}
+        for blk in blocks.values():
             np.testing.assert_allclose(blk, 0.0, atol=1e-14)
 
     def test_scalar_values(self):
         blocks = dilation.dilation_difference_blocks(scalar_pair(0.6, 0.5))
-        assert blocks.at_00[0, 0] == pytest.approx(0.1)
-        assert blocks.at_m11[0, 0] == pytest.approx(-0.1)
+        assert blocks[(0, 0)][0, 0] == pytest.approx(0.1)
+        assert blocks[(-1, 1)][0, 0] == pytest.approx(-0.1)
         d_gap = np.sqrt(0.64) - np.sqrt(0.75)
-        assert blocks.at_m10[0, 0] == pytest.approx(d_gap)
-        assert blocks.at_01[0, 0] == pytest.approx(d_gap)
+        assert blocks[(-1, 0)][0, 0] == pytest.approx(d_gap)
+        assert blocks[(0, 1)][0, 0] == pytest.approx(d_gap)
 
     def test_only_four_nonzero_blocks(self):
         # oracle: build both windows and subtract
@@ -192,9 +193,7 @@ class TestDifferenceBlocks:
         N = 3
         WT = dilation.build_window_dilation(pair.T, N)
         W0 = dilation.build_window_dilation(pair.T0, N)
-        blocks = dilation.dilation_difference_blocks(pair)
-        expected = {(-1, 0): blocks.at_m10, (-1, 1): blocks.at_m11,
-                    (0, 0): blocks.at_00, (0, 1): blocks.at_01}
+        expected = dilation.dilation_difference_blocks(pair)
         for i in range(-N, N + 1):
             for j in range(-N, N + 1):
                 blk = WT.block(i, j) - W0.block(i, j)

@@ -269,7 +269,7 @@ class TestVerifyDiscFormula:
         psi = LaurentSeries.from_terms({-1: 0.5, 2: 1.0})
         pair = scalar_pair(0.4, 0.4)
         xi = ssf.ssf_from_moments(ssf.moments(pair, 8))
-        rep, = disc.verify_disc_trace_formula(pair, xi, [psi])
+        rep, = disc.verify_disc_trace_formula(pair, xi, [psi], checks.DISC_CONFIG)
         assert rep.lhs_trace == 0.0
         for _, quad, closed in rep.per_radius:
             assert abs(quad) <= 1e-12
@@ -279,7 +279,7 @@ class TestVerifyDiscFormula:
         psi = LaurentSeries.from_terms({1: 1.0})
         pair = scalar_pair(0.5, 0.25)
         xi = ssf.ssf_from_moments(ssf.moments(pair, 16))
-        rep, = disc.verify_disc_trace_formula(pair, xi, [psi])
+        rep, = disc.verify_disc_trace_formula(pair, xi, [psi], checks.DISC_CONFIG)
         assert rep.lhs_trace == pytest.approx(0.25, abs=1e-14)
         for R, _, closed in rep.per_radius:
             assert closed == pytest.approx(0.25 * R ** 2, abs=1e-12)
@@ -289,7 +289,8 @@ class TestVerifyDiscFormula:
         pair = scalar_pair(0.5, 0.25)
         xi = ssf.ssf_from_moments(ssf.moments(pair, 1))
         with pytest.raises(InsufficientCoefficientsError):
-            disc.verify_disc_trace_formula(pair, xi, [LaurentSeries.from_terms({2: 1.0})])
+            disc.verify_disc_trace_formula(pair, xi, [LaurentSeries.from_terms({2: 1.0})],
+                                           checks.DISC_CONFIG)
 
     def test_real_symmetric_table(self):
         terms = {1: 0.4 - 0.1j, 3: 0.2j}
@@ -297,7 +298,7 @@ class TestVerifyDiscFormula:
         psi = LaurentSeries.from_terms(terms)
         pair = random_pairs(1, seed=613, dims=(5,))[0]
         xi = ssf.ssf_from_moments(ssf.moments(pair, 48))
-        rep, = disc.verify_disc_trace_formula(pair, xi, [psi])
+        rep, = disc.verify_disc_trace_formula(pair, xi, [psi], checks.DISC_CONFIG)
         assert abs(rep.lhs_trace.imag) <= 1e-10
         for _, quad, closed in rep.per_radius:
             assert abs(quad.imag) <= 1e-10

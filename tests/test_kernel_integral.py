@@ -12,34 +12,34 @@ from ssftrace.errors import NotPositiveContractionError, SingularBError
 
 def test_scalar_closed_form():
     # integral of e^(-0.8t) 0.39 e^(-0.5t) dt = 0.39 / 1.3 = 0.3
-    r = kernel_integral.semigroup_integral(np.array([[0.8]]), np.array([[0.5]]))
+    r = kernel_integral.semigroup_integral(np.array([[0.8]]), np.array([[0.5]]), 1e-8)
     assert r.computed_difference[0, 0] == pytest.approx(0.3, abs=1e-10)
     assert r.frobenius_error < 1e-10
 
 
 def test_equal_operators():
     A = np.diag([0.7, 0.4])
-    r = kernel_integral.semigroup_integral(A, A)
+    r = kernel_integral.semigroup_integral(A, A, 1e-8)
     np.testing.assert_allclose(r.computed_difference, 0.0, atol=1e-12)
     np.testing.assert_allclose(r.direct_difference, 0.0)
 
 
 def test_commuting_diagonal():
-    r = kernel_integral.semigroup_integral(np.diag([0.9, 0.2]), np.diag([0.4, 0.1]))
+    r = kernel_integral.semigroup_integral(np.diag([0.9, 0.2]), np.diag([0.4, 0.1]), 1e-8)
     np.testing.assert_allclose(r.computed_difference, np.diag([0.5, 0.1]),
                                atol=1e-9)
 
 
 def test_rejects_non_positive():
     with pytest.raises(NotPositiveContractionError):
-        kernel_integral.semigroup_integral(np.diag([-0.2, 0.5]), np.diag([0.5, 0.5]))
+        kernel_integral.semigroup_integral(np.diag([-0.2, 0.5]), np.diag([0.5, 0.5]), 1e-8)
     with pytest.raises(NotPositiveContractionError):
-        kernel_integral.semigroup_integral(np.diag([0.5, 0.5]), np.diag([1.4, 0.5]))
+        kernel_integral.semigroup_integral(np.diag([0.5, 0.5]), np.diag([1.4, 0.5]), 1e-8)
 
 
 def test_rejects_singular_b():
     with pytest.raises(SingularBError):
-        kernel_integral.semigroup_integral(np.diag([0.5, 0.5]), np.diag([1e-6, 0.5]))
+        kernel_integral.semigroup_integral(np.diag([0.5, 0.5]), np.diag([1e-6, 0.5]), 1e-8)
 
 
 def test_random_pairs_converge():
@@ -53,7 +53,7 @@ def test_kernel_matches_per_node_products():
     # reference: the same Gauss nodes summed one node at a time,
     # w_t exp(-tA) (A^2 - B^2) exp(-tB), as before the kernel form
     A, B = random_positive_pair(dim=5, delta_b=0.3, seed=41)
-    r = kernel_integral.semigroup_integral(A, B)
+    r = kernel_integral.semigroup_integral(A, B, 1e-8)
     t, w = kernel_integral._gauss_panels(r.upper_time_limit, kernel_integral.NODES_PER_UNIT)
     assert len(t) == r.nodes_used
     A, B = (A + A.conj().T) / 2, (B + B.conj().T) / 2
@@ -81,33 +81,33 @@ def test_near_strict_pair_bounded_memory():
 
 
 def test_trace_bound_scalar():
-    lhs, rhs = kernel_integral.difference_trace_bound(np.array([[0.8]]),
-                                                      np.array([[0.5]]))
-    assert lhs == pytest.approx(0.3)
-    assert rhs == pytest.approx(0.78)
+    r = kernel_integral.semigroup_integral(np.array([[0.8]]), np.array([[0.5]]), 1e-8)
+    assert r.trace_norm_difference == pytest.approx(0.3)
+    assert r.trace_bound == pytest.approx(0.78)
 
 
 def test_trace_bound_equal():
     A = np.diag([0.6, 0.3])
-    lhs, rhs = kernel_integral.difference_trace_bound(A, A)
-    assert lhs == pytest.approx(0.0, abs=1e-14)
-    assert rhs == pytest.approx(0.0, abs=1e-14)
+    r = kernel_integral.semigroup_integral(A, A, 1e-8)
+    assert r.trace_norm_difference == pytest.approx(0.0, abs=1e-14)
+    assert r.trace_bound == pytest.approx(0.0, abs=1e-14)
 
 
 def test_trace_bound_random():
     for i in range(20):
         A, B = random_positive_pair(dim=8, delta_b=0.3, seed=2000 + i)
-        lhs, rhs = kernel_integral.difference_trace_bound(A, B)
-        assert lhs <= rhs + 1e-12
+        r = kernel_integral.semigroup_integral(A, B, 1e-8)
+        assert r.trace_norm_difference <= r.trace_bound + checks.TRACE_BOUND_SLACK
 
 
 def test_trace_bound_symmetric_swap():
     # both arguments bounded below: the roles of A and B can be interchanged
     A, B = random_positive_pair(dim=6, delta_b=0.4, seed=37)
-    l1, r1 = kernel_integral.difference_trace_bound(A, B)
-    l2, r2 = kernel_integral.difference_trace_bound(B, A)
-    assert l1 == pytest.approx(l2, abs=1e-12)
-    assert l1 <= r1 + 1e-12 and l2 <= r2 + 1e-12
+    r1 = kernel_integral.semigroup_integral(A, B, 1e-8)
+    r2 = kernel_integral.semigroup_integral(B, A, 1e-8)
+    assert r1.trace_norm_difference == pytest.approx(r2.trace_norm_difference, abs=1e-12)
+    for r in (r1, r2):
+        assert r.trace_norm_difference <= r.trace_bound + checks.TRACE_BOUND_SLACK
 
 
 class TestDefectDifference:
@@ -123,15 +123,15 @@ class TestDefectDifference:
         for side in ("left", "right"):
             bound = checked[f"lemma/trace_bound_{side}"]
             assert bound.measured == pytest.approx(0.0, abs=1e-12)
-            assert bound.threshold - 1e-12 == pytest.approx(0.0, abs=1e-12)
+            assert bound.threshold - checks.TRACE_BOUND_SLACK == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_closed_form(self):
         checked = self.by_name(checks.lemma_checks(scalar_pair(0.6, 0.5), self.TOL))
         d_gap = abs(0.8 - np.sqrt(0.75))
         bound = abs(0.64 - 0.75) / np.sqrt(0.75)
         assert checked["lemma/trace_bound_left"].measured == pytest.approx(d_gap, abs=1e-12)
-        assert checked["lemma/trace_bound_left"].threshold - 1e-12 == pytest.approx(
-            bound, abs=1e-12)
+        assert checked["lemma/trace_bound_left"].threshold - checks.TRACE_BOUND_SLACK == (
+            pytest.approx(bound, abs=1e-12))
 
     def test_random_pairs(self):
         for pair in random_pairs(10, seed=300, dims=(8,), delta=0.3):

@@ -1,12 +1,15 @@
 """Matrix kernel: certificates, defects, trace norms, random pairs."""
 
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairs import NORM_ONE_IDS, norm_one_pairs
-from ssftrace import linops
+from ssftrace import checks, dilation, linops
 from ssftrace.errors import (
     InvalidDeltaError,
     NotAContractionError,
@@ -192,3 +195,37 @@ class TestMakePair:
         T = (1.0 + 5e-11) * np.eye(2)
         pair = linops.make_pair(T, 0.5 * np.eye(2))
         assert np.linalg.norm(pair.T, 2) <= 1.0
+
+
+class TestPairDefects:
+    def test_matches_defects_and_is_read_only(self):
+        pair = linops.random_pair(4, 0.25, 0.1, seed=2)
+        assert pair.defects is pair.defects
+        for M, held in zip((pair.T, pair.T0), pair.defects):
+            for D, ref in zip(held, linops.defects(M)):
+                np.testing.assert_array_equal(D, ref)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.defects = pair.defects
+        with pytest.raises(ValueError, match="read-only"):
+            pair.defects[0][0][0, 0] = 0.0
+
+    def test_one_factorization_per_contraction(self, monkeypatch):
+        # one verify run factors T and T0 once for the lemma and the four-blocks
+        # check, and once more each to build its window from that operator alone
+        pair = linops.random_pair(32, 0.25, 0.1, seed=1)
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        defects = counted("defects", linops.defects)
+        monkeypatch.setattr(linops, "defects", defects)
+        monkeypatch.setattr(dilation, "defects", defects)
+        checks.run(pair, checks.SUITES, checks.DEFAULT_TOLERANCES, 64)
+        # 4 SVDs in defects, and the two trace norms of each lemma side
+        assert calls == {"svd": 8, "eigh": 4, "defects": 4}

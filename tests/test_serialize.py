@@ -44,31 +44,38 @@ def test_ssf_round_trip():
     doc = json.loads(json.dumps(serialize.ssf_to_dict(s)))
     assert doc["n_max"] == 12
     assert [n for n, _, _ in doc["coeffs"]] == list(range(-12, 13))
-    back = serialize.series_from_dict(doc, two_sided=True)
+    back = serialize.series_from_dict(doc)
     assert back.order == s.order
     np.testing.assert_array_equal(back.coeffs, s.coeffs)
 
 
 def test_readers_name_wrongly_shaped_values():
-    def two_sided(d):
-        return serialize.series_from_dict(d, two_sided=True)
+    def matrix(rows, cols):
+        return {"rows": rows, "cols": cols, "data": [[0.5, 0.0]]}
 
-    for read, doc in ((serialize.matrix_from_dict, [[1.0, 0.0]]),
-                      (serialize.matrix_from_dict, {"rows": 1, "cols": 1, "data": [[None, 0]]}),
-                      (two_sided, {"coeffs": 5})):
-        with pytest.raises(ValueError, match="malformed"):
+    def series(*indices):
+        return {"coeffs": [[k, 1.0, 0.0] for k in indices]}
+
+    for read, doc, message in (
+            (serialize.matrix_from_dict, [[1.0, 0.0]], "malformed matrix"),
+            (serialize.matrix_from_dict, {"rows": 1, "cols": 1, "data": [[None, 0]]},
+             "malformed matrix"),
+            (serialize.series_from_dict, {"coeffs": 5}, "malformed series"),
+            # sizes and indices are JSON integers, each index given once
+            (serialize.matrix_from_dict, matrix(1.9, 1), "rows must be an integer"),
+            (serialize.matrix_from_dict, matrix(True, 1), "rows must be an integer"),
+            (serialize.matrix_from_dict, matrix(1, "1"), "cols must be an integer"),
+            (serialize.matrix_from_dict, matrix(1, 1.0), "cols must be an integer"),
+            (serialize.series_from_dict, series(1.7), "coeffs index must be an integer"),
+            (serialize.series_from_dict, series(True), "coeffs index must be an integer"),
+            (serialize.series_from_dict, series("1"), "coeffs index must be an integer"),
+            (serialize.series_from_dict, series(1, 1), "coeffs index 1 appears twice")):
+        with pytest.raises(ValueError, match=message):
             read(doc)
 
 
 def test_series_reads_json():
-    phi = serialize.series_from_dict({"coeffs": [[0, 1.0, 0.0], [3, -0.5, 0.0]]},
-                                     two_sided=False)
-    np.testing.assert_array_equal(phi.coeffs, [1.0, 0.0, 0.0, -0.5])
-    with pytest.raises(ValueError):
-        serialize.series_from_dict({"coeffs": [[-1, 1.0, 0.0]]}, two_sided=False)
-
-    psi = serialize.series_from_dict({"coeffs": [[-2, 0.0, 0.3], [1, 1.0, 0.0]]},
-                                     two_sided=True)
+    psi = serialize.series_from_dict({"coeffs": [[-2, 0.0, 0.3], [1, 1.0, 0.0]]})
     np.testing.assert_array_equal(psi.coeffs, [0.3j, 0.0, 0.0, 1.0, 0.0])
 
 
