@@ -121,8 +121,8 @@ def dilation_checks(pair: linops.ContractionPair, tol: dict) -> list[CheckResult
 def _quadrature_budget(xi, phi, tol: dict) -> float:
     """Budget factor times (Abel tail 2*pi sum k|a_k||xi_hat(-k)|(1 - r^k) + grid term)."""
     tail = 2.0 * np.pi * sum(
-        k * abs(phi.coeffs[k]) * abs(xi.coeff(-k)) * (1.0 - ABEL_RADIUS ** k)
-        for k in range(1, phi.degree + 1))
+        k * abs(phi.coeff(k)) * abs(xi.coeff(-k)) * (1.0 - ABEL_RADIUS ** k)
+        for k in range(1, phi.order + 1))
     grid = 1e-12 * (1.0 + phi.weighted_norm)
     return tol["quad_budget_factor"] * (tail + grid)
 
@@ -132,15 +132,15 @@ def circle_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries, tol: dict
     """Circle formula per symbol: pairing vs. left side, quadrature, constant shift."""
     results = []
     for name, terms in series.items():
-        phi = calculus.CoefficientSeries.from_terms(terms)
+        phi = ssf.LaurentSeries.from_terms(terms)
         lhs = calculus.trace_lhs_circle(pair, phi)
-        rhs = calculus.trace_rhs_circle(xi, phi)
+        rhs = disc.disc_integral_closed_form(xi, phi, 1.0)  # 2*pi*i sum k a_k xi_hat(-k)
         results.append(_within(f"circle/formula_{name}", abs(lhs - rhs),
                                tol["circle_tol"] * (1.0 + phi.weighted_norm)))
         quad = calculus.trace_rhs_circle_quadrature(xi, phi, abel_radius=ABEL_RADIUS)
         results.append(_within(f"circle/quadrature_{name}", abs(quad - rhs),
                                _quadrature_budget(xi, phi, tol)))
-        shifted = calculus.trace_rhs_circle(xi.with_constant(CONSTANT_SHIFT), phi)
+        shifted = disc.disc_integral_closed_form(xi.with_constant(CONSTANT_SHIFT), phi, 1.0)
         results.append(_within(f"circle/constant_independence_{name}",
                                abs(shifted - rhs), 0.0))
     return results
@@ -149,8 +149,8 @@ def circle_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries, tol: dict
 def cross_theorem_check(pair: linops.ContractionPair, name: str, terms: dict,
                         tol: dict) -> CheckResult:
     """Disc and circle left sides agree on a table with no negative modes."""
-    gap = abs(calculus.laurent_difference_trace(pair, ssf.LaurentSeries.from_terms(terms))
-              - calculus.trace_lhs_circle(pair, calculus.CoefficientSeries.from_terms(terms)))
+    psi = ssf.LaurentSeries.from_terms(terms)
+    gap = abs(calculus.laurent_difference_trace(pair, psi) - calculus.trace_lhs_circle(pair, psi))
     return _within(f"disc/cross_theorem_{name}", gap, tol["cross_theorem_tol"])
 
 

@@ -5,8 +5,8 @@ row-major order.  Shift-function JSON, written by ``ssf``: {"n_max": int,
 "coeffs": [[n, re, im], ...]}.  Series JSON, read by ``disc-report --psi``:
 {"coeffs": [[k, re, im], ...]} (negative k allowed for two-sided tables),
 so a shift-function file reads as a two-sided series.  Readers raise
-ValueError on a length mismatch, a wrongly shaped value, a size or index
-that is not a JSON integer, or a repeated index.
+ValueError on a length mismatch, a wrongly shaped value or row, a bool or
+non-number entry, a negative size, or a repeated index.
 """
 
 from __future__ import annotations
@@ -45,10 +45,20 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _row(row, width: int, field: str) -> list:
+    """``row`` if it is a JSON list of ``width`` values whose last two, re and im, are numbers."""
+    if not isinstance(row, list) or len(row) != width or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in row[-2:]):
+        raise TypeError(f"{field} row must be {width} values, re and im numbers, got {row!r}")
+    return row
+
+
 def matrix_from_dict(d: dict) -> np.ndarray:
     with _reading("matrix"):
         rows, cols = _integer(d["rows"], "rows"), _integer(d["cols"], "cols")
-        flat = np.array([complex(re, im) for re, im in d["data"]])
+        if rows < 0 or cols < 0:
+            raise ValueError(f"malformed matrix JSON: rows {rows} and cols {cols} must be >= 0")
+        flat = np.array([complex(*_row(row, 2, "data")) for row in d["data"]])
     if len(flat) != rows * cols:
         raise ValueError(
             f"data length {len(flat)} does not match {rows}x{cols}")
@@ -72,7 +82,8 @@ def ssf_to_dict(s: LaurentSeries) -> dict:
 def series_from_dict(d: dict) -> LaurentSeries:
     terms = {}
     with _reading("series"):
-        for k, re, im in d["coeffs"]:
+        for row in d["coeffs"]:
+            k, re, im = _row(row, 3, "coeffs")
             k = _integer(k, "coeffs index")
             if k in terms:
                 raise ValueError(f"malformed series JSON: coeffs index {k} appears twice")

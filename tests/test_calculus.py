@@ -1,4 +1,7 @@
-"""Functional calculus tables and both sides of the circle trace formula."""
+"""Functional calculus tables and both sides of the circle trace formula.
+
+The circle pairing 2*pi*i sum k a_k xi_hat(-k) is the disc closed form at R = 1.
+"""
 
 import math
 
@@ -6,22 +9,26 @@ import numpy as np
 import pytest
 
 from pairs import random_pairs, scalar_pair
-from ssftrace import calculus, checks, ssf
-from ssftrace.calculus import CoefficientSeries, LaurentSeries
+from ssftrace import calculus, checks, disc, ssf
+from ssftrace.calculus import LaurentSeries
 from ssftrace.errors import InsufficientCoefficientsError, NonRealResultError
 
-EXP_SERIES = CoefficientSeries.from_terms(
+EXP_SERIES = LaurentSeries.from_terms(
     {k: 1.0 / math.factorial(k) for k in range(21)})
+
+
+def pairing(s, phi):
+    return disc.disc_integral_closed_form(s, phi, 1.0)
 
 
 class TestApplySeries:
     def test_constant(self):
-        phi = CoefficientSeries.from_terms({0: 1.0})
+        phi = LaurentSeries.from_terms({0: 1.0})
         np.testing.assert_allclose(calculus.apply_series(phi, np.zeros((3, 3))),
                                    np.eye(3))
 
     def test_identity_symbol(self):
-        phi = CoefficientSeries.from_terms({1: 1.0})
+        phi = LaurentSeries.from_terms({1: 1.0})
         T = np.array([[0.2, 0.1], [0.0, 0.3]])
         np.testing.assert_allclose(calculus.apply_series(phi, T), T)
 
@@ -30,6 +37,12 @@ class TestApplySeries:
         out = calculus.apply_series(EXP_SERIES, T)
         np.testing.assert_allclose(out, np.diag([np.exp(0.5), np.exp(-0.3)]),
                                    atol=1e-12)
+
+    def test_rejects_negative_mode(self):
+        # Horner runs over a_0..a_K only, so a nonzero negative mode would be dropped
+        phi = LaurentSeries.from_terms({-1: 0.5, 2: 1.0})
+        with pytest.raises(ValueError, match="negative mode"):
+            calculus.apply_series(phi, np.eye(2))
 
 
 class TestApplyLaurent:
@@ -52,25 +65,25 @@ class TestApplyLaurent:
 
 class TestCircleLhs:
     def test_equal_pair(self):
-        phi = CoefficientSeries.from_terms({2: 1.0, 5: 0.3})
+        phi = LaurentSeries.from_terms({2: 1.0, 5: 0.3})
         assert calculus.trace_lhs_circle(scalar_pair(0.4, 0.4), phi) == 0.0
 
     def test_linear_symbol_is_first_moment(self):
         pair = random_pairs(1, seed=600, dims=(5,))[0]
-        phi = CoefficientSeries.from_terms({1: 1.0})
+        phi = LaurentSeries.from_terms({1: 1.0})
         m = ssf.moments(pair, 1)
         assert calculus.trace_lhs_circle(pair, phi) == pytest.approx(
             m.moments[0], abs=1e-13)
 
     def test_scalar_square(self):
-        phi = CoefficientSeries.from_terms({2: 1.0})
+        phi = LaurentSeries.from_terms({2: 1.0})
         assert calculus.trace_lhs_circle(scalar_pair(0.5, 0.25), phi) \
             == pytest.approx(0.1875)
 
     def test_telescoping_trace_norm_bound(self):
         for pair in random_pairs(6, seed=601):
-            for phi in (EXP_SERIES, CoefficientSeries.from_terms({3: 1.0, 7: -2.0})):
-                lhs, rhs = calculus.series_difference_bound(pair, phi)
+            for phi in (EXP_SERIES, LaurentSeries.from_terms({3: 1.0, 7: -2.0})):
+                lhs, rhs = calculus.laurent_difference_bound(pair, phi)
                 assert lhs <= rhs + 1e-10
 
 
@@ -78,41 +91,37 @@ class TestCircleRhs:
     def test_constant_symbol(self):
         pair = random_pairs(1, seed=602, dims=(4,))[0]
         s = ssf.ssf_from_moments(ssf.moments(pair, 8))
-        phi = CoefficientSeries.from_terms({0: 3.0})
-        assert calculus.trace_rhs_circle(s, phi) == 0.0
+        phi = LaurentSeries.from_terms({0: 3.0})
+        assert pairing(s, phi) == 0.0
 
     def test_linear_symbol(self):
         pair = random_pairs(1, seed=603, dims=(4,))[0]
         m = ssf.moments(pair, 8)
         s = ssf.ssf_from_moments(m)
-        phi = CoefficientSeries.from_terms({1: 1.0})
-        assert calculus.trace_rhs_circle(s, phi) == pytest.approx(m.moments[0],
+        phi = LaurentSeries.from_terms({1: 1.0})
+        assert pairing(s, phi) == pytest.approx(m.moments[0],
                                                                   abs=1e-14)
 
     def test_formula_two_routes(self):
-        phi = CoefficientSeries.from_terms({k: 0.7 ** k / k for k in range(1, 31)})
+        phi = LaurentSeries.from_terms({k: 0.7 ** k / k for k in range(1, 31)})
         for pair in random_pairs(5, seed=604, dims=(8,)):
             s = ssf.ssf_from_moments(ssf.moments(pair, 64))
             lhs = calculus.trace_lhs_circle(pair, phi)
-            rhs = calculus.trace_rhs_circle(s, phi)
+            rhs = pairing(s, phi)
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + phi.weighted_norm)
 
     def test_quadrature_cross_check(self):
-        phi = CoefficientSeries.from_terms({k: 0.7 ** k / k for k in range(1, 31)})
+        phi = LaurentSeries.from_terms({k: 0.7 ** k / k for k in range(1, 31)})
         pair = random_pairs(1, seed=605, dims=(8,))[0]
         s = ssf.ssf_from_moments(ssf.moments(pair, 64))
-        r = 0.999
-        rhs = calculus.trace_rhs_circle(s, phi)
-        quad = calculus.trace_rhs_circle_quadrature(s, phi, abel_radius=r)
-        tail = 2.0 * np.pi * sum(
-            k * abs(phi.coeffs[k]) * abs(s.coeff(-k)) * (1.0 - r ** k)
-            for k in range(1, phi.degree + 1))
-        assert abs(quad - rhs) <= 10.0 * (tail + 1e-12)
+        rhs = pairing(s, phi)
+        quad = calculus.trace_rhs_circle_quadrature(s, phi, abel_radius=checks.ABEL_RADIUS)
+        assert abs(quad - rhs) <= checks._quadrature_budget(s, phi, checks.DEFAULT_TOLERANCES)
 
     def test_quadrature_independent_of_pairing(self, monkeypatch):
         # the quadrature is the route that checks the coefficient pairing,
         # so it must not reach for it
-        phi = CoefficientSeries.from_terms({k: 0.7 ** k / k for k in range(1, 31)})
+        phi = LaurentSeries.from_terms({k: 0.7 ** k / k for k in range(1, 31)})
         pair = random_pairs(1, seed=605, dims=(8,))[0]
         s = ssf.ssf_from_moments(ssf.moments(pair, 64))
         expected = calculus.trace_rhs_circle_quadrature(s, phi, checks.ABEL_RADIUS)
@@ -120,30 +129,37 @@ class TestCircleRhs:
         def forbidden(*args, **kwargs):
             raise AssertionError("quadrature used the coefficient pairing")
 
-        monkeypatch.setattr(calculus, "trace_rhs_circle", forbidden)
+        monkeypatch.setattr(disc, "disc_integral_closed_form", forbidden)
+        monkeypatch.setattr(disc, "_paired_modes", forbidden)
         assert calculus.trace_rhs_circle_quadrature(s, phi, checks.ABEL_RADIUS) == expected
 
     def test_quadrature_rejects_non_real_shift(self):
         s = LaurentSeries.from_terms({-2: 0.5, 1: 0.1})  # no conjugate partners
-        phi = CoefficientSeries.from_terms({1: 1.0, 2: 0.5})
+        phi = LaurentSeries.from_terms({1: 1.0, 2: 0.5})
         with pytest.raises(NonRealResultError):
             calculus.trace_rhs_circle_quadrature(s, phi, checks.ABEL_RADIUS)
 
     def test_additive_constant_independence(self):
         pair = random_pairs(1, seed=606, dims=(4,))[0]
         s = ssf.ssf_from_moments(ssf.moments(pair, 16))
-        phi = CoefficientSeries.from_terms({2: 1.0, 4: -0.5})
-        assert calculus.trace_rhs_circle(s.with_constant(9.0), phi) \
-            == calculus.trace_rhs_circle(s, phi)
+        phi = LaurentSeries.from_terms({2: 1.0, 4: -0.5})
+        assert pairing(s.with_constant(9.0), phi) \
+            == pairing(s, phi)
 
     def test_insufficient_coefficients(self):
         pair = random_pairs(1, seed=607, dims=(4,))[0]
         s = ssf.ssf_from_moments(ssf.moments(pair, 4))
-        phi = CoefficientSeries.from_terms({6: 1.0})
-        with pytest.raises(InsufficientCoefficientsError):
-            calculus.trace_rhs_circle(s, phi)
+        phi = LaurentSeries.from_terms({6: 1.0})
         with pytest.raises(InsufficientCoefficientsError):
             calculus.trace_rhs_circle_quadrature(s, phi, checks.ABEL_RADIUS)
+
+    def test_circle_suite_rejects_short_shift(self):
+        # the closed form pairs only the modes xi holds; the quadrature in the
+        # same loop keeps the suite's order guard
+        pair = random_pairs(1, seed=607, dims=(4,))[0]
+        xi = ssf.ssf_from_moments(ssf.moments(pair, checks.CIRCLE_MIN_N_MAX - 1))
+        with pytest.raises(InsufficientCoefficientsError):
+            checks.circle_checks(pair, xi, checks.DEFAULT_TOLERANCES)
 
 
 class TestLaurentTrace:

@@ -341,7 +341,11 @@ class TestDiscReport:
                                         ["--psi", "index-repeated.json"],
                                         ["--t", "rows-1.9.json", "--t0", "rows-1.9.json"],
                                         ["--t", "rows-true.json", "--t0", "rows-true.json"],
-                                        ["--t", "rows-str.json", "--t0", "rows-str.json"]])
+                                        ["--t", "rows-str.json", "--t0", "rows-str.json"],
+                                        ["--t", "entry-true.json", "--t0", "entry-true.json"],
+                                        ["--t", "rows-neg.json", "--t0", "rows-neg.json"],
+                                        ["--psi", "coeff-true.json"],
+                                        ["--psi", "row-short.json"]])
     def test_bad_option_is_error(self, tmp_path, capsys, option, monkeypatch):
         # the later of two repeated options wins, so the --t cases load their own pair;
         # the index-* and rows-* files once read as index 1 and as a 1x1 matrix
@@ -352,13 +356,35 @@ class TestDiscReport:
             (tmp_path / f"index-{name}.json").write_text(json.dumps({"coeffs": [[index, 1, 0]]}))
         (tmp_path / "index-repeated.json").write_text(
             json.dumps({"coeffs": [[1, 1, 0], [1, 2, 0]]}))
-        for name, size in (("1.9", 1.9), ("true", True), ("str", "1")):
+        for name, size in (("1.9", 1.9), ("true", True), ("str", "1"), ("neg", -1)):
             (tmp_path / f"rows-{name}.json").write_text(
                 json.dumps({"rows": size, "cols": size, "data": [[0.5, 0.0]]}))
+        (tmp_path / "entry-true.json").write_text(
+            json.dumps({"rows": 1, "cols": 1, "data": [[True, False]]}))
+        (tmp_path / "coeff-true.json").write_text(json.dumps({"coeffs": [[1, True, 0]]}))
+        (tmp_path / "row-short.json").write_text(json.dumps({"coeffs": [[1, 1.0]]}))
         pair_dir = gen_pair(tmp_path, seed=31)
         assert run(["disc-report", "--t", str(pair_dir / "T.json"),
                     "--t0", str(pair_dir / "T0.json"), *option,
                     "--out", str(tmp_path / "d")]) == 1
         err = capsys.readouterr().err
         assert "Error: " in err and err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("option", [["--n-max", "-3"], ["--n-max", "200000"],
+                                        ["--psi", "order-200000.json"]])
+    def test_bounds_checked_before_moments(self, tmp_path, capsys, option, monkeypatch):
+        # ssf.moments walks T^n up to the order, seconds of work at order 200000,
+        # so a bound the grid cannot resolve is refused before it runs
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "order-200000.json").write_text(json.dumps({"coeffs": [[200000, 1, 0]]}))
+        pair_dir = gen_pair(tmp_path, seed=31)
+        calls = []
+        monkeypatch.setattr(ssf, "moments", lambda *args: calls.append(args))
+        assert run(["disc-report", "--t", str(pair_dir / "T.json"),
+                    "--t0", str(pair_dir / "T0.json"), *option,
+                    "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: ") and err.count("\n") == 1
+        assert not calls
         assert not (tmp_path / "d").exists()

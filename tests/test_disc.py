@@ -307,9 +307,9 @@ class TestVerifyDiscFormula:
     def test_one_sided_matches_circle_formula(self):
         terms = {1: 0.6, 2: -0.3, 4: 0.1j}
         pair = random_pairs(1, seed=614, dims=(6,))[0]
-        lhs_disc = calculus.laurent_difference_trace(pair, LaurentSeries.from_terms(terms))
-        lhs_circle = calculus.trace_lhs_circle(pair,
-                                               calculus.CoefficientSeries.from_terms(terms))
+        psi = LaurentSeries.from_terms(terms)
+        lhs_disc = calculus.laurent_difference_trace(pair, psi)
+        lhs_circle = calculus.trace_lhs_circle(pair, psi)
         assert abs(lhs_disc - lhs_circle) <= 1e-10
 
 

@@ -23,14 +23,12 @@ NOT_YET_CHECKED = {
     # adjoint relation chi_hat(n) = -xi_hat(-n)
     "ssf.adjoint_ssf_check",
     "linops.ContractionPair.adjoint",
-    # trace-class Lipschitz bounds, the estimate that makes xi exist
-    "calculus.series_difference_bound",
+    # trace-class Lipschitz bound, the estimate that makes xi exist
     "calculus.laurent_difference_bound",
     # a moment route for the disc left side
     "calculus.laurent_trace_from_moments",
     # Fatou rate of the harmonic extension, for strict-strict pairs
     "disc.fatou_check",
-    "ssf.LaurentSeries.weighted_norm",
 }
 
 

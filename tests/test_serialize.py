@@ -74,6 +74,23 @@ def test_readers_name_wrongly_shaped_values():
             read(doc)
 
 
+@pytest.mark.parametrize("read, doc, message", [
+    # a bool is not a number, although Python's complex() takes it as one
+    (serialize.matrix_from_dict, {"rows": 1, "cols": 1, "data": [[True, False]]},
+     "data row must be 2 values, re and im numbers"),
+    (serialize.series_from_dict, {"coeffs": [[1, True, 0]]},
+     "coeffs row must be 3 values, re and im numbers"),
+    (serialize.matrix_from_dict, {"rows": -1, "cols": -1, "data": [[0.5, 0.0]]},
+     "rows -1 and cols -1 must be >= 0"),
+    (serialize.series_from_dict, {"coeffs": [[1, 1.0]]},
+     "coeffs row must be 3 values"),
+], ids=["matrix-bool-entry", "series-bool-coefficient", "matrix-negative-size",
+        "series-short-row"])
+def test_readers_reject_nonsense_entries(read, doc, message):
+    with pytest.raises(ValueError, match=message):
+        read(doc)
+
+
 def test_series_reads_json():
     psi = serialize.series_from_dict({"coeffs": [[-2, 0.0, 0.3], [1, 1.0, 0.0]]})
     np.testing.assert_array_equal(psi.coeffs, [0.3j, 0.0, 0.0, 1.0, 0.0])
