@@ -136,13 +136,11 @@ def cmd_disc_report(args) -> int:
     if args.n_max < 0:
         raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
     pair = _load_pair(args.t, args.t0)
-    if args.psi:
-        psi = serialize.series_from_dict(json.loads(Path(args.psi).read_text()))
-    else:
-        psi = ssf.LaurentSeries.from_terms(checks.DISC_TABLES["real_sym"])
     cfg = (disc.DiscQuadratureConfig(radius_schedule=tuple(args.radii)) if args.radii
            else checks.DISC_CONFIG)
-    cfg.check_resolves(max(args.n_max, psi.order))
+    cfg.check_resolves(args.n_max)
+    psi = (serialize.series_from_dict(json.loads(Path(args.psi).read_text()), cfg.max_order)
+           if args.psi else ssf.LaurentSeries.from_terms(checks.DISC_TABLES["real_sym"]))
     xi = ssf.ssf_from_moments(ssf.moments(pair, max(args.n_max, psi.order)))
     report, = disc.verify_disc_trace_formula(pair, xi, [psi], cfg)
     out = Path(args.out)

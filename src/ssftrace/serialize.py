@@ -3,10 +3,10 @@
 Matrix JSON: {"rows": int, "cols": int, "data": [[re, im], ...]} in
 row-major order.  Shift-function JSON, written by ``ssf``: {"n_max": int,
 "coeffs": [[n, re, im], ...]}.  Series JSON, read by ``disc-report --psi``:
-{"coeffs": [[k, re, im], ...]} (negative k allowed for two-sided tables),
-so a shift-function file reads as a two-sided series.  Readers raise
-ValueError on a length mismatch, a wrongly shaped value or row, a bool or
-non-number entry, a negative size, or a repeated index.
+{"coeffs": [[k, re, im], ...]}, k of either sign, so a shift-function file
+reads as a two-sided series.  Readers raise ValueError on a length mismatch,
+a wrongly shaped value or row, a bool or non-number entry, a negative size,
+a repeated index, or a series index beyond ``max_order`` (before allocating).
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def ssf_to_dict(s: LaurentSeries) -> dict:
     return {"n_max": s.order, "coeffs": coeffs}
 
 
-def series_from_dict(d: dict) -> LaurentSeries:
+def series_from_dict(d: dict, max_order: int) -> LaurentSeries:
     terms = {}
     with _reading("series"):
         for row in d["coeffs"]:
@@ -87,6 +87,8 @@ def series_from_dict(d: dict) -> LaurentSeries:
             k = _integer(k, "coeffs index")
             if k in terms:
                 raise ValueError(f"malformed series JSON: coeffs index {k} appears twice")
+            if abs(k) > max_order:
+                raise ValueError(f"series JSON: coeffs index {k} is beyond order {max_order}")
             terms[k] = complex(re, im)
     return LaurentSeries.from_terms(terms)
 

@@ -111,12 +111,23 @@ class TestCircleRhs:
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + phi.weighted_norm)
 
     def test_quadrature_cross_check(self):
-        phi = LaurentSeries.from_terms({k: 0.7 ** k / k for k in range(1, 31)})
+        terms = {k: 0.7 ** k / k for k in range(1, 31)}
+        phi = LaurentSeries.from_terms(terms)
         pair = random_pairs(1, seed=605, dims=(8,))[0]
         s = ssf.ssf_from_moments(ssf.moments(pair, 64))
         rhs = pairing(s, phi)
-        quad = calculus.trace_rhs_circle_quadrature(s, phi, abel_radius=checks.ABEL_RADIUS)
-        assert abs(quad - rhs) <= checks._quadrature_budget(s, phi, checks.DEFAULT_TOLERANCES)
+        r = 0.999
+        quad = calculus.trace_rhs_circle_quadrature(s, phi, abel_radius=r)
+        # the Abel tail 2*pi sum k|a_k||xi_hat(-k)|(1 - r^k), restated from the terms
+        tail = 2.0 * np.pi * sum(
+            k * abs(a) * abs(s.coeff(-k)) * (1.0 - r ** k) for k, a in terms.items())
+        assert abs(quad - rhs) <= 10.0 * (tail + 1e-12)
+        # the suite's budget is the same tail, with the grid term 1e-12 (1 + sum k|a_k|)
+        weighted = sum(k * abs(a) for k, a in terms.items())
+        budget = checks._quadrature_budget(s, phi, checks.DEFAULT_TOLERANCES)
+        assert checks.ABEL_RADIUS == r
+        assert budget == pytest.approx(10.0 * (tail + 1e-12 * (1.0 + weighted)), rel=1e-12)
+        assert abs(quad - rhs) <= budget
 
     def test_quadrature_independent_of_pairing(self, monkeypatch):
         # the quadrature is the route that checks the coefficient pairing,

@@ -266,7 +266,7 @@ class TestSsfCommand:
         np.testing.assert_array_equal(got, expected)
         doc = json.loads((out / "ssf_coeffs.json").read_text())
         assert doc["n_max"] == 32
-        back = serialize.series_from_dict(doc)
+        back = serialize.series_from_dict(doc, checks.DISC_MAX_N_MAX)
         np.testing.assert_allclose(back.coeffs, table.coeffs, atol=1e-15)
 
     def test_fine_grid_memory(self, tmp_path):
@@ -372,12 +372,15 @@ class TestDiscReport:
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("option", [["--n-max", "-3"], ["--n-max", "200000"],
-                                        ["--psi", "order-200000.json"]])
+                                        ["--psi", "order-200000.json"],
+                                        ["--psi", "order-1e12.json"]])
     def test_bounds_checked_before_moments(self, tmp_path, capsys, option, monkeypatch):
         # ssf.moments walks T^n up to the order, seconds of work at order 200000,
         # so a bound the grid cannot resolve is refused before it runs
         monkeypatch.chdir(tmp_path)
         (tmp_path / "order-200000.json").write_text(json.dumps({"coeffs": [[200000, 1, 0]]}))
+        # a dense table of this order would take 32 TB
+        (tmp_path / "order-1e12.json").write_text(json.dumps({"coeffs": [[10 ** 12, 1, 0]]}))
         pair_dir = gen_pair(tmp_path, seed=31)
         calls = []
         monkeypatch.setattr(ssf, "moments", lambda *args: calls.append(args))

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from pairs import random_pairs
-from ssftrace import serialize, ssf
+from ssftrace import checks, serialize, ssf
+
+
+def read_series(doc):
+    return serialize.series_from_dict(doc, checks.DISC_MAX_N_MAX)
 
 
 def test_matrix_round_trip(tmp_path):
@@ -44,7 +48,7 @@ def test_ssf_round_trip():
     doc = json.loads(json.dumps(serialize.ssf_to_dict(s)))
     assert doc["n_max"] == 12
     assert [n for n, _, _ in doc["coeffs"]] == list(range(-12, 13))
-    back = serialize.series_from_dict(doc)
+    back = read_series(doc)
     assert back.order == s.order
     np.testing.assert_array_equal(back.coeffs, s.coeffs)
 
@@ -60,16 +64,19 @@ def test_readers_name_wrongly_shaped_values():
             (serialize.matrix_from_dict, [[1.0, 0.0]], "malformed matrix"),
             (serialize.matrix_from_dict, {"rows": 1, "cols": 1, "data": [[None, 0]]},
              "malformed matrix"),
-            (serialize.series_from_dict, {"coeffs": 5}, "malformed series"),
+            (read_series, {"coeffs": 5}, "malformed series"),
             # sizes and indices are JSON integers, each index given once
             (serialize.matrix_from_dict, matrix(1.9, 1), "rows must be an integer"),
             (serialize.matrix_from_dict, matrix(True, 1), "rows must be an integer"),
             (serialize.matrix_from_dict, matrix(1, "1"), "cols must be an integer"),
             (serialize.matrix_from_dict, matrix(1, 1.0), "cols must be an integer"),
-            (serialize.series_from_dict, series(1.7), "coeffs index must be an integer"),
-            (serialize.series_from_dict, series(True), "coeffs index must be an integer"),
-            (serialize.series_from_dict, series("1"), "coeffs index must be an integer"),
-            (serialize.series_from_dict, series(1, 1), "coeffs index 1 appears twice")):
+            (read_series, series(1.7), "coeffs index must be an integer"),
+            (read_series, series(True), "coeffs index must be an integer"),
+            (read_series, series("1"), "coeffs index must be an integer"),
+            (read_series, series(1, 1), "coeffs index 1 appears twice"),
+            # an index beyond the caller's order is refused before the table is allocated
+            (read_series, series(-128), "coeffs index -128 is beyond order 127"),
+            (read_series, series(10 ** 12), f"coeffs index {10 ** 12} is beyond order 127")):
         with pytest.raises(ValueError, match=message):
             read(doc)
 
@@ -78,11 +85,11 @@ def test_readers_name_wrongly_shaped_values():
     # a bool is not a number, although Python's complex() takes it as one
     (serialize.matrix_from_dict, {"rows": 1, "cols": 1, "data": [[True, False]]},
      "data row must be 2 values, re and im numbers"),
-    (serialize.series_from_dict, {"coeffs": [[1, True, 0]]},
+    (read_series, {"coeffs": [[1, True, 0]]},
      "coeffs row must be 3 values, re and im numbers"),
     (serialize.matrix_from_dict, {"rows": -1, "cols": -1, "data": [[0.5, 0.0]]},
      "rows -1 and cols -1 must be >= 0"),
-    (serialize.series_from_dict, {"coeffs": [[1, 1.0]]},
+    (read_series, {"coeffs": [[1, 1.0]]},
      "coeffs row must be 3 values"),
 ], ids=["matrix-bool-entry", "series-bool-coefficient", "matrix-negative-size",
         "series-short-row"])
@@ -92,7 +99,7 @@ def test_readers_reject_nonsense_entries(read, doc, message):
 
 
 def test_series_reads_json():
-    psi = serialize.series_from_dict({"coeffs": [[-2, 0.0, 0.3], [1, 1.0, 0.0]]})
+    psi = read_series({"coeffs": [[-2, 0.0, 0.3], [1, 1.0, 0.0]]})
     np.testing.assert_array_equal(psi.coeffs, [0.3j, 0.0, 0.0, 1.0, 0.0])
 
 
