@@ -83,15 +83,3 @@ def laurent_difference_bound(pair: ContractionPair, psi: LaurentSeries):
     """(||psi~(T,T*) - psi~(T0,T0*)||_1, weighted_norm * ||T - T0||_1)."""
     lhs = trace_norm(apply_laurent(psi, pair.T) - apply_laurent(psi, pair.T0))
     return lhs, psi.weighted_norm * trace_norm(pair.T - pair.T0)
-
-
-def laurent_trace_from_moments(m, psi: LaurentSeries) -> complex:
-    """sum psi_hat(-n) conj(m_n) + psi_hat(n) m_n; adjoint moments by conjugation."""
-    if psi.order > m.n_max:
-        raise InsufficientCoefficientsError(
-            f"table order {psi.order} exceeds moment range {m.n_max}")
-    total = 0.0 + 0.0j
-    for n in range(1, psi.order + 1):
-        mn = m.moments[n - 1]
-        total += psi.coeff(-n) * np.conj(mn) + psi.coeff(n) * mn
-    return complex(total)

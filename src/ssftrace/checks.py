@@ -77,9 +77,10 @@ def lemma_checks(pair: linops.ContractionPair, tol: dict) -> list[CheckResult]:
     """Defect-difference identity, trace-norm bound and semigroup integral, per side."""
     identity, bound, semigroup = [], [], []
     defects_T, defects_T0 = pair.defects
-    for side, A, B in zip(("left", "right"), defects_T, defects_T0):
+    operators = ((pair.T, pair.T0), (pair.T.conj().T, pair.T0.conj().T))
+    for side, A, B, (T, T0) in zip(("left", "right"), defects_T, defects_T0, operators):
         identity.append(_within(f"lemma/identity_{side}",
-                                kernel_integral.defect_identity_error(pair, side),
+                                kernel_integral.defect_identity_error(A, B, T, T0),
                                 tol["identity_tol"]))
         r = kernel_integral.semigroup_integral(A, B, tol["semigroup_tol"])
         bound.append(_within(f"lemma/trace_bound_{side}", r.trace_norm_difference,

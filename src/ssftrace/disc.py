@@ -20,10 +20,9 @@ from typing import ClassVar
 import numpy as np
 
 from .calculus import laurent_difference_trace
-from .errors import (InsufficientCoefficientsError, InvalidRadiusError,
-                     RequiresStrictContractionError)
+from .errors import InsufficientCoefficientsError, InvalidRadiusError
 from .kernel_integral import legendre_rule
-from .linops import ContractionPair, DELTA_MIN
+from .linops import ContractionPair
 from .ssf import LaurentSeries
 
 
@@ -62,42 +61,6 @@ class DiscPairingReport:
 
     def final_gap(self) -> float:
         return abs(self.per_radius[-1][2] - self.lhs_trace)
-
-
-@dataclass(frozen=True)
-class FatouReport:
-    radii: tuple[float, ...]
-    sup_differences: tuple[float, ...]
-    fitted_constants: tuple[float, ...]
-    coefficient_bound: float  # sum |n c_n|, the Lipschitz constant in (1 - r)
-
-
-def fatou_check(s: LaurentSeries, r_schedule, t_grid,
-                strictness_margin: float) -> FatouReport:
-    """Radial convergence of the extension toward the boundary series.
-
-    Requires a strict-strict pair (caller passes the smaller of the two
-    strictness margins): only then do the coefficients decay
-    geometrically and the boundary series define a continuous function.
-    """
-    if strictness_margin < DELTA_MIN:
-        raise RequiresStrictContractionError(
-            f"strictness margin {strictness_margin} below {DELTA_MIN}; no "
-            "continuous boundary representative is guaranteed")
-    t = np.asarray(t_grid, dtype=float)
-    n = np.arange(-s.order, s.order + 1)
-    modes = np.exp(1j * np.outer(t, n))
-    boundary = modes @ s.coeffs
-    sups, cs = [], []
-    for r in r_schedule:
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"radii must lie in (0, 1), got {r}")
-        sup = float(np.abs(modes @ (s.coeffs * r ** np.abs(n)) - boundary).max())
-        sups.append(sup)
-        cs.append(sup / (1.0 - r))
-    return FatouReport(radii=tuple(float(r) for r in r_schedule),
-                       sup_differences=tuple(sups), fitted_constants=tuple(cs),
-                       coefficient_bound=s.weighted_norm)
 
 
 def _mode_matrix(order: int, M: int) -> np.ndarray:

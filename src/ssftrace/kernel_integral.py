@@ -18,7 +18,7 @@ from functools import cache
 import numpy as np
 
 from .errors import NotPositiveContractionError, SingularBError
-from .linops import ContractionPair, as_operator, trace_norm
+from .linops import as_operator, trace_norm
 
 DELTA_FLOOR = 1e-4
 NODES_PER_UNIT = 32
@@ -112,12 +112,8 @@ def semigroup_integral(A, B, tol: float) -> IntegralReport:
                           trace_bound=c1 / delta_b)
 
 
-def defect_identity_error(pair: ContractionPair, side: str) -> float:
-    """Frobenius residual of D_T^2 - D_T0^2 = (T0 - T)* T0 + T* (T0 - T) for
-    side='left'; 'right' is the same identity for the adjoint pair (T*, T0*)."""
-    T, T0 = (pair.T, pair.T0) if side == "left" else (pair.T.conj().T, pair.T0.conj().T)
-    Ts, T0s = T.conj().T, T0.conj().T
+def defect_identity_error(A, B, T, T0) -> float:
+    """Frobenius residual of A^2 - B^2 = (T0 - T)* T0 + T* (T0 - T): the defect identity
+    for (A, B) = (D_T, D_T0), and for (D_T*, D_T0*) with T, T0 replaced by T*, T0*."""
     E = T0 - T
-    eye = np.eye(len(T))
-    lhs = (eye - Ts @ T) - (eye - T0s @ T0)
-    return float(np.linalg.norm(lhs - (E.conj().T @ T0 + Ts @ E), "fro"))
+    return float(np.linalg.norm(A @ A - B @ B - (E.conj().T @ T0 + T.conj().T @ E), "fro"))

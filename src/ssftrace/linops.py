@@ -56,10 +56,6 @@ class ContractionPair:
             D.flags.writeable = False
         return pairs
 
-    def adjoint(self) -> "ContractionPair":
-        """The pair (T*, T0*); valid because operator norms are adjoint-invariant."""
-        return make_pair(self.T.conj().T, self.T0.conj().T)
-
 
 def as_operator(M) -> np.ndarray:
     """Coerce to a nonempty square complex matrix with finite entries."""

@@ -5,14 +5,15 @@ row-major order.  Shift-function JSON, written by ``ssf``: {"n_max": int,
 "coeffs": [[n, re, im], ...]}.  Series JSON, read by ``disc-report --psi``:
 {"coeffs": [[k, re, im], ...]}, k of either sign, so a shift-function file
 reads as a two-sided series.  Readers raise ValueError on a length mismatch,
-a wrongly shaped value or row, a bool or non-number entry, a negative size,
-a repeated index, or a series index beyond ``max_order`` (before allocating).
+a wrongly shaped value or row, a bool, non-number or non-finite entry, a negative
+size, a repeated index, or a series index beyond ``max_order`` (before allocating).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -46,10 +47,13 @@ def _integer(value, field: str) -> int:
 
 
 def _row(row, width: int, field: str) -> list:
-    """``row`` if it is a JSON list of ``width`` values whose last two, re and im, are numbers."""
+    """``row`` if it is a JSON list of ``width`` values whose last two, re and im, are
+    finite numbers; ValueError for a NaN or an infinity, which Python's json reads."""
     if not isinstance(row, list) or len(row) != width or any(
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in row[-2:]):
         raise TypeError(f"{field} row must be {width} values, re and im numbers, got {row!r}")
+    if not all(math.isfinite(v) for v in row[-2:]):
+        raise ValueError(f"{field} row must hold a finite re and im, got {row!r}")
     return row
 
 

@@ -22,12 +22,6 @@ REAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class MomentSequence:
-    n_max: int
-    moments: np.ndarray  # m_1 .. m_n_max
-
-
-@dataclass(frozen=True)
 class LaurentSeries:
     """Two-sided Fourier table c_(-K)..c_K of a circle function, stored centered."""
 
@@ -66,7 +60,7 @@ class LaurentSeries:
         return LaurentSeries(coeffs=coeffs)
 
 
-def moments(pair: ContractionPair, n_max: int) -> MomentSequence:
+def moments(pair: ContractionPair, n_max: int) -> np.ndarray:
     """Moment traces m_n = Tr(T^n) - Tr(T0^n), n = 1..n_max, with compensated sums."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -83,15 +77,15 @@ def moments(pair: ContractionPair, n_max: int) -> MomentSequence:
             math.fsum(np.concatenate([dT.real, -d0.real])),
             math.fsum(np.concatenate([dT.imag, -d0.imag])),
         )
-    return MomentSequence(n_max=n_max, moments=vals)
+    return vals
 
 
-def ssf_from_moments(m: MomentSequence) -> LaurentSeries:
-    """Coefficient table with xi_hat(-n) = m_n / (2*pi*i*n) and conjugate symmetry."""
-    n_max = m.n_max
+def ssf_from_moments(m: np.ndarray) -> LaurentSeries:
+    """Table of the moments m_1..m_n_max: xi_hat(-n) = m_n / (2*pi*i*n), conjugate symmetric."""
+    n_max = len(m)
     coeffs = np.zeros(2 * n_max + 1, dtype=complex)
     for n in range(1, n_max + 1):
-        c = m.moments[n - 1] / (2j * np.pi * n)
+        c = m[n - 1] / (2j * np.pi * n)
         coeffs[n_max - n] = c
         coeffs[n_max + n] = np.conj(c)
     return LaurentSeries(coeffs=coeffs)
@@ -121,23 +115,3 @@ def evaluate_ssf_uniform(s: LaurentSeries, M: int, abel_radius: float) -> np.nda
             f"imaginary residual {resid} exceeds {REAL_TOL}; coefficient "
             "table has lost conjugate symmetry")
     return vals.real
-
-
-@dataclass(frozen=True)
-class AdjointShiftReport:
-    n_max: int
-    max_deviation: float
-    xi: LaurentSeries
-    chi: LaurentSeries
-
-
-def adjoint_ssf_check(pair: ContractionPair, n_max: int) -> AdjointShiftReport:
-    """Shift function chi of the adjoint pair against chi_hat(n) = -xi_hat(-n)."""
-    xi = ssf_from_moments(moments(pair, n_max))
-    chi = ssf_from_moments(moments(pair.adjoint(), n_max))
-    dev = 0.0
-    for n in range(-n_max, n_max + 1):
-        if n == 0:
-            continue
-        dev = max(dev, abs(chi.coeff(n) + xi.coeff(-n)))
-    return AdjointShiftReport(n_max=n_max, max_deviation=dev, xi=xi, chi=chi)

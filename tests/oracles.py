@@ -14,7 +14,7 @@ from numpy.polynomial import polynomial as npoly
 from ssftrace import disc, ssf
 from ssftrace.errors import SsftraceError
 from ssftrace.linops import trace_norm
-from ssftrace.ssf import LaurentSeries, MomentSequence
+from ssftrace.ssf import LaurentSeries
 
 BOUNDARY_GUARD = 1e-6
 
@@ -91,10 +91,9 @@ def evaluate_ssf_grid(s: LaurentSeries, t_grid, abel_radius: float) -> np.ndarra
     return vals.real
 
 
-def moments_from_ssf(s: LaurentSeries) -> MomentSequence:
-    """Inverse of ssf_from_moments: m_n = 2*pi*i*n*xi_hat(-n)."""
-    vals = np.array([2j * np.pi * n * s.coeff(-n) for n in range(1, s.order + 1)])
-    return MomentSequence(n_max=s.order, moments=vals)
+def moments_from_ssf(s: LaurentSeries) -> np.ndarray:
+    """Inverse of ssf_from_moments: m_n = 2*pi*i*n*xi_hat(-n), n = 1..order."""
+    return np.array([2j * np.pi * n * s.coeff(-n) for n in range(1, s.order + 1)])
 
 
 def difference_block_trace_norm_sum(blocks) -> float:

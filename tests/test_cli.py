@@ -345,7 +345,9 @@ class TestDiscReport:
                                         ["--t", "entry-true.json", "--t0", "entry-true.json"],
                                         ["--t", "rows-neg.json", "--t0", "rows-neg.json"],
                                         ["--psi", "coeff-true.json"],
-                                        ["--psi", "row-short.json"]])
+                                        ["--psi", "row-short.json"],
+                                        ["--psi", "coeff-nan.json"],
+                                        ["--psi", "coeff-inf.json"]])
     def test_bad_option_is_error(self, tmp_path, capsys, option, monkeypatch):
         # the later of two repeated options wins, so the --t cases load their own pair;
         # the index-* and rows-* files once read as index 1 and as a 1x1 matrix
@@ -363,6 +365,9 @@ class TestDiscReport:
             json.dumps({"rows": 1, "cols": 1, "data": [[True, False]]}))
         (tmp_path / "coeff-true.json").write_text(json.dumps({"coeffs": [[1, True, 0]]}))
         (tmp_path / "row-short.json").write_text(json.dumps({"coeffs": [[1, 1.0]]}))
+        # Python's json writes and reads NaN and Infinity
+        for name, value in (("nan", float("nan")), ("inf", float("inf"))):
+            (tmp_path / f"coeff-{name}.json").write_text(json.dumps({"coeffs": [[1, value, 0]]}))
         pair_dir = gen_pair(tmp_path, seed=31)
         assert run(["disc-report", "--t", str(pair_dir / "T.json"),
                     "--t0", str(pair_dir / "T0.json"), *option,

@@ -11,11 +11,7 @@ from oracles import (OutsideOpenDiscError, _wirtinger, disc_quadrature, evaluate
 from pairs import random_pairs, random_strict_pair, scalar_pair
 from ssftrace import calculus, checks, disc, linops, ssf
 from ssftrace.calculus import LaurentSeries
-from ssftrace.errors import (
-    InsufficientCoefficientsError,
-    InvalidRadiusError,
-    RequiresStrictContractionError,
-)
+from ssftrace.errors import InsufficientCoefficientsError, InvalidRadiusError
 
 
 def random_table(order, seed):
@@ -92,40 +88,6 @@ class TestKernelExpansion:
     def test_rejects_large_radius(self):
         with pytest.raises(ValueError):
             kernel_expansion_check(0.97, [0.0], 10)
-
-
-class TestFatou:
-    T_GRID = 2.0 * np.pi * np.arange(512) / 512
-
-    def test_zero_table(self):
-        s = ssf.LaurentSeries(coeffs=np.zeros(7, dtype=complex))
-        rep = disc.fatou_check(s, [0.9, 0.99], self.T_GRID, strictness_margin=0.5)
-        assert rep.sup_differences == (0.0, 0.0)
-
-    def test_single_mode_exact(self):
-        c = 0.25j
-        coeffs = np.array([np.conj(c), 0.0, c])
-        s = ssf.LaurentSeries(coeffs=coeffs)
-        rep = disc.fatou_check(s, [0.9, 0.99, 0.999], self.T_GRID,
-                               strictness_margin=0.5)
-        for r, sup in zip(rep.radii, rep.sup_differences):
-            assert sup == pytest.approx(2.0 * abs(c) * (1.0 - r), rel=1e-10)
-
-    def test_scalar_pair_decay(self):
-        s = ssf.ssf_from_moments(ssf.moments(scalar_pair(0.8, 0.4), 64))
-        rep = disc.fatou_check(s, [0.9, 0.99, 0.999], self.T_GRID,
-                               strictness_margin=0.2)
-        assert all(a > b for a, b in zip(rep.sup_differences,
-                                         rep.sup_differences[1:]))
-        for r, sup in zip(rep.radii, rep.sup_differences):
-            assert sup <= rep.coefficient_bound * (1.0 - r) + 1e-14
-        boundary = np.abs(evaluate_ssf_grid(s, self.T_GRID, 0.9999999999))
-        assert rep.sup_differences[-1] <= 1e-2 * boundary.max()
-
-    def test_refuses_non_strict(self):
-        s = ssf.ssf_from_moments(ssf.moments(scalar_pair(0.8, 0.4), 8))
-        with pytest.raises(RequiresStrictContractionError):
-            disc.fatou_check(s, [0.9], self.T_GRID, strictness_margin=0.0)
 
 
 class TestRingWirtinger:

@@ -20,15 +20,8 @@ SRC = Path(ssftrace.__file__).parent
 # becomes a report row once the benchmark reference, which pins the row
 # names of report.csv, is recorded again
 NOT_YET_CHECKED = {
-    # adjoint relation chi_hat(n) = -xi_hat(-n)
-    "ssf.adjoint_ssf_check",
-    "linops.ContractionPair.adjoint",
     # trace-class Lipschitz bound, the estimate that makes xi exist
     "calculus.laurent_difference_bound",
-    # a moment route for the disc left side
-    "calculus.laurent_trace_from_moments",
-    # Fatou rate of the harmonic extension, for strict-strict pairs
-    "disc.fatou_check",
 }
 
 

@@ -91,8 +91,13 @@ def test_readers_name_wrongly_shaped_values():
      "rows -1 and cols -1 must be >= 0"),
     (read_series, {"coeffs": [[1, 1.0]]},
      "coeffs row must be 3 values"),
+    # Python's json reads NaN and Infinity
+    (read_series, {"coeffs": [[1, float("nan"), 0]]}, "coeffs row must hold a finite re and im"),
+    (read_series, {"coeffs": [[1, 0, float("inf")]]}, "coeffs row must hold a finite re and im"),
+    (serialize.matrix_from_dict, {"rows": 1, "cols": 1, "data": [[float("-inf"), 0]]},
+     "data row must hold a finite re and im"),
 ], ids=["matrix-bool-entry", "series-bool-coefficient", "matrix-negative-size",
-        "series-short-row"])
+        "series-short-row", "series-nan", "series-infinity", "matrix-infinity"])
 def test_readers_reject_nonsense_entries(read, doc, message):
     with pytest.raises(ValueError, match=message):
         read(doc)
