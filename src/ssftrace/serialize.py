@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -48,11 +48,12 @@ def _integer(value, field: str) -> int:
 
 def _row(row, width: int, field: str) -> list:
     """``row`` if it is a JSON list of ``width`` values whose last two, re and im, are
-    finite numbers; ValueError for a NaN or an infinity, which Python's json reads."""
+    numbers a float holds; ValueError for NaN, Infinity (Python's json reads both) or
+    an integer beyond the float range."""
     if not isinstance(row, list) or len(row) != width or any(
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in row[-2:]):
         raise TypeError(f"{field} row must be {width} values, re and im numbers, got {row!r}")
-    if not all(math.isfinite(v) for v in row[-2:]):
+    if not all(abs(v) <= sys.float_info.max for v in row[-2:]):
         raise ValueError(f"{field} row must hold a finite re and im, got {row!r}")
     return row
 

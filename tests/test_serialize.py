@@ -96,8 +96,11 @@ def test_readers_name_wrongly_shaped_values():
     (read_series, {"coeffs": [[1, 0, float("inf")]]}, "coeffs row must hold a finite re and im"),
     (serialize.matrix_from_dict, {"rows": 1, "cols": 1, "data": [[float("-inf"), 0]]},
      "data row must hold a finite re and im"),
+    # an integer beyond the float range, which complex() cannot take
+    (read_series, {"coeffs": [[1, 10 ** 400, 0]]}, "coeffs row must hold a finite re and im"),
 ], ids=["matrix-bool-entry", "series-bool-coefficient", "matrix-negative-size",
-        "series-short-row", "series-nan", "series-infinity", "matrix-infinity"])
+        "series-short-row", "series-nan", "series-infinity", "matrix-infinity",
+        "series-huge-integer"])
 def test_readers_reject_nonsense_entries(read, doc, message):
     with pytest.raises(ValueError, match=message):
         read(doc)
