@@ -179,7 +179,7 @@ def config(tol: dict, n_max: int) -> dict:
         "window_n": WINDOW_N,
         "abel_radius": ABEL_RADIUS,
         "quadrature_points": calculus.QUADRATURE_POINTS,
-        "disc_grid": {"radial_nodes": DISC_CONFIG.radial_nodes,
+        "disc_grid": {"radial_nodes": disc.radial_nodes(DISC_MAX_ORDER),
                       "angular_nodes": DISC_CONFIG.angular_nodes,
                       "radius_schedule": list(DISC_CONFIG.radius_schedule)},
     }

@@ -194,12 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; a bad input or option ends it with exit 1 and a
-    one-line message on stderr (``verify`` records load errors in its report)."""
+    one-line message on stderr (``verify`` records load errors in its report), as
+    does a size too large to allocate."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    except (*INPUT_ERRORS, MemoryError) as exc:
+        # numpy raises a private subclass of MemoryError; name the public class
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"{name}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -10,6 +10,10 @@ the two-sided functional-calculus difference.
 The quadrature takes xi's ring derivatives once per radius for every table,
 by one product with a roots-of-unity mode matrix, and sums the Jacobian on
 the grid, never from the coefficients (Parseval): that is the closed form.
+The angular rule sums each ring exactly, and against tables of order <= K
+only xi's modes |n| <= K survive the sum, each as r^(2|n| - 2); so r times a
+ring sum is a polynomial of degree 2K - 1 in r, which K Gauss-Legendre nodes
+integrate exactly (Davis & Rabinowitz, Methods of Numerical Integration, 2.7).
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from .ssf import LaurentSeries
 
 @dataclass(frozen=True)
 class DiscQuadratureConfig:
-    """Polar grid and radius schedule for the disc integrals; the grid is fixed."""
+    """Angular rule and radius schedule for the disc integrals.  The angular rule is
+    fixed; the radial rule is sized to the tables, ``radial_nodes(order)``."""
 
-    radial_nodes: ClassVar[int] = 64
     angular_nodes: ClassVar[int] = 1024
     radius_schedule: tuple[float, ...] = (0.5, 0.8, 0.9, 0.99, 1.0 - 1e-3)
 
@@ -63,6 +67,12 @@ class DiscPairingReport:
         return abs(self.per_radius[-1][2] - self.lhs_trace)
 
 
+def radial_nodes(order: int) -> int:
+    """Gauss-Legendre nodes per radius against tables of order <= K = ``order``: K
+    nodes are exact to degree 2K - 1, the degree of r times a ring sum; at least one."""
+    return max(1, order)
+
+
 def _mode_matrix(order: int, M: int) -> np.ndarray:
     """E[m, j] = w^(m j mod M) for m < order, j < M, gathered from the M-th roots of unity w."""
     return np.exp(2j * np.pi * np.arange(M) / M)[np.outer(np.arange(order), np.arange(M)) % M]
@@ -93,11 +103,13 @@ def _ring_sums(xz, xzb, psi, r, E) -> np.ndarray:
 
 def _quadratures(xi, psis, radii, cfg: DiscQuadratureConfig) -> list[list[complex]]:
     """Jacobian quadrature of xi against each of ``psis``, a row per radius: Gauss-Legendre
-    radially, trapezoid angularly, -2i for dz ^ dzbar.  E is built once, at the largest
-    order, and xi's ring derivatives once per radius for every table."""
+    radially, sized to the largest table, trapezoid angularly, -2i for dz ^ dzbar.  E is
+    built once, at the largest order, and xi's ring derivatives once per radius for every
+    table."""
     order = max(table.order for table in [xi, *psis])
     cfg.check_resolves(order)
-    (x, w), dt = legendre_rule(cfg.radial_nodes), 2.0 * np.pi / cfg.angular_nodes
+    x, w = legendre_rule(radial_nodes(max(psi.order for psi in psis)))
+    dt = 2.0 * np.pi / cfg.angular_nodes
     E = _mode_matrix(order, cfg.angular_nodes)
     rows = []
     for R in radii:

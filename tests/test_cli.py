@@ -101,7 +101,7 @@ class TestVerify:
             "window_n": 8,
             "abel_radius": 0.999,
             "quadrature_points": 4096,
-            "disc_grid": {"radial_nodes": 64, "angular_nodes": 1024,
+            "disc_grid": {"radial_nodes": 3, "angular_nodes": 1024,
                           "radius_schedule": [0.5, 0.8, 0.9, 0.99, 0.999]},
         }
 
@@ -396,3 +396,20 @@ class TestDiscReport:
         assert err.startswith("ValueError: ") and err.count("\n") == 1
         assert not calls
         assert not (tmp_path / "d").exists()
+
+
+# 10^16 entries are petabytes, more than any overcommit setting grants
+TOO_LARGE = str(10 ** 16)
+
+
+@pytest.mark.parametrize("option", [["ssf", "--grid", TOO_LARGE], ["ssf", "--n-max", TOO_LARGE],
+                                    ["verify", "--suite", "circle", "--n-max", TOO_LARGE]])
+def test_allocation_too_large_is_error(tmp_path, capsys, option):
+    pair_dir = gen_pair(tmp_path, seed=41)
+    command, *rest = option
+    assert run([command, "--t", str(pair_dir / "T.json"), "--t0", str(pair_dir / "T0.json"),
+                *rest, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("MemoryError: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

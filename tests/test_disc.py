@@ -12,12 +12,13 @@ from pairs import random_pairs, random_strict_pair, scalar_pair
 from ssftrace import calculus, checks, disc, linops, ssf
 from ssftrace.calculus import LaurentSeries
 from ssftrace.errors import InsufficientCoefficientsError, InvalidRadiusError
+from ssftrace.kernel_integral import legendre_rule
 
 
-def random_table(order, seed):
+def random_table(order, seed, decay=0.5):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(2 * order + 1) + 1j * rng.standard_normal(2 * order + 1)
-    return LaurentSeries(coeffs=c * 0.5 ** np.abs(np.arange(-order, order + 1)))
+    return LaurentSeries(coeffs=c * decay ** np.abs(np.arange(-order, order + 1)))
 
 
 class TestPoissonExtend:
@@ -312,11 +313,12 @@ class TestSharedQuadrature:
         assert calls == {t.coeffs.tobytes(): radii for t in [xi, *tables]}
 
     def test_suite_memory_at_d32(self):
-        # xi's two grids, one table's two, the mode matrix and small change:
-        # below seven (radial x angular) complex grids
+        # the complex mode matrix at xi's order, its integer index array while it
+        # is gathered, and below seven (radial x angular) complex grids: xi's two,
+        # one table's two and small change
         pair = linops.random_pair(32, 0.25, 0.1, seed=1)
         xi = ssf.ssf_from_moments(ssf.moments(pair, 64))
-        cfg = checks.DISC_CONFIG
+        M = checks.DISC_CONFIG.angular_nodes
         tracemalloc.start()
         try:
             results = checks.disc_checks(pair, xi, checks.DEFAULT_TOLERANCES)
@@ -324,4 +326,47 @@ class TestSharedQuadrature:
         finally:
             tracemalloc.stop()
         assert all(c.passed for c in results)
-        assert peak < 7 * cfg.radial_nodes * cfg.angular_nodes * 16
+        grids = 7 * disc.radial_nodes(checks.DISC_MAX_ORDER) * M * 16
+        assert peak < xi.order * M * (16 + 8) + grids
+
+
+def quadrature_misses(xi, psi, radii):
+    """Largest miss of the quadrature against the closed form over ``radii``,
+    relative to 1 + |closed|."""
+    quads = disc._quadratures(xi, [psi], radii, checks.DISC_CONFIG)
+    closed = [disc.disc_integral_closed_form(xi, psi, R) for R in radii]
+    return max(abs(q - c) / (1.0 + abs(c)) for (q,), c in zip(quads, closed))
+
+
+class TestRadialRule:
+    """r times a ring sum against tables of order <= K is a polynomial of degree
+    2K - 1 in r, so K Gauss-Legendre nodes are exact and K - 1 are not.  The
+    tables decay slowly, so their top modes carry weight at every radius."""
+
+    RADII = checks.DISC_CONFIG.radius_schedule
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 12, 100])
+    def test_exact_at_table_order(self, order):
+        xi = random_table(max(64, order), seed=30, decay=0.9)
+        psi = random_table(order, seed=31 + order, decay=0.9)
+        assert disc.radial_nodes(order) == order
+        assert quadrature_misses(xi, psi, self.RADII) <= 1e-13
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_one_node_fewer_misses(self, order, monkeypatch):
+        # measured: 0.24 at order 2 and 0.037 at order 3
+        xi = random_table(64, seed=30, decay=0.9)
+        psi = random_table(order, seed=31 + order, decay=0.9)
+        monkeypatch.setattr(disc, "legendre_rule", lambda n: legendre_rule(n - 1))
+        assert quadrature_misses(xi, psi, self.RADII) > 1e-3
+
+    def test_suite_tables_match_64_nodes(self, monkeypatch):
+        pair = linops.random_pair(8, 0.25, 0.1, seed=1)
+        xi = ssf.ssf_from_moments(ssf.moments(pair, 64))
+        psis = [ssf.LaurentSeries.from_terms(t) for t in checks.DISC_TABLES.values()]
+        sized = disc._quadratures(xi, psis, self.RADII, checks.DISC_CONFIG)
+        monkeypatch.setattr(disc, "legendre_rule", lambda n: legendre_rule(64))
+        wide = disc._quadratures(xi, psis, self.RADII, checks.DISC_CONFIG)
+        for row, wide_row in zip(sized, wide):
+            for q, q64 in zip(row, wide_row):
+                assert abs(q - q64) <= 1e-14 * (1.0 + abs(q))

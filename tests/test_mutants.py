@@ -7,12 +7,16 @@ are built after patching, because ``pair.defects`` is cached on the pair.
 """
 
 import numpy as np
+import pytest
 
-from ssftrace import checks, linops, ssf
+from ssftrace import checks, disc, linops, ssf
 
 TOL = checks.DEFAULT_TOLERANCES
 N_MAX = 64
 exact_moments = ssf.moments
+exact_ring_sums = disc._ring_sums
+exact_ring_wirtinger = disc._ring_wirtinger
+QUAD_ROWS = {f"disc/quad_vs_closed_{name}" for name in checks.DISC_TABLES}
 
 
 def defects_one_minus_s(M):
@@ -25,6 +29,17 @@ def defects_one_minus_s(M):
 def moments_shifted(pair, n_max):
     """ssf.moments one power off: Tr(T^(n+1) - T0^(n+1)) in place of m_n."""
     return exact_moments(pair, n_max + 1)[1:]
+
+
+def ring_sums_negated(xz, xzb, psi, r, E):
+    """disc._ring_sums with the Jacobian's sign flipped."""
+    return -exact_ring_sums(xz, xzb, psi, r, E)
+
+
+def ring_wirtinger_extra_power(table, r, E):
+    """disc._ring_wirtinger with both derivatives one power of r too high."""
+    dz, dzbar = exact_ring_wirtinger(table, r, E)
+    return r[:, None] * dz, r[:, None] * dzbar
 
 
 def failed_rows(suites):
@@ -47,3 +62,11 @@ def test_shifted_moments_fail_circle_and_disc(monkeypatch):
     failed = failed_rows(("circle", "disc"))
     assert any(name.startswith("circle/formula_") for name in failed)
     assert any(name.startswith("disc/limit_gap_") for name in failed)
+
+
+@pytest.mark.parametrize("name, mutant", [("_ring_sums", ring_sums_negated),
+                                          ("_ring_wirtinger", ring_wirtinger_extra_power)])
+def test_wrong_jacobian_fails_disc_quadrature(monkeypatch, name, mutant):
+    assert not failed_rows(("disc",))
+    monkeypatch.setattr(disc, name, mutant)
+    assert QUAD_ROWS <= failed_rows(("disc",))
