@@ -91,11 +91,11 @@ def lemma_checks(pair: linops.ContractionPair, tol: dict) -> list[CheckResult]:
 
 
 def _four_blocks_residual(pair, WT, W0) -> float:
-    """Worst block of WT - W0 against its closed form, or against zero off the four
-    slots, over every block either window holds (a block not held is zero in both)."""
+    """Worst block of WT - W0 against its closed form, or against zero off the four slots,
+    over every block either window holds and every shift only one holds (else I - I or 0)."""
     expected = dilation.dilation_difference_blocks(pair)
     worst = 0.0
-    for i, j in WT.blocks.keys() | W0.blocks.keys() | expected.keys():
+    for i, j in WT.blocks.keys() | W0.blocks.keys() | (WT.shifts ^ W0.shifts) | expected.keys():
         blk = WT.block(i, j) - W0.block(i, j)
         ref = expected.get((i, j))
         res = np.linalg.norm(blk - ref if ref is not None else blk, "fro")

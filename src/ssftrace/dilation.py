@@ -6,11 +6,11 @@ other row k holds the identity in column k+1 (a shift).  Truncating to
 the window [-N, N] keeps the band structure, so central compressions of
 powers up to N and window traces of power differences are exact.
 
-A window is held as its blocks: the 2N+2 blocks above, built from one
-SVD of T, and zero everywhere else.  No window-sized array is formed.
-The power walk and the column Gram read the blocks a window holds, not
-the pattern above, and products C_ik = sum_j A_ij B_jk run over those
-blocks only.
+A window is held as four blocks, built from one SVD of T, the 2N-2 positions
+of its shifts, and zero everywhere else.  No window-sized array and no identity
+is formed: a product with a shift is a relabelling.  The power walk and the
+column Gram read the blocks and shifts a window holds, not the pattern above,
+and products C_ik = sum_j A_ij B_jk run over those only.
 """
 
 from __future__ import annotations
@@ -22,23 +22,35 @@ import numpy as np
 
 from .linops import ContractionPair, as_operator, defects
 
+_I = object()  # an identity block: a product with it is the other factor
+
 
 @dataclass(frozen=True)
 class WindowDilation:
-    """Window [-N, N] of a dilation: ``blocks`` maps (i, j) to a d x d
-    block, and every block it does not hold is zero."""
+    """Window [-N, N] of a dilation: ``blocks`` maps (i, j) to a d x d block,
+    ``shifts`` holds the positions of identity blocks, and every other block is zero."""
 
     window_radius_n: int
     block_dim_d: int
     blocks: dict
+    shifts: frozenset
 
     def block(self, i: int, j: int) -> np.ndarray:
-        """Block at window position (i, j); indices run in [-N, N]."""
+        """Block at window position (i, j), a fresh identity at a shift; indices run in [-N, N]."""
         N, d = self.window_radius_n, self.block_dim_d
         if not (-N <= i <= N and -N <= j <= N):
             raise IndexError(f"block index ({i}, {j}) outside window [-{N}, {N}]")
-        held = self.blocks.get((i, j))
-        return np.zeros((d, d), dtype=complex) if held is None else held
+        held = _held(self).get((i, j))
+        return np.zeros((d, d), dtype=complex) if held is None else _dense(held, d)
+
+
+def _held(W: WindowDilation) -> dict:
+    """What W holds: its shifts as ``_I``, in window order, then its blocks."""
+    return {**dict.fromkeys(sorted(W.shifts), _I), **W.blocks}
+
+
+def _dense(block, d: int):
+    return np.eye(d, dtype=complex) if block is _I else block
 
 
 def _read_only(block: np.ndarray) -> np.ndarray:
@@ -50,30 +62,28 @@ def _read_only(block: np.ndarray) -> np.ndarray:
 def build_window_dilation(T, N: int) -> WindowDilation:
     """Assemble the truncated dilation of a contraction on window [-N, N].
 
-    The blocks are read-only views, so an edit cannot reach T or the
-    identity that every shift block shares.
+    The blocks are read-only views, so an edit cannot reach T.
     """
     T = as_operator(T)
     D, D_star = defects(T)
     if N < 1:
         raise ValueError(f"window radius must be >= 1, got {N}")
-    eye = np.eye(len(T), dtype=complex)
-    blocks = {(k, k + 1): eye for k in range(-N, N) if k not in (-1, 0)}
-    blocks.update({(-1, 0): D, (-1, 1): -T.conj().T, (0, 0): T, (0, 1): D_star})
+    blocks = {(-1, 0): D, (-1, 1): -T.conj().T, (0, 0): T, (0, 1): D_star}
     return WindowDilation(window_radius_n=N, block_dim_d=len(T),
-                          blocks={ij: _read_only(b) for ij, b in blocks.items()})
+                          blocks={ij: _read_only(b) for ij, b in blocks.items()},
+                          shifts=frozenset((k, k + 1) for k in range(-N, N) if k not in (-1, 0)))
 
 
-def _block_product(A: dict, B: dict) -> dict:
-    """C_ik = sum_j A_ij B_jk over the blocks A and B hold."""
+def _block_product(A: dict, B: dict, d: int) -> dict:
+    """C_ik = sum_j A_ij B_jk over the blocks A and B hold, a factor ``_I`` a relabelling."""
     rows = defaultdict(list)
     for (j, k), b in B.items():
         rows[j].append((k, b))
     C = {}
     for (i, j), a in A.items():
         for k, b in rows[j]:
-            prod = a @ b
-            C[(i, k)] = C[(i, k)] + prod if (i, k) in C else prod
+            prod = b if a is _I else a if b is _I else a @ b
+            C[(i, k)] = _dense(C[(i, k)], d) + _dense(prod, d) if (i, k) in C else prod
     return C
 
 
@@ -83,16 +93,18 @@ def interior_column_orthonormality(W: WindowDilation) -> float:
     Only block column -N maps outside the window (its identity sits at
     row -N-1); every other column is complete and must be orthonormal.
     The Gram blocks G_jk = sum_i W_ij* W_ik of those columns are one block
-    product; G_jj is compared with the identity and G_jk, j < k, with zero
-    (G is Hermitian).  A Gram block the product does not hold is zero, so
-    a column that holds no block deviates by 1.
+    product, a shift's adjoint a shift; G_jj is compared with the identity
+    and G_jk, j < k, with zero (G is Hermitian).  A Gram block the product
+    does not hold is zero, so a column that holds no block deviates by 1.
     """
     N, d = W.window_radius_n, W.block_dim_d
-    inside = {(i, j): b for (i, j), b in W.blocks.items() if j > -N}
-    G = _block_product({(j, i): b.conj().T for (i, j), b in inside.items()}, inside)
+    inside = {(i, j): b for (i, j), b in _held(W).items() if j > -N}
+    G = _block_product({(j, i): b if b is _I else b.conj().T for (i, j), b in inside.items()},
+                       inside, d)
     eye = np.eye(d)
-    return max([float(np.abs(G.get((j, j), 0.0) - eye).max()) for j in range(-N + 1, N + 1)]
-               + [float(np.abs(g).max()) for (j, k), g in G.items() if j < k])
+    return max([0.0 if g is _I else float(np.abs(g - eye).max())
+                for g in (G.get((j, j), 0.0) for j in range(-N + 1, N + 1))]
+               + [1.0 if g is _I else float(np.abs(g).max()) for (j, k), g in G.items() if j < k])
 
 
 def dilation_difference_blocks(pair: ContractionPair) -> dict:
@@ -108,20 +120,21 @@ def dilation_difference_blocks(pair: ContractionPair) -> dict:
 
 
 def _window_powers(W: WindowDilation) -> list:
-    """([W^n]_00, Tr W^n) for n = 1..N, W^n kept as its blocks.
+    """([W^n]_00, Tr W^n) for n = 1..N, W^n kept as its blocks and identities.
 
-    Each power is one block product with W's blocks; the trace sums the
-    traces of the diagonal blocks in window order.
+    Each power is one block product with W's blocks and shifts; the trace
+    sums the traces of the diagonal blocks in window order, d for an identity.
     """
-    N = W.window_radius_n
-    U = P = W.blocks
-    zero = np.zeros((W.block_dim_d, W.block_dim_d), dtype=complex)
+    N, d = W.window_radius_n, W.block_dim_d
+    U = P = _held(W)
+    zero = np.zeros((d, d), dtype=complex)
     powers = []
     for n in range(1, N + 1):
         if n > 1:
-            P = _block_product(P, U)
-        powers.append((P.get((0, 0), zero),
-                       sum((np.trace(P[(i, i)]) for i in range(-N, N + 1) if (i, i) in P), 0j)))
+            P = _block_product(P, U, d)
+        diagonal = (P[(i, i)] for i in range(-N, N + 1) if (i, i) in P)
+        powers.append((_dense(P.get((0, 0), zero), d),
+                       sum((d if b is _I else np.trace(b) for b in diagonal), 0j)))
     return powers
 
 
@@ -129,8 +142,8 @@ def power_walk(pair: ContractionPair, WT: WindowDilation, W0: WindowDilation) ->
     """Powers n = 1..N of T, T0 and their windows WT, W0 of radius N.
 
     Entry n is (n, ||[WT^n]_00 - T^n||_F, Tr(T^n - T0^n), Tr(WT^n - W0^n)).
-    The window powers are block products over the windows' blocks, one
-    window after the other, so only two powers of one window are live at
+    The window powers are block products over the windows' blocks and shifts,
+    one window after the other, so only two powers of one window are live at
     a time.  T^n and T0^n come from T and T0 alone, never from the
     windows.
     """

@@ -75,7 +75,8 @@ def radial_nodes(order: int) -> int:
 
 def _mode_matrix(order: int, M: int) -> np.ndarray:
     """E[m, j] = w^(m j mod M) for m < order, j < M, gathered from the M-th roots of unity w."""
-    return np.exp(2j * np.pi * np.arange(M) / M)[np.outer(np.arange(order), np.arange(M)) % M]
+    idx = np.multiply.outer(np.arange(order), np.arange(M))
+    return np.exp(2j * np.pi * np.arange(M) / M).take(np.remainder(idx, M, out=idx))
 
 
 def _ring_wirtinger(table: LaurentSeries, r: np.ndarray, E: np.ndarray):
@@ -96,9 +97,8 @@ def _ring_wirtinger(table: LaurentSeries, r: np.ndarray, E: np.ndarray):
 def _ring_sums(xz, xzb, psi, r, E) -> np.ndarray:
     """Per-ring sums of J = xz * dpsi/dzbar - dpsi/dz * xzb; psi's grids are freed on return."""
     pz, pzb = _ring_wirtinger(psi, r, E)
-    # optimize=True lets numpy take the row dot products as one batched matmul
-    return (np.einsum("kj,kj->k", xz, pzb, optimize=True)
-            - np.einsum("kj,kj->k", pz, xzb, optimize=True))
+    # the row dot products as one batched matmul each
+    return (xz[:, None, :] @ pzb[:, :, None] - pz[:, None, :] @ xzb[:, :, None])[:, 0, 0]
 
 
 def _quadratures(xi, psis, radii, cfg: DiscQuadratureConfig) -> list[list[complex]]:

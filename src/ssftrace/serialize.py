@@ -12,6 +12,7 @@ size, a repeated index, or a series index beyond ``max_order`` (before allocatin
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import sys
 from contextlib import contextmanager
@@ -58,12 +59,27 @@ def _row(row, width: int, field: str) -> list:
     return row
 
 
+def _data(data) -> np.ndarray:
+    """The [re, im] rows as complex values, checked as arrays; ``_row`` names a refused row."""
+    try:
+        if (type(data) is list and set(map(type, data)) <= {list} and set(map(len, data)) <= {2}
+                and set(map(type, itertools.chain.from_iterable(data))) <= {int, float}):
+            values = np.array(data, dtype=float)
+            if np.isfinite(values).all():
+                return values.reshape(-1, 2).view(complex).ravel()
+    except OverflowError:  # an integer beyond the float range
+        pass
+    for row in data:
+        _row(row, 2, "data")
+    raise TypeError(f"data must be a list of rows, got {data!r}")
+
+
 def matrix_from_dict(d: dict) -> np.ndarray:
     with _reading("matrix"):
         rows, cols = _integer(d["rows"], "rows"), _integer(d["cols"], "cols")
         if rows < 0 or cols < 0:
             raise ValueError(f"malformed matrix JSON: rows {rows} and cols {cols} must be >= 0")
-        flat = np.array([complex(*_row(row, 2, "data")) for row in d["data"]])
+        flat = _data(d["data"])
     if len(flat) != rows * cols:
         raise ValueError(
             f"data length {len(flat)} does not match {rows}x{cols}")

@@ -64,20 +64,16 @@ def moments(pair: ContractionPair, n_max: int) -> np.ndarray:
     """Moment traces m_n = Tr(T^n) - Tr(T0^n), n = 1..n_max, with compensated sums."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    T, T0 = pair.T, pair.T0
-    PT = np.eye(pair.dim, dtype=complex)
-    P0 = np.eye(pair.dim, dtype=complex)
-    vals = np.empty(n_max, dtype=complex)
-    for n in range(1, n_max + 1):
-        PT = PT @ T
-        P0 = P0 @ T0
-        dT = np.diagonal(PT)
-        d0 = np.diagonal(P0)
-        vals[n - 1] = complex(
-            math.fsum(np.concatenate([dT.real, -d0.real])),
-            math.fsum(np.concatenate([dT.imag, -d0.imag])),
-        )
-    return vals
+    T, T0 = PT, P0 = pair.T, pair.T0
+    diagonals = np.empty((n_max, 2, pair.dim), dtype=complex)  # Tr(T^n) and Tr(T0^n) terms
+    for n in range(n_max):
+        if n:
+            PT, P0 = PT @ T, P0 @ T0
+        diagonals[n] = PT.diagonal(), P0.diagonal()
+    np.negative(diagonals[:, 1], out=diagonals[:, 1])
+    terms = diagonals.reshape(n_max, -1)
+    return np.array([complex(math.fsum(re), math.fsum(im))
+                     for re, im in zip(terms.real.tolist(), terms.imag.tolist())])
 
 
 def ssf_from_moments(m: np.ndarray) -> LaurentSeries:

@@ -75,18 +75,21 @@ def test_walk_matches_matrix_power():
             np.trace(P) - np.trace(np.linalg.matrix_power(dense_0, n)), abs=1e-14)
 
 
-@pytest.mark.parametrize("edit", ["extra_block", "empty_column"])
+@pytest.mark.parametrize("edit", ["extra_block", "empty_column", "misplaced_shift"])
 def test_block_route_reads_built_window(edit):
     # windows off the documented pattern: the block route must use what was built
     pair = random_pairs(1, seed=408, dims=(3,))[0]
     N, d, c = 4, 3, slice(4 * 3, 5 * 3)
     W0 = dilation.build_window_dilation(pair.T0, N)
-    blocks = dict(dilation.build_window_dilation(pair.T, N).blocks)
+    built = dilation.build_window_dilation(pair.T, N)
+    blocks, shifts = dict(built.blocks), built.shifts
     if edit == "extra_block":
         blocks[(2, -2)] = 0.3 * np.random.default_rng(409).standard_normal((d, d))
-    else:
+    elif edit == "empty_column":
         blocks = {ij: b for ij, b in blocks.items() if ij[1] != 1}  # block column 1
-    WT = dilation.WindowDilation(N, d, blocks)
+    else:
+        shifts = shifts - {(2, 3)} | {(3, 2)}
+    WT = dilation.WindowDilation(N, d, blocks, shifts=shifts)
     dense_T, dense_0 = dense_window(WT), dense_window(W0)
     for n, gap, _, rhs in dilation.power_walk(pair, WT, W0):
         P = np.linalg.matrix_power(dense_T, n)
@@ -97,7 +100,7 @@ def test_block_route_reads_built_window(edit):
     cols = dense_T[:, d:]
     dense = float(np.abs(cols.conj().T @ cols - np.eye(cols.shape[1])).max())
     assert dilation.interior_column_orthonormality(WT) == pytest.approx(dense, abs=1e-13)
-    if edit == "empty_column":
+    if edit != "extra_block":
         assert dense == dilation.interior_column_orthonormality(WT) == 1.0
 
 
@@ -120,7 +123,10 @@ class TestWindowBlocks:
         N, d = 3, 2
         W = dilation.build_window_dilation(0.5 * np.eye(d), N)
         shift = {(k, k + 1) for k in range(-N, N) if k not in (-1, 0)}
-        assert W.blocks.keys() == shift | {(-1, 0), (-1, 1), (0, 0), (0, 1)}
+        assert W.blocks.keys() == {(-1, 0), (-1, 1), (0, 0), (0, 1)}
+        assert W.shifts == shift
+        for i, j in shift:
+            np.testing.assert_array_equal(W.block(i, j), np.eye(d))
         np.testing.assert_array_equal(W.block(2, -2), np.zeros((d, d)))
         for i, j in ((N + 1, 0), (0, -N - 1)):
             with pytest.raises(IndexError):
@@ -141,8 +147,20 @@ class TestWindowBlocks:
         W0 = dilation.build_window_dilation(pair.T0, 4)
         assert checks._four_blocks_residual(pair, WT, W0) <= 1e-12
         extra = np.full((3, 3), 1e-6)
-        edited = dilation.WindowDilation(4, 3, {**W0.blocks, (3, -2): extra})
+        edited = dilation.WindowDilation(4, 3, {**W0.blocks, (3, -2): extra}, shifts=W0.shifts)
         assert checks._four_blocks_residual(pair, WT, edited) == pytest.approx(3e-6)
+
+    def test_four_blocks_sees_a_shift_in_one_window_only(self):
+        pair = random_pairs(1, seed=410, dims=(3,))[0]
+        WT = dilation.build_window_dilation(pair.T, 4)
+        W0 = dilation.build_window_dilation(pair.T0, 4)
+        edited = dilation.WindowDilation(4, 3, W0.blocks, shifts=W0.shifts - {(2, 3)})
+        assert checks._four_blocks_residual(pair, WT, edited) == pytest.approx(np.sqrt(3))
+
+    def test_shift_blocks_are_fresh(self):
+        W = dilation.build_window_dilation(0.5 * np.eye(2), 3)
+        W.block(1, 2)[0, 1] = 7.0
+        np.testing.assert_array_equal(W.block(1, 2), np.eye(2))
 
 
 class TestCompression:

@@ -108,6 +108,18 @@ class TestRingWirtinger:
         assert np.abs(dz - _wirtinger(table, z, False)).max() <= 1e-13 * scale
         assert np.abs(dzbar - _wirtinger(table, z, True)).max() <= 1e-13 * scale
 
+    def test_mode_matrix_and_ring_sums_equal_their_references(self):
+        M = disc.DiscQuadratureConfig().angular_nodes
+        E = disc._mode_matrix(7, M)
+        roots = np.exp(2j * np.pi * np.arange(M) / M)
+        assert E.tobytes() == roots[np.outer(np.arange(7), np.arange(M)) % M].tobytes()
+        r, psi = np.array([0.2, 0.6, 0.95]), random_table(3, 707)
+        xz, xzb = disc._ring_wirtinger(random_table(7, 708), r, E)
+        pz, pzb = disc._ring_wirtinger(psi, r, E)
+        ref = (np.einsum("kj,kj->k", xz, pzb, optimize=True)
+               - np.einsum("kj,kj->k", pz, xzb, optimize=True))
+        assert disc._ring_sums(xz, xzb, psi, r, E).tobytes() == ref.tobytes()
+
     def test_order_zero_grids_are_distinct(self):
         # the quadrature conjugates d/dzbar in place, so the two zero grids
         # of a constant table must not be one array

@@ -6,16 +6,19 @@ that no row catches points to a row that measures only roundoff.  Pairs
 are built after patching, because ``pair.defects`` is cached on the pair.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ssftrace import checks, disc, linops, ssf
+from ssftrace import checks, dilation, disc, linops, ssf
 
 TOL = checks.DEFAULT_TOLERANCES
 N_MAX = 64
 exact_moments = ssf.moments
 exact_ring_sums = disc._ring_sums
 exact_ring_wirtinger = disc._ring_wirtinger
+exact_window = dilation.build_window_dilation
 QUAD_ROWS = {f"disc/quad_vs_closed_{name}" for name in checks.DISC_TABLES}
 
 
@@ -40,6 +43,23 @@ def ring_wirtinger_extra_power(table, r, E):
     """disc._ring_wirtinger with both derivatives one power of r too high."""
     dz, dzbar = exact_ring_wirtinger(table, r, E)
     return r[:, None] * dz, r[:, None] * dzbar
+
+
+def window_transposed_block(T, N):
+    """dilation.build_window_dilation with -T in place of -T* at block (-1, 1)."""
+    W = exact_window(T, N)
+    return dataclasses.replace(W, blocks={**W.blocks, (-1, 1): -linops.as_operator(T)})
+
+
+def window_shift_reversed(T, N):
+    """dilation.build_window_dilation with the shift at (2, 3) moved to (3, 2)."""
+    W = exact_window(T, N)
+    return dataclasses.replace(W, shifts=W.shifts - {(2, 3)} | {(3, 2)})
+
+
+def window_without_shifts(T, N):
+    """dilation.build_window_dilation holding no shifts."""
+    return dataclasses.replace(exact_window(T, N), shifts=frozenset())
 
 
 def failed_rows(suites):
@@ -70,3 +90,19 @@ def test_wrong_jacobian_fails_disc_quadrature(monkeypatch, name, mutant):
     assert not failed_rows(("disc",))
     monkeypatch.setattr(disc, name, mutant)
     assert QUAD_ROWS <= failed_rows(("disc",))
+
+
+def test_transposed_block_fails_dilation(monkeypatch):
+    assert not failed_rows(("dilation",))
+    monkeypatch.setattr(dilation, "build_window_dilation", window_transposed_block)
+    assert {"dilation/orthonormal_T", "dilation/orthonormal_T0",
+            "dilation/four_blocks"} <= failed_rows(("dilation",))
+
+
+@pytest.mark.parametrize("mutant", [window_shift_reversed, window_without_shifts])
+def test_wrong_shifts_fail_orthonormality(monkeypatch, mutant):
+    # on the documented pattern every cycle of the window runs through block (0, 0),
+    # so Tr W^n = Tr T^n and [W^n]_00 = T^n whatever the shifts are: only the column
+    # Gram sees them
+    monkeypatch.setattr(dilation, "build_window_dilation", mutant)
+    assert failed_rows(("dilation",)) == {"dilation/orthonormal_T", "dilation/orthonormal_T0"}

@@ -106,6 +106,29 @@ def test_readers_reject_nonsense_entries(read, doc, message):
         read(doc)
 
 
+@pytest.mark.parametrize("entry, message", [
+    (True, "data row must be 2 values, re and im numbers"),
+    (float("nan"), "data row must hold a finite re and im"),
+    (10 ** 400, "data row must hold a finite re and im")], ids=["bool", "nan", "huge-integer"])
+def test_matrix_names_a_refused_last_row(entry, message):
+    # the whole-array checks refuse the matrix; the message still names the row
+    doc = serialize.matrix_to_dict(np.zeros((64, 64)))
+    doc["data"][-1] = [0.5, entry]
+    with pytest.raises(ValueError, match=message) as err:
+        serialize.matrix_from_dict(doc)
+    assert repr(entry) in str(err.value)
+
+
+def test_large_matrix_round_trips_bit_identically(tmp_path):
+    rng = np.random.default_rng(702)
+    M = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    M[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, -1j * 0.0]
+    path = tmp_path / "m.json"
+    serialize.save_matrix(path, M)
+    back = serialize.load_matrix(path)
+    assert back.shape == M.shape and back.tobytes() == M.tobytes()
+
+
 def test_series_reads_json():
     psi = read_series({"coeffs": [[-2, 0.0, 0.3], [1, 1.0, 0.0]]})
     np.testing.assert_array_equal(psi.coeffs, [0.3j, 0.0, 0.0, 1.0, 0.0])

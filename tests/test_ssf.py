@@ -1,5 +1,7 @@
 """Shift-function reconstruction from moments and its invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,18 @@ def test_moments_equal_pair():
     pair = scalar_pair(0.5, 0.5)
     m = ssf.moments(pair, 8)
     np.testing.assert_allclose(m, 0.0)
+
+
+def test_moments_equal_the_power_loop_bit_for_bit():
+    # reference: powers from the identity, each moment one fsum of both diagonals
+    for pair in random_pairs(4, seed=706, dims=(1, 3, 8, 17)):
+        PT = P0 = np.eye(pair.dim, dtype=complex)
+        ref = []
+        for _ in range(40):
+            PT, P0 = PT @ pair.T, P0 @ pair.T0
+            terms = np.concatenate([np.diagonal(PT), -np.diagonal(P0)])
+            ref.append(complex(math.fsum(terms.real), math.fsum(terms.imag)))
+        assert ssf.moments(pair, 40).tobytes() == np.array(ref).tobytes()
 
 
 def test_moments_scalar():
