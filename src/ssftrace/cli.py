@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -149,46 +150,43 @@ def cmd_disc_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssftrace",
         description="Spectral shift functions and trace formulas for contraction pairs")
     sub = parser.add_subparsers(dest="command", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--t", required=True)
+    pair.add_argument("--t0", required=True)
+    pair.add_argument("--n-max", type=int, default=64)
 
-    p = sub.add_parser("gen", help="generate a reproducible random pair")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--perturbation", type=float, default=0.1)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
+    gen = sub.add_parser("gen", help="generate a reproducible random pair")
+    gen.add_argument("--dim", type=int, required=True)
+    gen.add_argument("--delta", type=float, required=True)
+    gen.add_argument("--perturbation", type=float, default=0.1)
+    gen.add_argument("--seed", type=int, required=True)
+    gen.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("verify", help="run verification suites on a pair")
-    p.add_argument("--t", required=True)
-    p.add_argument("--t0", required=True)
-    p.add_argument("--suite", choices=[*checks.SUITES, "all"], default="all")
-    p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--tol", action="append", metavar="NAME=VALUE")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_verify)
+    verify = sub.add_parser("verify", parents=[pair], help="run verification suites on a pair")
+    verify.add_argument("--suite", choices=[*checks.SUITES, "all"], default="all")
+    verify.add_argument("--tol", action="append", metavar="NAME=VALUE")
+    verify.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("ssf", help="export shift-function coefficients and a value grid")
-    p.add_argument("--t", required=True)
-    p.add_argument("--t0", required=True)
-    p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--abel-radius", type=float, default=0.99)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ssf)
+    export = sub.add_parser("ssf", parents=[pair],
+                            help="export shift-function coefficients and a value grid")
+    export.add_argument("--grid", type=int, default=256)
+    export.add_argument("--abel-radius", type=float, default=0.99)
+    export.set_defaults(func=cmd_ssf)
 
-    p = sub.add_parser("disc-report", help="per-radius disc trace formula report")
-    p.add_argument("--t", required=True)
-    p.add_argument("--t0", required=True)
-    p.add_argument("--psi", help="two-sided series JSON; default built-in table")
-    p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--radii", type=float, nargs="+")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_disc_report)
+    report = sub.add_parser("disc-report", parents=[pair],
+                            help="per-radius disc trace formula report")
+    report.add_argument("--psi", help="two-sided series JSON; default built-in table")
+    report.add_argument("--radii", type=float, nargs="+")
+    report.set_defaults(func=cmd_disc_report)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True)
     return parser
 
 

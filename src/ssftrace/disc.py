@@ -8,8 +8,9 @@ convention dz ^ dzbar = -2i dx dy) and converges, as R -> 1, to
 the two-sided functional-calculus difference.
 
 The quadrature takes xi's ring derivatives once per radius for every table,
-by one product with a roots-of-unity mode matrix, and sums the Jacobian on
-the grid, never from the coefficients (Parseval): that is the closed form.
+each ring derivative an inverse FFT of its scaled coefficients by
+``ssf.uniform_trig_values``, and sums the Jacobian on the grid, never from
+the coefficients (Parseval): that is the closed form.
 The angular rule sums each ring exactly, and against tables of order <= K
 only xi's modes |n| <= K survive the sum, each as r^(2|n| - 2); so r times a
 ring sum is a polynomial of degree 2K - 1 in r, which K Gauss-Legendre nodes
@@ -27,7 +28,7 @@ from .calculus import laurent_difference_trace
 from .errors import InsufficientCoefficientsError, InvalidRadiusError
 from .kernel_integral import legendre_rule
 from .linops import ContractionPair
-from .ssf import LaurentSeries
+from .ssf import LaurentSeries, uniform_trig_values
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class DiscQuadratureConfig:
         rs = self.radius_schedule
         if not rs or any(b <= a for a, b in zip(rs, rs[1:])):
             raise ValueError("radius_schedule must be strictly increasing")
-        if not (0.0 < rs[0] and rs[-1] < 1.0):
+        if not all(0.0 < r < 1.0 for r in rs):
             raise ValueError("radius_schedule must stay inside (0, 1)")
 
     @property
@@ -73,49 +74,36 @@ def radial_nodes(order: int) -> int:
     return max(1, order)
 
 
-def _mode_matrix(order: int, M: int) -> np.ndarray:
-    """E[m, j] = w^(m j mod M) for m < order, j < M, gathered from the M-th roots of unity w."""
-    idx = np.multiply.outer(np.arange(order), np.arange(M))
-    return np.exp(2j * np.pi * np.arange(M) / M).take(np.remainder(idx, M, out=idx))
-
-
-def _ring_wirtinger(table: LaurentSeries, r: np.ndarray, E: np.ndarray):
+def _ring_wirtinger(table: LaurentSeries, r: np.ndarray, M: int):
     """(d/dz, d/dzbar) of the extension on the rings r * e^(2*pi*i*j/M), j < M, as two
-    distinct (len(r), M) arrays: d/dz = sum n c_n r^(n-1) e^(i(n-1)t) is the scaled
-    coefficients times the mode matrix E (at least ``order`` rows), and d/dzbar,
-    with e^(-i(n-1)t) and c_(-n), the conjugate of such a product."""
-    order, c = table.order, table.coeffs
-    if order < 1:
-        return np.zeros((len(r), E.shape[1]), complex), np.zeros((len(r), E.shape[1]), complex)
-    n = np.arange(1, order + 1)
-    scale = r[:, None] ** (n - 1)
-    dz, dzbar = np.split(np.vstack([scale * (n * c[order + 1:]),
-                                    scale * np.conj(n * c[order - 1::-1])]) @ E[:order], 2)
-    return dz, np.conj(dzbar, out=dzbar)
+    distinct (len(r), M) arrays: d/dz = sum n c_n r^(n-1) e^(i(n-1)t) on the modes
+    n - 1, and d/dzbar, with c_(-n), on the modes 1 - n."""
+    n = np.arange(1, table.order + 1)
+    scale = n * r[:, None] ** (n - 1)
+    return (uniform_trig_values(n - 1, scale * table.coeffs[table.order + n], M),
+            uniform_trig_values(1 - n, scale * table.coeffs[table.order - n], M))
 
 
-def _ring_sums(xz, xzb, psi, r, E) -> np.ndarray:
+def _ring_sums(xz, xzb, psi, r, M) -> np.ndarray:
     """Per-ring sums of J = xz * dpsi/dzbar - dpsi/dz * xzb; psi's grids are freed on return."""
-    pz, pzb = _ring_wirtinger(psi, r, E)
+    pz, pzb = _ring_wirtinger(psi, r, M)
     # the row dot products as one batched matmul each
     return (xz[:, None, :] @ pzb[:, :, None] - pz[:, None, :] @ xzb[:, :, None])[:, 0, 0]
 
 
 def _quadratures(xi, psis, radii, cfg: DiscQuadratureConfig) -> list[list[complex]]:
     """Jacobian quadrature of xi against each of ``psis``, a row per radius: Gauss-Legendre
-    radially, sized to the largest table, trapezoid angularly, -2i for dz ^ dzbar.  E is
-    built once, at the largest order, and xi's ring derivatives once per radius for every
-    table."""
-    order = max(table.order for table in [xi, *psis])
-    cfg.check_resolves(order)
+    radially, sized to the largest table, trapezoid angularly, -2i for dz ^ dzbar.  xi's
+    ring derivatives are taken once per radius for every table."""
+    cfg.check_resolves(max(table.order for table in [xi, *psis]))
     x, w = legendre_rule(radial_nodes(max(psi.order for psi in psis)))
-    dt = 2.0 * np.pi / cfg.angular_nodes
-    E = _mode_matrix(order, cfg.angular_nodes)
+    M = cfg.angular_nodes
+    dt = 2.0 * np.pi / M
     rows = []
     for R in radii:
         r, wr = R * (x + 1.0) / 2.0, w * R / 2.0
-        xz, xzb = _ring_wirtinger(xi, r, E)
-        rows.append([complex(-2j * np.sum(wr * r * (_ring_sums(xz, xzb, psi, r, E) * dt)))
+        xz, xzb = _ring_wirtinger(xi, r, M)
+        rows.append([complex(-2j * np.sum(wr * r * (_ring_sums(xz, xzb, psi, r, M) * dt)))
                      for psi in psis])
     return rows
 

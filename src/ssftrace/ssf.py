@@ -88,13 +88,14 @@ def ssf_from_moments(m: np.ndarray) -> LaurentSeries:
 
 
 def uniform_trig_values(n: np.ndarray, c: np.ndarray, M: int) -> np.ndarray:
-    """sum_k c_k e^(i n_k t_j) at t_j = 2*pi*j/M, j < M, by one inverse FFT.
+    """sum_k c_k e^(i n_k t_j) at t_j = 2*pi*j/M, j < M, by one inverse FFT; c of
+    shape (..., len(n)) gives (..., M), one grid per leading index.
 
     Modes are folded n -> n mod M first, which is exact on this grid for
     any mode range, so a table longer than M is not truncated.
     """
-    folded = np.zeros(M, dtype=complex)
-    np.add.at(folded, n % M, c)
+    folded = np.zeros((*np.shape(c)[:-1], M), dtype=complex)
+    np.add.at(folded, (..., n % M), c)
     return M * np.fft.ifft(folded)
 
 

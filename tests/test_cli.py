@@ -378,10 +378,12 @@ class TestDiscReport:
 
     @pytest.mark.parametrize("option", [["--n-max", "-3"], ["--n-max", "200000"],
                                         ["--psi", "order-200000.json"],
-                                        ["--psi", "order-1e12.json"]])
+                                        ["--psi", "order-1e12.json"],
+                                        ["--radii", "0.5", "nan", "0.9"]])
     def test_bounds_checked_before_moments(self, tmp_path, capsys, option, monkeypatch):
         # ssf.moments walks T^n up to the order, seconds of work at order 200000,
-        # so a bound the grid cannot resolve is refused before it runs
+        # so a bound the grid cannot resolve, or a radius outside (0, 1), is refused
+        # before it runs
         monkeypatch.chdir(tmp_path)
         (tmp_path / "order-200000.json").write_text(json.dumps({"coeffs": [[200000, 1, 0]]}))
         # a dense table of this order would take 32 TB

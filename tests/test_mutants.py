@@ -34,15 +34,24 @@ def moments_shifted(pair, n_max):
     return exact_moments(pair, n_max + 1)[1:]
 
 
-def ring_sums_negated(xz, xzb, psi, r, E):
+def ring_sums_negated(xz, xzb, psi, r, M):
     """disc._ring_sums with the Jacobian's sign flipped."""
-    return -exact_ring_sums(xz, xzb, psi, r, E)
+    return -exact_ring_sums(xz, xzb, psi, r, M)
 
 
-def ring_wirtinger_extra_power(table, r, E):
+def ring_wirtinger_extra_power(table, r, M):
     """disc._ring_wirtinger with both derivatives one power of r too high."""
-    dz, dzbar = exact_ring_wirtinger(table, r, E)
+    dz, dzbar = exact_ring_wirtinger(table, r, M)
     return r[:, None] * dz, r[:, None] * dzbar
+
+
+def ring_wirtinger_dzbar_sign_slip(table, r, M):
+    """disc._ring_wirtinger with d/dzbar on the modes n - 1, not 1 - n: the FFT's
+    sign convention slipped."""
+    n = np.arange(1, table.order + 1)
+    dz, _ = exact_ring_wirtinger(table, r, M)
+    scale = n * r[:, None] ** (n - 1)
+    return dz, ssf.uniform_trig_values(n - 1, scale * table.coeffs[table.order - n], M)
 
 
 def window_transposed_block(T, N):
@@ -85,7 +94,8 @@ def test_shifted_moments_fail_circle_and_disc(monkeypatch):
 
 
 @pytest.mark.parametrize("name, mutant", [("_ring_sums", ring_sums_negated),
-                                          ("_ring_wirtinger", ring_wirtinger_extra_power)])
+                                          ("_ring_wirtinger", ring_wirtinger_extra_power),
+                                          ("_ring_wirtinger", ring_wirtinger_dzbar_sign_slip)])
 def test_wrong_jacobian_fails_disc_quadrature(monkeypatch, name, mutant):
     assert not failed_rows(("disc",))
     monkeypatch.setattr(disc, name, mutant)
