@@ -56,22 +56,28 @@ def trace_lhs_circle(pair: ContractionPair, phi: LaurentSeries) -> complex:
     return _trace(apply_series(phi, pair.T) - apply_series(phi, pair.T0))
 
 
-def trace_rhs_circle_quadrature(s: LaurentSeries, phi: LaurentSeries,
-                                abel_radius: float) -> complex:
-    """Grid quadrature of (d/dt phi(e^{it})) * xi_r(t) over [0, 2*pi).
+def trace_rhs_circle_quadrature(s: LaurentSeries, phis: list[LaurentSeries],
+                                abel_radius: float) -> list[complex]:
+    """Grid quadrature of (d/dt phi(e^{it})) * xi_r(t) over [0, 2*pi), per symbol of ``phis``.
 
-    Independent of the coefficient pairing: the shift function enters
-    only through its Abel-regularized pointwise values, and the product
-    is summed point by point on the grid.  phi' is taken over phi's
-    modes -K..K; the zero modes fold exactly.
+    Independent of the coefficient pairing: the shift function enters only
+    through its Abel-regularized pointwise values, taken once for all symbols,
+    and each product is summed point by point on the grid.  Every phi' is
+    taken over the modes -K..K of the largest order, in one batch; the zero
+    modes fold exactly.
     """
-    if phi.order > s.order:
+    K = max((phi.order for phi in phis), default=0)
+    if K > s.order:
         raise InsufficientCoefficientsError(
-            f"symbol order {phi.order} exceeds coefficient table order {s.order}")
-    n = np.arange(-phi.order, phi.order + 1)
-    phi_prime = uniform_trig_values(n, 1j * n * phi.coeffs, QUADRATURE_POINTS)
+            f"symbol order {K} exceeds coefficient table order {s.order}")
+    n = np.arange(-K, K + 1)
+    derivs = np.zeros((len(phis), len(n)), dtype=complex)
+    for row, phi in zip(derivs, phis):
+        modes = slice(K - phi.order, K + phi.order + 1)
+        row[modes] = 1j * n[modes] * phi.coeffs
+    phi_prime = uniform_trig_values(n, derivs, QUADRATURE_POINTS)
     xi_r = evaluate_ssf_uniform(s, QUADRATURE_POINTS, abel_radius)
-    return complex((2.0 * np.pi / QUADRATURE_POINTS) * np.sum(phi_prime * xi_r))
+    return [complex((2.0 * np.pi / QUADRATURE_POINTS) * np.sum(row * xi_r)) for row in phi_prime]
 
 
 def laurent_difference_trace(pair: ContractionPair, psi: LaurentSeries) -> complex:

@@ -52,15 +52,14 @@ def _write_verify_reports(out: Path, results: list[checks.CheckResult],
                           failures: list[str], timings: dict, config: dict):
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "passed", "measured", "threshold"])
-        for c in results:
-            writer.writerow([c.name, c.passed, repr(c.measured), repr(c.threshold)])
+        csv.writer(fh).writerows([["name", "passed", "measured", "threshold"],
+                                  *([c.name, c.passed, repr(c.measured), repr(c.threshold)]
+                                    for c in results)])
     summary = {
         "passed": not failures and all(c.passed for c in results),
         "num_checks": len(results),
         "failures": failures + [c.name for c in results if not c.passed],
-        "checks": [asdict(c) for c in results],
+        "checks": [dict(vars(c)) for c in results],
         "timings_s": timings,
         "config": config,
     }

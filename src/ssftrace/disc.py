@@ -109,28 +109,24 @@ def _quadratures(xi, psis, radii, cfg: DiscQuadratureConfig) -> list[list[comple
 
 
 def _paired_modes(xi, psi):
-    """(n, psi_hat(n), xi_hat(-n)) for each nonzero mode n of psi that xi holds."""
-    for k in range(1, min(psi.order, xi.order) + 1):
-        for n in (k, -k):
-            yield n, psi.coeffs[psi.order + n], xi.coeffs[xi.order - n]
+    """(n, psi_hat(n), xi_hat(-n)) as arrays over the nonzero modes n of psi that xi holds."""
+    k = np.arange(1, min(psi.order, xi.order) + 1)
+    n = np.concatenate([k, -k])
+    return n, psi.coeffs[psi.order + n], xi.coeffs[xi.order - n]
 
 
 def disc_integral_closed_form(xi, psi, R: float) -> complex:
     """2*pi*i * sum_{n != 0} n psi_hat(n) xi_hat(-n) R^(2|n|); R = 1 is the limit value."""
     if not 0.0 < R <= 1.0:
         raise InvalidRadiusError(f"R must lie in (0, 1], got {R}")
-    total = 0.0 + 0.0j
-    for n, p, x in _paired_modes(xi, psi):
-        total += n * p * x * R ** (2 * abs(n))
-    return complex(2j * np.pi * total)
+    n, p, x = _paired_modes(xi, psi)
+    return complex(2j * np.pi * np.sum(n * p * x * R ** (2 * np.abs(n))))
 
 
 def disc_tail_bound(xi, psi, R: float) -> float:
     """2*pi * sum |n psi_hat(n) xi_hat(-n)| (1 - R^(2|n|)): gap to the R -> 1 limit."""
-    total = 0.0
-    for n, p, x in _paired_modes(xi, psi):
-        total += abs(abs(n) * p * x) * (1.0 - R ** (2 * abs(n)))
-    return 2.0 * np.pi * total
+    n, p, x = _paired_modes(xi, psi)
+    return 2.0 * np.pi * float(np.sum(np.abs(np.abs(n) * p * x) * (1.0 - R ** (2 * np.abs(n)))))
 
 
 def verify_disc_trace_formula(pair: ContractionPair, xi: LaurentSeries, psis: list[LaurentSeries],

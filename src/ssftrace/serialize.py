@@ -95,8 +95,8 @@ def load_matrix(path) -> np.ndarray:
 
 
 def ssf_to_dict(s: LaurentSeries) -> dict:
-    coeffs = [[n, float(s.coeff(n).real), float(s.coeff(n).imag)]
-              for n in range(-s.order, s.order + 1)]
+    coeffs = [[n, re, im] for n, re, im in zip(range(-s.order, s.order + 1),
+                                               s.coeffs.real.tolist(), s.coeffs.imag.tolist())]
     return {"n_max": s.order, "coeffs": coeffs}
 
 
@@ -115,21 +115,17 @@ def series_from_dict(d: dict, max_order: int) -> LaurentSeries:
 
 
 def write_ssf_grid_csv(path, t_grid, values):
+    """The rows ``csv.writer`` would write, as one string: a float's repr needs no quoting."""
+    rows = zip(np.asarray(t_grid, dtype=float).tolist(), np.asarray(values, dtype=float).tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "xi_r"])
-        for t, v in zip(t_grid, values):
-            writer.writerow([repr(float(t)), repr(float(v))])
+        fh.write("t,xi_r\r\n" + "".join(f"{t!r},{v!r}\r\n" for t, v in rows))
 
 
 def write_disc_report_csv(path, report):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["R", "quad_re", "quad_im", "closed_re", "closed_im",
-                         "lhs_re", "lhs_im"])
         lhs = report.lhs_trace
-        for R, quad, closed in report.per_radius:
-            writer.writerow([repr(float(R)),
-                             repr(quad.real), repr(quad.imag),
-                             repr(closed.real), repr(closed.imag),
-                             repr(lhs.real), repr(lhs.imag)])
+        csv.writer(fh).writerows([
+            ["R", "quad_re", "quad_im", "closed_re", "closed_im", "lhs_re", "lhs_im"],
+            *([repr(float(R)), repr(quad.real), repr(quad.imag), repr(closed.real),
+               repr(closed.imag), repr(lhs.real), repr(lhs.imag)]
+              for R, quad, closed in report.per_radius)])

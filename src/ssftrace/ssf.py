@@ -61,15 +61,24 @@ class LaurentSeries:
 
 
 def moments(pair: ContractionPair, n_max: int) -> np.ndarray:
-    """Moment traces m_n = Tr(T^n) - Tr(T0^n), n = 1..n_max, with compensated sums."""
+    """Moment traces m_n = Tr(T^n) - Tr(T0^n), n = 1..n_max, with compensated sums, by
+    baby-step/giant-step on S = (T, T0) (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973):
+    babies S^1..S^s, s = isqrt(n_max), giants S^(ks), and the diagonal of S^(ks + r) as
+    row dots of giant and baby r, never formed; 13 products for n_max = 64."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    T, T0 = PT, P0 = pair.T, pair.T0
+    s = math.isqrt(n_max)
+    babies = np.empty((s, 2, pair.dim, pair.dim), dtype=complex)  # S^1..S^s
+    babies[0] = pair.T, pair.T0
+    for r in range(1, s):
+        np.matmul(babies[r - 1], babies[0], out=babies[r])
     diagonals = np.empty((n_max, 2, pair.dim), dtype=complex)  # Tr(T^n) and Tr(T0^n) terms
-    for n in range(n_max):
-        if n:
-            PT, P0 = PT @ T, P0 @ T0
-        diagonals[n] = PT.diagonal(), P0.diagonal()
+    diagonals[:s] = np.diagonal(babies, axis1=2, axis2=3)
+    giant = babies[-1]
+    for ks in range(s, n_max, s):
+        giant = giant @ babies[-1] if ks > s else giant  # S^ks
+        width = min(s, n_max - ks)
+        diagonals[ks:ks + width] = np.einsum('kij,rkji->rki', giant, babies[:width])
     np.negative(diagonals[:, 1], out=diagonals[:, 1])
     terms = diagonals.reshape(n_max, -1)
     return np.array([complex(math.fsum(re), math.fsum(im))
@@ -79,24 +88,27 @@ def moments(pair: ContractionPair, n_max: int) -> np.ndarray:
 def ssf_from_moments(m: np.ndarray) -> LaurentSeries:
     """Table of the moments m_1..m_n_max: xi_hat(-n) = m_n / (2*pi*i*n), conjugate symmetric."""
     n_max = len(m)
+    c = m / (2j * np.pi * np.arange(1, n_max + 1))  # xi_hat(-1)..xi_hat(-n_max)
     coeffs = np.zeros(2 * n_max + 1, dtype=complex)
-    for n in range(1, n_max + 1):
-        c = m[n - 1] / (2j * np.pi * n)
-        coeffs[n_max - n] = c
-        coeffs[n_max + n] = np.conj(c)
+    coeffs[n_max - 1::-1] = c
+    coeffs[n_max + 1:] = np.conj(c)
     return LaurentSeries(coeffs=coeffs)
 
 
 def uniform_trig_values(n: np.ndarray, c: np.ndarray, M: int) -> np.ndarray:
-    """sum_k c_k e^(i n_k t_j) at t_j = 2*pi*j/M, j < M, by one inverse FFT; c of
-    shape (..., len(n)) gives (..., M), one grid per leading index.
+    """sum_k c_k e^(i n_k t_j) at t_j = 2*pi*j/M, j < M, by one inverse FFT; n is a
+    contiguous mode range, and c of shape (..., len(n)) gives (..., M), one grid per
+    leading index.
 
     Modes are folded n -> n mod M first, which is exact on this grid for
     any mode range, so a table longer than M is not truncated.
     """
     folded = np.zeros((*np.shape(c)[:-1], M), dtype=complex)
-    np.add.at(folded, (..., n % M), c)
-    return M * np.fft.ifft(folded)
+    if len(n) <= M:  # distinct residues: the fold is an assignment
+        folded[..., n % M] = c
+    else:
+        np.add.at(folded, (..., n % M), c)
+    return np.fft.ifft(folded, norm="forward")
 
 
 def evaluate_ssf_uniform(s: LaurentSeries, M: int, abel_radius: float) -> np.ndarray:

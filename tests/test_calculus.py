@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pairs import random_pairs, scalar_pair
-from ssftrace import calculus, checks, disc, ssf
+from ssftrace import calculus, checks, disc, linops, ssf
 from ssftrace.calculus import LaurentSeries
 from ssftrace.errors import InsufficientCoefficientsError, NonRealResultError
 
@@ -116,7 +116,7 @@ class TestCircleRhs:
         s = ssf.ssf_from_moments(ssf.moments(pair, 64))
         rhs = pairing(s, phi)
         r = 0.999
-        quad = calculus.trace_rhs_circle_quadrature(s, phi, abel_radius=r)
+        quad, = calculus.trace_rhs_circle_quadrature(s, [phi], abel_radius=r)
         # the Abel tail 2*pi sum k|a_k||xi_hat(-k)|(1 - r^k), restated from the terms
         tail = 2.0 * np.pi * sum(
             k * abs(a) * abs(s.coeff(-k)) * (1.0 - r ** k) for k, a in terms.items())
@@ -134,20 +134,46 @@ class TestCircleRhs:
         phi = LaurentSeries.from_terms({k: 0.7 ** k / k for k in range(1, 31)})
         pair = random_pairs(1, seed=605, dims=(8,))[0]
         s = ssf.ssf_from_moments(ssf.moments(pair, 64))
-        expected = calculus.trace_rhs_circle_quadrature(s, phi, checks.ABEL_RADIUS)
+        expected = calculus.trace_rhs_circle_quadrature(s, [phi], checks.ABEL_RADIUS)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("quadrature used the coefficient pairing")
 
         monkeypatch.setattr(disc, "disc_integral_closed_form", forbidden)
         monkeypatch.setattr(disc, "_paired_modes", forbidden)
-        assert calculus.trace_rhs_circle_quadrature(s, phi, checks.ABEL_RADIUS) == expected
+        assert calculus.trace_rhs_circle_quadrature(s, [phi], checks.ABEL_RADIUS) == expected
+
+    def test_batched_symbols_equal_single_calls(self):
+        # the symbols' phi' tables are zero-padded to the largest order and taken
+        # in one batch; that moves no bit of any symbol's value
+        pair = random_pairs(1, seed=605, dims=(8,))[0]
+        s = ssf.ssf_from_moments(ssf.moments(pair, 64))
+        phis = [LaurentSeries.from_terms(t) for t in checks.CIRCLE_SERIES.values()]
+        batched = calculus.trace_rhs_circle_quadrature(s, phis, checks.ABEL_RADIUS)
+        assert batched == [calculus.trace_rhs_circle_quadrature(s, [phi], checks.ABEL_RADIUS)[0]
+                           for phi in phis]
+
+    def test_circle_suite_takes_one_abel_grid(self, monkeypatch):
+        pair = random_pairs(1, seed=605, dims=(8,))[0]
+        xi = ssf.ssf_from_moments(ssf.moments(pair, 64))
+        calls = []
+        evaluate = ssf.evaluate_ssf_uniform
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(ssf, "evaluate_ssf_uniform", counted)
+        monkeypatch.setattr(calculus, "evaluate_ssf_uniform", counted)
+        results = checks.circle_checks(pair, xi, checks.DEFAULT_TOLERANCES)
+        assert len(calls) == 1
+        assert len(results) == 3 * len(checks.CIRCLE_SERIES) and all(c.passed for c in results)
 
     def test_quadrature_rejects_non_real_shift(self):
         s = LaurentSeries.from_terms({-2: 0.5, 1: 0.1})  # no conjugate partners
         phi = LaurentSeries.from_terms({1: 1.0, 2: 0.5})
         with pytest.raises(NonRealResultError):
-            calculus.trace_rhs_circle_quadrature(s, phi, checks.ABEL_RADIUS)
+            calculus.trace_rhs_circle_quadrature(s, [phi], checks.ABEL_RADIUS)
 
     def test_additive_constant_independence(self):
         pair = random_pairs(1, seed=606, dims=(4,))[0]
@@ -156,12 +182,23 @@ class TestCircleRhs:
         assert pairing(s.with_constant(9.0), phi) \
             == pairing(s, phi)
 
+    @pytest.mark.parametrize("d", [6, 32])
+    def test_constant_independence_rows_read_zero(self, d):
+        # both sides skip mode 0 by the same array sum, so the rows read exactly 0.0
+        # against their threshold 0
+        pair = linops.random_pair(d, 0.25, 0.1, seed=1)
+        xi = ssf.ssf_from_moments(ssf.moments(pair, 64))
+        rows = [c for c in checks.circle_checks(pair, xi, checks.DEFAULT_TOLERANCES)
+                if c.name.startswith("circle/constant_independence_")]
+        assert len(rows) == len(checks.CIRCLE_SERIES)
+        assert all(c.passed and c.measured == 0.0 for c in rows)
+
     def test_insufficient_coefficients(self):
         pair = random_pairs(1, seed=607, dims=(4,))[0]
         s = ssf.ssf_from_moments(ssf.moments(pair, 4))
         phi = LaurentSeries.from_terms({6: 1.0})
         with pytest.raises(InsufficientCoefficientsError):
-            calculus.trace_rhs_circle_quadrature(s, phi, checks.ABEL_RADIUS)
+            calculus.trace_rhs_circle_quadrature(s, [phi], checks.ABEL_RADIUS)
 
     def test_circle_suite_rejects_short_shift(self):
         # the closed form pairs only the modes xi holds; the quadrature in the

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ssftrace
+from oracles import evaluate_ssf_grid
 from pairs import NORM_ONE_IDS, norm_one_pairs
 from ssftrace import checks, cli, linops, serialize, ssf
 
@@ -268,6 +269,23 @@ class TestSsfCommand:
         assert doc["n_max"] == 32
         back = serialize.series_from_dict(doc, checks.DISC_MAX_N_MAX)
         np.testing.assert_allclose(back.coeffs, table.coeffs, atol=1e-15)
+
+    @pytest.mark.parametrize("grid, n_max", [(4, 64), (100, 64), (100, 32)])
+    def test_folded_and_odd_grids_match_point_values(self, tmp_path, grid, n_max):
+        # 129 modes on 4 or 100 points take the scatter-add fold, 65 on 100 the
+        # assignment; 100 is no power of two
+        pair_dir = gen_pair(tmp_path, seed=22)
+        out = tmp_path / "ssf"
+        assert run(["ssf", "--t", str(pair_dir / "T.json"), "--t0", str(pair_dir / "T0.json"),
+                    "--n-max", str(n_max), "--grid", str(grid), "--out", str(out)]) == 0
+        with open(out / "ssf.csv", newline="") as fh:
+            rows = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
+        pair = linops.make_pair(serialize.load_matrix(pair_dir / "T.json"),
+                                serialize.load_matrix(pair_dir / "T0.json"))
+        table = ssf.ssf_from_moments(ssf.moments(pair, n_max))
+        assert len(rows) == grid
+        np.testing.assert_allclose(rows[:, 1], evaluate_ssf_grid(table, rows[:, 0], 0.99),
+                                   rtol=0, atol=1e-13)
 
     def test_fine_grid_memory(self, tmp_path):
         # a dense grid-by-modes matrix here would be 4096 x 4001 complex, 250 MiB

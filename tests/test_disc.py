@@ -219,6 +219,26 @@ class TestDiscIntegral:
         monkeypatch.setattr(disc, "_paired_modes", forbidden)
         assert disc_quadrature(xi, psi, 0.9) == expected
 
+    @pytest.mark.parametrize("xi_order, psi_order", [(12, 5), (3, 9), (0, 4), (6, 0)])
+    def test_closed_forms_equal_the_per_mode_loop(self, xi_order, psi_order):
+        # the array sums against a per-mode loop, on the shift function of a
+        # pair: the two differ in summation order only
+        pair = random_pairs(1, seed=612, dims=(6,))[0]
+        xi = (ssf.ssf_from_moments(ssf.moments(pair, xi_order)) if xi_order
+              else LaurentSeries.from_terms({}))
+        psi = random_table(psi_order, seed=613)
+        for R in (0.5, 0.9, 0.999, 1.0):
+            total, tail = 0j, 0.0
+            for k in range(1, min(xi_order, psi_order) + 1):
+                for n in (k, -k):
+                    term = n * psi.coeff(n) * xi.coeff(-n)
+                    total += term * R ** (2 * k)
+                    tail += abs(term) * (1.0 - R ** (2 * k))
+            closed, bound = 2j * np.pi * total, 2.0 * np.pi * tail
+            value = disc.disc_integral_closed_form(xi, psi, R)
+            assert abs(value - closed) <= 1e-16 * (1.0 + abs(closed))
+            assert abs(disc.disc_tail_bound(xi, psi, R) - bound) <= 1e-16 * (1.0 + bound)
+
     def test_invalid_radius(self):
         # the quadrature's radii come from the config, which keeps them inside (0, 1)
         for schedule in ((0.5, 1.0), (0.5, float("nan"), 0.9)):

@@ -1,13 +1,14 @@
 """JSON/CSV round trips and malformed-input rejection."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from pairs import random_pairs
-from ssftrace import checks, serialize, ssf
+from ssftrace import checks, cli, serialize, ssf
 
 
 def read_series(doc):
@@ -144,6 +145,46 @@ def test_ssf_grid_csv_exact_values(tmp_path):
     assert rows[0] == ["t", "xi_r"]
     for row, (ti, vi) in zip(rows[1:], zip(t, v)):
         assert float(row[0]) == ti and float(row[1]) == vi
+
+
+def test_ssf_grid_csv_bytes_equal_the_csv_writer(tmp_path):
+    t = np.array([0.0, -0.0, 5e-324, 1e300, np.pi, 2.5])
+    v = np.array([-0.0, 1e300, 5e-324, -1e-300, 0.1, -7.0])
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "xi_r"])
+        for ti, vi in zip(t, v):
+            writer.writerow([repr(float(ti)), repr(float(vi))])
+    path = tmp_path / "grid.csv"
+    serialize.write_ssf_grid_csv(path, t, v)
+    assert path.read_bytes() == ref.read_bytes()
+    assert b"\r\n-0.0,1e+300\r\n" in path.read_bytes()
+
+
+def test_ssf_coeffs_json_bytes_equal_the_per_coefficient_writer():
+    s = ssf.ssf_from_moments(ssf.moments(random_pairs(1, seed=703, dims=(5,))[0], 16))
+    coeffs = [[n, float(s.coeff(n).real), float(s.coeff(n).imag)]
+              for n in range(-s.order, s.order + 1)]
+    assert json.dumps(serialize.ssf_to_dict(s), sort_keys=True) == \
+        json.dumps({"n_max": s.order, "coeffs": coeffs}, sort_keys=True)
+
+
+def test_summary_json_bytes_equal_the_asdict_writer(tmp_path):
+    pair = random_pairs(1, seed=704, dims=(4,))[0]
+    results, timings = checks.run(pair, ("circle", "disc"), checks.DEFAULT_TOLERANCES, 64)
+    config = checks.config(checks.DEFAULT_TOLERANCES, 64)
+    cli._write_verify_reports(tmp_path, results, ["load: none"], timings, config)
+    summary = {
+        "passed": False,
+        "num_checks": len(results),
+        "failures": ["load: none"] + [c.name for c in results if not c.passed],
+        "checks": [dataclasses.asdict(c) for c in results],
+        "timings_s": timings,
+        "config": config,
+    }
+    assert (tmp_path / "summary.json").read_text() == \
+        json.dumps(summary, sort_keys=True, indent=2) + "\n"
 
 
 def test_matrix_json_schema(tmp_path):

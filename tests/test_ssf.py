@@ -17,16 +17,62 @@ def test_moments_equal_pair():
     np.testing.assert_allclose(m, 0.0)
 
 
-def test_moments_equal_the_power_loop_bit_for_bit():
-    # reference: powers from the identity, each moment one fsum of both diagonals
+def fsum_moments(diagonals):
+    """One fsum of both diagonals per moment, Tr(T^n) terms minus Tr(T0^n) terms."""
+    return np.array([complex(math.fsum(terms.real), math.fsum(terms.imag))
+                     for terms in (np.concatenate([dT, -dT0]) for dT, dT0 in diagonals)])
+
+
+def schedule_moments(pair, n_max):
+    """The baby-step/giant-step schedule restated: babies S^1..S^s of S = (T, T0),
+    s = isqrt(n_max), giants S^(ks), and the diagonal of S^(ks + r) as row dots of
+    the giant with baby r."""
+    s = math.isqrt(n_max)
+    S = np.stack([pair.T, pair.T0])
+    babies = [S]
+    while len(babies) < s:
+        babies.append(babies[-1] @ S)
+    babies = np.array(babies)
+    diagonals = list(np.diagonal(babies, axis1=2, axis2=3))
+    giant = babies[-1]
+    for k in range(1, (n_max - 1) // s + 1):
+        if k > 1:
+            giant = giant @ babies[-1]
+        width = min(s, n_max - k * s)
+        diagonals += list(np.einsum('kij,rkji->rki', giant, babies[:width]))
+    return fsum_moments(diagonals)
+
+
+def power_loop_moments(pair, n_max):
+    """The moments from the plain power loop T^n = T^(n-1) T."""
+    PT, P0 = pair.T, pair.T0
+    diagonals = []
+    for _ in range(n_max):
+        diagonals.append((np.diagonal(PT), np.diagonal(P0)))
+        PT, P0 = PT @ pair.T, P0 @ pair.T0
+    return fsum_moments(diagonals)
+
+
+N_MAX_SCHEDULES = (1, 2, 3, 4, 15, 16, 17, 40, 64, 127)
+
+
+def test_moments_equal_the_schedule_bit_for_bit():
+    # the schedule's product order pins every bit; 1..4 and 15..17 cross a square
     for pair in random_pairs(4, seed=706, dims=(1, 3, 8, 17)):
-        PT = P0 = np.eye(pair.dim, dtype=complex)
-        ref = []
-        for _ in range(40):
-            PT, P0 = PT @ pair.T, P0 @ pair.T0
-            terms = np.concatenate([np.diagonal(PT), -np.diagonal(P0)])
-            ref.append(complex(math.fsum(terms.real), math.fsum(terms.imag)))
-        assert ssf.moments(pair, 40).tobytes() == np.array(ref).tobytes()
+        for n_max in N_MAX_SCHEDULES:
+            assert ssf.moments(pair, n_max).tobytes() == \
+                schedule_moments(pair, n_max).tobytes(), (pair.dim, n_max)
+
+
+def test_moments_near_the_power_loop():
+    # a priori: each computed power is off by at most ~ n d u ||T||^n per trace
+    u = 2.0 ** -53
+    for pair in random_pairs(4, seed=706, dims=(1, 3, 8, 17)):
+        norm_T, norm_T0 = np.linalg.norm(pair.T, 2), np.linalg.norm(pair.T0, 2)
+        m, ref = ssf.moments(pair, 127), power_loop_moments(pair, 127)
+        n = np.arange(1, 128)
+        bound = 64 * u * n * pair.dim * (norm_T ** n + norm_T0 ** n)
+        assert np.all(np.abs(m - ref) <= bound)
 
 
 def test_moments_scalar():
@@ -128,6 +174,23 @@ class TestEvaluate:
             np.testing.assert_allclose(ssf.evaluate_ssf_uniform(s, M, 0.999),
                                        evaluate_ssf_grid(s, t, 0.999),
                                        rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("M", [256, 1024, 4096])
+    def test_distinct_modes_match_the_scatter_add_bit_for_bit(self, M):
+        # a mode range no longer than M folds by assignment; the reference adds
+        # into the grid and scales the normalized inverse FFT back by M
+        def scatter_add(n, c):
+            folded = np.zeros((*c.shape[:-1], M), dtype=complex)
+            np.add.at(folded, (..., n % M), c)
+            return M * np.fft.ifft(folded)
+
+        rng = np.random.default_rng(621)
+        for n in (np.arange(-64, 65), np.arange(0, 30), np.arange(0, -30, -1),
+                  np.arange(-(M // 2), M // 2)):
+            c = rng.standard_normal((3, 5, len(n))) + 1j * rng.standard_normal((3, 5, len(n)))
+            for table in (c, c[0, 0]):
+                assert ssf.uniform_trig_values(n, table, M).tobytes() == \
+                    scatter_add(n, table).tobytes()
 
     def test_non_real_rejected(self):
         coeffs = np.zeros(5, dtype=complex)
