@@ -20,13 +20,13 @@ integrate exactly (Davis & Rabinowitz, Methods of Numerical Integration, 2.7).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import ClassVar
 
 import numpy as np
 
 from .calculus import laurent_difference_trace
 from .errors import InsufficientCoefficientsError, InvalidRadiusError
-from .kernel_integral import legendre_rule
 from .linops import ContractionPair
 from .ssf import LaurentSeries, uniform_trig_values
 
@@ -66,6 +66,14 @@ class DiscPairingReport:
 
     def final_gap(self) -> float:
         return abs(self.per_radius[-1][2] - self.lhs_trace)
+
+
+@cache
+def legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per node count."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def radial_nodes(order: int) -> int:

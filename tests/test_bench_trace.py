@@ -33,5 +33,7 @@ def test_traced_verify_counts_work(tmp_path, monkeypatch):
         tracer.uninstall()
     assert code == 0
     metrics = tracer.layer_metrics(1)
-    assert metrics["kernel_integral.semigroup_integral.nodes"][0] > 0
+    assert metrics["kernel_integral.semigroup_integral.calls"][0] > 0
+    # the exact kernel uses no quadrature nodes
+    assert metrics["kernel_integral.semigroup_integral.nodes"][0] == 0
     assert metrics["ssf.moments.matmuls"][0] > 0

@@ -12,7 +12,7 @@ from pairs import random_pairs, random_strict_pair, scalar_pair
 from ssftrace import calculus, checks, disc, linops, ssf
 from ssftrace.calculus import LaurentSeries
 from ssftrace.errors import InsufficientCoefficientsError, InvalidRadiusError
-from ssftrace.kernel_integral import legendre_rule
+from ssftrace.disc import legendre_rule
 
 
 def random_table(order, seed, decay=0.5):

@@ -223,9 +223,10 @@ class TestPairDefects:
 
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         defects = counted("defects", linops.defects)
         monkeypatch.setattr(linops, "defects", defects)
         monkeypatch.setattr(dilation, "defects", defects)
         checks.run(pair, checks.SUITES, checks.DEFAULT_TOLERANCES, 64)
-        # 4 SVDs in defects, and the two trace norms of each lemma side
-        assert calls == {"svd": 8, "eigh": 4, "defects": 4}
+        # 4 SVDs in defects, and the two Hermitian trace norms of each lemma side
+        assert calls == {"svd": 4, "eigh": 4, "eigvalsh": 4, "defects": 4}

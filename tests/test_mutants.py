@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ssftrace import checks, dilation, disc, linops, ssf
+from ssftrace import checks, dilation, disc, kernel_integral, linops, ssf
 
 TOL = checks.DEFAULT_TOLERANCES
 N_MAX = 64
@@ -19,6 +19,7 @@ exact_moments = ssf.moments
 exact_ring_sums = disc._ring_sums
 exact_ring_wirtinger = disc._ring_wirtinger
 exact_window = dilation.build_window_dilation
+exact_eig = kernel_integral._positive_contraction_eig
 QUAD_ROWS = {f"disc/quad_vs_closed_{name}" for name in checks.DISC_TABLES}
 
 
@@ -27,6 +28,13 @@ def defects_one_minus_s(M):
     U, s, Vh = np.linalg.svd(linops.as_operator(M))
     r = 1.0 - s
     return (Vh.conj().T * r) @ Vh, (U * r) @ U.conj().T
+
+
+def eig_reversed(M):
+    """kernel_integral._positive_contraction_eig with the eigenvalues in reverse order
+    against their eigenvectors."""
+    H, w, V = exact_eig(M)
+    return H, w[::-1], V
 
 
 def moments_shifted(pair, n_max):
@@ -81,6 +89,12 @@ def test_wrong_defect_fails_lemma(monkeypatch):
     assert not failed_rows(("lemma",))
     monkeypatch.setattr(linops, "defects", defects_one_minus_s)
     assert {"lemma/identity_left", "lemma/identity_right"} <= failed_rows(("lemma",))
+
+
+def test_reversed_eigenvalues_fail_semigroup(monkeypatch):
+    # the trace norms and the defect identity never read the eigenpairs
+    monkeypatch.setattr(kernel_integral, "_positive_contraction_eig", eig_reversed)
+    assert failed_rows(("lemma",)) == {"lemma/semigroup_left", "lemma/semigroup_right"}
 
 
 def test_shifted_moments_fail_circle_and_disc(monkeypatch):
