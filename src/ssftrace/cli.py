@@ -120,6 +120,7 @@ def cmd_verify(args) -> int:
 def cmd_ssf(args) -> int:
     if args.grid < 1:
         raise ValueError(f"--grid must be >= 1, got {args.grid}")
+    ssf.check_abel_radius(args.abel_radius)
     pair = _load_pair(args.t, args.t0)
     table = ssf.ssf_from_moments(ssf.moments(pair, args.n_max))
     t_grid = 2.0 * np.pi * np.arange(args.grid) / args.grid

@@ -111,11 +111,16 @@ def uniform_trig_values(n: np.ndarray, c: np.ndarray, M: int) -> np.ndarray:
     return np.fft.ifft(folded, norm="forward")
 
 
+def check_abel_radius(abel_radius: float):
+    """ValueError unless 0 < abel_radius < 1, which a NaN radius fails too."""
+    if not 0.0 < abel_radius < 1.0:
+        raise ValueError(f"abel_radius must lie in (0, 1), got {abel_radius}")
+
+
 def evaluate_ssf_uniform(s: LaurentSeries, M: int, abel_radius: float) -> np.ndarray:
     """Abel-summed values on the uniform grid t_j = 2*pi*j/M, j < M, by FFT: the real
     part, after checking the radius and the imaginary residual."""
-    if not 0.0 < abel_radius < 1.0:
-        raise ValueError(f"abel_radius must lie in (0, 1), got {abel_radius}")
+    check_abel_radius(abel_radius)
     n = np.arange(-s.order, s.order + 1)
     vals = uniform_trig_values(n, s.coeffs * abel_radius ** np.abs(n), M)
     resid = float(np.abs(vals.imag).max(initial=0.0))

@@ -310,6 +310,19 @@ class TestSsfCommand:
         assert "ValueError" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("radius", ["2", "nan", "0", "1"])
+    def test_radius_checked_before_moments(self, tmp_path, capsys, radius, monkeypatch):
+        # the Abel radius is refused before the pair loads and its moments run
+        pair_dir = gen_pair(tmp_path, seed=21)
+        calls = []
+        monkeypatch.setattr(ssf, "moments", lambda *args: calls.append(args))
+        assert run(["ssf", "--t", str(pair_dir / "T.json"), "--t0", str(pair_dir / "T0.json"),
+                    "--abel-radius", radius, "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: abel_radius") and err.count("\n") == 1
+        assert not calls
+        assert not (tmp_path / "s").exists()
+
     def test_load_error(self, tmp_path, capsys):
         missingish = tmp_path / "bad.json"
         missingish.write_text("{}")

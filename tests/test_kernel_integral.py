@@ -12,40 +12,40 @@ from ssftrace.errors import NotPositiveContractionError, SingularBError
 
 def test_scalar_closed_form():
     # integral of e^(-0.8t) 0.39 e^(-0.5t) dt = 0.39 / 1.3 = 0.3
-    r = kernel_integral.semigroup_integral(np.array([[0.8]]), np.array([[0.5]]), 1e-8)
+    r = kernel_integral.semigroup_integral(np.array([[0.8]]), np.array([[0.5]]))
     assert r.computed_difference[0, 0] == pytest.approx(0.3, abs=1e-10)
     assert r.frobenius_error < 1e-10
 
 
 def test_equal_operators():
     A = np.diag([0.7, 0.4])
-    r = kernel_integral.semigroup_integral(A, A, 1e-8)
+    r = kernel_integral.semigroup_integral(A, A)
     np.testing.assert_allclose(r.computed_difference, 0.0, atol=1e-12)
     np.testing.assert_allclose(r.direct_difference, 0.0)
 
 
 def test_commuting_diagonal():
-    r = kernel_integral.semigroup_integral(np.diag([0.9, 0.2]), np.diag([0.4, 0.1]), 1e-8)
+    r = kernel_integral.semigroup_integral(np.diag([0.9, 0.2]), np.diag([0.4, 0.1]))
     np.testing.assert_allclose(r.computed_difference, np.diag([0.5, 0.1]),
                                atol=1e-9)
 
 
 def test_rejects_non_positive():
     with pytest.raises(NotPositiveContractionError):
-        kernel_integral.semigroup_integral(np.diag([-0.2, 0.5]), np.diag([0.5, 0.5]), 1e-8)
+        kernel_integral.semigroup_integral(np.diag([-0.2, 0.5]), np.diag([0.5, 0.5]))
     with pytest.raises(NotPositiveContractionError):
-        kernel_integral.semigroup_integral(np.diag([0.5, 0.5]), np.diag([1.4, 0.5]), 1e-8)
+        kernel_integral.semigroup_integral(np.diag([0.5, 0.5]), np.diag([1.4, 0.5]))
 
 
 def test_rejects_singular_b():
     with pytest.raises(SingularBError):
-        kernel_integral.semigroup_integral(np.diag([0.5, 0.5]), np.diag([1e-6, 0.5]), 1e-8)
+        kernel_integral.semigroup_integral(np.diag([0.5, 0.5]), np.diag([1e-6, 0.5]))
 
 
 def test_random_pairs_converge():
     for i in range(20):
         A, B = random_positive_pair(dim=4 + i % 9, delta_b=0.2, seed=1000 + i)
-        r = kernel_integral.semigroup_integral(A, B, tol=1e-8)
+        r = kernel_integral.semigroup_integral(A, B)
         assert r.frobenius_error <= 1e-7
 
 
@@ -60,17 +60,29 @@ def gauss_panels(upper, nodes_per_unit=32):
 
 
 def test_kernel_matches_per_node_products():
-    # reference: 32 Gauss nodes per unit time on [0, s*] summed one node at a time,
-    # w_t exp(-tA) (A^2 - B^2) exp(-tB), as before the exact kernel
+    # reference: 32 Gauss nodes per unit time on [0, 40 / delta_B], where the dropped
+    # tail is below e^-40, summed one node at a time, w_t exp(-tA) (A^2 - B^2) exp(-tB)
     A, B = random_positive_pair(dim=5, delta_b=0.3, seed=41)
-    r = kernel_integral.semigroup_integral(A, B, 1e-8)
-    t, w = gauss_panels(r.upper_time_limit)
+    r = kernel_integral.semigroup_integral(A, B)
     A, B = (A + A.conj().T) / 2, (B + B.conj().T) / 2
     (wa, Va), (wb, Vb) = np.linalg.eigh(A), np.linalg.eigh(B)
+    t, w = gauss_panels(40.0 / wb.min())
     C = A @ A - B @ B
     ref = sum(wk * (Va * np.exp(-tk * wa)) @ Va.conj().T @ C @ (Vb * np.exp(-tk * wb))
               @ Vb.conj().T for tk, wk in zip(t, w))
     np.testing.assert_allclose(r.computed_difference, ref, atol=1e-14)
+
+
+def test_kernel_solves_the_sylvester_equation():
+    # AX + XB = A^2 - B^2 solved densely, (I (x) A + B^T (x) I) vec X = vec C in
+    # column-major vec, with no eigenbasis; its solution is X = A - B
+    A, B = random_positive_pair(dim=6, delta_b=0.2, seed=43)
+    d = A.shape[0]
+    C = A @ A - B @ B
+    lhs = np.kron(np.eye(d), A) + np.kron(B.T, np.eye(d))
+    X = np.linalg.solve(lhs, C.reshape(-1, order="F")).reshape(d, d, order="F")
+    r = kernel_integral.semigroup_integral(A, B)
+    np.testing.assert_allclose(r.computed_difference, X, atol=1e-13)
 
 
 def test_near_strict_pair_bounded_memory():
@@ -80,7 +92,7 @@ def test_near_strict_pair_bounded_memory():
     tracemalloc.start()
     try:
         for A, B in zip(linops.defects(pair.T), linops.defects(pair.T0)):
-            r = kernel_integral.semigroup_integral(A, B, tol=1e-8)
+            r = kernel_integral.semigroup_integral(A, B)
             assert r.frobenius_error <= 1e-7
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -89,14 +101,14 @@ def test_near_strict_pair_bounded_memory():
 
 
 def test_trace_bound_scalar():
-    r = kernel_integral.semigroup_integral(np.array([[0.8]]), np.array([[0.5]]), 1e-8)
+    r = kernel_integral.semigroup_integral(np.array([[0.8]]), np.array([[0.5]]))
     assert r.trace_norm_difference == pytest.approx(0.3)
     assert r.trace_bound == pytest.approx(0.78)
 
 
 def test_trace_bound_equal():
     A = np.diag([0.6, 0.3])
-    r = kernel_integral.semigroup_integral(A, A, 1e-8)
+    r = kernel_integral.semigroup_integral(A, A)
     assert r.trace_norm_difference == pytest.approx(0.0, abs=1e-14)
     assert r.trace_bound == pytest.approx(0.0, abs=1e-14)
 
@@ -104,15 +116,15 @@ def test_trace_bound_equal():
 def test_trace_bound_random():
     for i in range(20):
         A, B = random_positive_pair(dim=8, delta_b=0.3, seed=2000 + i)
-        r = kernel_integral.semigroup_integral(A, B, 1e-8)
+        r = kernel_integral.semigroup_integral(A, B)
         assert r.trace_norm_difference <= r.trace_bound + checks.TRACE_BOUND_SLACK
 
 
 def test_trace_bound_symmetric_swap():
     # both arguments bounded below: the roles of A and B can be interchanged
     A, B = random_positive_pair(dim=6, delta_b=0.4, seed=37)
-    r1 = kernel_integral.semigroup_integral(A, B, 1e-8)
-    r2 = kernel_integral.semigroup_integral(B, A, 1e-8)
+    r1 = kernel_integral.semigroup_integral(A, B)
+    r2 = kernel_integral.semigroup_integral(B, A)
     assert r1.trace_norm_difference == pytest.approx(r2.trace_norm_difference, abs=1e-12)
     for r in (r1, r2):
         assert r.trace_norm_difference <= r.trace_bound + checks.TRACE_BOUND_SLACK
