@@ -4,7 +4,8 @@
 Reconstructs the shift function of a seeded random pair, writes its
 Abel-regularized boundary profile (ssf.csv) and coefficient table
 (ssf_coeffs.json), then tabulates the disc pairing against the closed
-form on a radius ladder (disc.csv) and prints the convergence trace.
+form on the default radius ladder of ``disc-report`` (disc.csv) and
+prints the convergence trace.
 
     python3 scripts/ssf_profile.py --dim 8 --seed 5 --out runs/profile
 """
@@ -35,8 +36,7 @@ def main() -> int:
          "--n-max", str(args.n_max), "--abel-radius", str(args.abel_radius),
          "--out", str(out)],
         ["disc-report", "--t", str(out / "T.json"), "--t0", str(out / "T0.json"),
-         "--n-max", str(args.n_max),
-         "--radii", "0.5", "0.8", "0.9", "0.99", "0.999", "--out", str(out)],
+         "--n-max", str(args.n_max), "--out", str(out)],
     ):
         code = cli.main(argv)
         if code != 0:

@@ -11,6 +11,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -18,7 +19,8 @@ from . import calculus, dilation, disc, kernel_integral, linops, ssf
 
 SUITES = ("lemma", "dilation", "circle", "disc")
 
-DEFAULT_TOLERANCES = {
+# every check's threshold or budget constant, read-only: a run cannot redefine a verdict
+TOLERANCES = MappingProxyType({
     "semigroup_tol": 1e-7,
     "identity_tol": 1e-12,
     "orthonormality_tol": 1e-10,
@@ -30,7 +32,7 @@ DEFAULT_TOLERANCES = {
     "quad_match_tol": 1e-8,
     "disc_gap_extra": 1e-9,
     "cross_theorem_tol": 1e-10,
-}
+})
 
 WINDOW_N = 8  # dilation window radius; powers 1..N are checked
 ABEL_RADIUS = 0.999  # radius of the circle quadrature route
@@ -73,7 +75,7 @@ def _within(name: str, measured, threshold) -> CheckResult:
     return CheckResult(name, measured <= threshold, measured, threshold)
 
 
-def lemma_checks(pair: linops.ContractionPair, tol: dict) -> list[CheckResult]:
+def lemma_checks(pair: linops.ContractionPair) -> list[CheckResult]:
     """Defect-difference identity, trace-norm bound and semigroup integral, per side."""
     identity, bound, semigroup = [], [], []
     defects_T, defects_T0 = pair.defects
@@ -81,12 +83,12 @@ def lemma_checks(pair: linops.ContractionPair, tol: dict) -> list[CheckResult]:
     for side, A, B, (T, T0) in zip(("left", "right"), defects_T, defects_T0, operators):
         identity.append(_within(f"lemma/identity_{side}",
                                 kernel_integral.defect_identity_error(A, B, T, T0),
-                                tol["identity_tol"]))
+                                TOLERANCES["identity_tol"]))
         r = kernel_integral.semigroup_integral(A, B)
         bound.append(_within(f"lemma/trace_bound_{side}", r.trace_norm_difference,
                              r.trace_bound + TRACE_BOUND_SLACK))
         semigroup.append(_within(f"lemma/semigroup_{side}", r.frobenius_error,
-                                 tol["semigroup_tol"]))
+                                 TOLERANCES["semigroup_tol"]))
     return identity + bound + semigroup
 
 
@@ -103,32 +105,32 @@ def _four_blocks_residual(pair, WT, W0) -> float:
     return worst
 
 
-def dilation_checks(pair: linops.ContractionPair, tol: dict) -> list[CheckResult]:
+def dilation_checks(pair: linops.ContractionPair) -> list[CheckResult]:
     """Window structure, compressions and trace transfer for powers 1..WINDOW_N."""
     WT = dilation.build_window_dilation(pair.T, WINDOW_N)
     W0 = dilation.build_window_dilation(pair.T0, WINDOW_N)
-    results = [_within(f"dilation/orthonormal_{name}",
-                       dilation.interior_column_orthonormality(W), tol["orthonormality_tol"])
+    results = [_within(f"dilation/orthonormal_{name}", dilation.interior_column_orthonormality(W),
+                       TOLERANCES["orthonormality_tol"])
                for name, W in (("T", WT), ("T0", W0))]
     results.append(_within("dilation/four_blocks", _four_blocks_residual(pair, WT, W0),
-                           tol["offblock_tol"]))
+                           TOLERANCES["offblock_tol"]))
     for n, gap, lhs, rhs in dilation.power_walk(pair, WT, W0):
-        results.append(_within(f"dilation/compression_n{n}", gap, tol["compression_tol"]))
+        results.append(_within(f"dilation/compression_n{n}", gap, TOLERANCES["compression_tol"]))
         results.append(_within(f"dilation/trace_transfer_n{n}", abs(lhs - rhs),
-                               tol["trace_transfer_tol"]))
+                               TOLERANCES["trace_transfer_tol"]))
     return results
 
 
-def _quadrature_budget(xi, phi, tol: dict) -> float:
+def _quadrature_budget(xi, phi) -> float:
     """Budget factor times (Abel tail 2*pi sum k|a_k||xi_hat(-k)|(1 - r^k) + grid term)."""
     k = np.arange(1, min(phi.order, xi.order) + 1)
     terms = k * np.abs(phi.coeffs[phi.order + k]) * np.abs(xi.coeffs[xi.order - k])
     tail = 2.0 * np.pi * float(np.sum(terms * (1.0 - ABEL_RADIUS ** k)))
     grid = 1e-12 * (1.0 + phi.weighted_norm)
-    return tol["quad_budget_factor"] * (tail + grid)
+    return TOLERANCES["quad_budget_factor"] * (tail + grid)
 
 
-def circle_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries, tol: dict,
+def circle_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries,
                   series: dict = CIRCLE_SERIES) -> list[CheckResult]:
     """Circle formula per symbol: pairing vs. left side, quadrature, constant shift."""
     results = []
@@ -138,43 +140,40 @@ def circle_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries, tol: dict
         lhs = calculus.trace_lhs_circle(pair, phi)
         rhs = disc.disc_integral_closed_form(xi, phi, 1.0)  # 2*pi*i sum k a_k xi_hat(-k)
         results.append(_within(f"circle/formula_{name}", abs(lhs - rhs),
-                               tol["circle_tol"] * (1.0 + phi.weighted_norm)))
+                               TOLERANCES["circle_tol"] * (1.0 + phi.weighted_norm)))
         results.append(_within(f"circle/quadrature_{name}", abs(quad - rhs),
-                               _quadrature_budget(xi, phi, tol)))
+                               _quadrature_budget(xi, phi)))
         shifted = disc.disc_integral_closed_form(xi.with_constant(CONSTANT_SHIFT), phi, 1.0)
-        results.append(_within(f"circle/constant_independence_{name}",
-                               abs(shifted - rhs), 0.0))
+        results.append(_within(f"circle/constant_independence_{name}", abs(shifted - rhs), 0.0))
     return results
 
 
-def cross_theorem_check(pair: linops.ContractionPair, name: str, terms: dict,
-                        tol: dict) -> CheckResult:
+def cross_theorem_check(pair: linops.ContractionPair, name: str, terms: dict) -> CheckResult:
     """Disc and circle left sides agree on a table with no negative modes."""
     psi = ssf.LaurentSeries.from_terms(terms)
     gap = abs(calculus.laurent_difference_trace(pair, psi) - calculus.trace_lhs_circle(pair, psi))
-    return _within(f"disc/cross_theorem_{name}", gap, tol["cross_theorem_tol"])
+    return _within(f"disc/cross_theorem_{name}", gap, TOLERANCES["cross_theorem_tol"])
 
 
-def disc_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries,
-                tol: dict) -> list[CheckResult]:
+def disc_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries) -> list[CheckResult]:
     """Disc formula per table: quadrature vs. closed form, limit gap, cross-theorem."""
     results = []
     psis = [ssf.LaurentSeries.from_terms(terms) for terms in DISC_TABLES.values()]
     reports = disc.verify_disc_trace_formula(pair, xi, psis, DISC_CONFIG)
     for (name, terms), report in zip(DISC_TABLES.items(), reports):
         worst = max(abs(q - c) for _, q, c in report.per_radius)
-        results.append(_within(f"disc/quad_vs_closed_{name}", worst, tol["quad_match_tol"]))
+        results.append(_within(f"disc/quad_vs_closed_{name}", worst, TOLERANCES["quad_match_tol"]))
         results.append(_within(f"disc/limit_gap_{name}", report.final_gap(),
-                               report.tail_bound + tol["disc_gap_extra"]))
+                               report.tail_bound + TOLERANCES["disc_gap_extra"]))
         if all(n >= 0 for n in terms):
-            results.append(cross_theorem_check(pair, name, terms, tol))
+            results.append(cross_theorem_check(pair, name, terms))
     return results
 
 
-def config(tol: dict, n_max: int) -> dict:
+def config(n_max: int) -> dict:
     """The settings a verify run checks with, as ``summary.json`` records them."""
     return {
-        "tolerances": dict(tol),
+        "tolerances": dict(TOLERANCES),
         "n_max": n_max,
         "window_n": WINDOW_N,
         "abel_radius": ABEL_RADIUS,
@@ -192,7 +191,7 @@ def _stopwatch(timings: dict, name: str):
     timings[name] = time.perf_counter() - start
 
 
-def run(pair: linops.ContractionPair, suites, tol: dict,
+def run(pair: linops.ContractionPair, suites,
         n_max: int) -> tuple[list[CheckResult], dict[str, float]]:
     """Every check of the selected suites, in SUITES order, and the wall seconds
     of each suite.  The circle and disc suites share one shift function of
@@ -200,17 +199,17 @@ def run(pair: linops.ContractionPair, suites, tol: dict,
     results, timings = [], {}
     if "lemma" in suites:
         with _stopwatch(timings, "lemma"):
-            results += lemma_checks(pair, tol)
+            results += lemma_checks(pair)
     if "dilation" in suites:
         with _stopwatch(timings, "dilation"):
-            results += dilation_checks(pair, tol)
+            results += dilation_checks(pair)
     if "circle" in suites or "disc" in suites:
         with _stopwatch(timings, "xi"):
             xi = ssf.ssf_from_moments(ssf.moments(pair, max(n_max, DISC_MAX_ORDER)))
         if "circle" in suites:
             with _stopwatch(timings, "circle"):
-                results += circle_checks(pair, xi, tol)
+                results += circle_checks(pair, xi)
         if "disc" in suites:
             with _stopwatch(timings, "disc"):
-                results += disc_checks(pair, xi, tol)
+                results += disc_checks(pair, xi)
     return results, timings

@@ -11,7 +11,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -26,8 +25,7 @@ INPUT_ERRORS = (SsftraceError, ValueError, KeyError, OSError)
 
 
 def _load_pair(t_path, t0_path) -> linops.ContractionPair:
-    return linops.make_pair(serialize.load_matrix(t_path),
-                            serialize.load_matrix(t0_path))
+    return linops.make_pair(serialize.load_matrix(t_path), serialize.load_matrix(t0_path))
 
 
 def cmd_gen(args) -> int:
@@ -67,29 +65,7 @@ def _write_verify_reports(out: Path, results: list[checks.CheckResult],
     return summary
 
 
-def _tolerances(items) -> dict:
-    """DEFAULT_TOLERANCES with NAME=VALUE overrides; ValueError on a bad item."""
-    tol = dict(checks.DEFAULT_TOLERANCES)
-    for item in items or []:
-        name, _, raw = item.partition("=")
-        if name not in tol:
-            raise ValueError(f"unknown tolerance {name!r}")
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(f"tolerance {name}: {raw!r} is not a number") from None
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"tolerance {name} must be finite and positive, got {raw}")
-        tol[name] = value
-    return tol
-
-
 def cmd_verify(args) -> int:
-    try:
-        tol = _tolerances(args.tol)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
     suites = checks.SUITES if args.suite == "all" else (args.suite,)
     if args.n_max < 0:
         print(f"--n-max must be >= 0, got {args.n_max}", file=sys.stderr)
@@ -109,10 +85,9 @@ def cmd_verify(args) -> int:
         results, timings = [], {}
         failures = [f"load: {type(exc).__name__}: {exc}"]
     else:
-        results, timings = checks.run(pair, suites, tol, args.n_max)
+        results, timings = checks.run(pair, suites, args.n_max)
         failures = []
-    summary = _write_verify_reports(out, results, failures, timings,
-                                    checks.config(tol, args.n_max))
+    summary = _write_verify_reports(out, results, failures, timings, checks.config(args.n_max))
     print(json.dumps({"passed": summary["passed"], "failures": summary["failures"]}))
     return 0 if summary["passed"] else 1
 
@@ -140,8 +115,8 @@ def cmd_disc_report(args) -> int:
     cfg = (disc.DiscQuadratureConfig(radius_schedule=tuple(args.radii)) if args.radii
            else checks.DISC_CONFIG)
     cfg.check_resolves(args.n_max)
-    psi = (serialize.series_from_dict(json.loads(Path(args.psi).read_text()), cfg.max_order)
-           if args.psi else ssf.LaurentSeries.from_terms(checks.DISC_TABLES["real_sym"]))
+    psi = (serialize.load_series(args.psi, cfg.max_order) if args.psi
+           else ssf.LaurentSeries.from_terms(checks.DISC_TABLES["real_sym"]))
     xi = ssf.ssf_from_moments(ssf.moments(pair, max(args.n_max, psi.order)))
     report, = disc.verify_disc_trace_formula(pair, xi, [psi], cfg)
     out = Path(args.out)
@@ -170,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", parents=[pair], help="run verification suites on a pair")
     verify.add_argument("--suite", choices=[*checks.SUITES, "all"], default="all")
-    verify.add_argument("--tol", action="append", metavar="NAME=VALUE")
     verify.set_defaults(func=cmd_verify)
 
     export = sub.add_parser("ssf", parents=[pair],

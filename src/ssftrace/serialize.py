@@ -6,7 +6,8 @@ row-major order.  Shift-function JSON, written by ``ssf``: {"n_max": int,
 {"coeffs": [[k, re, im], ...]}, k of either sign, so a shift-function file
 reads as a two-sided series.  Readers raise ValueError on a length mismatch,
 a wrongly shaped value or row, a bool, non-number or non-finite entry, a negative
-size, a repeated index, or a series index beyond ``max_order`` (before allocating).
+size, a repeated index, a series index beyond ``max_order`` (before allocating), or
+a file nested too deeply to parse.
 """
 
 from __future__ import annotations
@@ -81,8 +82,7 @@ def matrix_from_dict(d: dict) -> np.ndarray:
             raise ValueError(f"malformed matrix JSON: rows {rows} and cols {cols} must be >= 0")
         flat = _data(d["data"])
     if len(flat) != rows * cols:
-        raise ValueError(
-            f"data length {len(flat)} does not match {rows}x{cols}")
+        raise ValueError(f"data length {len(flat)} does not match {rows}x{cols}")
     return flat.reshape(rows, cols)
 
 
@@ -90,8 +90,15 @@ def save_matrix(path, M):
     Path(path).write_text(json.dumps(matrix_to_dict(M), sort_keys=True) + "\n")
 
 
+def _load_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"malformed {what} JSON: {path} is nested too deeply") from None
+
+
 def load_matrix(path) -> np.ndarray:
-    return matrix_from_dict(json.loads(Path(path).read_text()))
+    return matrix_from_dict(_load_json(path, "matrix"))
 
 
 def ssf_to_dict(s: LaurentSeries) -> dict:
@@ -112,6 +119,10 @@ def series_from_dict(d: dict, max_order: int) -> LaurentSeries:
                 raise ValueError(f"series JSON: coeffs index {k} is beyond order {max_order}")
             terms[k] = complex(re, im)
     return LaurentSeries.from_terms(terms)
+
+
+def load_series(path, max_order: int) -> LaurentSeries:
+    return series_from_dict(_load_json(path, "series"), max_order)
 
 
 def write_ssf_grid_csv(path, t_grid, values):

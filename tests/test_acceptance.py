@@ -2,8 +2,8 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 pass/fail lines as they are produced.  C2, C3, C4, C7 and C8 run the
-checks of ``ssftrace verify`` (``ssftrace.checks``) with its default
-tolerances over seeded pair sets; C2, C3, C4 and C7 add the pairs with
+checks of ``ssftrace verify`` (``ssftrace.checks``) with its tolerances
+over seeded pair sets; C2, C3, C4 and C7 add the pairs with
 ||T|| = 1 from ``norm_one_pairs``.
 """
 
@@ -15,7 +15,6 @@ from pairs import (norm_one_pairs, random_pairs, random_positive_pair,
 from ssftrace import calculus, checks, disc, kernel_integral, ssf
 from ssftrace.calculus import LaurentSeries
 
-TOL = checks.DEFAULT_TOLERANCES
 # the verify symbols plus two sparse ones
 ACCEPTANCE_SERIES = {
     **checks.CIRCLE_SERIES,
@@ -47,7 +46,7 @@ def test_c1_semigroup_integral():
         r = kernel_integral.semigroup_integral(A, B)
         worst_err = max(worst_err, r.frobenius_error)
         violations += r.trace_norm_difference > r.trace_bound + checks.TRACE_BOUND_SLACK
-    ok = worst_err <= TOL["semigroup_tol"] and violations == 0
+    ok = worst_err <= checks.TOLERANCES["semigroup_tol"] and violations == 0
     verdict("C1 semigroup integral", ok,
             f"max Frobenius error {worst_err:.3e}, bound violations {violations}")
 
@@ -55,7 +54,7 @@ def test_c1_semigroup_integral():
 def test_c2_defect_difference():
     results = []
     for pair in random_pairs(100, seed=9100, delta=0.2) + norm_one_pairs():
-        results += checks.lemma_checks(pair, TOL)
+        results += checks.lemma_checks(pair)
     worst_id = max_measured(results, "lemma/identity_")
     violations = sum(not c.passed for c in results if c.name.startswith("lemma/trace_bound_"))
     ok = all(c.passed for c in results)
@@ -66,7 +65,7 @@ def test_c2_defect_difference():
 def test_c3_dilation():
     results = []
     for pair in random_pairs(50, seed=9200, dims=(2, 3, 4, 5, 6)) + norm_one_pairs():
-        results += checks.dilation_checks(pair, TOL)
+        results += checks.dilation_checks(pair)
     ok = all(c.passed for c in results)
     verdict("C3 truncated dilation", ok,
             f"worst ortho {max_measured(results, 'dilation/orthonormal_'):.3e}, "
@@ -80,10 +79,10 @@ def test_c4_circle_formula():
     results = []
     for pair in random_pairs(50, seed=9300) + norm_one_pairs():
         xi = ssf.ssf_from_moments(ssf.moments(pair, n_max))
-        results += checks.circle_checks(pair, xi, TOL, ACCEPTANCE_SERIES)
+        results += checks.circle_checks(pair, xi, ACCEPTANCE_SERIES)
     ok = all(c.passed for c in results)
     # |lhs - rhs| / (1 + sum k|a_k|)
-    scaled_gap = max_ratio(results, "circle/formula_") * TOL["circle_tol"]
+    scaled_gap = max_ratio(results, "circle/formula_") * checks.TOLERANCES["circle_tol"]
     const_exact = max_measured(results, "circle/constant_independence_") == 0.0
     verdict("C4 circle trace formula", ok,
             f"worst scaled gap {scaled_gap:.3e}, "
@@ -120,7 +119,7 @@ def test_c7_disc_formula():
     results = []
     for pair in random_pairs(25, seed=9500, dims=(2, 4, 6)) + norm_one_pairs():
         xi = ssf.ssf_from_moments(ssf.moments(pair, 32))
-        results += checks.disc_checks(pair, xi, TOL)
+        results += checks.disc_checks(pair, xi)
     disc_ok = all(c.passed for c in results)
     gap_ok = all(c.passed for c in results if c.name.startswith("disc/limit_gap_"))
     # angular orthogonality of monomial Jacobians on a fixed disc
@@ -141,7 +140,7 @@ def test_c7_disc_formula():
 
 def test_c8_cross_theorem():
     terms = checks.DISC_TABLES["one_sided"]
-    results = [checks.cross_theorem_check(pair, "one_sided", terms, TOL)
+    results = [checks.cross_theorem_check(pair, "one_sided", terms)
                for pair in random_pairs(25, seed=9500, dims=(2, 4, 6))]
     ok = all(c.passed for c in results)
     verdict("C8 cross-theorem consistency", ok,

@@ -123,7 +123,7 @@ class TestCircleRhs:
         assert abs(quad - rhs) <= 10.0 * (tail + 1e-12)
         # the suite's budget is the same tail, with the grid term 1e-12 (1 + sum k|a_k|)
         weighted = sum(k * abs(a) for k, a in terms.items())
-        budget = checks._quadrature_budget(s, phi, checks.DEFAULT_TOLERANCES)
+        budget = checks._quadrature_budget(s, phi)
         assert checks.ABEL_RADIUS == r
         assert budget == pytest.approx(10.0 * (tail + 1e-12 * (1.0 + weighted)), rel=1e-12)
         assert abs(quad - rhs) <= budget
@@ -165,7 +165,7 @@ class TestCircleRhs:
 
         monkeypatch.setattr(ssf, "evaluate_ssf_uniform", counted)
         monkeypatch.setattr(calculus, "evaluate_ssf_uniform", counted)
-        results = checks.circle_checks(pair, xi, checks.DEFAULT_TOLERANCES)
+        results = checks.circle_checks(pair, xi)
         assert len(calls) == 1
         assert len(results) == 3 * len(checks.CIRCLE_SERIES) and all(c.passed for c in results)
 
@@ -188,7 +188,7 @@ class TestCircleRhs:
         # against their threshold 0
         pair = linops.random_pair(d, 0.25, 0.1, seed=1)
         xi = ssf.ssf_from_moments(ssf.moments(pair, 64))
-        rows = [c for c in checks.circle_checks(pair, xi, checks.DEFAULT_TOLERANCES)
+        rows = [c for c in checks.circle_checks(pair, xi)
                 if c.name.startswith("circle/constant_independence_")]
         assert len(rows) == len(checks.CIRCLE_SERIES)
         assert all(c.passed and c.measured == 0.0 for c in rows)
@@ -206,7 +206,7 @@ class TestCircleRhs:
         pair = random_pairs(1, seed=607, dims=(4,))[0]
         xi = ssf.ssf_from_moments(ssf.moments(pair, checks.CIRCLE_MIN_N_MAX - 1))
         with pytest.raises(InsufficientCoefficientsError):
-            checks.circle_checks(pair, xi, checks.DEFAULT_TOLERANCES)
+            checks.circle_checks(pair, xi)
 
 
 class TestLaurentTrace:

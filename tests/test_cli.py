@@ -97,7 +97,7 @@ class TestVerify:
         assert set(timings) == {"lemma", "dilation", "xi", "circle", "disc"}
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
         assert summary["config"] == {
-            "tolerances": checks.DEFAULT_TOLERANCES,
+            "tolerances": checks.TOLERANCES,
             "n_max": 48,
             "window_n": 8,
             "abel_radius": 0.999,
@@ -117,7 +117,7 @@ class TestVerify:
         assert all(c["name"].startswith("lemma/") for c in summary["checks"])
         assert list(summary["timings_s"]) == ["lemma"]
         assert summary["timings_s"]["lemma"] >= 0.0
-        assert summary["config"]["tolerances"] == checks.DEFAULT_TOLERANCES
+        assert summary["config"]["tolerances"] == checks.TOLERANCES
         assert summary["config"]["n_max"] == 64
 
     def test_non_contraction_is_load_failure(self, tmp_path, capsys):
@@ -170,27 +170,52 @@ class TestVerify:
         with open(tmp_path / "verify-empty" / "report.csv", newline="") as fh:
             assert list(csv.reader(fh)) == [["name", "passed", "measured", "threshold"]]
 
-    def test_tolerance_override_can_fail(self, tmp_path):
+    def test_wrong_layer_fails_with_full_report(self, tmp_path, monkeypatch):
+        # ssf.moments one power off: the circle formula rows fail, and the report
+        # still holds every row of every suite
         pair_dir = gen_pair(tmp_path, seed=9)
-        out = tmp_path / "verify-tight"
-        code = run(["verify", "--t", str(pair_dir / "T.json"),
-                    "--t0", str(pair_dir / "T0.json"), "--suite", "circle",
-                    "--n-max", "48", "--tol", "circle_tol=1e-30",
-                    "--out", str(out)])
-        assert code == 1
+        argv = ["verify", "--t", str(pair_dir / "T.json"), "--t0", str(pair_dir / "T0.json"),
+                "--n-max", "48"]
+        assert run([*argv, "--out", str(tmp_path / "exact")]) == 0
+        exact_moments = ssf.moments
+        monkeypatch.setattr(ssf, "moments",
+                            lambda pair, n_max: exact_moments(pair, n_max + 1)[1:])
+        out = tmp_path / "shifted"
+        assert run([*argv, "--out", str(out)]) == 1
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["config"]["tolerances"]["circle_tol"] == 1e-30
+        assert summary["passed"] is False
+        assert any(f.startswith("circle/formula_") for f in summary["failures"])
+        names = []
+        for d in (tmp_path / "exact", out):
+            with open(d / "report.csv", newline="") as fh:
+                names.append([row[0] for row in csv.reader(fh)])
+        assert names[1] == names[0] and len(names[1]) - 1 == summary["num_checks"]
 
-    def test_unknown_tolerance_rejected(self, tmp_path, capsys):
+    def test_tol_option_is_usage_error(self, tmp_path, capsys):
+        # the thresholds are checks.TOLERANCES; no option redefines them
         pair_dir = gen_pair(tmp_path, seed=9)
-        for item in ("nope=1", "circle_tol=abc", "circle_tol=-1", "circle_tol=0",
-                     "circle_tol=nan", "circle_tol=inf"):
-            code = run(["verify", "--t", str(pair_dir / "T.json"),
-                        "--t0", str(pair_dir / "T0.json"),
-                        "--tol", item, "--out", str(tmp_path / "x")])
-            assert code == 2, item
-            assert "tolerance" in capsys.readouterr().err
-            assert not (tmp_path / "x").exists()
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--t", str(pair_dir / "T.json"), "--t0", str(pair_dir / "T0.json"),
+                 "--tol", "circle_tol=1e-8", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        with pytest.raises(TypeError):
+            checks.TOLERANCES["circle_tol"] = 1e-8
+
+    def test_deeply_nested_json_is_load_failure(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        ok = tmp_path / "ok.json"
+        serialize.save_matrix(ok, 0.5 * np.eye(2))
+        out = tmp_path / "verify-deep"
+        assert run(["verify", "--t", str(deep), "--t0", str(ok), "--out", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures"] == [
+            f"load: ValueError: malformed matrix JSON: {deep} is nested too deeply"]
+        with open(out / "report.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["name", "passed", "measured", "threshold"]]
+        assert not capsys.readouterr().err
 
     def test_circle_n_max_below_symbol_degree(self, tmp_path, capsys):
         pair_dir = gen_pair(tmp_path, seed=9)
@@ -362,6 +387,17 @@ class TestDiscReport:
                     "--t0", str(pair_dir / "T0.json"), "--psi", str(psi_path),
                     "--n-max", "32", "--out", str(out)]) == 0
         assert (out / "disc.csv").is_file()
+
+    def test_deeply_nested_psi_is_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        pair_dir = gen_pair(tmp_path, seed=31)
+        assert run(["disc-report", "--t", str(pair_dir / "T.json"),
+                    "--t0", str(pair_dir / "T0.json"), "--psi", str(deep),
+                    "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"ValueError: malformed series JSON: {deep} is nested too deeply\n"
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("option", [["--radii", "0.9", "0.5"], ["--radii", "1.5"],
                                         ["--psi", "no-such-table.json"],

@@ -108,7 +108,7 @@ def test_d64_suite_passes_within_one_window_of_memory():
     pair = linops.random_pair(64, 0.25, 0.1, seed=1)
     tracemalloc.start()
     try:
-        rows = checks.dilation_checks(pair, checks.DEFAULT_TOLERANCES)
+        rows = checks.dilation_checks(pair)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -337,7 +337,7 @@ class TestSharedQuadrature:
             return ring_wirtinger(table, r, M)
 
         monkeypatch.setattr(disc, "_ring_wirtinger", counted)
-        checks.disc_checks(pair, xi, checks.DEFAULT_TOLERANCES)
+        checks.disc_checks(pair, xi)
         radii = len(checks.DISC_CONFIG.radius_schedule)
         tables = [ssf.LaurentSeries.from_terms(t) for t in checks.DISC_TABLES.values()]
         assert calls == {t.coeffs.tobytes(): radii for t in [xi, *tables]}
@@ -350,7 +350,7 @@ class TestSharedQuadrature:
         M = checks.DISC_CONFIG.angular_nodes
         tracemalloc.start()
         try:
-            results = checks.disc_checks(pair, xi, checks.DEFAULT_TOLERANCES)
+            results = checks.disc_checks(pair, xi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

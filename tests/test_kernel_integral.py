@@ -131,22 +131,20 @@ def test_trace_bound_symmetric_swap():
 
 
 class TestDefectDifference:
-    TOL = checks.DEFAULT_TOLERANCES
-
     @staticmethod
     def by_name(results):
         return {c.name: c for c in results}
 
     def test_equal_pair(self):
         T0 = 0.5 * np.eye(3)
-        checked = self.by_name(checks.lemma_checks(linops.make_pair(T0, T0), self.TOL))
+        checked = self.by_name(checks.lemma_checks(linops.make_pair(T0, T0)))
         for side in ("left", "right"):
             bound = checked[f"lemma/trace_bound_{side}"]
             assert bound.measured == pytest.approx(0.0, abs=1e-12)
             assert bound.threshold - checks.TRACE_BOUND_SLACK == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_closed_form(self):
-        checked = self.by_name(checks.lemma_checks(scalar_pair(0.6, 0.5), self.TOL))
+        checked = self.by_name(checks.lemma_checks(scalar_pair(0.6, 0.5)))
         d_gap = abs(0.8 - np.sqrt(0.75))
         bound = abs(0.64 - 0.75) / np.sqrt(0.75)
         assert checked["lemma/trace_bound_left"].measured == pytest.approx(d_gap, abs=1e-12)
@@ -155,5 +153,5 @@ class TestDefectDifference:
 
     def test_random_pairs(self):
         for pair in random_pairs(10, seed=300, dims=(8,), delta=0.3):
-            for c in checks.lemma_checks(pair, self.TOL):
+            for c in checks.lemma_checks(pair):
                 assert c.passed, c

@@ -227,6 +227,6 @@ class TestPairDefects:
         defects = counted("defects", linops.defects)
         monkeypatch.setattr(linops, "defects", defects)
         monkeypatch.setattr(dilation, "defects", defects)
-        checks.run(pair, checks.SUITES, checks.DEFAULT_TOLERANCES, 64)
+        checks.run(pair, checks.SUITES, 64)
         # 4 SVDs in defects, and the two Hermitian trace norms of each lemma side
         assert calls == {"svd": 4, "eigh": 4, "eigvalsh": 4, "defects": 4}

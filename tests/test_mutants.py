@@ -13,7 +13,6 @@ import pytest
 
 from ssftrace import checks, dilation, disc, kernel_integral, linops, ssf
 
-TOL = checks.DEFAULT_TOLERANCES
 N_MAX = 64
 exact_moments = ssf.moments
 exact_ring_sums = disc._ring_sums
@@ -81,7 +80,7 @@ def window_without_shifts(T, N):
 
 def failed_rows(suites):
     pair = linops.random_pair(16, 0.25, 0.1, seed=1)
-    results, _ = checks.run(pair, suites, TOL, N_MAX)
+    results, _ = checks.run(pair, suites, N_MAX)
     return {c.name for c in results if not c.passed}
 
 
