@@ -36,7 +36,7 @@ def main() -> int:
          "--n-max", str(args.n_max), "--abel-radius", str(args.abel_radius),
          "--out", str(out)],
         ["disc-report", "--t", str(out / "T.json"), "--t0", str(out / "T0.json"),
-         "--n-max", str(args.n_max), "--out", str(out)],
+         "--out", str(out)],
     ):
         code = cli.main(argv)
         if code != 0:

@@ -22,6 +22,8 @@ SUITES = ("lemma", "dilation", "circle", "disc")
 # every check's threshold or budget constant, read-only: a run cannot redefine a verdict
 TOLERANCES = MappingProxyType({
     "semigroup_tol": 1e-7,
+    # roundoff allowance of the lemma's trace-norm bound, whose two sides meet for A = B
+    "trace_bound_slack": 1e-12,
     "identity_tol": 1e-12,
     "orthonormality_tol": 1e-10,
     "offblock_tol": 1e-12,
@@ -29,6 +31,7 @@ TOLERANCES = MappingProxyType({
     "trace_transfer_tol": 1e-9,
     "circle_tol": 1e-9,
     "quad_budget_factor": 10.0,
+    "quad_grid_allowance": 1e-12,  # per unit of 1 + the symbol's weighted norm
     "quad_match_tol": 1e-8,
     "disc_gap_extra": 1e-9,
     "cross_theorem_tol": 1e-10,
@@ -37,8 +40,6 @@ TOLERANCES = MappingProxyType({
 WINDOW_N = 8  # dilation window radius; powers 1..N are checked
 ABEL_RADIUS = 0.999  # radius of the circle quadrature route
 CONSTANT_SHIFT = 3.7  # replaces xi_hat(0) in the constant-independence check
-# roundoff allowance of the lemma's trace-norm bound, whose two sides meet for A = B
-TRACE_BOUND_SLACK = 1e-12
 
 CIRCLE_SERIES = {
     "poly": {1: 0.5, 2: 1.0, 3: -0.25},
@@ -54,8 +55,6 @@ DISC_TABLES = {
 CIRCLE_MIN_N_MAX = max(max(terms) for terms in CIRCLE_SERIES.values())
 DISC_MAX_ORDER = max(abs(n) for terms in DISC_TABLES.values() for n in terms)
 DISC_CONFIG = disc.DiscQuadratureConfig()
-# the disc quadrature resolves shift functions up to this order
-DISC_MAX_N_MAX = DISC_CONFIG.max_order
 
 
 @dataclass
@@ -86,23 +85,10 @@ def lemma_checks(pair: linops.ContractionPair) -> list[CheckResult]:
                                 TOLERANCES["identity_tol"]))
         r = kernel_integral.semigroup_integral(A, B)
         bound.append(_within(f"lemma/trace_bound_{side}", r.trace_norm_difference,
-                             r.trace_bound + TRACE_BOUND_SLACK))
+                             r.trace_bound + TOLERANCES["trace_bound_slack"]))
         semigroup.append(_within(f"lemma/semigroup_{side}", r.frobenius_error,
                                  TOLERANCES["semigroup_tol"]))
     return identity + bound + semigroup
-
-
-def _four_blocks_residual(pair, WT, W0) -> float:
-    """Worst block of WT - W0 against its closed form, or against zero off the four slots,
-    over every block either window holds and every shift only one holds (else I - I or 0)."""
-    expected = dilation.dilation_difference_blocks(pair)
-    worst = 0.0
-    for i, j in WT.blocks.keys() | W0.blocks.keys() | (WT.shifts ^ W0.shifts) | expected.keys():
-        blk = WT.block(i, j) - W0.block(i, j)
-        ref = expected.get((i, j))
-        res = np.linalg.norm(blk - ref if ref is not None else blk, "fro")
-        worst = max(worst, float(res))
-    return worst
 
 
 def dilation_checks(pair: linops.ContractionPair) -> list[CheckResult]:
@@ -112,7 +98,7 @@ def dilation_checks(pair: linops.ContractionPair) -> list[CheckResult]:
     results = [_within(f"dilation/orthonormal_{name}", dilation.interior_column_orthonormality(W),
                        TOLERANCES["orthonormality_tol"])
                for name, W in (("T", WT), ("T0", W0))]
-    results.append(_within("dilation/four_blocks", _four_blocks_residual(pair, WT, W0),
+    results.append(_within("dilation/four_blocks", dilation.four_blocks_residual(pair, WT, W0),
                            TOLERANCES["offblock_tol"]))
     for n, gap, lhs, rhs in dilation.power_walk(pair, WT, W0):
         results.append(_within(f"dilation/compression_n{n}", gap, TOLERANCES["compression_tol"]))
@@ -126,7 +112,7 @@ def _quadrature_budget(xi, phi) -> float:
     k = np.arange(1, min(phi.order, xi.order) + 1)
     terms = k * np.abs(phi.coeffs[phi.order + k]) * np.abs(xi.coeffs[xi.order - k])
     tail = 2.0 * np.pi * float(np.sum(terms * (1.0 - ABEL_RADIUS ** k)))
-    grid = 1e-12 * (1.0 + phi.weighted_norm)
+    grid = TOLERANCES["quad_grid_allowance"] * (1.0 + phi.weighted_norm)
     return TOLERANCES["quad_budget_factor"] * (tail + grid)
 
 
@@ -170,11 +156,19 @@ def disc_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries) -> list[Che
     return results
 
 
-def config(n_max: int) -> dict:
+def xi_orders(suites, n_max: int) -> dict[str, int]:
+    """Order of the shift function each selected suite reads: the circle suite's
+    pairing needs xi_hat(-k) to at least CIRCLE_MIN_N_MAX, the disc suite's to
+    DISC_MAX_ORDER, as neither pairs a mode its symbols lack."""
+    orders = {"circle": max(n_max, CIRCLE_MIN_N_MAX), "disc": DISC_MAX_ORDER}
+    return {suite: order for suite, order in orders.items() if suite in suites}
+
+
+def config(suites, n_max: int) -> dict:
     """The settings a verify run checks with, as ``summary.json`` records them."""
     return {
         "tolerances": dict(TOLERANCES),
-        "n_max": n_max,
+        "xi_order": xi_orders(suites, n_max),
         "window_n": WINDOW_N,
         "abel_radius": ABEL_RADIUS,
         "quadrature_points": calculus.QUADRATURE_POINTS,
@@ -194,8 +188,8 @@ def _stopwatch(timings: dict, name: str):
 def run(pair: linops.ContractionPair, suites,
         n_max: int) -> tuple[list[CheckResult], dict[str, float]]:
     """Every check of the selected suites, in SUITES order, and the wall seconds
-    of each suite.  The circle and disc suites share one shift function of
-    order max(n_max, DISC_MAX_ORDER); building it is timed as "xi"."""
+    of each suite.  The circle and disc suites read one moment sequence, built
+    to the largest of their ``xi_orders``; building it is timed as "xi"."""
     results, timings = [], {}
     if "lemma" in suites:
         with _stopwatch(timings, "lemma"):
@@ -203,13 +197,15 @@ def run(pair: linops.ContractionPair, suites,
     if "dilation" in suites:
         with _stopwatch(timings, "dilation"):
             results += dilation_checks(pair)
-    if "circle" in suites or "disc" in suites:
+    orders = xi_orders(suites, n_max)
+    if orders:
         with _stopwatch(timings, "xi"):
-            xi = ssf.ssf_from_moments(ssf.moments(pair, max(n_max, DISC_MAX_ORDER)))
-        if "circle" in suites:
+            m = ssf.moments(pair, max(orders.values()))
+            xi = {suite: ssf.ssf_from_moments(m[:order]) for suite, order in orders.items()}
+        if "circle" in xi:
             with _stopwatch(timings, "circle"):
-                results += circle_checks(pair, xi)
-        if "disc" in suites:
+                results += circle_checks(pair, xi["circle"])
+        if "disc" in xi:
             with _stopwatch(timings, "disc"):
-                results += disc_checks(pair, xi)
+                results += disc_checks(pair, xi["disc"])
     return results, timings

@@ -70,14 +70,6 @@ def cmd_verify(args) -> int:
     if args.n_max < 0:
         print(f"--n-max must be >= 0, got {args.n_max}", file=sys.stderr)
         return 2
-    if "circle" in suites and args.n_max < checks.CIRCLE_MIN_N_MAX:
-        print(f"--n-max {args.n_max} is below {checks.CIRCLE_MIN_N_MAX}, the largest "
-              "degree of the circle test symbols", file=sys.stderr)
-        return 2
-    if "disc" in suites and args.n_max > checks.DISC_MAX_N_MAX:
-        print(f"--n-max {args.n_max} is above {checks.DISC_MAX_N_MAX}, the largest "
-              "order the disc quadrature resolves", file=sys.stderr)
-        return 2
     out = Path(args.out)
     try:
         pair = _load_pair(args.t, args.t0)
@@ -87,7 +79,8 @@ def cmd_verify(args) -> int:
     else:
         results, timings = checks.run(pair, suites, args.n_max)
         failures = []
-    summary = _write_verify_reports(out, results, failures, timings, checks.config(args.n_max))
+    config = checks.config(suites, args.n_max)
+    summary = _write_verify_reports(out, results, failures, timings, config)
     print(json.dumps({"passed": summary["passed"], "failures": summary["failures"]}))
     return 0 if summary["passed"] else 1
 
@@ -109,15 +102,13 @@ def cmd_ssf(args) -> int:
 
 
 def cmd_disc_report(args) -> int:
-    if args.n_max < 0:
-        raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
     pair = _load_pair(args.t, args.t0)
     cfg = (disc.DiscQuadratureConfig(radius_schedule=tuple(args.radii)) if args.radii
            else checks.DISC_CONFIG)
-    cfg.check_resolves(args.n_max)
     psi = (serialize.load_series(args.psi, cfg.max_order) if args.psi
            else ssf.LaurentSeries.from_terms(checks.DISC_TABLES["real_sym"]))
-    xi = ssf.ssf_from_moments(ssf.moments(pair, max(args.n_max, psi.order)))
+    # the pairing reads xi_hat(-n) only at the modes psi holds
+    xi = ssf.ssf_from_moments(ssf.moments(pair, max(psi.order, 1)))
     report, = disc.verify_disc_trace_formula(pair, xi, [psi], cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -134,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     pair = argparse.ArgumentParser(add_help=False)
     pair.add_argument("--t", required=True)
     pair.add_argument("--t0", required=True)
-    pair.add_argument("--n-max", type=int, default=64)
 
     gen = sub.add_parser("gen", help="generate a reproducible random pair")
     gen.add_argument("--dim", type=int, required=True)
@@ -145,10 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", parents=[pair], help="run verification suites on a pair")
     verify.add_argument("--suite", choices=[*checks.SUITES, "all"], default="all")
+    verify.add_argument("--n-max", type=int, default=64,
+                        help=f"xi order of the circle suite, {checks.CIRCLE_MIN_N_MAX} if lower")
     verify.set_defaults(func=cmd_verify)
 
     export = sub.add_parser("ssf", parents=[pair],
                             help="export shift-function coefficients and a value grid")
+    export.add_argument("--n-max", type=int, default=64, help="order of the exported xi table")
     export.add_argument("--grid", type=int, default=256)
     export.add_argument("--abel-radius", type=float, default=0.99)
     export.set_defaults(func=cmd_ssf)

@@ -6,11 +6,11 @@ other row k holds the identity in column k+1 (a shift).  Truncating to
 the window [-N, N] keeps the band structure, so central compressions of
 powers up to N and window traces of power differences are exact.
 
-A window is held as four blocks, built from one SVD of T, the 2N-2 positions
-of its shifts, and zero everywhere else.  No window-sized array and no identity
-is formed: a product with a shift is a relabelling.  The power walk and the
-column Gram read the blocks and shifts a window holds, not the pattern above,
-and products C_ik = sum_j A_ij B_jk run over those only.
+A window holds one map: its 2N-2 shifts, as identities, and four blocks built
+from one SVD of T; every other block is zero.  No window-sized array and no
+identity is formed: a product with a shift is a relabelling.  The power walk,
+the column Gram and the four-block residual read what a window holds, not the
+pattern above, and products C_ik = sum_j A_ij B_jk run over those only.
 """
 
 from __future__ import annotations
@@ -27,26 +27,20 @@ _I = object()  # an identity block: a product with it is the other factor
 
 @dataclass(frozen=True)
 class WindowDilation:
-    """Window [-N, N] of a dilation: ``blocks`` maps (i, j) to a d x d block,
-    ``shifts`` holds the positions of identity blocks, and every other block is zero."""
+    """Window [-N, N] of a dilation: ``held`` maps (i, j) to a d x d block or to ``_I``,
+    an identity, and every other block is zero."""
 
     window_radius_n: int
     block_dim_d: int
-    blocks: dict
-    shifts: frozenset
+    held: dict
 
     def block(self, i: int, j: int) -> np.ndarray:
         """Block at window position (i, j), a fresh identity at a shift; indices run in [-N, N]."""
         N, d = self.window_radius_n, self.block_dim_d
         if not (-N <= i <= N and -N <= j <= N):
             raise IndexError(f"block index ({i}, {j}) outside window [-{N}, {N}]")
-        held = _held(self).get((i, j))
+        held = self.held.get((i, j))
         return np.zeros((d, d), dtype=complex) if held is None else _dense(held, d)
-
-
-def _held(W: WindowDilation) -> dict:
-    """What W holds: its shifts as ``_I``, in window order, then its blocks."""
-    return {**dict.fromkeys(sorted(W.shifts), _I), **W.blocks}
 
 
 def _dense(block, d: int):
@@ -62,16 +56,17 @@ def _read_only(block: np.ndarray) -> np.ndarray:
 def build_window_dilation(T, N: int) -> WindowDilation:
     """Assemble the truncated dilation of a contraction on window [-N, N].
 
-    The blocks are read-only views, so an edit cannot reach T.
+    The shifts come first, in window order, so every block product sums in
+    that order.  The blocks are read-only views, so an edit cannot reach T.
     """
     T = as_operator(T)
     D, D_star = defects(T)
     if N < 1:
         raise ValueError(f"window radius must be >= 1, got {N}")
     blocks = {(-1, 0): D, (-1, 1): -T.conj().T, (0, 0): T, (0, 1): D_star}
+    shifts = dict.fromkeys(((k, k + 1) for k in range(-N, N) if k not in (-1, 0)), _I)
     return WindowDilation(window_radius_n=N, block_dim_d=len(T),
-                          blocks={ij: _read_only(b) for ij, b in blocks.items()},
-                          shifts=frozenset((k, k + 1) for k in range(-N, N) if k not in (-1, 0)))
+                          held={**shifts, **{ij: _read_only(b) for ij, b in blocks.items()}})
 
 
 def _block_product(A: dict, B: dict, d: int) -> dict:
@@ -98,7 +93,7 @@ def interior_column_orthonormality(W: WindowDilation) -> float:
     does not hold is zero, so a column that holds no block deviates by 1.
     """
     N, d = W.window_radius_n, W.block_dim_d
-    inside = {(i, j): b for (i, j), b in _held(W).items() if j > -N}
+    inside = {(i, j): b for (i, j), b in W.held.items() if j > -N}
     G = _block_product({(j, i): b if b is _I else b.conj().T for (i, j), b in inside.items()},
                        inside, d)
     eye = np.eye(d)
@@ -119,14 +114,28 @@ def dilation_difference_blocks(pair: ContractionPair) -> dict:
             (-1, 0): D - D0, (-1, 1): -(T - T0).conj().T}
 
 
+def four_blocks_residual(pair: ContractionPair, WT: WindowDilation, W0: WindowDilation) -> float:
+    """Worst block of WT - W0 against its closed form, or against zero off the four slots,
+    over every position either window holds (a shift held by both is I - I = 0)."""
+    expected = dilation_difference_blocks(pair)
+    worst = 0.0
+    for ij in WT.held.keys() | W0.held.keys() | expected.keys():
+        if WT.held.get(ij) is W0.held.get(ij) is _I:
+            continue
+        blk = WT.block(*ij) - W0.block(*ij)
+        ref = expected.get(ij)
+        worst = max(worst, float(np.linalg.norm(blk - ref if ref is not None else blk, "fro")))
+    return worst
+
+
 def _window_powers(W: WindowDilation) -> list:
     """([W^n]_00, Tr W^n) for n = 1..N, W^n kept as its blocks and identities.
 
-    Each power is one block product with W's blocks and shifts; the trace
+    Each power is one block product with what W holds; the trace
     sums the traces of the diagonal blocks in window order, d for an identity.
     """
     N, d = W.window_radius_n, W.block_dim_d
-    U = P = _held(W)
+    U = P = W.held
     zero = np.zeros((d, d), dtype=complex)
     powers = []
     for n in range(1, N + 1):
@@ -142,7 +151,7 @@ def power_walk(pair: ContractionPair, WT: WindowDilation, W0: WindowDilation) ->
     """Powers n = 1..N of T, T0 and their windows WT, W0 of radius N.
 
     Entry n is (n, ||[WT^n]_00 - T^n||_F, Tr(T^n - T0^n), Tr(WT^n - W0^n)).
-    The window powers are block products over the windows' blocks and shifts,
+    The window powers are block products over what the windows hold,
     one window after the other, so only two powers of one window are live at
     a time.  T^n and T0^n come from T and T0 alone, never from the
     windows.

@@ -15,6 +15,8 @@ from pairs import (norm_one_pairs, random_pairs, random_positive_pair,
 from ssftrace import calculus, checks, disc, kernel_integral, ssf
 from ssftrace.calculus import LaurentSeries
 
+SLACK = checks.TOLERANCES["trace_bound_slack"]
+
 # the verify symbols plus two sparse ones
 ACCEPTANCE_SERIES = {
     **checks.CIRCLE_SERIES,
@@ -45,7 +47,7 @@ def test_c1_semigroup_integral():
         A, B = random_positive_pair(dim=2 + i % 11, delta_b=0.2, seed=9000 + i)
         r = kernel_integral.semigroup_integral(A, B)
         worst_err = max(worst_err, r.frobenius_error)
-        violations += r.trace_norm_difference > r.trace_bound + checks.TRACE_BOUND_SLACK
+        violations += r.trace_norm_difference > r.trace_bound + SLACK
     ok = worst_err <= checks.TOLERANCES["semigroup_tol"] and violations == 0
     verdict("C1 semigroup integral", ok,
             f"max Frobenius error {worst_err:.3e}, bound violations {violations}")

@@ -98,7 +98,7 @@ class TestVerify:
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
         assert summary["config"] == {
             "tolerances": checks.TOLERANCES,
-            "n_max": 48,
+            "xi_order": {"circle": 48, "disc": 3},
             "window_n": 8,
             "abel_radius": 0.999,
             "quadrature_points": 4096,
@@ -118,7 +118,7 @@ class TestVerify:
         assert list(summary["timings_s"]) == ["lemma"]
         assert summary["timings_s"]["lemma"] >= 0.0
         assert summary["config"]["tolerances"] == checks.TOLERANCES
-        assert summary["config"]["n_max"] == 64
+        assert summary["config"]["xi_order"] == {}
 
     def test_non_contraction_is_load_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -217,19 +217,16 @@ class TestVerify:
             assert list(csv.reader(fh)) == [["name", "passed", "measured", "threshold"]]
         assert not capsys.readouterr().err
 
-    def test_circle_n_max_below_symbol_degree(self, tmp_path, capsys):
+    def test_circle_n_max_below_symbol_degree(self, tmp_path):
+        # the circle suite reads xi to the largest degree of its symbols whatever --n-max is
         pair_dir = gen_pair(tmp_path, seed=9)
         argv = ["verify", "--t", str(pair_dir / "T.json"),
                 "--t0", str(pair_dir / "T0.json")]
-        low = checks.CIRCLE_MIN_N_MAX - 1
         for suite in ("circle", "all"):
             out = tmp_path / f"low-{suite}"
-            assert run([*argv, "--suite", suite, "--n-max", str(low),
-                        "--out", str(out)]) == 2
-            assert "--n-max" in capsys.readouterr().err
-            assert not out.exists()
-        assert run([*argv, "--suite", "circle", "--n-max",
-                    str(checks.CIRCLE_MIN_N_MAX), "--out", str(tmp_path / "ok")]) == 0
+            assert run([*argv, "--suite", suite, "--n-max", "10", "--out", str(out)]) == 0
+            config = json.loads((out / "summary.json").read_text())["config"]
+            assert config["xi_order"]["circle"] == checks.CIRCLE_MIN_N_MAX
         assert run([*argv, "--suite", "disc", "--n-max", "0",
                     "--out", str(tmp_path / "disc0")]) == 0
 
@@ -239,25 +236,46 @@ class TestVerify:
             out = tmp_path / f"neg-{suite}"
             assert run(["verify", "--t", str(pair_dir / "T.json"),
                         "--t0", str(pair_dir / "T0.json"), "--suite", suite,
-                        "--n-max", "-5", "--out", str(out)]) == 2
+                        "--n-max", "-1", "--out", str(out)]) == 2
             assert "--n-max" in capsys.readouterr().err
             assert not out.exists()
 
-    def test_disc_n_max_above_quadrature_order(self, tmp_path, capsys):
+    def test_disc_n_max_above_quadrature_order(self, tmp_path):
+        # the disc suite reads xi to the order of its tables whatever --n-max is
         pair_dir = gen_pair(tmp_path, seed=9)
         argv = ["verify", "--t", str(pair_dir / "T.json"),
                 "--t0", str(pair_dir / "T0.json")]
-        high = checks.DISC_MAX_N_MAX + 1
+        high = checks.DISC_CONFIG.max_order + 1
         for suite in ("disc", "all"):
             out = tmp_path / f"high-{suite}"
-            assert run([*argv, "--suite", suite, "--n-max", str(high),
-                        "--out", str(out)]) == 2
-            assert "--n-max" in capsys.readouterr().err
-            assert not out.exists()
-        assert run([*argv, "--suite", "disc", "--n-max", str(checks.DISC_MAX_N_MAX),
-                    "--out", str(tmp_path / "ok")]) == 0
-        assert run([*argv, "--suite", "circle", "--n-max", str(high),
-                    "--out", str(tmp_path / "circle-high")]) == 0
+            assert run([*argv, "--suite", suite, "--n-max", str(high), "--out", str(out)]) == 0
+            config = json.loads((out / "summary.json").read_text())["config"]
+            assert config["xi_order"]["disc"] == checks.DISC_MAX_ORDER
+        assert run([*argv, "--suite", "disc", "--n-max", "200",
+                    "--out", str(tmp_path / "disc200")]) == 0
+
+    @pytest.mark.parametrize("index", [None, 0], ids=["random_d16", NORM_ONE_IDS[0]])
+    def test_n_max_moves_no_verdict(self, tmp_path, index):
+        # the circle and disc pairings read xi_hat(-n) only at their symbols' modes, so
+        # an order past them moves a measured value by roundoff and no verdict
+        pair = linops.random_pair(16, 0.25, 0.1, seed=1) if index is None \
+            else norm_one_pairs()[index]
+        serialize.save_matrix(tmp_path / "T.json", pair.T)
+        serialize.save_matrix(tmp_path / "T0.json", pair.T0)
+        reports = {}
+        for n_max in (0, 30, 64, 127):
+            out = tmp_path / f"n{n_max}"
+            assert run(["verify", "--t", str(tmp_path / "T.json"),
+                        "--t0", str(tmp_path / "T0.json"), "--suite", "all",
+                        "--n-max", str(n_max), "--out", str(out)]) == 0
+            with open(out / "report.csv", newline="") as fh:
+                reports[n_max] = list(csv.DictReader(fh))
+        for rows in reports.values():
+            assert [(r["name"], r["passed"]) for r in rows] == \
+                [(r["name"], r["passed"]) for r in reports[64]]
+            for row, ref in zip(rows, reports[64]):
+                gap = abs(float(row["measured"]) - float(ref["measured"]))
+                assert gap <= 1e-6 * float(ref["threshold"]), row["name"]
 
     @pytest.mark.parametrize("index", range(3), ids=NORM_ONE_IDS)
     def test_norm_one_pair_passes(self, tmp_path, index):
@@ -292,7 +310,7 @@ class TestSsfCommand:
         np.testing.assert_array_equal(got, expected)
         doc = json.loads((out / "ssf_coeffs.json").read_text())
         assert doc["n_max"] == 32
-        back = serialize.series_from_dict(doc, checks.DISC_MAX_N_MAX)
+        back = serialize.series_from_dict(doc, checks.DISC_CONFIG.max_order)
         np.testing.assert_allclose(back.coeffs, table.coeffs, atol=1e-15)
 
     @pytest.mark.parametrize("grid, n_max", [(4, 64), (100, 64), (100, 32)])
@@ -367,7 +385,7 @@ class TestDiscReport:
         pair_dir = gen_pair(tmp_path, seed=31)
         out = tmp_path / "disc"
         assert run(["disc-report", "--t", str(pair_dir / "T.json"),
-                    "--t0", str(pair_dir / "T0.json"), "--n-max", "32",
+                    "--t0", str(pair_dir / "T0.json"),
                     "--radii", "0.5", "0.9", "0.999",
                     "--out", str(out)]) == 0
         with open(out / "disc.csv", newline="") as fh:
@@ -385,7 +403,7 @@ class TestDiscReport:
         out = tmp_path / "disc-psi"
         assert run(["disc-report", "--t", str(pair_dir / "T.json"),
                     "--t0", str(pair_dir / "T0.json"), "--psi", str(psi_path),
-                    "--n-max", "32", "--out", str(out)]) == 0
+                    "--out", str(out)]) == 0
         assert (out / "disc.csv").is_file()
 
     def test_deeply_nested_psi_is_error(self, tmp_path, capsys):
@@ -443,15 +461,17 @@ class TestDiscReport:
         assert "Error: " in err and err.count("\n") == 1
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("option", [["--n-max", "-3"], ["--n-max", "200000"],
+    @pytest.mark.parametrize("option", [["--psi", "order-128.json"], ["--radii", "0.5", "1.0"],
                                         ["--psi", "order-200000.json"],
                                         ["--psi", "order-1e12.json"],
                                         ["--radii", "0.5", "nan", "0.9"]])
     def test_bounds_checked_before_moments(self, tmp_path, capsys, option, monkeypatch):
-        # ssf.moments walks T^n up to the order, seconds of work at order 200000,
-        # so a bound the grid cannot resolve, or a radius outside (0, 1), is refused
-        # before it runs
+        # ssf.moments walks T^n up to the table's order, seconds of work at order 200000,
+        # so a table the grid cannot resolve, from one past its largest order up, or a
+        # radius outside (0, 1), is refused before it runs
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "order-128.json").write_text(json.dumps(
+            {"coeffs": [[checks.DISC_CONFIG.max_order + 1, 1, 0]]}))
         (tmp_path / "order-200000.json").write_text(json.dumps({"coeffs": [[200000, 1, 0]]}))
         # a dense table of this order would take 32 TB
         (tmp_path / "order-1e12.json").write_text(json.dumps({"coeffs": [[10 ** 12, 1, 0]]}))
@@ -464,6 +484,16 @@ class TestDiscReport:
         err = capsys.readouterr().err
         assert err.startswith("ValueError: ") and err.count("\n") == 1
         assert not calls
+        assert not (tmp_path / "d").exists()
+
+    def test_n_max_is_usage_error(self, tmp_path, capsys):
+        # xi is built to the table's order, so no option sets it
+        pair_dir = gen_pair(tmp_path, seed=31)
+        with pytest.raises(SystemExit) as exc:
+            run(["disc-report", "--t", str(pair_dir / "T.json"), "--t0", str(pair_dir / "T0.json"),
+                 "--n-max", "5", "--out", str(tmp_path / "d")])
+        assert exc.value.code == 2
+        assert "--n-max" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
 

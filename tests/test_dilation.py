@@ -82,14 +82,14 @@ def test_block_route_reads_built_window(edit):
     N, d, c = 4, 3, slice(4 * 3, 5 * 3)
     W0 = dilation.build_window_dilation(pair.T0, N)
     built = dilation.build_window_dilation(pair.T, N)
-    blocks, shifts = dict(built.blocks), built.shifts
+    held = dict(built.held)
     if edit == "extra_block":
-        blocks[(2, -2)] = 0.3 * np.random.default_rng(409).standard_normal((d, d))
+        held[(2, -2)] = 0.3 * np.random.default_rng(409).standard_normal((d, d))
     elif edit == "empty_column":
-        blocks = {ij: b for ij, b in blocks.items() if ij[1] != 1}  # block column 1
+        held = {ij: b for ij, b in held.items() if ij[1] != 1}  # block column 1
     else:
-        shifts = shifts - {(2, 3)} | {(3, 2)}
-    WT = dilation.WindowDilation(N, d, blocks, shifts=shifts)
+        held = {(3, 2) if ij == (2, 3) else ij: b for ij, b in held.items()}
+    WT = dilation.WindowDilation(N, d, held)
     dense_T, dense_0 = dense_window(WT), dense_window(W0)
     for n, gap, _, rhs in dilation.power_walk(pair, WT, W0):
         P = np.linalg.matrix_power(dense_T, n)
@@ -123,8 +123,9 @@ class TestWindowBlocks:
         N, d = 3, 2
         W = dilation.build_window_dilation(0.5 * np.eye(d), N)
         shift = {(k, k + 1) for k in range(-N, N) if k not in (-1, 0)}
-        assert W.blocks.keys() == {(-1, 0), (-1, 1), (0, 0), (0, 1)}
-        assert W.shifts == shift
+        # the shifts first, in window order, then the four blocks
+        assert list(W.held) == [*sorted(shift), (-1, 0), (-1, 1), (0, 0), (0, 1)]
+        assert {ij for ij, b in W.held.items() if b is dilation._I} == shift
         for i, j in shift:
             np.testing.assert_array_equal(W.block(i, j), np.eye(d))
         np.testing.assert_array_equal(W.block(2, -2), np.zeros((d, d)))
@@ -135,7 +136,7 @@ class TestWindowBlocks:
     def test_blocks_are_read_only(self):
         T = np.array([[0.5]], dtype=complex)
         W = dilation.build_window_dilation(T, N=3)
-        for block in W.blocks.values():
+        for block in (b for b in W.held.values() if b is not dilation._I):
             with pytest.raises(ValueError):
                 block[0, 0] = 2.0
         assert T[0, 0] == 0.5
@@ -145,17 +146,18 @@ class TestWindowBlocks:
         pair = random_pairs(1, seed=410, dims=(3,))[0]
         WT = dilation.build_window_dilation(pair.T, 4)
         W0 = dilation.build_window_dilation(pair.T0, 4)
-        assert checks._four_blocks_residual(pair, WT, W0) <= 1e-12
+        assert dilation.four_blocks_residual(pair, WT, W0) <= 1e-12
         extra = np.full((3, 3), 1e-6)
-        edited = dilation.WindowDilation(4, 3, {**W0.blocks, (3, -2): extra}, shifts=W0.shifts)
-        assert checks._four_blocks_residual(pair, WT, edited) == pytest.approx(3e-6)
+        edited = dilation.WindowDilation(4, 3, {**W0.held, (3, -2): extra})
+        assert dilation.four_blocks_residual(pair, WT, edited) == pytest.approx(3e-6)
 
     def test_four_blocks_sees_a_shift_in_one_window_only(self):
         pair = random_pairs(1, seed=410, dims=(3,))[0]
         WT = dilation.build_window_dilation(pair.T, 4)
         W0 = dilation.build_window_dilation(pair.T0, 4)
-        edited = dilation.WindowDilation(4, 3, W0.blocks, shifts=W0.shifts - {(2, 3)})
-        assert checks._four_blocks_residual(pair, WT, edited) == pytest.approx(np.sqrt(3))
+        held = {ij: b for ij, b in W0.held.items() if ij != (2, 3)}
+        edited = dilation.WindowDilation(4, 3, held)
+        assert dilation.four_blocks_residual(pair, WT, edited) == pytest.approx(np.sqrt(3))
 
     def test_shift_blocks_are_fresh(self):
         W = dilation.build_window_dilation(0.5 * np.eye(2), 3)

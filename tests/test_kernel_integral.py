@@ -9,6 +9,8 @@ from pairs import random_pairs, random_positive_pair, scalar_pair
 from ssftrace import checks, kernel_integral, linops
 from ssftrace.errors import NotPositiveContractionError, SingularBError
 
+SLACK = checks.TOLERANCES["trace_bound_slack"]
+
 
 def test_scalar_closed_form():
     # integral of e^(-0.8t) 0.39 e^(-0.5t) dt = 0.39 / 1.3 = 0.3
@@ -117,7 +119,7 @@ def test_trace_bound_random():
     for i in range(20):
         A, B = random_positive_pair(dim=8, delta_b=0.3, seed=2000 + i)
         r = kernel_integral.semigroup_integral(A, B)
-        assert r.trace_norm_difference <= r.trace_bound + checks.TRACE_BOUND_SLACK
+        assert r.trace_norm_difference <= r.trace_bound + SLACK
 
 
 def test_trace_bound_symmetric_swap():
@@ -127,7 +129,7 @@ def test_trace_bound_symmetric_swap():
     r2 = kernel_integral.semigroup_integral(B, A)
     assert r1.trace_norm_difference == pytest.approx(r2.trace_norm_difference, abs=1e-12)
     for r in (r1, r2):
-        assert r.trace_norm_difference <= r.trace_bound + checks.TRACE_BOUND_SLACK
+        assert r.trace_norm_difference <= r.trace_bound + SLACK
 
 
 class TestDefectDifference:
@@ -141,14 +143,14 @@ class TestDefectDifference:
         for side in ("left", "right"):
             bound = checked[f"lemma/trace_bound_{side}"]
             assert bound.measured == pytest.approx(0.0, abs=1e-12)
-            assert bound.threshold - checks.TRACE_BOUND_SLACK == pytest.approx(0.0, abs=1e-12)
+            assert bound.threshold - SLACK == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_closed_form(self):
         checked = self.by_name(checks.lemma_checks(scalar_pair(0.6, 0.5)))
         d_gap = abs(0.8 - np.sqrt(0.75))
         bound = abs(0.64 - 0.75) / np.sqrt(0.75)
         assert checked["lemma/trace_bound_left"].measured == pytest.approx(d_gap, abs=1e-12)
-        assert checked["lemma/trace_bound_left"].threshold - checks.TRACE_BOUND_SLACK == (
+        assert checked["lemma/trace_bound_left"].threshold - SLACK == (
             pytest.approx(bound, abs=1e-12))
 
     def test_random_pairs(self):

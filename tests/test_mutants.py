@@ -64,18 +64,28 @@ def ring_wirtinger_dzbar_sign_slip(table, r, M):
 def window_transposed_block(T, N):
     """dilation.build_window_dilation with -T in place of -T* at block (-1, 1)."""
     W = exact_window(T, N)
-    return dataclasses.replace(W, blocks={**W.blocks, (-1, 1): -linops.as_operator(T)})
+    return dataclasses.replace(W, held={**W.held, (-1, 1): -linops.as_operator(T)})
+
+
+def moved(W, old, new):
+    """W with what it holds at ``old`` held at ``new``, in the same place in its order."""
+    return dataclasses.replace(W, held={new if ij == old else ij: b for ij, b in W.held.items()})
 
 
 def window_shift_reversed(T, N):
     """dilation.build_window_dilation with the shift at (2, 3) moved to (3, 2)."""
-    W = exact_window(T, N)
-    return dataclasses.replace(W, shifts=W.shifts - {(2, 3)} | {(3, 2)})
+    return moved(exact_window(T, N), (2, 3), (3, 2))
 
 
 def window_without_shifts(T, N):
     """dilation.build_window_dilation holding no shifts."""
-    return dataclasses.replace(exact_window(T, N), shifts=frozenset())
+    W = exact_window(T, N)
+    return dataclasses.replace(W, held={ij: b for ij, b in W.held.items() if b is not dilation._I})
+
+
+def window_defect_below_diagonal(T, N):
+    """dilation.build_window_dilation with D_T* at block (1, 0), below the diagonal, not (0, 1)."""
+    return moved(exact_window(T, N), (0, 1), (1, 0))
 
 
 def failed_rows(suites):
@@ -120,6 +130,15 @@ def test_transposed_block_fails_dilation(monkeypatch):
     monkeypatch.setattr(dilation, "build_window_dilation", window_transposed_block)
     assert {"dilation/orthonormal_T", "dilation/orthonormal_T0",
             "dilation/four_blocks"} <= failed_rows(("dilation",))
+
+
+def test_defect_below_diagonal_fails_dilation(monkeypatch):
+    # block row 0 now holds T alone, so no walk leaves row 0 and none through (1, 0)
+    # returns: [W^n]_00 = T^n and Tr W^n = Tr T^n, and only the column Gram and the
+    # four-block residual see the move
+    monkeypatch.setattr(dilation, "build_window_dilation", window_defect_below_diagonal)
+    assert failed_rows(("dilation",)) == {"dilation/orthonormal_T", "dilation/orthonormal_T0",
+                                          "dilation/four_blocks"}
 
 
 @pytest.mark.parametrize("mutant", [window_shift_reversed, window_without_shifts])

@@ -12,7 +12,7 @@ from ssftrace import checks, cli, serialize, ssf
 
 
 def read_series(doc):
-    return serialize.series_from_dict(doc, checks.DISC_MAX_N_MAX)
+    return serialize.series_from_dict(doc, checks.DISC_CONFIG.max_order)
 
 
 def test_matrix_round_trip(tmp_path):
@@ -173,7 +173,7 @@ def test_ssf_coeffs_json_bytes_equal_the_per_coefficient_writer():
 def test_summary_json_bytes_equal_the_asdict_writer(tmp_path):
     pair = random_pairs(1, seed=704, dims=(4,))[0]
     results, timings = checks.run(pair, ("circle", "disc"), 64)
-    config = checks.config(64)
+    config = checks.config(("circle", "disc"), 64)
     cli._write_verify_reports(tmp_path, results, ["load: none"], timings, config)
     summary = {
         "passed": False,
