@@ -173,7 +173,7 @@ def config(suites, n_max: int) -> dict:
         "abel_radius": ABEL_RADIUS,
         "quadrature_points": calculus.QUADRATURE_POINTS,
         "disc_grid": {"radial_nodes": disc.radial_nodes(DISC_MAX_ORDER),
-                      "angular_nodes": DISC_CONFIG.angular_nodes,
+                      "angular_nodes": disc.angular_nodes(DISC_MAX_ORDER),
                       "radius_schedule": list(DISC_CONFIG.radius_schedule)},
     }
 

@@ -7,10 +7,12 @@ convention dz ^ dzbar = -2i dx dy) and converges, as R -> 1, to
 2*pi*i * sum n psi_hat(n) xi_hat(-n) -- the same number as the trace of
 the two-sided functional-calculus difference.
 
-The quadrature takes xi's ring derivatives once per radius for every table,
-each ring derivative an inverse FFT of its scaled coefficients by
-``ssf.uniform_trig_values``, and sums the Jacobian on the grid, never from
-the coefficients (Parseval): that is the closed form.
+The quadrature sums the Jacobian on a polar grid of K radial x
+``angular_nodes(order)`` angular nodes per radius, never from the coefficients
+(Parseval): that is the closed form.  It is one batched pass: every Gauss ring
+goes on the batch axis of ``ssf.uniform_trig_values``, so xi's two ring
+derivatives and the stacked tables' two are one inverse FFT each per chunk of
+radii, a chunk holding at most CHUNK_POINTS grid points per transform.
 The angular rule sums each ring exactly, and against tables of order <= K
 only xi's modes |n| <= K survive the sum, each as r^(2|n| - 2); so r times a
 ring sum is a polynomial of degree 2K - 1 in r, which K Gauss-Legendre nodes
@@ -30,13 +32,17 @@ from .errors import InsufficientCoefficientsError, InvalidRadiusError
 from .linops import ContractionPair
 from .ssf import LaurentSeries, uniform_trig_values
 
+# grid points of one batched ring transform: a table of order 127 gets one radius per chunk
+CHUNK_POINTS = 127 * 1024
+
 
 @dataclass(frozen=True)
 class DiscQuadratureConfig:
-    """Angular rule and radius schedule for the disc integrals.  The angular rule is
-    fixed; the radial rule is sized to the tables, ``radial_nodes(order)``."""
+    """Radius schedule for the disc integrals; both rules are sized to the tables,
+    ``radial_nodes(order)`` and ``angular_nodes(order)``."""
 
-    angular_nodes: ClassVar[int] = 1024
+    # allocation cap on a table's order, checked before a --psi table is built
+    max_order: ClassVar[int] = 127
     radius_schedule: tuple[float, ...] = (0.5, 0.8, 0.9, 0.99, 1.0 - 1e-3)
 
     def __post_init__(self):
@@ -45,17 +51,6 @@ class DiscQuadratureConfig:
             raise ValueError("radius_schedule must be strictly increasing")
         if not all(0.0 < r < 1.0 for r in rs):
             raise ValueError("radius_schedule must stay inside (0, 1)")
-
-    @property
-    def max_order(self) -> int:
-        """Largest table order the angular rule resolves: 4 (2 order + 1) <= angular_nodes."""
-        return (self.angular_nodes // 4 - 1) // 2
-
-    def check_resolves(self, order: int):
-        """Angular rule 4x the table length, 4 (2 order + 1) <= angular_nodes, kills aliasing."""
-        if order > self.max_order:
-            raise ValueError(f"{self.angular_nodes} angular nodes cannot resolve "
-                             f"a table of order {order}")
 
 
 @dataclass(frozen=True)
@@ -82,38 +77,50 @@ def radial_nodes(order: int) -> int:
     return max(1, order)
 
 
-def _ring_wirtinger(table: LaurentSeries, r: np.ndarray, M: int):
-    """(d/dz, d/dzbar) of the extension on the rings r * e^(2*pi*i*j/M), j < M, as two
-    distinct (len(r), M) arrays: d/dz = sum n c_n r^(n-1) e^(i(n-1)t) on the modes
-    n - 1, and d/dzbar, with c_(-n), on the modes 1 - n."""
-    n = np.arange(1, table.order + 1)
+def angular_nodes(order: int) -> int:
+    """Trapezoid nodes per ring against tables of order <= ``order``: four times the
+    table length, 4 (2 order + 1), so no mode of a ring's Jacobian aliases onto mode 0."""
+    return 4 * (2 * order + 1)
+
+
+def _ring_wirtinger(coeffs: np.ndarray, r: np.ndarray, M: int):
+    """(d/dz, d/dzbar) of the extensions of the centered tables ``coeffs``, (..., 2K + 1),
+    on the rings r * e^(2*pi*i*j/M), j < M, as two distinct (..., len(r), M) arrays:
+    d/dz = sum n c_n r^(n-1) e^(i(n-1)t) on the modes n - 1, and d/dzbar, with c_(-n),
+    on the modes 1 - n."""
+    K = (coeffs.shape[-1] - 1) // 2
+    n = np.arange(1, K + 1)
     scale = n * r[:, None] ** (n - 1)
-    return (uniform_trig_values(n - 1, scale * table.coeffs[table.order + n], M),
-            uniform_trig_values(1 - n, scale * table.coeffs[table.order - n], M))
+    return (uniform_trig_values(n - 1, coeffs[..., None, K + n] * scale, M),
+            uniform_trig_values(1 - n, coeffs[..., None, K - n] * scale, M))
 
 
-def _ring_sums(xz, xzb, psi, r, M) -> np.ndarray:
-    """Per-ring sums of J = xz * dpsi/dzbar - dpsi/dz * xzb; psi's grids are freed on return."""
-    pz, pzb = _ring_wirtinger(psi, r, M)
+def _ring_sums(xi_grids, psi_grids) -> np.ndarray:
+    """Per-ring sums of J = xz * dpsi/dzbar - dpsi/dz * xzb, (tables, rings), from xi's
+    (rings, M) grids and the stacked tables' (tables, rings, M) grids."""
+    (xz, xzb), (pz, pzb) = xi_grids, psi_grids
     # the row dot products as one batched matmul each
-    return (xz[:, None, :] @ pzb[:, :, None] - pz[:, None, :] @ xzb[:, :, None])[:, 0, 0]
+    return (pzb[..., None, :] @ xz[..., None] - pz[..., None, :] @ xzb[..., None])[..., 0, 0]
 
 
-def _quadratures(xi, psis, radii, cfg: DiscQuadratureConfig) -> list[list[complex]]:
-    """Jacobian quadrature of xi against each of ``psis``, a row per radius: Gauss-Legendre
-    radially, sized to the largest table, trapezoid angularly, -2i for dz ^ dzbar.  xi's
-    ring derivatives are taken once per radius for every table."""
-    cfg.check_resolves(max(table.order for table in [xi, *psis]))
-    x, w = legendre_rule(radial_nodes(max(psi.order for psi in psis)))
-    M = cfg.angular_nodes
-    dt = 2.0 * np.pi / M
-    rows = []
-    for R in radii:
-        r, wr = R * (x + 1.0) / 2.0, w * R / 2.0
-        xz, xzb = _ring_wirtinger(xi, r, M)
-        rows.append([complex(-2j * np.sum(wr * r * (_ring_sums(xz, xzb, psi, r, M) * dt)))
-                     for psi in psis])
-    return rows
+def _quadratures(xi, psis, radii) -> np.ndarray:
+    """Jacobian quadrature of xi against each of ``psis`` at each of ``radii``, a (tables,
+    radii) array: Gauss-Legendre radially and trapezoid angularly, both sized to the
+    tables, -2i for dz ^ dzbar.  The tables are padded with zero modes to the largest
+    order and stacked."""
+    K = max(psi.order for psi in psis)
+    stacked = np.stack([np.pad(psi.coeffs, K - psi.order) for psi in psis])
+    x, w = legendre_rule(radial_nodes(K))
+    M = angular_nodes(max(K, xi.order))
+    R = np.asarray(radii, dtype=float)[:, None]
+    r = (R * (x + 1.0) / 2.0).ravel()  # the rings, radius-major
+    weights = (w * R / 2.0).ravel() * r * (2.0 * np.pi / M)
+    step = len(x) * max(1, CHUNK_POINTS // (len(psis) * len(x) * M))
+    sums = np.concatenate([
+        _ring_sums(_ring_wirtinger(xi.coeffs, r[i:i + step], M),
+                   _ring_wirtinger(stacked, r[i:i + step], M))
+        for i in range(0, len(r), step)], axis=1)
+    return -2j * (sums * weights).reshape(len(psis), len(R), len(x)).sum(axis=-1)
 
 
 def _paired_modes(xi, psi):
@@ -123,12 +130,15 @@ def _paired_modes(xi, psi):
     return n, psi.coeffs[psi.order + n], xi.coeffs[xi.order - n]
 
 
-def disc_integral_closed_form(xi, psi, R: float) -> complex:
-    """2*pi*i * sum_{n != 0} n psi_hat(n) xi_hat(-n) R^(2|n|); R = 1 is the limit value."""
-    if not 0.0 < R <= 1.0:
+def disc_integral_closed_form(xi, psi, R):
+    """2*pi*i * sum_{n != 0} n psi_hat(n) xi_hat(-n) R^(2|n|); R = 1 is the limit value.
+    A float R gives a complex, an array of radii an array of values, in one sum."""
+    R = np.asarray(R, dtype=float)
+    if not np.all((0.0 < R) & (R <= 1.0)):
         raise InvalidRadiusError(f"R must lie in (0, 1], got {R}")
     n, p, x = _paired_modes(xi, psi)
-    return complex(2j * np.pi * np.sum(n * p * x * R ** (2 * np.abs(n))))
+    values = 2j * np.pi * np.sum(n * p * x * R[..., None] ** (2 * np.abs(n)), axis=-1)
+    return complex(values) if values.ndim == 0 else values
 
 
 def disc_tail_bound(xi, psi, R: float) -> float:
@@ -146,9 +156,9 @@ def verify_disc_trace_formula(pair: ContractionPair, xi: LaurentSeries, psis: li
         raise InsufficientCoefficientsError(
             f"table order {order} exceeds coefficient table order {xi.order}")
     radii = cfg.radius_schedule
-    per_table = zip(*_quadratures(xi, psis, radii, cfg))
+    quads = _quadratures(xi, psis, radii)
     return [DiscPairingReport(
-        per_radius=tuple((float(R), q, disc_integral_closed_form(xi, psi, R))
-                         for R, q in zip(radii, quads)),
+        per_radius=tuple(zip(map(float, radii), q.tolist(),
+                             disc_integral_closed_form(xi, psi, radii).tolist())),
         lhs_trace=laurent_difference_trace(pair, psi),
-        tail_bound=disc_tail_bound(xi, psi, radii[-1])) for psi, quads in zip(psis, per_table)]
+        tail_bound=disc_tail_bound(xi, psi, radii[-1])) for psi, q in zip(psis, quads)]

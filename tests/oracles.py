@@ -75,10 +75,10 @@ def jacobian_at(xi, psi, z: complex) -> complex:
                    - _wirtinger(psi, z, False) * _wirtinger(xi, z, True))
 
 
-def disc_quadrature(xi, psi, R: float, cfg=None) -> complex:
+def disc_quadrature(xi, psi, R: float) -> complex:
     """The shared disc quadrature of ``verify_disc_trace_formula`` for one table at
     one radius R in (0, 1)."""
-    return disc._quadratures(xi, [psi], [R], cfg or disc.DiscQuadratureConfig())[0][0]
+    return complex(disc._quadratures(xi, [psi], [R])[0, 0])
 
 
 def evaluate_ssf_grid(s: LaurentSeries, t_grid, abel_radius: float) -> np.ndarray:

@@ -102,7 +102,7 @@ class TestVerify:
             "window_n": 8,
             "abel_radius": 0.999,
             "quadrature_points": 4096,
-            "disc_grid": {"radial_nodes": 3, "angular_nodes": 1024,
+            "disc_grid": {"radial_nodes": 3, "angular_nodes": 28,
                           "radius_schedule": [0.5, 0.8, 0.9, 0.99, 0.999]},
         }
 
@@ -406,6 +406,26 @@ class TestDiscReport:
                     "--out", str(out)]) == 0
         assert (out / "disc.csv").is_file()
 
+    def test_order_cap_table_over_long_radius_list(self, tmp_path):
+        # a table at the order cap fills a quadrature chunk with one radius, so 50 radii
+        # take 50 chunks
+        pair_dir = gen_pair(tmp_path, seed=35)
+        order = checks.DISC_CONFIG.max_order
+        psi_path = tmp_path / "psi.json"
+        psi_path.write_text(json.dumps({"coeffs": [[n, 0.5 ** abs(n), 0.0]
+                                                   for n in range(-order, order + 1)]}))
+        radii = [f"{R:.4f}" for R in np.linspace(0.3, 0.995, 50)]
+        out = tmp_path / "disc-long"
+        assert run(["disc-report", "--t", str(pair_dir / "T.json"),
+                    "--t0", str(pair_dir / "T0.json"), "--psi", str(psi_path),
+                    "--radii", *radii, "--out", str(out)]) == 0
+        with open(out / "disc.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["R"] for r in rows] == [str(float(R)) for R in radii]
+        for r in rows:
+            assert abs(complex(float(r["quad_re"]), float(r["quad_im"]))
+                       - complex(float(r["closed_re"]), float(r["closed_im"]))) <= 1e-12
+
     def test_deeply_nested_psi_is_error(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 200000 + "]" * 200000)
@@ -467,8 +487,8 @@ class TestDiscReport:
                                         ["--radii", "0.5", "nan", "0.9"]])
     def test_bounds_checked_before_moments(self, tmp_path, capsys, option, monkeypatch):
         # ssf.moments walks T^n up to the table's order, seconds of work at order 200000,
-        # so a table the grid cannot resolve, from one past its largest order up, or a
-        # radius outside (0, 1), is refused before it runs
+        # so a table above the allocation cap, from one past it up, or a radius outside
+        # (0, 1), is refused before it runs
         monkeypatch.chdir(tmp_path)
         (tmp_path / "order-128.json").write_text(json.dumps(
             {"coeffs": [[checks.DISC_CONFIG.max_order + 1, 1, 0]]}))

@@ -99,29 +99,33 @@ class TestRingWirtinger:
         rng = np.random.default_rng(order)
         table = LaurentSeries(coeffs=rng.standard_normal(2 * order + 1)
                               + 1j * rng.standard_normal(2 * order + 1))
-        M = disc.DiscQuadratureConfig().angular_nodes
+        M = disc.angular_nodes(order)
         r = R * np.array([0.25, 0.5, 1.0])
         z = r[:, None] * np.exp(2j * np.pi * np.arange(M) / M)
-        dz, dzbar = disc._ring_wirtinger(table, r, M)
+        dz, dzbar = disc._ring_wirtinger(table.coeffs, r, M)
         # weighted_norm = sum |n c_n| bounds both derivatives on the closed disc
         scale = table.weighted_norm
         assert np.abs(dz - _wirtinger(table, z, False)).max() <= 1e-13 * scale
         assert np.abs(dzbar - _wirtinger(table, z, True)).max() <= 1e-13 * scale
 
     def test_ring_sums_equal_their_reference(self):
-        M = disc.DiscQuadratureConfig().angular_nodes
-        r, psi = np.array([0.2, 0.6, 0.95]), random_table(3, 707)
-        xz, xzb = disc._ring_wirtinger(random_table(7, 708), r, M)
-        pz, pzb = disc._ring_wirtinger(psi, r, M)
-        ref = (np.einsum("kj,kj->k", xz, pzb, optimize=True)
-               - np.einsum("kj,kj->k", pz, xzb, optimize=True))
-        assert disc._ring_sums(xz, xzb, psi, r, M).tobytes() == ref.tobytes()
+        # the stacked tables' ring sums against one table at a time, by einsum
+        M = disc.angular_nodes(7)
+        r, psis = np.array([0.2, 0.6, 0.95]), [random_table(3, 707), random_table(3, 709)]
+        xi_grids = disc._ring_wirtinger(random_table(7, 708).coeffs, r, M)
+        stacked = np.stack([psi.coeffs for psi in psis])
+        sums = disc._ring_sums(xi_grids, disc._ring_wirtinger(stacked, r, M))
+        xz, xzb = xi_grids
+        for psi, row in zip(psis, sums):
+            pz, pzb = disc._ring_wirtinger(psi.coeffs, r, M)
+            ref = np.einsum("kj,kj->k", xz, pzb) - np.einsum("kj,kj->k", pz, xzb)
+            assert np.abs(row - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_order_zero_grids_are_distinct(self):
         # an empty mode list still gives two zero grids, never one array
         # shared, so a write to one cannot reach the other
         const = LaurentSeries.from_terms({0: 2.5})
-        dz, dzbar = disc._ring_wirtinger(const, np.array([0.5, 0.9]), 64)
+        dz, dzbar = disc._ring_wirtinger(const.coeffs, np.array([0.5, 0.9]), 64)
         assert dz is not dzbar and not np.shares_memory(dz, dzbar)
         assert not dz.any() and not dzbar.any()
         xi = random_table(3, seed=12)
@@ -315,7 +319,7 @@ class TestSharedQuadrature:
         shared = [[q for _, q, _ in rep.per_radius] for rep in reports]
         for psi, values in zip(psis, shared):
             for R, q in zip(cfg.radius_schedule, values):
-                single = disc_quadrature(xi, psi, R, cfg)
+                single = disc_quadrature(xi, psi, R)
                 assert abs(q - single) <= 1e-14 * (1.0 + abs(q))
 
         def forbidden(*args, **kwargs):
@@ -323,31 +327,35 @@ class TestSharedQuadrature:
 
         monkeypatch.setattr(disc, "disc_integral_closed_form", forbidden)
         monkeypatch.setattr(disc, "_paired_modes", forbidden)
-        rows = disc._quadratures(xi, psis, cfg.radius_schedule, cfg)
-        assert [list(values) for values in zip(*rows)] == shared
+        assert disc._quadratures(xi, psis, cfg.radius_schedule).tolist() == shared
 
     def test_suite_evaluates_each_ring_grid_once(self, monkeypatch):
+        # one transform pair for xi and one for the stacked tables, every radius of the
+        # schedule on the batch axis
         pair = linops.random_pair(8, 0.25, 0.1, seed=1)
         xi = ssf.ssf_from_moments(ssf.moments(pair, 64))
         calls = collections.Counter()
         ring_wirtinger = disc._ring_wirtinger
 
-        def counted(table, r, M):
-            calls[table.coeffs.tobytes()] += 1
-            return ring_wirtinger(table, r, M)
+        def counted(coeffs, r, M):
+            calls[coeffs.tobytes()] += 1
+            return ring_wirtinger(coeffs, r, M)
 
         monkeypatch.setattr(disc, "_ring_wirtinger", counted)
         checks.disc_checks(pair, xi)
-        radii = len(checks.DISC_CONFIG.radius_schedule)
-        tables = [ssf.LaurentSeries.from_terms(t) for t in checks.DISC_TABLES.values()]
-        assert calls == {t.coeffs.tobytes(): radii for t in [xi, *tables]}
+        # the tables padded with zero modes to the largest order, stacked
+        K = checks.DISC_MAX_ORDER
+        stacked = np.stack([LaurentSeries.from_terms({K: 0.0, -K: 0.0, **terms}).coeffs
+                            for terms in checks.DISC_TABLES.values()])
+        assert calls == {xi.coeffs.tobytes(): 1, stacked.tobytes(): 1}
 
     def test_suite_memory_at_d32(self):
-        # below seven (radial x angular) complex grids: xi's two, one table's two,
-        # the FFT's work arrays and small change
+        # below seven (radial x 1024) complex grids, the ceiling from when one radius of
+        # xi and one table took 1024 angular nodes; xi is built to the order checks.run
+        # gives the suite
         pair = linops.random_pair(32, 0.25, 0.1, seed=1)
-        xi = ssf.ssf_from_moments(ssf.moments(pair, 64))
-        M = checks.DISC_CONFIG.angular_nodes
+        order = checks.xi_orders(("disc",), 64)["disc"]
+        xi = ssf.ssf_from_moments(ssf.moments(pair, order))
         tracemalloc.start()
         try:
             results = checks.disc_checks(pair, xi)
@@ -355,16 +363,52 @@ class TestSharedQuadrature:
         finally:
             tracemalloc.stop()
         assert all(c.passed for c in results)
-        grids = 7 * disc.radial_nodes(checks.DISC_MAX_ORDER) * M * 16
+        grids = 7 * disc.radial_nodes(checks.DISC_MAX_ORDER) * 1024 * 16
         assert peak < grids
+
+
+class TestChunks:
+    """The batch is walked in chunks of radii of at most CHUNK_POINTS grid points per
+    transform, so the grids of a long radius schedule never coexist."""
+
+    RADII = np.linspace(0.3, 0.995, 50)
+
+    def test_memory_does_not_grow_with_radii(self):
+        # an order-127 table fills a chunk with one radius, as disc-report --psi allows;
+        # 50 radii may add per-ring bookkeeping, a few (radii x nodes) arrays (measured:
+        # 80 kB), never a grid
+        xi, psi = random_table(127, seed=40), random_table(127, seed=41)
+        peaks = []
+        for radii in (self.RADII[-1:], self.RADII):
+            tracemalloc.start()
+            try:
+                disc._quadratures(xi, [psi], radii)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        bookkeeping = 4 * len(self.RADII) * disc.radial_nodes(127) * 16
+        grid = disc.radial_nodes(127) * disc.angular_nodes(127) * 16
+        assert bookkeeping < grid / 4
+        assert peaks[1] <= peaks[0] + bookkeeping
+
+    def test_chunked_matches_one_chunk(self, monkeypatch):
+        # the 50 radii take ten chunks of five, fifty of one, or one chunk
+        xi, psis = random_table(64, seed=42), [random_table(24, seed=43), random_table(5, 44)]
+        per_radius = len(psis) * disc.radial_nodes(24) * disc.angular_nodes(64)
+        assert disc.CHUNK_POINTS // per_radius == 5
+        chunked = disc._quadratures(xi, psis, self.RADII)
+        for points in (1, len(self.RADII) * per_radius):
+            monkeypatch.setattr(disc, "CHUNK_POINTS", points)
+            other = disc._quadratures(xi, psis, self.RADII)
+            assert np.abs(other - chunked).max() <= 1e-15 * np.abs(chunked).max()
 
 
 def quadrature_misses(xi, psi, radii):
     """Largest miss of the quadrature against the closed form over ``radii``,
     relative to 1 + |closed|."""
-    quads = disc._quadratures(xi, [psi], radii, checks.DISC_CONFIG)
-    closed = [disc.disc_integral_closed_form(xi, psi, R) for R in radii]
-    return max(abs(q - c) / (1.0 + abs(c)) for (q,), c in zip(quads, closed))
+    quads = disc._quadratures(xi, [psi], radii)[0]
+    closed = disc.disc_integral_closed_form(xi, psi, radii)
+    return float(np.max(np.abs(quads - closed) / (1.0 + np.abs(closed))))
 
 
 class TestRadialRule:
@@ -393,9 +437,50 @@ class TestRadialRule:
         pair = linops.random_pair(8, 0.25, 0.1, seed=1)
         xi = ssf.ssf_from_moments(ssf.moments(pair, 64))
         psis = [ssf.LaurentSeries.from_terms(t) for t in checks.DISC_TABLES.values()]
-        sized = disc._quadratures(xi, psis, self.RADII, checks.DISC_CONFIG)
+        sized = disc._quadratures(xi, psis, self.RADII)
         monkeypatch.setattr(disc, "legendre_rule", lambda n: legendre_rule(64))
-        wide = disc._quadratures(xi, psis, self.RADII, checks.DISC_CONFIG)
-        for row, wide_row in zip(sized, wide):
-            for q, q64 in zip(row, wide_row):
-                assert abs(q - q64) <= 1e-14 * (1.0 + abs(q))
+        wide = disc._quadratures(xi, psis, self.RADII)
+        assert np.all(np.abs(sized - wide) <= 1e-14 * (1.0 + np.abs(sized)))
+
+
+class TestAngularRule:
+    """A ring's Jacobian, K the largest order of xi and the tables, holds modes up to
+    K - 1 in magnitude, so a rule of K or more nodes sums it exactly; angular_nodes(K)
+    = 4 (2K + 1) keeps a margin of four table lengths.  Fewer nodes alias xi's high
+    modes onto mode 0."""
+
+    RADII = checks.DISC_CONFIG.radius_schedule
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 12, 100])
+    def test_exact_at_table_order(self, order, monkeypatch):
+        # xi undamped, so the high modes a short rule aliases carry full weight
+        xi = random_table(max(64, order), seed=30, decay=1.0)
+        psi = random_table(order, seed=31 + order, decay=0.9)
+        rules = []
+        ring_wirtinger = disc._ring_wirtinger
+
+        def recorded(coeffs, r, M):
+            rules.append(M)
+            return ring_wirtinger(coeffs, r, M)
+
+        monkeypatch.setattr(disc, "_ring_wirtinger", recorded)
+        assert quadrature_misses(xi, psi, self.RADII) <= 1e-13
+        assert set(rules) == {disc.angular_nodes(xi.order)} == {4 * (2 * xi.order + 1)}
+
+    @pytest.mark.parametrize("order", [2, 3, 12])
+    def test_sixteen_nodes_miss(self, order, monkeypatch):
+        # measured: 7.9e-2 at order 2, 0.31 at order 3 and 5.4e-2 at order 12
+        xi = random_table(64, seed=30, decay=0.9)
+        psi = random_table(order, seed=31 + order, decay=0.9)
+        monkeypatch.setattr(disc, "angular_nodes", lambda order: 16)
+        assert quadrature_misses(xi, psi, self.RADII) > 1e-2
+
+    def test_suite_tables_match_1024_nodes(self, monkeypatch):
+        pair = linops.random_pair(8, 0.25, 0.1, seed=1)
+        xi = ssf.ssf_from_moments(ssf.moments(pair, checks.DISC_MAX_ORDER))
+        psis = [ssf.LaurentSeries.from_terms(t) for t in checks.DISC_TABLES.values()]
+        sized = disc._quadratures(xi, psis, self.RADII)
+        assert disc.angular_nodes(checks.DISC_MAX_ORDER) == 28
+        monkeypatch.setattr(disc, "angular_nodes", lambda order: 1024)
+        wide = disc._quadratures(xi, psis, self.RADII)
+        assert np.all(np.abs(sized - wide) <= 1e-14 * np.abs(sized))

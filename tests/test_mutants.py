@@ -41,24 +41,25 @@ def moments_shifted(pair, n_max):
     return exact_moments(pair, n_max + 1)[1:]
 
 
-def ring_sums_negated(xz, xzb, psi, r, M):
+def ring_sums_negated(xi_grids, psi_grids):
     """disc._ring_sums with the Jacobian's sign flipped."""
-    return -exact_ring_sums(xz, xzb, psi, r, M)
+    return -exact_ring_sums(xi_grids, psi_grids)
 
 
-def ring_wirtinger_extra_power(table, r, M):
+def ring_wirtinger_extra_power(coeffs, r, M):
     """disc._ring_wirtinger with both derivatives one power of r too high."""
-    dz, dzbar = exact_ring_wirtinger(table, r, M)
+    dz, dzbar = exact_ring_wirtinger(coeffs, r, M)
     return r[:, None] * dz, r[:, None] * dzbar
 
 
-def ring_wirtinger_dzbar_sign_slip(table, r, M):
+def ring_wirtinger_dzbar_sign_slip(coeffs, r, M):
     """disc._ring_wirtinger with d/dzbar on the modes n - 1, not 1 - n: the FFT's
     sign convention slipped."""
-    n = np.arange(1, table.order + 1)
-    dz, _ = exact_ring_wirtinger(table, r, M)
+    K = (coeffs.shape[-1] - 1) // 2
+    n = np.arange(1, K + 1)
+    dz, _ = exact_ring_wirtinger(coeffs, r, M)
     scale = n * r[:, None] ** (n - 1)
-    return dz, ssf.uniform_trig_values(n - 1, scale * table.coeffs[table.order - n], M)
+    return dz, ssf.uniform_trig_values(n - 1, coeffs[..., None, K - n] * scale, M)
 
 
 def window_transposed_block(T, N):
