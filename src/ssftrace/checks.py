@@ -124,12 +124,13 @@ def circle_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries,
     quads = calculus.trace_rhs_circle_quadrature(xi, phis, abel_radius=ABEL_RADIUS)
     for name, phi, quad in zip(series, phis, quads):
         lhs = calculus.trace_lhs_circle(pair, phi)
-        rhs = disc.disc_integral_closed_form(xi, phi, 1.0)  # 2*pi*i sum k a_k xi_hat(-k)
+        rhs = complex(disc.disc_integral_closed_form(xi, phi, 1.0))  # 2*pi*i sum k a_k xi_hat(-k)
         results.append(_within(f"circle/formula_{name}", abs(lhs - rhs),
                                TOLERANCES["circle_tol"] * (1.0 + phi.weighted_norm)))
         results.append(_within(f"circle/quadrature_{name}", abs(quad - rhs),
                                _quadrature_budget(xi, phi)))
-        shifted = disc.disc_integral_closed_form(xi.with_constant(CONSTANT_SHIFT), phi, 1.0)
+        shifted = complex(disc.disc_integral_closed_form(xi.with_constant(CONSTANT_SHIFT),
+                                                          phi, 1.0))
         results.append(_within(f"circle/constant_independence_{name}", abs(shifted - rhs), 0.0))
     return results
 

@@ -13,10 +13,11 @@ The quadrature sums the Jacobian on a polar grid of K radial x
 goes on the batch axis of ``ssf.uniform_trig_values``, so xi's two ring
 derivatives and the stacked tables' two are one inverse FFT each per chunk of
 radii, a chunk holding at most CHUNK_POINTS grid points per transform.
-The angular rule sums each ring exactly, and against tables of order <= K
-only xi's modes |n| <= K survive the sum, each as r^(2|n| - 2); so r times a
-ring sum is a polynomial of degree 2K - 1 in r, which K Gauss-Legendre nodes
-integrate exactly (Davis & Rabinowitz, Methods of Numerical Integration, 2.7).
+Against tables of order <= K only xi's modes |n| <= K survive a ring's angular
+sum, each as r^(2|n| - 2), so xi is cut to order K before its transform; both
+rules then depend on K alone.  The angular rule sums each ring exactly, and r
+times a ring sum is a polynomial of degree 2K - 1 in r, which K Gauss-Legendre
+nodes integrate exactly (Davis & Rabinowitz, Methods of Numerical Integration, 2.7).
 """
 
 from __future__ import annotations
@@ -107,17 +108,19 @@ def _quadratures(xi, psis, radii) -> np.ndarray:
     """Jacobian quadrature of xi against each of ``psis`` at each of ``radii``, a (tables,
     radii) array: Gauss-Legendre radially and trapezoid angularly, both sized to the
     tables, -2i for dz ^ dzbar.  The tables are padded with zero modes to the largest
-    order and stacked."""
+    order and stacked; xi's modes above that order pair with none of theirs."""
     K = max(psi.order for psi in psis)
     stacked = np.stack([np.pad(psi.coeffs, K - psi.order) for psi in psis])
+    k = min(K, xi.order)
+    xi_coeffs = xi.coeffs[xi.order - k: xi.order + k + 1]
     x, w = legendre_rule(radial_nodes(K))
-    M = angular_nodes(max(K, xi.order))
+    M = angular_nodes(K)
     R = np.asarray(radii, dtype=float)[:, None]
     r = (R * (x + 1.0) / 2.0).ravel()  # the rings, radius-major
     weights = (w * R / 2.0).ravel() * r * (2.0 * np.pi / M)
     step = len(x) * max(1, CHUNK_POINTS // (len(psis) * len(x) * M))
     sums = np.concatenate([
-        _ring_sums(_ring_wirtinger(xi.coeffs, r[i:i + step], M),
+        _ring_sums(_ring_wirtinger(xi_coeffs, r[i:i + step], M),
                    _ring_wirtinger(stacked, r[i:i + step], M))
         for i in range(0, len(r), step)], axis=1)
     return -2j * (sums * weights).reshape(len(psis), len(R), len(x)).sum(axis=-1)
@@ -131,14 +134,13 @@ def _paired_modes(xi, psi):
 
 
 def disc_integral_closed_form(xi, psi, R):
-    """2*pi*i * sum_{n != 0} n psi_hat(n) xi_hat(-n) R^(2|n|); R = 1 is the limit value.
-    A float R gives a complex, an array of radii an array of values, in one sum."""
+    """2*pi*i * sum_{n != 0} n psi_hat(n) xi_hat(-n) R^(2|n|), R = 1 the limit value, as a
+    complex array of R's shape: one value per radius of an array, 0-d for a float."""
     R = np.asarray(R, dtype=float)
     if not np.all((0.0 < R) & (R <= 1.0)):
         raise InvalidRadiusError(f"R must lie in (0, 1], got {R}")
     n, p, x = _paired_modes(xi, psi)
-    values = 2j * np.pi * np.sum(n * p * x * R[..., None] ** (2 * np.abs(n)), axis=-1)
-    return complex(values) if values.ndim == 0 else values
+    return 2j * np.pi * np.sum(n * p * x * R[..., None] ** (2 * np.abs(n)), axis=-1)
 
 
 def disc_tail_bound(xi, psi, R: float) -> float:

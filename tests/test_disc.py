@@ -118,8 +118,9 @@ class TestRingWirtinger:
         xz, xzb = xi_grids
         for psi, row in zip(psis, sums):
             pz, pzb = disc._ring_wirtinger(psi.coeffs, r, M)
-            ref = np.einsum("kj,kj->k", xz, pzb) - np.einsum("kj,kj->k", pz, xzb)
-            assert np.abs(row - ref).max() <= 1e-15 * np.abs(ref).max()
+            ref = (np.einsum("kj,kj->k", xz, pzb, optimize=True)
+                   - np.einsum("kj,kj->k", pz, xzb, optimize=True))
+            assert row.tobytes() == ref.tobytes()
 
     def test_order_zero_grids_are_distinct(self):
         # an empty mode list still gives two zero grids, never one array
@@ -343,19 +344,20 @@ class TestSharedQuadrature:
 
         monkeypatch.setattr(disc, "_ring_wirtinger", counted)
         checks.disc_checks(pair, xi)
-        # the tables padded with zero modes to the largest order, stacked
+        # the tables padded with zero modes to the largest order, stacked, and xi cut
+        # to that order
         K = checks.DISC_MAX_ORDER
         stacked = np.stack([LaurentSeries.from_terms({K: 0.0, -K: 0.0, **terms}).coeffs
                             for terms in checks.DISC_TABLES.values()])
-        assert calls == {xi.coeffs.tobytes(): 1, stacked.tobytes(): 1}
+        cut = xi.coeffs[xi.order - K: xi.order + K + 1]
+        assert calls == {cut.tobytes(): 1, stacked.tobytes(): 1}
 
     def test_suite_memory_at_d32(self):
         # below seven (radial x 1024) complex grids, the ceiling from when one radius of
-        # xi and one table took 1024 angular nodes; xi is built to the order checks.run
-        # gives the suite
+        # xi and one table took 1024 angular nodes: xi's two, one table's two, the FFT's
+        # work arrays and small change
         pair = linops.random_pair(32, 0.25, 0.1, seed=1)
-        order = checks.xi_orders(("disc",), 64)["disc"]
-        xi = ssf.ssf_from_moments(ssf.moments(pair, order))
+        xi = ssf.ssf_from_moments(ssf.moments(pair, 64))
         tracemalloc.start()
         try:
             results = checks.disc_checks(pair, xi)
@@ -392,10 +394,10 @@ class TestChunks:
         assert peaks[1] <= peaks[0] + bookkeeping
 
     def test_chunked_matches_one_chunk(self, monkeypatch):
-        # the 50 radii take ten chunks of five, fifty of one, or one chunk
+        # the 50 radii take three chunks of 13 and one of 11, fifty of one, or one chunk
         xi, psis = random_table(64, seed=42), [random_table(24, seed=43), random_table(5, 44)]
-        per_radius = len(psis) * disc.radial_nodes(24) * disc.angular_nodes(64)
-        assert disc.CHUNK_POINTS // per_radius == 5
+        per_radius = len(psis) * disc.radial_nodes(24) * disc.angular_nodes(24)
+        assert disc.CHUNK_POINTS // per_radius == 13
         chunked = disc._quadratures(xi, psis, self.RADII)
         for points in (1, len(self.RADII) * per_radius):
             monkeypatch.setattr(disc, "CHUNK_POINTS", points)
@@ -444,16 +446,17 @@ class TestRadialRule:
 
 
 class TestAngularRule:
-    """A ring's Jacobian, K the largest order of xi and the tables, holds modes up to
-    K - 1 in magnitude, so a rule of K or more nodes sums it exactly; angular_nodes(K)
-    = 4 (2K + 1) keeps a margin of four table lengths.  Fewer nodes alias xi's high
-    modes onto mode 0."""
+    """A ring's Jacobian, K the largest order of the tables and xi cut to order K, holds
+    modes up to K - 1 in magnitude, so a rule of K or more nodes sums it exactly;
+    angular_nodes(K) = 4 (2K + 1) keeps a margin of four table lengths.  K - 1 nodes
+    alias mode K - 1 onto mode 0."""
 
     RADII = checks.DISC_CONFIG.radius_schedule
 
     @pytest.mark.parametrize("order", [1, 2, 3, 12, 100])
     def test_exact_at_table_order(self, order, monkeypatch):
-        # xi undamped, so the high modes a short rule aliases carry full weight
+        # xi undamped and of order >= 64, so its high modes would alias with full
+        # weight at angular_nodes(order) nodes had they not been cut
         xi = random_table(max(64, order), seed=30, decay=1.0)
         psi = random_table(order, seed=31 + order, decay=0.9)
         rules = []
@@ -465,14 +468,16 @@ class TestAngularRule:
 
         monkeypatch.setattr(disc, "_ring_wirtinger", recorded)
         assert quadrature_misses(xi, psi, self.RADII) <= 1e-13
-        assert set(rules) == {disc.angular_nodes(xi.order)} == {4 * (2 * xi.order + 1)}
+        assert set(rules) == {disc.angular_nodes(psi.order)} == {4 * (2 * order + 1)}
 
-    @pytest.mark.parametrize("order", [2, 3, 12])
-    def test_sixteen_nodes_miss(self, order, monkeypatch):
-        # measured: 7.9e-2 at order 2, 0.31 at order 3 and 5.4e-2 at order 12
+    @pytest.mark.parametrize("order", [2, 3, 12, 24])
+    def test_one_node_short_misses(self, order, monkeypatch):
+        # K nodes are exact; K - 1 miss, measured 0.36, 1.05, 6.2e-2 and 1.5e-2
         xi = random_table(64, seed=30, decay=0.9)
         psi = random_table(order, seed=31 + order, decay=0.9)
-        monkeypatch.setattr(disc, "angular_nodes", lambda order: 16)
+        monkeypatch.setattr(disc, "angular_nodes", lambda order: order)
+        assert quadrature_misses(xi, psi, self.RADII) <= 1e-13
+        monkeypatch.setattr(disc, "angular_nodes", lambda order: order - 1)
         assert quadrature_misses(xi, psi, self.RADII) > 1e-2
 
     def test_suite_tables_match_1024_nodes(self, monkeypatch):
