@@ -1,7 +1,7 @@
 """Functional calculus from finite coefficient tables, all ``ssf.LaurentSeries``.
 
 A table with no negative modes (an analytic symbol) acts on a contraction
-as sum a_k T^k, by Horner; a two-sided table acts as
+as sum a_k T^k, by Paterson-Stockmeyer; a two-sided table acts as
 psi_hat(0) I + sum psi_hat(-n) (T*)^n + sum psi_hat(n) T^n.  The left side
 of the circle trace formula, its grid quadrature and the trace of the
 two-sided difference are computed here; the pairing is ``disc``'s closed form.
@@ -22,15 +22,31 @@ QUADRATURE_POINTS = 4096
 
 
 def apply_series(phi: LaurentSeries, T) -> np.ndarray:
-    """Horner evaluation of sum a_k T^k; ValueError if phi has a nonzero negative mode."""
+    """sum a_k T^k by Paterson & Stockmeyer (SIAM J. Comput. 2, 1973); ValueError if
+    phi has a nonzero negative mode.
+
+    Babies T^1..T^s, s = isqrt(K), and Horner in T^s over blocks of s terms,
+    the top block taking up to s + 1: s - 1 + (K - 1) // s products for K >= 1,
+    where Horner takes K.  Each block's constant goes on its diagonal in place.
+    The babies are built here, never taken from ``ssf.moments``.
+    """
     if np.any(phi.coeffs[:phi.order]):
         raise ValueError("an analytic symbol cannot hold a nonzero negative mode")
     T = as_operator(T)
-    eye = np.eye(T.shape[0], dtype=complex)
-    coeffs = phi.coeffs[phi.order:]  # a_0..a_K
-    acc = coeffs[-1] * eye
-    for a in coeffs[-2::-1]:
-        acc = acc @ T + a * eye
+    a = phi.coeffs[phi.order:]  # a_0..a_K
+    K, d = phi.order, len(T)
+    s = max(math.isqrt(K), 1)
+    babies = np.empty((s, d, d), dtype=complex)  # T^1..T^s
+    babies[0] = T
+    for r in range(1, s):
+        np.matmul(babies[r - 1], T, out=babies[r])
+    acc = None
+    top = max(K - 1, 0) // s  # the top block holds a_(top s)..a_K
+    for j in range(top, -1, -1):
+        block = a[j * s:] if j == top else a[j * s:(j + 1) * s]
+        poly = (block[1:] @ babies[:len(block) - 1].reshape(-1, d * d)).reshape(d, d)
+        poly.flat[::d + 1] += block[0]
+        acc = poly if acc is None else acc @ babies[-1] + poly
     return acc
 
 

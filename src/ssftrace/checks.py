@@ -78,23 +78,28 @@ def lemma_checks(pair: linops.ContractionPair) -> list[CheckResult]:
     """Defect-difference identity, trace-norm bound and semigroup integral, per side."""
     identity, bound, semigroup = [], [], []
     defects_T, defects_T0 = pair.defects
+    (U, r, Vh), (U0, r0, Vh0) = pair.defect_factors
+    # D_T = V diag(r) V* and D_T* = U diag(r) U*, from the SVD T = U diag(s) V*
+    eigenpairs = (((r, Vh.conj().T), (r0, Vh0.conj().T)), ((r, U), (r0, U0)))
     operators = ((pair.T, pair.T0), (pair.T.conj().T, pair.T0.conj().T))
-    for side, A, B, (T, T0) in zip(("left", "right"), defects_T, defects_T0, operators):
+    for side, A, B, (eig_A, eig_B), (T, T0) in zip(("left", "right"), defects_T, defects_T0,
+                                                   eigenpairs, operators):
         identity.append(_within(f"lemma/identity_{side}",
                                 kernel_integral.defect_identity_error(A, B, T, T0),
                                 TOLERANCES["identity_tol"]))
-        r = kernel_integral.semigroup_integral(A, B)
-        bound.append(_within(f"lemma/trace_bound_{side}", r.trace_norm_difference,
-                             r.trace_bound + TOLERANCES["trace_bound_slack"]))
-        semigroup.append(_within(f"lemma/semigroup_{side}", r.frobenius_error,
+        report = kernel_integral.semigroup_integral(A, B, eig_A, eig_B)
+        bound.append(_within(f"lemma/trace_bound_{side}", report.trace_norm_difference,
+                             report.trace_bound + TOLERANCES["trace_bound_slack"]))
+        semigroup.append(_within(f"lemma/semigroup_{side}", report.frobenius_error,
                                  TOLERANCES["semigroup_tol"]))
     return identity + bound + semigroup
 
 
 def dilation_checks(pair: linops.ContractionPair) -> list[CheckResult]:
     """Window structure, compressions and trace transfer for powers 1..WINDOW_N."""
-    WT = dilation.build_window_dilation(pair.T, WINDOW_N)
-    W0 = dilation.build_window_dilation(pair.T0, WINDOW_N)
+    defects_T, defects_T0 = pair.defects
+    WT = dilation.build_window_dilation(pair.T, defects_T, WINDOW_N)
+    W0 = dilation.build_window_dilation(pair.T0, defects_T0, WINDOW_N)
     results = [_within(f"dilation/orthonormal_{name}", dilation.interior_column_orthonormality(W),
                        TOLERANCES["orthonormality_tol"])
                for name, W in (("T", WT), ("T0", W0))]

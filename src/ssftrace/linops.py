@@ -1,9 +1,10 @@
 """Dense complex matrix kernel.
 
 Contraction validation, defect operators, trace norms and reproducible
-random pair generation.  Both defect operators of a contraction come
-from its one singular value decomposition.  All functions are pure;
-matrices are plain complex numpy arrays.
+random pair generation.  Both defect operators of a contraction, and their
+eigenpairs, come from its one singular value decomposition, which a pair
+takes once per contraction.  All functions are pure; matrices are plain
+complex numpy arrays.
 """
 
 from __future__ import annotations
@@ -48,10 +49,18 @@ class ContractionPair:
         return self.T.shape[0]
 
     @cached_property
+    def defect_factors(self) -> tuple[tuple, tuple]:
+        """((U, r, Vh) of T, (U, r, Vh) of T0), one ``defect_factors`` call per
+        contraction on first use; the arrays are read-only, as every reader shares them."""
+        factors = defect_factors(self.T), defect_factors(self.T0)
+        for M in (*factors[0], *factors[1]):
+            M.flags.writeable = False
+        return factors
+
+    @cached_property
     def defects(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """((D_T, D_T*), (D_T0, D_T0*)), one ``defects`` call per contraction on
-        first use; the four arrays are read-only, as every reader shares them."""
-        pairs = defects(self.T), defects(self.T0)
+        """((D_T, D_T*), (D_T0, D_T0*)) from ``defect_factors``, read-only."""
+        pairs = tuple(defects(*factors) for factors in self.defect_factors)
         for D in (*pairs[0], *pairs[1]):
             D.flags.writeable = False
         return pairs
@@ -106,18 +115,23 @@ def make_pair(T, T0) -> ContractionPair:
     return ContractionPair(T=T, T0=T0, cert_T=cert_T, cert_T0=cert_T0)
 
 
-def defects(M) -> tuple[np.ndarray, np.ndarray]:
-    """Defect operators (D_M, D_M*) = ((I - M*M)^(1/2), (I - MM*)^(1/2)).
+def defect_factors(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, r, Vh) from one SVD M = U diag(s) Vh, with r = sqrt((1 - s)(1 + s)).
 
-    Both come from one SVD M = U diag(s) V*: D_M = V diag(r) V* and
-    D_M* = U diag(r) U* with r = sqrt((1 - s)(1 + s)), so M D_M = D_M* M
-    holds in factored form even where s is near 1.
+    D_M = V diag(r) V* and D_M* = U diag(r) U*, so (r, V) and (r, U) are the
+    eigenpairs of D_M and D_M*, and M D_M = D_M* M holds in factored form
+    even where s is near 1.
     """
     U, s, Vh = np.linalg.svd(as_operator(M))
     if s.max(initial=0.0) > 1.0 + NORM_TOL:
         raise NotAContractionError(f"operator norm {s.max()} exceeds 1 + {NORM_TOL}")
     # a norm overshooting 1 by up to NORM_TOL gives r = 0, not NaN
-    r = np.sqrt(np.clip((1.0 - s) * (1.0 + s), 0.0, None))
+    return U, np.sqrt(np.clip((1.0 - s) * (1.0 + s), 0.0, None)), Vh
+
+
+def defects(U, r, Vh) -> tuple[np.ndarray, np.ndarray]:
+    """Defect operators (D_M, D_M*) = ((I - M*M)^(1/2), (I - MM*)^(1/2)) from the
+    ``defect_factors`` of M."""
     return (Vh.conj().T * r) @ Vh, (U * r) @ U.conj().T
 
 

@@ -1,17 +1,18 @@
 """Reference evaluations the tests check the package against.
 
-None of these depend on a contraction pair, and no ``ssftrace`` command
-runs them: pointwise harmonic extension, Wirtinger derivatives and
-Jacobian by Horner ``polyval``, the truncated Poisson kernel, Abel values
-at arbitrary angles by the dense mode matrix, the inverse of
-``ssf_from_moments``, a trace-norm bound for the dilation difference,
-and one value of the shared disc quadrature.
+No ``ssftrace`` command runs them: pointwise harmonic extension, Wirtinger
+derivatives and Jacobian by Horner ``polyval``, the truncated Poisson kernel,
+Abel values at arbitrary angles by the dense mode matrix, the inverse of
+``ssf_from_moments``, a trace-norm bound for the dilation difference, one
+value of the shared disc quadrature, eigenpairs and defects of a bare matrix,
+a window built from one, the power walk over every block of W^n, and
+``apply_series`` by plain Horner.
 """
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ssftrace import disc, ssf
+from ssftrace import dilation, disc, linops, ssf
 from ssftrace.errors import SsftraceError
 from ssftrace.linops import trace_norm
 from ssftrace.ssf import LaurentSeries
@@ -99,3 +100,59 @@ def moments_from_ssf(s: LaurentSeries) -> np.ndarray:
 def difference_block_trace_norm_sum(blocks) -> float:
     """Subadditive upper bound for the trace norm of the dilation difference."""
     return sum(trace_norm(b) for b in blocks.values())
+
+
+def eigh(M):
+    """(w, V) of the Hermitian part of M, the eigenpairs ``semigroup_integral`` takes."""
+    M = np.asarray(M, dtype=complex)
+    return np.linalg.eigh((M + M.conj().T) / 2.0)
+
+
+def defects_of(M):
+    """(D_M, D_M*) of a bare matrix, from its ``defect_factors``."""
+    return linops.defects(*linops.defect_factors(M))
+
+
+def window(T, N: int):
+    """``build_window_dilation`` of a bare matrix, its defects taken here."""
+    return dilation.build_window_dilation(T, defects_of(T), N)
+
+
+def unpruned_window_powers(W):
+    """([W^n]_00, Tr W^n) for n = 1..N with every block of W^n formed."""
+    N, d = W.window_radius_n, W.block_dim_d
+    U = P = W.held
+    zero = np.zeros((d, d), dtype=complex)
+    powers = []
+    for n in range(1, N + 1):
+        if n > 1:
+            P = dilation._block_product(P, U, d)
+        diagonal = (P[(i, i)] for i in range(-N, N + 1) if (i, i) in P)
+        powers.append((dilation._dense(P.get((0, 0), zero), d),
+                       sum((d if b is dilation._I else np.trace(b) for b in diagonal), 0j)))
+    return powers
+
+
+def unpruned_power_walk(pair, WT, W0):
+    """``dilation.power_walk`` with every block of every window power formed."""
+    Tn, T0n = pair.T, pair.T0
+    walk = []
+    for n, (central, trace_T), (_, trace_0) in zip(
+            range(1, WT.window_radius_n + 1), unpruned_window_powers(WT),
+            unpruned_window_powers(W0)):
+        if n > 1:
+            Tn, T0n = Tn @ pair.T, T0n @ pair.T0
+        walk.append((n, float(np.linalg.norm(central - Tn, "fro")),
+                     complex(np.trace(Tn) - np.trace(T0n)), complex(trace_T - trace_0)))
+    return walk
+
+
+def horner(phi: LaurentSeries, T) -> np.ndarray:
+    """sum a_k T^k over a_0..a_K by Horner, K products."""
+    T = np.asarray(T, dtype=complex)
+    eye = np.eye(len(T), dtype=complex)
+    coeffs = phi.coeffs[phi.order:]
+    acc = coeffs[-1] * eye
+    for a in coeffs[-2::-1]:
+        acc = acc @ T + a * eye
+    return acc

@@ -9,7 +9,7 @@ over seeded pair sets; C2, C3, C4 and C7 add the pairs with
 
 import numpy as np
 
-from oracles import disc_quadrature, kernel_expansion_check, poisson_extend
+from oracles import disc_quadrature, eigh, kernel_expansion_check, poisson_extend
 from pairs import (norm_one_pairs, random_pairs, random_positive_pair,
                    random_strict_pair, scalar_pair)
 from ssftrace import calculus, checks, disc, kernel_integral, ssf
@@ -45,7 +45,7 @@ def test_c1_semigroup_integral():
     violations = 0
     for i in range(100):
         A, B = random_positive_pair(dim=2 + i % 11, delta_b=0.2, seed=9000 + i)
-        r = kernel_integral.semigroup_integral(A, B)
+        r = kernel_integral.semigroup_integral(A, B, eigh(A), eigh(B))
         worst_err = max(worst_err, r.frobenius_error)
         violations += r.trace_norm_difference > r.trace_bound + SLACK
     ok = worst_err <= checks.TOLERANCES["semigroup_tol"] and violations == 0

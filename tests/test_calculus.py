@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import horner
 from pairs import random_pairs, scalar_pair
 from ssftrace import calculus, checks, disc, linops, ssf
 from ssftrace.calculus import LaurentSeries
@@ -38,8 +39,19 @@ class TestApplySeries:
         np.testing.assert_allclose(out, np.diag([np.exp(0.5), np.exp(-0.3)]),
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("K", range(41))
+    def test_matches_horner(self, K):
+        # degrees 0 and 1 take no giant step; 4, 9, 16, 25 and 36 end a block exactly
+        rng = np.random.default_rng(600 + K)
+        T = linops.random_contraction(6, 0.95, rng)
+        a = rng.standard_normal(K + 1) + 1j * rng.standard_normal(K + 1)
+        phi = LaurentSeries.from_terms(dict(enumerate(a)))
+        ref = horner(phi, T)
+        out = calculus.apply_series(phi, T)
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_rejects_negative_mode(self):
-        # Horner runs over a_0..a_K only, so a nonzero negative mode would be dropped
+        # the evaluation runs over a_0..a_K only, so a nonzero negative mode would be dropped
         phi = LaurentSeries.from_terms({-1: 0.5, 2: 1.0})
         with pytest.raises(ValueError, match="negative mode"):
             calculus.apply_series(phi, np.eye(2))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import difference_block_trace_norm_sum
+from oracles import difference_block_trace_norm_sum, unpruned_power_walk, window
 from pairs import random_pairs, scalar_pair
 from ssftrace import checks, dilation, linops
 
@@ -17,7 +17,7 @@ def dense_window(W):
 
 
 def test_zero_contraction_structure():
-    W = dilation.build_window_dilation(np.array([[0.0]]), N=2)
+    W = window(np.array([[0.0]]), 2)
     assert W.block(-1, 0)[0, 0] == pytest.approx(1.0)   # D_T = 1
     assert W.block(0, 1)[0, 0] == pytest.approx(1.0)    # D_T* = 1
     assert W.block(0, 0)[0, 0] == 0.0
@@ -25,7 +25,7 @@ def test_zero_contraction_structure():
 
 
 def test_identity_dilates_trivially():
-    W = dilation.build_window_dilation(np.eye(2), N=2)
+    W = window(np.eye(2), 2)
     np.testing.assert_allclose(W.block(-1, 0), 0.0, atol=1e-12)
     np.testing.assert_allclose(W.block(0, 1), 0.0, atol=1e-12)
     np.testing.assert_allclose(W.block(-1, 1), -np.eye(2), atol=1e-12)
@@ -33,7 +33,7 @@ def test_identity_dilates_trivially():
 
 
 def test_scalar_unit_column():
-    W = dilation.build_window_dilation(np.array([[0.5]]), N=3)
+    W = window(np.array([[0.5]]), 3)
     assert W.block(-1, 0)[0, 0] == pytest.approx(np.sqrt(0.75))
     assert W.block(0, 0)[0, 0] == pytest.approx(0.5)
     col = dense_window(W)[:, 3 * 1]  # block column 0
@@ -46,22 +46,22 @@ def test_interior_orthonormality_random():
         d = int(rng.integers(1, 9))
         N = int(rng.integers(1, 9))
         M = linops.random_contraction(d, float(rng.uniform(0.1, 1.0)), rng)
-        W = dilation.build_window_dilation(M, N)
+        W = window(M, N)
         assert dilation.interior_column_orthonormality(W) <= 1e-10
 
 
 def walk(pair, N):
     """power_walk over the two windows of radius N, as {n: (gap, lhs, rhs)}."""
-    WT = dilation.build_window_dilation(pair.T, N)
-    W0 = dilation.build_window_dilation(pair.T0, N)
+    WT = window(pair.T, N)
+    W0 = window(pair.T0, N)
     return {n: rest for n, *rest in dilation.power_walk(pair, WT, W0)}
 
 
 def test_walk_matches_matrix_power():
     pair = random_pairs(1, seed=407, dims=(3,))[0]
     N, c = 5, slice(5 * 3, 6 * 3)  # window radius and the central block of d = 3
-    WT = dilation.build_window_dilation(pair.T, N)
-    W0 = dilation.build_window_dilation(pair.T0, N)
+    WT = window(pair.T, N)
+    W0 = window(pair.T0, N)
     entries = dilation.power_walk(pair, WT, W0)
     assert [e[0] for e in entries] == list(range(1, N + 1))
     dense_T, dense_0 = dense_window(WT), dense_window(W0)
@@ -80,8 +80,8 @@ def test_block_route_reads_built_window(edit):
     # windows off the documented pattern: the block route must use what was built
     pair = random_pairs(1, seed=408, dims=(3,))[0]
     N, d, c = 4, 3, slice(4 * 3, 5 * 3)
-    W0 = dilation.build_window_dilation(pair.T0, N)
-    built = dilation.build_window_dilation(pair.T, N)
+    W0 = window(pair.T0, N)
+    built = window(pair.T, N)
     held = dict(built.held)
     if edit == "extra_block":
         held[(2, -2)] = 0.3 * np.random.default_rng(409).standard_normal((d, d))
@@ -104,6 +104,50 @@ def test_block_route_reads_built_window(edit):
         assert dense == dilation.interior_column_orthonormality(WT) == 1.0
 
 
+def with_back_edge(W, T, edge):
+    """W with one block below the diagonal added: D_T* at (1, 0), 0.3 T at (3, -2),
+    or a shift at (2, -1)."""
+    ij, block = {"defect": ((1, 0), W.held[(0, 1)]), "scaled": ((3, -2), 0.3 * T),
+                 "shift": ((2, -1), dilation._I)}[edge]
+    return dilation.WindowDilation(W.window_radius_n, W.block_dim_d, {**W.held, ij: block})
+
+
+class TestPrunedWalk:
+    @pytest.mark.parametrize("edge", [None, "defect", "scaled", "shift"])
+    def test_equals_the_unpruned_walk_bit_for_bit(self, edge):
+        pair = random_pairs(1, seed=411, dims=(4,))[0]
+        WT, W0 = window(pair.T, checks.WINDOW_N), window(pair.T0, checks.WINDOW_N)
+        if edge is not None:
+            WT, W0 = with_back_edge(WT, pair.T, edge), with_back_edge(W0, pair.T0, edge)
+        walk = dilation.power_walk(pair, WT, W0)
+        assert walk == unpruned_power_walk(pair, WT, W0)
+        # a back edge opens walks back to the diagonal, so the rows move off zero
+        gaps = [gap for _, gap, _, _ in walk]
+        assert (max(gaps) > 0.1) if edge is not None else (max(gaps) == 0.0)
+
+    def test_documented_layout_forms_only_the_central_block(self, monkeypatch):
+        # every held block sits on or above the diagonal, so no block of W^n but
+        # (0, 0) can reach a diagonal block again
+        exact, formed = dilation._block_product, []
+
+        def recorded(A, B, d, keep=None):
+            C = exact(A, B, d, keep)
+            formed.append(set(C))
+            return C
+
+        monkeypatch.setattr(dilation, "_block_product", recorded)
+        pair = random_pairs(1, seed=412, dims=(3,))[0]
+        WT = window(pair.T, checks.WINDOW_N)
+        dilation.power_walk(pair, WT, window(pair.T0, checks.WINDOW_N))
+        assert formed == [{(0, 0)}] * (2 * (checks.WINDOW_N - 1))
+
+
+def test_builder_checks_the_radius_first():
+    # the defects are never read: the radius is refused first
+    with pytest.raises(ValueError, match="window radius"):
+        dilation.build_window_dilation(np.eye(2), None, 0)
+
+
 def test_d64_suite_passes_within_one_window_of_memory():
     pair = linops.random_pair(64, 0.25, 0.1, seed=1)
     tracemalloc.start()
@@ -121,7 +165,7 @@ def test_d64_suite_passes_within_one_window_of_memory():
 class TestWindowBlocks:
     def test_holds_the_band(self):
         N, d = 3, 2
-        W = dilation.build_window_dilation(0.5 * np.eye(d), N)
+        W = window(0.5 * np.eye(d), N)
         shift = {(k, k + 1) for k in range(-N, N) if k not in (-1, 0)}
         # the shifts first, in window order, then the four blocks
         assert list(W.held) == [*sorted(shift), (-1, 0), (-1, 1), (0, 0), (0, 1)]
@@ -135,7 +179,7 @@ class TestWindowBlocks:
 
     def test_blocks_are_read_only(self):
         T = np.array([[0.5]], dtype=complex)
-        W = dilation.build_window_dilation(T, N=3)
+        W = window(T, 3)
         for block in (b for b in W.held.values() if b is not dilation._I):
             with pytest.raises(ValueError):
                 block[0, 0] = 2.0
@@ -144,8 +188,8 @@ class TestWindowBlocks:
 
     def test_four_blocks_sees_a_block_off_the_pattern(self):
         pair = random_pairs(1, seed=410, dims=(3,))[0]
-        WT = dilation.build_window_dilation(pair.T, 4)
-        W0 = dilation.build_window_dilation(pair.T0, 4)
+        WT = window(pair.T, 4)
+        W0 = window(pair.T0, 4)
         assert dilation.four_blocks_residual(pair, WT, W0) <= 1e-12
         extra = np.full((3, 3), 1e-6)
         edited = dilation.WindowDilation(4, 3, {**W0.held, (3, -2): extra})
@@ -153,14 +197,14 @@ class TestWindowBlocks:
 
     def test_four_blocks_sees_a_shift_in_one_window_only(self):
         pair = random_pairs(1, seed=410, dims=(3,))[0]
-        WT = dilation.build_window_dilation(pair.T, 4)
-        W0 = dilation.build_window_dilation(pair.T0, 4)
+        WT = window(pair.T, 4)
+        W0 = window(pair.T0, 4)
         held = {ij: b for ij, b in W0.held.items() if ij != (2, 3)}
         edited = dilation.WindowDilation(4, 3, held)
         assert dilation.four_blocks_residual(pair, WT, edited) == pytest.approx(np.sqrt(3))
 
     def test_shift_blocks_are_fresh(self):
-        W = dilation.build_window_dilation(0.5 * np.eye(2), 3)
+        W = window(0.5 * np.eye(2), 3)
         W.block(1, 2)[0, 1] = 7.0
         np.testing.assert_array_equal(W.block(1, 2), np.eye(2))
 
@@ -172,7 +216,7 @@ class TestCompression:
             assert gaps[n][0] == 0.0
 
     def test_scalar_square(self):
-        W = dilation.build_window_dilation(np.array([[0.5]]), N=2)
+        W = window(np.array([[0.5]]), 2)
         P = np.linalg.matrix_power(dense_window(W), 2)
         central = P[2, 2]
         assert central == pytest.approx(0.25)
@@ -211,8 +255,8 @@ class TestDifferenceBlocks:
         # oracle: build both windows and subtract
         pair = random_pairs(1, seed=404, dims=(4,))[0]
         N = 3
-        WT = dilation.build_window_dilation(pair.T, N)
-        W0 = dilation.build_window_dilation(pair.T0, N)
+        WT = window(pair.T, N)
+        W0 = window(pair.T0, N)
         expected = dilation.dilation_difference_blocks(pair)
         for i in range(-N, N + 1):
             for j in range(-N, N + 1):
@@ -226,8 +270,8 @@ class TestDifferenceBlocks:
     def test_subadditive_trace_norm(self):
         pair = random_pairs(1, seed=405, dims=(4,))[0]
         N = 3
-        WT = dilation.build_window_dilation(pair.T, N)
-        W0 = dilation.build_window_dilation(pair.T0, N)
+        WT = window(pair.T, N)
+        W0 = window(pair.T0, N)
         total = linops.trace_norm(dense_window(WT) - dense_window(W0))
         blocks = dilation.dilation_difference_blocks(pair)
         assert total <= difference_block_trace_norm_sum(blocks) + 1e-10

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import eigh
 from pairs import random_pairs, random_positive_pair, scalar_pair
 from ssftrace import checks, kernel_integral, linops
 from ssftrace.errors import NotPositiveContractionError, SingularBError
@@ -12,42 +13,74 @@ from ssftrace.errors import NotPositiveContractionError, SingularBError
 SLACK = checks.TOLERANCES["trace_bound_slack"]
 
 
+def integral(A, B):
+    """The semigroup integral of two matrices, their eigenpairs by ``eigh``."""
+    return kernel_integral.semigroup_integral(A, B, eigh(A), eigh(B))
+
+
+def diagonal_integral(a, b):
+    """The semigroup integral of diag(a) and diag(b), with the eigenvalues a and b."""
+    eye = np.eye(len(a))
+    return kernel_integral.semigroup_integral(np.diag(a), np.diag(b), (np.array(a), eye),
+                                              (np.array(b), eye))
+
+
 def test_scalar_closed_form():
     # integral of e^(-0.8t) 0.39 e^(-0.5t) dt = 0.39 / 1.3 = 0.3
-    r = kernel_integral.semigroup_integral(np.array([[0.8]]), np.array([[0.5]]))
+    r = integral(np.array([[0.8]]), np.array([[0.5]]))
     assert r.computed_difference[0, 0] == pytest.approx(0.3, abs=1e-10)
     assert r.frobenius_error < 1e-10
 
 
 def test_equal_operators():
     A = np.diag([0.7, 0.4])
-    r = kernel_integral.semigroup_integral(A, A)
+    r = integral(A, A)
     np.testing.assert_allclose(r.computed_difference, 0.0, atol=1e-12)
     np.testing.assert_allclose(r.direct_difference, 0.0)
 
 
 def test_commuting_diagonal():
-    r = kernel_integral.semigroup_integral(np.diag([0.9, 0.2]), np.diag([0.4, 0.1]))
+    r = integral(np.diag([0.9, 0.2]), np.diag([0.4, 0.1]))
     np.testing.assert_allclose(r.computed_difference, np.diag([0.5, 0.1]),
                                atol=1e-9)
 
 
 def test_rejects_non_positive():
     with pytest.raises(NotPositiveContractionError):
-        kernel_integral.semigroup_integral(np.diag([-0.2, 0.5]), np.diag([0.5, 0.5]))
+        diagonal_integral([-0.2, 0.5], [0.5, 0.5])
     with pytest.raises(NotPositiveContractionError):
-        kernel_integral.semigroup_integral(np.diag([0.5, 0.5]), np.diag([1.4, 0.5]))
+        diagonal_integral([0.5, 0.5], [1.4, 0.5])
 
 
 def test_rejects_singular_b():
     with pytest.raises(SingularBError):
-        kernel_integral.semigroup_integral(np.diag([0.5, 0.5]), np.diag([1e-6, 0.5]))
+        diagonal_integral([0.5, 0.5], [1e-6, 0.5])
+
+
+def test_checks_shapes_before_reading_eigenpairs():
+    # the eigenpairs are never read: the mismatch is refused first
+    with pytest.raises(ValueError, match="same dimension"):
+        kernel_integral.semigroup_integral(np.eye(2), np.eye(3), None, None)
+
+
+def test_svd_eigenpairs_match_eigh():
+    # the lemma's eigenpairs come from the SVD of T; eigh of each defect gives the same
+    pair = linops.random_pair(12, 0.25, 0.1, seed=5)
+    (U, r, Vh), (U0, r0, Vh0) = pair.defect_factors
+    sides = zip(pair.defects[0], pair.defects[1],
+                (((r, Vh.conj().T), (r0, Vh0.conj().T)), ((r, U), (r0, U0))))
+    for A, B, (eig_A, eig_B) in sides:
+        by_svd = kernel_integral.semigroup_integral(A, B, eig_A, eig_B)
+        by_eigh = integral(A, B)
+        np.testing.assert_allclose(by_svd.computed_difference, by_eigh.computed_difference,
+                                   atol=1e-14)
+        assert by_svd.trace_bound == pytest.approx(by_eigh.trace_bound, rel=1e-13)
 
 
 def test_random_pairs_converge():
     for i in range(20):
         A, B = random_positive_pair(dim=4 + i % 9, delta_b=0.2, seed=1000 + i)
-        r = kernel_integral.semigroup_integral(A, B)
+        r = integral(A, B)
         assert r.frobenius_error <= 1e-7
 
 
@@ -65,7 +98,7 @@ def test_kernel_matches_per_node_products():
     # reference: 32 Gauss nodes per unit time on [0, 40 / delta_B], where the dropped
     # tail is below e^-40, summed one node at a time, w_t exp(-tA) (A^2 - B^2) exp(-tB)
     A, B = random_positive_pair(dim=5, delta_b=0.3, seed=41)
-    r = kernel_integral.semigroup_integral(A, B)
+    r = integral(A, B)
     A, B = (A + A.conj().T) / 2, (B + B.conj().T) / 2
     (wa, Va), (wb, Vb) = np.linalg.eigh(A), np.linalg.eigh(B)
     t, w = gauss_panels(40.0 / wb.min())
@@ -83,7 +116,7 @@ def test_kernel_solves_the_sylvester_equation():
     C = A @ A - B @ B
     lhs = np.kron(np.eye(d), A) + np.kron(B.T, np.eye(d))
     X = np.linalg.solve(lhs, C.reshape(-1, order="F")).reshape(d, d, order="F")
-    r = kernel_integral.semigroup_integral(A, B)
+    r = integral(A, B)
     np.testing.assert_allclose(r.computed_difference, X, atol=1e-13)
 
 
@@ -93,8 +126,8 @@ def test_near_strict_pair_bounded_memory():
     pair = linops.random_pair(32, linops.DELTA_MIN, 0.1, seed=3)
     tracemalloc.start()
     try:
-        for A, B in zip(linops.defects(pair.T), linops.defects(pair.T0)):
-            r = kernel_integral.semigroup_integral(A, B)
+        for A, B in zip(*pair.defects):
+            r = integral(A, B)
             assert r.frobenius_error <= 1e-7
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -103,14 +136,14 @@ def test_near_strict_pair_bounded_memory():
 
 
 def test_trace_bound_scalar():
-    r = kernel_integral.semigroup_integral(np.array([[0.8]]), np.array([[0.5]]))
+    r = integral(np.array([[0.8]]), np.array([[0.5]]))
     assert r.trace_norm_difference == pytest.approx(0.3)
     assert r.trace_bound == pytest.approx(0.78)
 
 
 def test_trace_bound_equal():
     A = np.diag([0.6, 0.3])
-    r = kernel_integral.semigroup_integral(A, A)
+    r = integral(A, A)
     assert r.trace_norm_difference == pytest.approx(0.0, abs=1e-14)
     assert r.trace_bound == pytest.approx(0.0, abs=1e-14)
 
@@ -118,15 +151,15 @@ def test_trace_bound_equal():
 def test_trace_bound_random():
     for i in range(20):
         A, B = random_positive_pair(dim=8, delta_b=0.3, seed=2000 + i)
-        r = kernel_integral.semigroup_integral(A, B)
+        r = integral(A, B)
         assert r.trace_norm_difference <= r.trace_bound + SLACK
 
 
 def test_trace_bound_symmetric_swap():
     # both arguments bounded below: the roles of A and B can be interchanged
     A, B = random_positive_pair(dim=6, delta_b=0.4, seed=37)
-    r1 = kernel_integral.semigroup_integral(A, B)
-    r2 = kernel_integral.semigroup_integral(B, A)
+    r1 = integral(A, B)
+    r2 = integral(B, A)
     assert r1.trace_norm_difference == pytest.approx(r2.trace_norm_difference, abs=1e-12)
     for r in (r1, r2):
         assert r.trace_norm_difference <= r.trace_bound + SLACK

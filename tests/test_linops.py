@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import defects_of
 from pairs import NORM_ONE_IDS, norm_one_pairs
-from ssftrace import checks, dilation, linops
+from ssftrace import checks, disc, linops
 from ssftrace.errors import (
     InvalidDeltaError,
     NotAContractionError,
@@ -55,23 +56,23 @@ def intertwining_error(M, D, D_star) -> float:
 
 class TestDefect:
     def test_scalar_left(self):
-        D, D_star = linops.defects(np.array([[0.6]]))
+        D, D_star = defects_of(np.array([[0.6]]))
         assert D[0, 0] == pytest.approx(0.8)
         assert D_star[0, 0] == pytest.approx(0.8)
 
     def test_zero_operator(self):
-        for D in linops.defects(np.zeros((4, 4))):
+        for D in defects_of(np.zeros((4, 4))):
             np.testing.assert_allclose(D, np.eye(4), atol=1e-14)
 
     def test_jordan_block_sides(self):
         M = np.array([[0, 1], [0, 0]], dtype=complex)
-        D, D_star = linops.defects(M)
+        D, D_star = defects_of(M)
         np.testing.assert_allclose(D, np.diag([1.0, 0.0]), atol=1e-14)
         np.testing.assert_allclose(D_star, np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_rejects_expansion(self):
         with pytest.raises(NotAContractionError):
-            linops.defects(1.5 * np.eye(2))
+            linops.defect_factors(1.5 * np.eye(2))
 
     def test_defects_hermitian_psd_contractive(self):
         # spec-scale sweep: 200 random contractions, d <= 16
@@ -79,7 +80,7 @@ class TestDefect:
         for i in range(200):
             d = int(rng.integers(1, 17))
             M = linops.random_contraction(d, float(rng.uniform(0.05, 1.0)), rng)
-            D, D_star = linops.defects(M)
+            D, D_star = defects_of(M)
             assert intertwining_error(M, D, D_star) <= 1e-14
             for D in (D, D_star):
                 assert np.linalg.norm(D - D.conj().T) < 1e-12
@@ -91,7 +92,7 @@ class TestDefect:
     def test_norm_one_intertwines(self, index):
         # singular values at 1: two separate square roots disagreed here
         T = norm_one_pairs()[index].T
-        D, D_star = linops.defects(T)
+        D, D_star = defects_of(T)
         assert intertwining_error(T, D, D_star) <= 1e-14
         eye = np.eye(len(T))
         np.testing.assert_allclose(D @ D, eye - T.conj().T @ T, atol=1e-14)
@@ -102,7 +103,7 @@ class TestDefect:
         for _ in range(50):
             norm = float(rng.uniform(0.1, 0.95))
             M = linops.random_contraction(6, norm, rng)
-            w = np.linalg.eigvalsh(linops.defects(M)[0])
+            w = np.linalg.eigvalsh(defects_of(M)[0])
             assert w.min() >= (1.0 - norm) - 1e-10
 
 
@@ -201,18 +202,35 @@ class TestPairDefects:
     def test_matches_defects_and_is_read_only(self):
         pair = linops.random_pair(4, 0.25, 0.1, seed=2)
         assert pair.defects is pair.defects
-        for M, held in zip((pair.T, pair.T0), pair.defects):
-            for D, ref in zip(held, linops.defects(M)):
+        assert pair.defect_factors is pair.defect_factors
+        for M, factors, held in zip((pair.T, pair.T0), pair.defect_factors, pair.defects):
+            for F, ref in zip(factors, linops.defect_factors(M)):
+                np.testing.assert_array_equal(F, ref)
+            for D, ref in zip(held, defects_of(M)):
                 np.testing.assert_array_equal(D, ref)
         with pytest.raises(dataclasses.FrozenInstanceError):
             pair.defects = pair.defects
         with pytest.raises(ValueError, match="read-only"):
             pair.defects[0][0][0, 0] = 0.0
+        for F in pair.defect_factors[1]:
+            with pytest.raises(ValueError, match="read-only"):
+                F[0] = 0.0
+
+    def test_factors_are_eigenpairs_of_the_defects(self):
+        # D_T = V diag(r) V* and D_T* = U diag(r) U*: what the lemma hands the kernel
+        pair = linops.random_pair(8, 0.25, 0.1, seed=3)
+        for (U, r, Vh), (D, D_star) in zip(pair.defect_factors, pair.defects):
+            V = Vh.conj().T
+            np.testing.assert_allclose(D @ V, V * r, atol=1e-14)
+            np.testing.assert_allclose(D_star @ U, U * r, atol=1e-14)
 
     def test_one_factorization_per_contraction(self, monkeypatch):
-        # one verify run factors T and T0 once for the lemma and the four-blocks
-        # check, and once more each to build its window from that operator alone
+        # one verify run factors T and T0 once: the lemma's defects and eigenpairs,
+        # the four-blocks check and both windows read those two SVDs
         pair = linops.random_pair(32, 0.25, 0.1, seed=1)
+        # the disc suite's cached Gauss-Legendre rule runs an eigvalsh on a cold
+        # cache only; fill it, so the count does not depend on the tests run before
+        disc.legendre_rule(disc.radial_nodes(checks.DISC_MAX_ORDER))
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -224,9 +242,6 @@ class TestPairDefects:
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-        defects = counted("defects", linops.defects)
-        monkeypatch.setattr(linops, "defects", defects)
-        monkeypatch.setattr(dilation, "defects", defects)
         checks.run(pair, checks.SUITES, 64)
-        # 4 SVDs in defects, and the two Hermitian trace norms of each lemma side
-        assert calls == {"svd": 4, "eigh": 4, "eigvalsh": 4, "defects": 4}
+        # 2 SVDs in defect_factors, and the two Hermitian trace norms of each lemma side
+        assert calls == {"svd": 2, "eigvalsh": 4}

@@ -3,7 +3,8 @@
 Each mutant replaces one layer function with a plausible mistake, and the
 suites that touch that layer must then fail at least one row.  A mutant
 that no row catches points to a row that measures only roundoff.  Pairs
-are built after patching, because ``pair.defects`` is cached on the pair.
+are built after patching, because ``pair.defect_factors`` and ``pair.defects``
+are cached on the pair.
 """
 
 import dataclasses
@@ -18,22 +19,22 @@ exact_moments = ssf.moments
 exact_ring_sums = disc._ring_sums
 exact_ring_wirtinger = disc._ring_wirtinger
 exact_window = dilation.build_window_dilation
-exact_eig = kernel_integral._positive_contraction_eig
+exact_integral = kernel_integral.semigroup_integral
 QUAD_ROWS = {f"disc/quad_vs_closed_{name}" for name in checks.DISC_TABLES}
 
 
-def defects_one_minus_s(M):
-    """linops.defects with r = 1 - s in place of sqrt((1 - s)(1 + s))."""
+def factors_one_minus_s(M):
+    """linops.defect_factors with r = 1 - s in place of sqrt((1 - s)(1 + s)): both the
+    pair's defects and the lemma's eigenpairs read it."""
     U, s, Vh = np.linalg.svd(linops.as_operator(M))
-    r = 1.0 - s
-    return (Vh.conj().T * r) @ Vh, (U * r) @ U.conj().T
+    return U, 1.0 - s, Vh
 
 
-def eig_reversed(M):
-    """kernel_integral._positive_contraction_eig with the eigenvalues in reverse order
-    against their eigenvectors."""
-    H, w, V = exact_eig(M)
-    return H, w[::-1], V
+def integral_eigenvalues_reversed(A, B, eig_A, eig_B):
+    """kernel_integral.semigroup_integral handed eigenpairs whose eigenvalues run in
+    reverse order against their eigenvectors."""
+    (a, Va), (b, Vb) = eig_A, eig_B
+    return exact_integral(A, B, (a[::-1], Va), (b[::-1], Vb))
 
 
 def moments_shifted(pair, n_max):
@@ -62,9 +63,9 @@ def ring_wirtinger_dzbar_sign_slip(coeffs, r, M):
     return dz, ssf.uniform_trig_values(n - 1, coeffs[..., None, K - n] * scale, M)
 
 
-def window_transposed_block(T, N):
+def window_transposed_block(T, defects, N):
     """dilation.build_window_dilation with -T in place of -T* at block (-1, 1)."""
-    W = exact_window(T, N)
+    W = exact_window(T, defects, N)
     return dataclasses.replace(W, held={**W.held, (-1, 1): -linops.as_operator(T)})
 
 
@@ -73,20 +74,20 @@ def moved(W, old, new):
     return dataclasses.replace(W, held={new if ij == old else ij: b for ij, b in W.held.items()})
 
 
-def window_shift_reversed(T, N):
+def window_shift_reversed(T, defects, N):
     """dilation.build_window_dilation with the shift at (2, 3) moved to (3, 2)."""
-    return moved(exact_window(T, N), (2, 3), (3, 2))
+    return moved(exact_window(T, defects, N), (2, 3), (3, 2))
 
 
-def window_without_shifts(T, N):
+def window_without_shifts(T, defects, N):
     """dilation.build_window_dilation holding no shifts."""
-    W = exact_window(T, N)
+    W = exact_window(T, defects, N)
     return dataclasses.replace(W, held={ij: b for ij, b in W.held.items() if b is not dilation._I})
 
 
-def window_defect_below_diagonal(T, N):
+def window_defect_below_diagonal(T, defects, N):
     """dilation.build_window_dilation with D_T* at block (1, 0), below the diagonal, not (0, 1)."""
-    return moved(exact_window(T, N), (0, 1), (1, 0))
+    return moved(exact_window(T, defects, N), (0, 1), (1, 0))
 
 
 def failed_rows(suites):
@@ -97,13 +98,13 @@ def failed_rows(suites):
 
 def test_wrong_defect_fails_lemma(monkeypatch):
     assert not failed_rows(("lemma",))
-    monkeypatch.setattr(linops, "defects", defects_one_minus_s)
+    monkeypatch.setattr(linops, "defect_factors", factors_one_minus_s)
     assert {"lemma/identity_left", "lemma/identity_right"} <= failed_rows(("lemma",))
 
 
 def test_reversed_eigenvalues_fail_semigroup(monkeypatch):
     # the trace norms and the defect identity never read the eigenpairs
-    monkeypatch.setattr(kernel_integral, "_positive_contraction_eig", eig_reversed)
+    monkeypatch.setattr(kernel_integral, "semigroup_integral", integral_eigenvalues_reversed)
     assert failed_rows(("lemma",)) == {"lemma/semigroup_left", "lemma/semigroup_right"}
 
 

@@ -92,8 +92,8 @@ def test_moments_telescoping_bound():
 def test_moments_match_dilation_route():
     pair = random_pairs(1, seed=501, dims=(8,))[0]
     m = ssf.moments(pair, 6)
-    WT = dilation.build_window_dilation(pair.T, 6)
-    W0 = dilation.build_window_dilation(pair.T0, 6)
+    WT = dilation.build_window_dilation(pair.T, pair.defects[0], 6)
+    W0 = dilation.build_window_dilation(pair.T0, pair.defects[1], 6)
     for n, _, _, rhs in dilation.power_walk(pair, WT, W0):
         assert abs(m[n - 1] - rhs) <= 1e-9
 
