@@ -6,7 +6,7 @@ For Hermitian 0 <= A, B <= I with B bounded below by delta > 0,
 
 and the trace-norm estimate ||A - B||_1 <= ||A^2 - B^2||_1 / delta.  Both
 are applied to defect-operator pairs, whose eigenpairs the caller passes in
-from each contraction's one SVD (``linops.defect_factors``): no
+from each contraction's one SVD (``linops.validate_contraction``): no
 eigendecomposition runs here.  In those eigenbases the whole integral is the
 Hadamard product with K_ij = 1 / (a_i + b_j), the solution of
 AX + XB = A^2 - B^2 (Bhatia & Rosenthal, Bull. LMS 29, 1997): no truncation

@@ -1,10 +1,10 @@
 """Dense complex matrix kernel.
 
 Contraction validation, defect operators, trace norms and reproducible
-random pair generation.  Both defect operators of a contraction, and their
-eigenpairs, come from its one singular value decomposition, which a pair
-takes once per contraction.  All functions are pure; matrices are plain
-complex numpy arrays.
+random pair generation.  A contraction's certificate, both its defect
+operators and their eigenpairs come from its one singular value
+decomposition, which ``make_pair`` takes once per contraction.  All
+functions are pure; matrices are plain complex numpy arrays.
 """
 
 from __future__ import annotations
@@ -43,19 +43,12 @@ class ContractionPair:
     T0: np.ndarray
     cert_T: ContractionCertificate
     cert_T0: ContractionCertificate
+    # ((U, r, Vh) of T, (U, r, Vh) of T0), from ``validate_contraction``
+    defect_factors: tuple[tuple, tuple]
 
     @property
     def dim(self) -> int:
         return self.T.shape[0]
-
-    @cached_property
-    def defect_factors(self) -> tuple[tuple, tuple]:
-        """((U, r, Vh) of T, (U, r, Vh) of T0), one ``defect_factors`` call per
-        contraction on first use; the arrays are read-only, as every reader shares them."""
-        factors = defect_factors(self.T), defect_factors(self.T0)
-        for M in (*factors[0], *factors[1]):
-            M.flags.writeable = False
-        return factors
 
     @cached_property
     def defects(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -78,16 +71,28 @@ def as_operator(M) -> np.ndarray:
     return A
 
 
-def validate_contraction(M) -> ContractionCertificate:
-    """Certify that M is a contraction and measure its strictness margin."""
-    A = as_operator(M)
-    s = float(np.linalg.norm(A, 2))
-    if s > 1.0 + NORM_TOL:
-        raise NotAContractionError(f"operator norm {s} exceeds 1 + {NORM_TOL}")
-    delta = 1.0 - s
-    return ContractionCertificate(operator_norm=s,
-                                  strictness_margin_delta=delta,
-                                  is_strict=delta >= DELTA_MIN)
+def validate_contraction(M) -> tuple[ContractionCertificate, tuple]:
+    """Certify that M is a contraction, measure its strictness margin and factor
+    its defects, all from one SVD M = U diag(s) Vh.
+
+    The factors (U, r, Vh), r = sqrt((1 - s)(1 + s)), are read-only:
+    D_M = V diag(r) V* and D_M* = U diag(r) U*, so (r, V) and (r, U) are the
+    eigenpairs of D_M and D_M*, and M D_M = D_M* M holds in factored form even
+    where s is near 1.  A norm in (1, 1 + NORM_TOL] is divided out of s, as
+    ``make_pair`` divides it out of M, so r is 0 there, not NaN.
+    """
+    U, s, Vh = np.linalg.svd(as_operator(M))
+    norm = float(s.max())
+    if norm > 1.0 + NORM_TOL:
+        raise NotAContractionError(f"operator norm {norm} exceeds 1 + {NORM_TOL}")
+    if norm > 1.0:
+        s = s / norm
+    factors = U, np.sqrt((1.0 - s) * (1.0 + s)), Vh
+    for F in factors:
+        F.flags.writeable = False
+    delta = 1.0 - norm
+    return ContractionCertificate(operator_norm=norm, strictness_margin_delta=delta,
+                                  is_strict=delta >= DELTA_MIN), factors
 
 
 def make_pair(T, T0) -> ContractionPair:
@@ -100,38 +105,21 @@ def make_pair(T, T0) -> ContractionPair:
     T0 = as_operator(T0)
     if T.shape != T0.shape:
         raise NotSquareError(f"dimension mismatch: {T.shape} vs {T0.shape}")
-
-    def _clip(A, cert):
-        return A / cert.operator_norm if cert.operator_norm > 1.0 else A
-
-    cert_T = validate_contraction(T)
-    cert_T0 = validate_contraction(T0)
-    T = _clip(T, cert_T)
-    T0 = _clip(T0, cert_T0)
+    cert_T, factors_T = validate_contraction(T)
+    cert_T0, factors_T0 = validate_contraction(T0)
     if not cert_T0.is_strict:
         raise RequiresStrictContractionError(
             f"T0 has norm {cert_T0.operator_norm}; strictness margin "
             f"{cert_T0.strictness_margin_delta} below {DELTA_MIN}")
-    return ContractionPair(T=T, T0=T0, cert_T=cert_T, cert_T0=cert_T0)
-
-
-def defect_factors(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U, r, Vh) from one SVD M = U diag(s) Vh, with r = sqrt((1 - s)(1 + s)).
-
-    D_M = V diag(r) V* and D_M* = U diag(r) U*, so (r, V) and (r, U) are the
-    eigenpairs of D_M and D_M*, and M D_M = D_M* M holds in factored form
-    even where s is near 1.
-    """
-    U, s, Vh = np.linalg.svd(as_operator(M))
-    if s.max(initial=0.0) > 1.0 + NORM_TOL:
-        raise NotAContractionError(f"operator norm {s.max()} exceeds 1 + {NORM_TOL}")
-    # a norm overshooting 1 by up to NORM_TOL gives r = 0, not NaN
-    return U, np.sqrt(np.clip((1.0 - s) * (1.0 + s), 0.0, None)), Vh
+    if cert_T.operator_norm > 1.0:
+        T = T / cert_T.operator_norm
+    return ContractionPair(T=T, T0=T0, cert_T=cert_T, cert_T0=cert_T0,
+                           defect_factors=(factors_T, factors_T0))
 
 
 def defects(U, r, Vh) -> tuple[np.ndarray, np.ndarray]:
     """Defect operators (D_M, D_M*) = ((I - M*M)^(1/2), (I - MM*)^(1/2)) from the
-    ``defect_factors`` of M."""
+    defect factors of M that ``validate_contraction`` returns."""
     return (Vh.conj().T * r) @ Vh, (U * r) @ U.conj().T
 
 
@@ -169,17 +157,21 @@ def random_pair(dim: int, delta: float, perturbation_trace_norm: float,
                          f"got {perturbation_trace_norm}")
     rng = np.random.default_rng(seed)
     T0 = random_contraction(dim, 1.0 - delta, rng)
-    # rounding can leave 1 - ||T0|| a few ulps short of delta, and so of
-    # DELTA_MIN when delta = DELTA_MIN: step the norm down an ulp at a time
-    while delta >= DELTA_MIN and not validate_contraction(T0).is_strict:
-        T0 = T0 * np.nextafter(1.0, 0.0)
     rank = min(dim, 2)
     u = ginibre(rng, dim, rank)
     v = ginibre(rng, dim, rank)
     E = u @ v.conj().T
     E *= perturbation_trace_norm / trace_norm(E)
-    T = T0 + E
-    s = float(np.linalg.norm(T, 2))
-    if s > 1.0:
-        T = T / s
-    return make_pair(T, T0)
+    while True:
+        T = T0 + E
+        s = float(np.linalg.norm(T, 2))
+        if s > 1.0:
+            T = T / s
+        try:
+            return make_pair(T, T0)
+        except RequiresStrictContractionError:
+            # rounding can leave 1 - ||T0|| a few ulps short of delta, and so of
+            # DELTA_MIN when delta = DELTA_MIN: step the norm down an ulp at a time
+            if delta < DELTA_MIN:
+                raise
+            T0 = T0 * np.nextafter(1.0, 0.0)

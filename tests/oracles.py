@@ -109,8 +109,9 @@ def eigh(M):
 
 
 def defects_of(M):
-    """(D_M, D_M*) of a bare matrix, from its ``defect_factors``."""
-    return linops.defects(*linops.defect_factors(M))
+    """(D_M, D_M*) of a bare matrix, from the defect factors of its
+    ``validate_contraction``."""
+    return linops.defects(*linops.validate_contraction(M)[1])
 
 
 def window(T, N: int):

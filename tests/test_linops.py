@@ -21,18 +21,18 @@ from ssftrace.errors import (
 
 class TestValidateContraction:
     def test_scalar_half(self):
-        cert = linops.validate_contraction(np.array([[0.5]]))
+        cert, _ = linops.validate_contraction(np.array([[0.5]]))
         assert cert.operator_norm == pytest.approx(0.5)
         assert cert.strictness_margin_delta == pytest.approx(0.5)
         assert cert.is_strict
 
     def test_identity_not_strict(self):
-        cert = linops.validate_contraction(np.eye(3))
+        cert, _ = linops.validate_contraction(np.eye(3))
         assert cert.operator_norm == pytest.approx(1.0)
         assert not cert.is_strict
 
     def test_jordan_block(self):
-        cert = linops.validate_contraction(np.array([[0, 1], [0, 0]]))
+        cert, _ = linops.validate_contraction(np.array([[0, 1], [0, 0]]))
         assert cert.operator_norm == pytest.approx(1.0)
         assert not cert.is_strict
 
@@ -72,7 +72,7 @@ class TestDefect:
 
     def test_rejects_expansion(self):
         with pytest.raises(NotAContractionError):
-            linops.defect_factors(1.5 * np.eye(2))
+            defects_of(1.5 * np.eye(2))
 
     def test_defects_hermitian_psd_contractive(self):
         # spec-scale sweep: 200 random contractions, d <= 16
@@ -156,7 +156,7 @@ class TestRandomPair:
 
     def test_strictness_certified(self):
         pair = linops.random_pair(8, 0.1, 0.1, seed=5)
-        cert = linops.validate_contraction(pair.T0)
+        cert, _ = linops.validate_contraction(pair.T0)
         assert cert.is_strict
         assert pair.cert_T0.is_strict
 
@@ -196,6 +196,22 @@ class TestMakePair:
         T = (1.0 + 5e-11) * np.eye(2)
         pair = linops.make_pair(T, 0.5 * np.eye(2))
         assert np.linalg.norm(pair.T, 2) <= 1.0
+        # (1 + 5e-11) times a unitary, and times a unitary with two singular
+        # values below 1, whose defects show whether the clip reached them: the
+        # defect factors are those of the clipped T
+        Q, _ = np.linalg.qr(linops.ginibre(np.random.default_rng(5), 4))
+        eye = np.eye(4)
+        for M in (Q, Q * [1.0, 1.0, 0.5, 0.2]):
+            pair = linops.make_pair((1.0 + 5e-11) * M, 0.5 * eye)
+            # the certificate keeps the norm from before the clip
+            assert pair.cert_T.operator_norm == pytest.approx(1.0 + 5e-11, rel=1e-14, abs=0)
+            U, r, Vh = pair.defect_factors[0]
+            assert r.min() == 0.0
+            D, D_star = linops.defects(U, r, Vh)
+            np.testing.assert_allclose(D @ D, eye - pair.T.conj().T @ pair.T,
+                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(D_star @ D_star, eye - pair.T @ pair.T.conj().T,
+                                       rtol=0, atol=1e-14)
 
 
 class TestPairDefects:
@@ -204,7 +220,7 @@ class TestPairDefects:
         assert pair.defects is pair.defects
         assert pair.defect_factors is pair.defect_factors
         for M, factors, held in zip((pair.T, pair.T0), pair.defect_factors, pair.defects):
-            for F, ref in zip(factors, linops.defect_factors(M)):
+            for F, ref in zip(factors, linops.validate_contraction(M)[1]):
                 np.testing.assert_array_equal(F, ref)
             for D, ref in zip(held, defects_of(M)):
                 np.testing.assert_array_equal(D, ref)
@@ -225,9 +241,10 @@ class TestPairDefects:
             np.testing.assert_allclose(D_star @ U, U * r, atol=1e-14)
 
     def test_one_factorization_per_contraction(self, monkeypatch):
-        # one verify run factors T and T0 once: the lemma's defects and eigenpairs,
-        # the four-blocks check and both windows read those two SVDs
-        pair = linops.random_pair(32, 0.25, 0.1, seed=1)
+        # assembling a pair and one verify run factor T and T0 once: the
+        # certificates, the lemma's defects and eigenpairs, the four-blocks check
+        # and both windows read those two SVDs
+        given = linops.random_pair(32, 0.25, 0.1, seed=1)
         # the disc suite's cached Gauss-Legendre rule runs an eigvalsh on a cold
         # cache only; fill it, so the count does not depend on the tests run before
         disc.legendre_rule(disc.radial_nodes(checks.DISC_MAX_ORDER))
@@ -239,9 +256,18 @@ class TestPairDefects:
                 return fn(*args, **kwargs)
             return wrapper
 
+        norm = np.linalg.norm
+
+        def counted_norm(x, ord=None, *args, **kwargs):
+            # numpy takes norm(x, 2) by an SVD that the svd count cannot see
+            if ord == 2:
+                calls["norm_2"] += 1
+            return norm(x, ord, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-        checks.run(pair, checks.SUITES, 64)
-        # 2 SVDs in defect_factors, and the two Hermitian trace norms of each lemma side
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        checks.run(linops.make_pair(given.T, given.T0), checks.SUITES, 64)
+        # 2 SVDs in make_pair, and the two Hermitian trace norms of each lemma side
         assert calls == {"svd": 2, "eigvalsh": 4}

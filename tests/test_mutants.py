@@ -3,8 +3,8 @@
 Each mutant replaces one layer function with a plausible mistake, and the
 suites that touch that layer must then fail at least one row.  A mutant
 that no row catches points to a row that measures only roundoff.  Pairs
-are built after patching, because ``pair.defect_factors`` and ``pair.defects``
-are cached on the pair.
+are built after patching, because ``make_pair`` stores the defect factors
+on the pair and ``pair.defects`` is cached there.
 """
 
 import dataclasses
@@ -15,6 +15,7 @@ import pytest
 from ssftrace import checks, dilation, disc, kernel_integral, linops, ssf
 
 N_MAX = 64
+exact_validate = linops.validate_contraction
 exact_moments = ssf.moments
 exact_ring_sums = disc._ring_sums
 exact_ring_wirtinger = disc._ring_wirtinger
@@ -24,10 +25,10 @@ QUAD_ROWS = {f"disc/quad_vs_closed_{name}" for name in checks.DISC_TABLES}
 
 
 def factors_one_minus_s(M):
-    """linops.defect_factors with r = 1 - s in place of sqrt((1 - s)(1 + s)): both the
-    pair's defects and the lemma's eigenpairs read it."""
+    """linops.validate_contraction with r = 1 - s in place of sqrt((1 - s)(1 + s)):
+    both the pair's defects and the lemma's eigenpairs read it."""
     U, s, Vh = np.linalg.svd(linops.as_operator(M))
-    return U, 1.0 - s, Vh
+    return exact_validate(M)[0], (U, 1.0 - s, Vh)
 
 
 def integral_eigenvalues_reversed(A, B, eig_A, eig_B):
@@ -98,7 +99,7 @@ def failed_rows(suites):
 
 def test_wrong_defect_fails_lemma(monkeypatch):
     assert not failed_rows(("lemma",))
-    monkeypatch.setattr(linops, "defect_factors", factors_one_minus_s)
+    monkeypatch.setattr(linops, "validate_contraction", factors_one_minus_s)
     assert {"lemma/identity_left", "lemma/identity_right"} <= failed_rows(("lemma",))
 
 
