@@ -140,10 +140,11 @@ def circle_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries,
     return results
 
 
-def cross_theorem_check(pair: linops.ContractionPair, name: str, terms: dict) -> CheckResult:
-    """Disc and circle left sides agree on a table with no negative modes."""
+def cross_theorem_check(pair: linops.ContractionPair, name: str, terms: dict,
+                        disc_lhs: complex) -> CheckResult:
+    """Disc side ``disc_lhs`` and circle left side agree on a table with no negative modes."""
     psi = ssf.LaurentSeries.from_terms(terms)
-    gap = abs(calculus.laurent_difference_trace(pair, psi) - calculus.trace_lhs_circle(pair, psi))
+    gap = abs(disc_lhs - calculus.trace_lhs_circle(pair, psi))
     return _within(f"disc/cross_theorem_{name}", gap, TOLERANCES["cross_theorem_tol"])
 
 
@@ -158,7 +159,7 @@ def disc_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries) -> list[Che
         results.append(_within(f"disc/limit_gap_{name}", report.final_gap(),
                                report.tail_bound + TOLERANCES["disc_gap_extra"]))
         if all(n >= 0 for n in terms):
-            results.append(cross_theorem_check(pair, name, terms))
+            results.append(cross_theorem_check(pair, name, terms, report.lhs_trace))
     return results
 
 

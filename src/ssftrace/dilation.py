@@ -11,9 +11,10 @@ from T and the defects its caller took from T's one SVD; every other block is
 zero.  No window-sized array and no identity is formed: a product with a shift
 is a relabelling.  The power walk, the column Gram and the four-block residual
 read what a window holds, not the pattern above, and products
-C_ik = sum_j A_ij B_jk run over those only.  The power walk forms only the
-blocks of W^n that can still reach a diagonal block it reads: on the pattern
-above, whose blocks all sit on or above the diagonal, that is [W^n]_00 alone.
+C_ik = sum_j A_ij B_jk run over those only.  The power walk multiplies only
+the blocks that lie on a cycle of the window, as every closed walk does: on
+the pattern above, whose blocks all sit on or above the diagonal, that is
+(0, 0) alone, so only [W^n]_00 is formed.
 """
 
 from __future__ import annotations
@@ -74,17 +75,14 @@ def build_window_dilation(T, defects, N: int) -> WindowDilation:
                           held={**shifts, **{ij: _read_only(b) for ij, b in blocks.items()}})
 
 
-def _block_product(A: dict, B: dict, d: int, keep=None) -> dict:
-    """C_ik = sum_j A_ij B_jk over the blocks A and B hold, a factor ``_I`` a relabelling;
-    with ``keep``, only the blocks (i, k) for which ``keep(i, k)`` holds are formed."""
+def _block_product(A: dict, B: dict, d: int) -> dict:
+    """C_ik = sum_j A_ij B_jk over the blocks A and B hold, a factor ``_I`` a relabelling."""
     rows = defaultdict(list)
     for (j, k), b in B.items():
         rows[j].append((k, b))
     C = {}
     for (i, j), a in A.items():
         for k, b in rows[j]:
-            if keep is not None and not keep(i, k):
-                continue
             prod = b if a is _I else a if b is _I else a @ b
             C[(i, k)] = _dense(C[(i, k)], d) + _dense(prod, d) if (i, k) in C else prod
     return C
@@ -136,47 +134,34 @@ def four_blocks_residual(pair: ContractionPair, WT: WindowDilation, W0: WindowDi
     return worst
 
 
-def _walk_lengths(held: dict, N: int) -> tuple[dict, np.ndarray]:
-    """({index: position}, lengths): lengths[k, i] is the fewest steps of a walk k -> i
-    over the held blocks, each held (j, l) a step j -> l, and N where none is shorter.
-
-    A breadth-first search from every index at once: the indices reached in at
-    most L + 1 steps are those reached in at most L, and one step on from them.
-    """
+def _on_cycles(held: dict) -> dict:
+    """The held blocks (j, l), each a step j -> l, that lie on a cycle: those with a
+    walk l -> j, read off the reflexive-transitive closure of the steps, squared
+    until it covers walks as long as there are indices."""
     index = {j: p for p, j in enumerate(sorted({j for ij in held for j in ij}))}
-    step = np.zeros((len(index), len(index)), dtype=bool)
+    reach = np.eye(len(index), dtype=bool)
     for j, l in held:
-        step[index[j], index[l]] = True
-    lengths = np.full(step.shape, N)
-    reached = np.eye(len(index), dtype=bool)
-    for length in range(N):
-        lengths[reached & (lengths == N)] = length
-        reached = reached | reached @ step
-    return index, lengths
+        reach[index[j], index[l]] = True
+    for _ in range(len(index).bit_length()):
+        reach = reach @ reach
+    return {(j, l): b for (j, l), b in held.items() if reach[index[l], index[j]]}
 
 
 def _window_powers(W: WindowDilation) -> list:
-    """([W^n]_00, Tr W^n) for n = 1..N, W^n kept as its live blocks and identities.
+    """([W^n]_00, Tr W^n) for n = 1..N, W^n kept as blocks and identities.
 
-    Each power is one block product with what W holds; the trace
-    sums the traces of the diagonal blocks in window order, d for an identity.
-    Block (i, k) of W^n reaches a diagonal block of W^m, m <= N, only through
-    [W^(m-n)]_ki, so it is formed only if a walk k -> i of at most N - n steps
-    exists.  Every term of a live block is live and keeps its place in the sum.
+    Each power is one block product with the blocks of W on a cycle, which are
+    all a closed walk steps on; a walk within one strongly connected component
+    never leaves it, so each block formed sums the full walk's terms in order.
+    The trace sums the diagonal blocks' traces in window order, d for an identity.
     """
     N, d = W.window_radius_n, W.block_dim_d
-    U = W.held
-    index, lengths = _walk_lengths(U, N)
-
-    def live(n):
-        return lambda i, k: lengths[index[k], index[i]] <= N - n
-
-    P = {(i, k): b for (i, k), b in U.items() if live(1)(i, k)}
+    U = P = _on_cycles(W.held)
     zero = np.zeros((d, d), dtype=complex)
     powers = []
     for n in range(1, N + 1):
         if n > 1:
-            P = _block_product(P, U, d, live(n))
+            P = _block_product(P, U, d)
         diagonal = (P[(i, i)] for i in range(-N, N + 1) if (i, i) in P)
         powers.append((_dense(P.get((0, 0), zero), d),
                        sum((d if b is _I else np.trace(b) for b in diagonal), 0j)))
@@ -187,9 +172,9 @@ def power_walk(pair: ContractionPair, WT: WindowDilation, W0: WindowDilation) ->
     """Powers n = 1..N of T, T0 and their windows WT, W0 of radius N.
 
     Entry n is (n, ||[WT^n]_00 - T^n||_F, Tr(T^n - T0^n), Tr(WT^n - W0^n)).
-    The window powers are block products over what the windows hold,
-    pruned to the blocks that can still reach a diagonal block, one window
-    after the other, so only two powers of one window are held at a time.
+    The window powers are block products over the blocks of each window that
+    lie on a cycle, one window after the other, so only two powers of one
+    window are held at a time.
     T^n and T0^n come from T and T0 alone, never from the windows.
     """
     Tn, T0n = pair.T, pair.T0

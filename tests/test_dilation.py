@@ -75,21 +75,35 @@ def test_walk_matches_matrix_power():
             np.trace(P) - np.trace(np.linalg.matrix_power(dense_0, n)), abs=1e-14)
 
 
+# windows off the documented pattern, as edits of what a window holds: a block below
+# the diagonal (D_T* at (1, 0), 0.3 T at (3, -2), a shift at (2, -1) or a random block
+# at (2, -2)), block column 1 emptied, or the shift at (2, 3) moved to (3, 2)
+LAYOUTS = {
+    "defect": lambda held, T: {**held, (1, 0): held[(0, 1)]},
+    "scaled": lambda held, T: {**held, (3, -2): 0.3 * T},
+    "shift": lambda held, T: {**held, (2, -1): dilation._I},
+    "extra_block": lambda held, T: {
+        **held, (2, -2): 0.3 * np.random.default_rng(409).standard_normal(T.shape)},
+    "empty_column": lambda held, T: {ij: b for ij, b in held.items() if ij[1] != 1},
+    "misplaced_shift": lambda held, T: {(3, 2) if ij == (2, 3) else ij: b
+                                        for ij, b in held.items()},
+}
+# the edits that close a cycle through block 0, so that walks return to [W^n]_00
+THROUGH_CENTRE = {"defect", "scaled", "shift", "extra_block"}
+
+
+def edited(W, T, edit):
+    """W with the layout edit ``edit`` applied to what it holds."""
+    return dilation.WindowDilation(W.window_radius_n, W.block_dim_d, LAYOUTS[edit](W.held, T))
+
+
 @pytest.mark.parametrize("edit", ["extra_block", "empty_column", "misplaced_shift"])
 def test_block_route_reads_built_window(edit):
     # windows off the documented pattern: the block route must use what was built
     pair = random_pairs(1, seed=408, dims=(3,))[0]
     N, d, c = 4, 3, slice(4 * 3, 5 * 3)
     W0 = window(pair.T0, N)
-    built = window(pair.T, N)
-    held = dict(built.held)
-    if edit == "extra_block":
-        held[(2, -2)] = 0.3 * np.random.default_rng(409).standard_normal((d, d))
-    elif edit == "empty_column":
-        held = {ij: b for ij, b in held.items() if ij[1] != 1}  # block column 1
-    else:
-        held = {(3, 2) if ij == (2, 3) else ij: b for ij, b in held.items()}
-    WT = dilation.WindowDilation(N, d, held)
+    WT = edited(window(pair.T, N), pair.T, edit)
     dense_T, dense_0 = dense_window(WT), dense_window(W0)
     for n, gap, _, rhs in dilation.power_walk(pair, WT, W0):
         P = np.linalg.matrix_power(dense_T, n)
@@ -104,34 +118,38 @@ def test_block_route_reads_built_window(edit):
         assert dense == dilation.interior_column_orthonormality(WT) == 1.0
 
 
-def with_back_edge(W, T, edge):
-    """W with one block below the diagonal added: D_T* at (1, 0), 0.3 T at (3, -2),
-    or a shift at (2, -1)."""
-    ij, block = {"defect": ((1, 0), W.held[(0, 1)]), "scaled": ((3, -2), 0.3 * T),
-                 "shift": ((2, -1), dilation._I)}[edge]
-    return dilation.WindowDilation(W.window_radius_n, W.block_dim_d, {**W.held, ij: block})
-
-
 class TestPrunedWalk:
-    @pytest.mark.parametrize("edge", [None, "defect", "scaled", "shift"])
-    def test_equals_the_unpruned_walk_bit_for_bit(self, edge):
+    @pytest.mark.parametrize("edit", [None, *LAYOUTS])
+    def test_equals_the_unpruned_walk_bit_for_bit(self, edit):
         pair = random_pairs(1, seed=411, dims=(4,))[0]
         WT, W0 = window(pair.T, checks.WINDOW_N), window(pair.T0, checks.WINDOW_N)
-        if edge is not None:
-            WT, W0 = with_back_edge(WT, pair.T, edge), with_back_edge(W0, pair.T0, edge)
+        if edit is not None:
+            WT, W0 = edited(WT, pair.T, edit), edited(W0, pair.T0, edit)
         walk = dilation.power_walk(pair, WT, W0)
         assert walk == unpruned_power_walk(pair, WT, W0)
-        # a back edge opens walks back to the diagonal, so the rows move off zero
+        # a cycle through block 0 opens walks back to it, so the rows move off zero
         gaps = [gap for _, gap, _, _ in walk]
-        assert (max(gaps) > 0.1) if edge is not None else (max(gaps) == 0.0)
+        assert (max(gaps) > 0.1) if edit in THROUGH_CENTRE else (max(gaps) == 0.0)
+
+    def test_keeps_the_blocks_on_cycles_in_window_order(self):
+        # (2, -2) closes the cycle -2 -> -1 -> 1 -> 2 -> -2, which (-1, 0), (0, 0) and
+        # (0, 1) join; the shifts at the window's ends lie on no cycle
+        T = random_pairs(1, seed=408, dims=(3,))[0].T
+        W = window(T, 4)
+        assert list(dilation._on_cycles(W.held)) == [(0, 0)]
+        kept = dilation._on_cycles(edited(W, T, "extra_block").held)
+        assert list(kept) == [(-2, -1), (1, 2), (-1, 0), (-1, 1), (0, 0), (0, 1), (2, -2)]
+        # a cycle of even length with no block (0, 0) to close walks of every length
+        two_cycle = dict.fromkeys([(1, 2), (2, 1), (2, 3)], dilation._I)
+        assert list(dilation._on_cycles(two_cycle)) == [(1, 2), (2, 1)]
 
     def test_documented_layout_forms_only_the_central_block(self, monkeypatch):
-        # every held block sits on or above the diagonal, so no block of W^n but
-        # (0, 0) can reach a diagonal block again
+        # every held block sits on or above the diagonal, so (0, 0) is the only
+        # block on a cycle and no block of W^n but (0, 0) is formed
         exact, formed = dilation._block_product, []
 
-        def recorded(A, B, d, keep=None):
-            C = exact(A, B, d, keep)
+        def recorded(A, B, d):
+            C = exact(A, B, d)
             formed.append(set(C))
             return C
 
