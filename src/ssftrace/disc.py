@@ -5,7 +5,8 @@ f~(z) = c_0 + sum c_(-n) zbar^n + sum c_n z^n.  The Jacobian pairing of
 two such extensions integrates over discs of radius R < 1 (measure
 convention dz ^ dzbar = -2i dx dy) and converges, as R -> 1, to
 2*pi*i * sum n psi_hat(n) xi_hat(-n) -- the same number as the trace of
-the two-sided functional-calculus difference.
+the two-sided functional-calculus difference, within ``disc_tail_bound`` at R
+(at R = sqrt(r) that is also the Abel tail of the circle pairing at radius r).
 
 The quadrature sums the Jacobian on a polar grid of K radial x
 ``angular_nodes(order)`` angular nodes per radius, never from the coefficients
@@ -58,10 +59,6 @@ class DiscQuadratureConfig:
 class DiscPairingReport:
     per_radius: tuple[tuple[float, complex, complex], ...]
     lhs_trace: complex
-    tail_bound: float
-
-    def final_gap(self) -> float:
-        return abs(self.per_radius[-1][2] - self.lhs_trace)
 
 
 @cache
@@ -144,7 +141,7 @@ def disc_integral_closed_form(xi, psi, R):
 
 
 def disc_tail_bound(xi, psi, R: float) -> float:
-    """2*pi * sum |n psi_hat(n) xi_hat(-n)| (1 - R^(2|n|)): gap to the R -> 1 limit."""
+    """2*pi * sum |n psi_hat(n) xi_hat(-n)| (1 - R^(2|n|)): a bound on closed(R) - closed(1)."""
     n, p, x = _paired_modes(xi, psi)
     return 2.0 * np.pi * float(np.sum(np.abs(np.abs(n) * p * x) * (1.0 - R ** (2 * np.abs(n)))))
 
@@ -162,5 +159,4 @@ def verify_disc_trace_formula(pair: ContractionPair, xi: LaurentSeries, psis: li
     return [DiscPairingReport(
         per_radius=tuple(zip(map(float, radii), q.tolist(),
                              disc_integral_closed_form(xi, psi, radii).tolist())),
-        lhs_trace=laurent_difference_trace(pair, psi),
-        tail_bound=disc_tail_bound(xi, psi, radii[-1])) for psi, q in zip(psis, quads)]
+        lhs_trace=laurent_difference_trace(pair, psi)) for psi, q in zip(psis, quads)]

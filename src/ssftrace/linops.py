@@ -75,10 +75,10 @@ def validate_contraction(M) -> tuple[ContractionCertificate, tuple]:
     """Certify that M is a contraction, measure its strictness margin and factor
     its defects, all from one SVD M = U diag(s) Vh.
 
-    The factors (U, r, Vh), r = sqrt((1 - s)(1 + s)), are read-only:
-    D_M = V diag(r) V* and D_M* = U diag(r) U*, so (r, V) and (r, U) are the
-    eigenpairs of D_M and D_M*, and M D_M = D_M* M holds in factored form even
-    where s is near 1.  A norm in (1, 1 + NORM_TOL] is divided out of s, as
+    The factors (U, r, Vh), r = sqrt((1 - s)(1 + s)), are read-only.  The
+    defects are formed from their ``defect_eigenpairs``, so M D_M = D_M* M
+    holds in factored form even where s is near 1.
+    A norm in (1, 1 + NORM_TOL] is divided out of s, as
     ``make_pair`` divides it out of M, so r is 0 there, not NaN.
     """
     U, s, Vh = np.linalg.svd(as_operator(M))
@@ -117,10 +117,15 @@ def make_pair(T, T0) -> ContractionPair:
                            defect_factors=(factors_T, factors_T0))
 
 
+def defect_eigenpairs(U, r, Vh) -> tuple[tuple, tuple]:
+    """((r, V), (r, U)), the eigenpairs of D_M = V diag(r) V* and D_M* = U diag(r) U*."""
+    return (r, Vh.conj().T), (r, U)
+
+
 def defects(U, r, Vh) -> tuple[np.ndarray, np.ndarray]:
     """Defect operators (D_M, D_M*) = ((I - M*M)^(1/2), (I - MM*)^(1/2)) from the
-    defect factors of M that ``validate_contraction`` returns."""
-    return (Vh.conj().T * r) @ Vh, (U * r) @ U.conj().T
+    defect factors of M, composed from their ``defect_eigenpairs``."""
+    return tuple((Q * w) @ Q.conj().T for w, Q in defect_eigenpairs(U, r, Vh))
 
 
 def trace_norm(M) -> float:

@@ -1,6 +1,7 @@
 """Shared random-instance generators for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ssftrace import linops
 
@@ -57,3 +58,77 @@ def norm_one_pairs():
 def scalar_pair(t, t0):
     return linops.make_pair(np.array([[t]], dtype=complex),
                             np.array([[t0]], dtype=complex))
+
+
+def _unitary(rng, dim):
+    Q, _ = np.linalg.qr(linops.ginibre(rng, dim))
+    return Q
+
+
+def _to_norm(M, norm):
+    """M rescaled to operator norm ``norm``; a zero M stays zero."""
+    size = float(np.linalg.norm(M, 2))
+    return M * (norm / size) if size > 0.0 else M
+
+
+def _blocks(sizes, block):
+    """Block-diagonal matrix of ``block(k)`` for each size k."""
+    M = np.zeros((sum(sizes),) * 2, dtype=complex)
+    start = 0
+    for k in sizes:
+        M[start:start + k, start:start + k] = block(k)
+        start += k
+    return M
+
+
+def _partition(draw, dim):
+    """Sizes of a partition of ``dim`` into blocks."""
+    sizes = []
+    while sum(sizes) < dim:
+        sizes.append(draw(st.integers(1, dim - sum(sizes))))
+    return sizes
+
+
+SIDE_KINDS = ("ginibre", "jordan", "shift", "partial_isometry", "diagonal_unitary",
+              "scaled_identity")
+
+
+@st.composite
+def _side(draw, rng, dim, other=None):
+    """One contraction of a drawn kind, or a copy of ``other`` when given; its bulk
+    entries come from ``rng``."""
+    kind = draw(st.sampled_from(SIDE_KINDS + ("copy",) * (other is not None)))
+    if kind == "copy":
+        return other.copy()
+    if kind == "ginibre":
+        return _to_norm(linops.ginibre(rng, dim), draw(st.floats(0.0, 1.0)))
+    if kind == "jordan":
+        # one eigenvalue per block, the whole matrix at a drawn norm
+        def jordan(k):
+            eigenvalue = rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+            return eigenvalue * np.eye(k) + np.eye(k, k=-1)
+        return _to_norm(_blocks(_partition(draw, dim), jordan), draw(st.floats(0.0, 1.0)))
+    if kind == "shift":
+        # shift blocks, or their adjoints
+        S = _blocks(_partition(draw, dim), lambda k: np.eye(k, k=-1))
+        return S if draw(st.booleans()) else S.T.copy()
+    if kind == "partial_isometry":
+        rank = draw(st.integers(0, dim))
+        return _unitary(rng, dim)[:, :rank] @ _unitary(rng, dim)[:, :rank].conj().T
+    if kind == "diagonal_unitary":
+        return np.diag(np.exp(2j * np.pi * rng.uniform(size=dim)))
+    scale = draw(st.floats(0.0, 1.0)) * np.exp(2j * np.pi * draw(st.floats(0.0, 1.0)))
+    return scale * np.eye(dim, dtype=complex)
+
+
+@st.composite
+def pair_space(draw):
+    """Matrices (T, T0) of one dimension in 1..12, each side a Ginibre matrix at a norm
+    in [0, 1], Jordan or shift blocks, a partial isometry, a diagonal unitary, a scaled
+    identity, or a copy of the other side.  ``make_pair`` may refuse a draw."""
+    dim = draw(st.integers(1, 12))
+    # one generator for both sides, so that two sides of one kind differ
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = draw(_side(rng, dim))
+    B = draw(_side(rng, dim, A))
+    return (A, B) if draw(st.booleans()) else (B, A)

@@ -141,9 +141,8 @@ def test_c7_disc_formula():
 
 
 def test_c8_cross_theorem():
-    terms = checks.DISC_TABLES["one_sided"]
-    psi = LaurentSeries.from_terms(terms)
-    results = [checks.cross_theorem_check(pair, "one_sided", terms,
+    psi = LaurentSeries.from_terms(checks.DISC_TABLES["one_sided"])
+    results = [checks.cross_theorem_check(pair, "one_sided", psi,
                                           calculus.laurent_difference_trace(pair, psi))
                for pair in random_pairs(25, seed=9500, dims=(2, 4, 6))]
     ok = all(c.passed for c in results)

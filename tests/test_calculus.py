@@ -134,10 +134,15 @@ class TestCircleRhs:
             k * abs(a) * abs(s.coeff(-k)) * (1.0 - r ** k) for k, a in terms.items())
         assert abs(quad - rhs) <= 10.0 * (tail + 1e-12)
         # the suite's budget is the same tail, with the grid term 1e-12 (1 + sum k|a_k|)
-        weighted = sum(k * abs(a) for k, a in terms.items())
+        grid = 1e-12 * (1.0 + sum(k * abs(a) for k, a in terms.items()))
         budget = checks._quadrature_budget(s, phi)
         assert checks.ABEL_RADIUS == r
-        assert budget == pytest.approx(10.0 * (tail + 1e-12 * (1.0 + weighted)), rel=1e-12)
+        assert budget == pytest.approx(10.0 * (tail + grid), rel=1e-12)
+        # and that tail is the disc tail at R = sqrt(r): the Abel mean at radius r
+        # of the circle pairing is the disc closed form there
+        disc_tail = disc.disc_tail_bound(s, phi, np.sqrt(r))
+        assert disc_tail == pytest.approx(tail, rel=1e-12)
+        assert budget == pytest.approx(10.0 * (disc_tail + grid), rel=1e-12)
         assert abs(quad - rhs) <= budget
 
     def test_quadrature_independent_of_pairing(self, monkeypatch):

@@ -281,7 +281,9 @@ class TestVerifyDiscFormula:
         assert rep.lhs_trace == pytest.approx(0.25, abs=1e-14)
         for R, _, closed in rep.per_radius:
             assert closed == pytest.approx(0.25 * R ** 2, abs=1e-12)
-        assert rep.final_gap() <= rep.tail_bound + 1e-9
+        # the limit gap at the last radius, within the disc tail there
+        R_last, _, closed = rep.per_radius[-1]
+        assert abs(closed - rep.lhs_trace) <= disc.disc_tail_bound(xi, psi, R_last) + 1e-9
 
     def test_table_beyond_shift_order(self):
         pair = scalar_pair(0.5, 0.25)

@@ -66,9 +66,8 @@ def test_checks_shapes_before_reading_eigenpairs():
 def test_svd_eigenpairs_match_eigh():
     # the lemma's eigenpairs come from the SVD of T; eigh of each defect gives the same
     pair = linops.random_pair(12, 0.25, 0.1, seed=5)
-    (U, r, Vh), (U0, r0, Vh0) = pair.defect_factors
     sides = zip(pair.defects[0], pair.defects[1],
-                (((r, Vh.conj().T), (r0, Vh0.conj().T)), ((r, U), (r0, U0))))
+                zip(*(linops.defect_eigenpairs(*f) for f in pair.defect_factors)))
     for A, B, (eig_A, eig_B) in sides:
         by_svd = kernel_integral.semigroup_integral(A, B, eig_A, eig_B)
         by_eigh = integral(A, B)

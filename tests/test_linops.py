@@ -235,10 +235,10 @@ class TestPairDefects:
     def test_factors_are_eigenpairs_of_the_defects(self):
         # D_T = V diag(r) V* and D_T* = U diag(r) U*: what the lemma hands the kernel
         pair = linops.random_pair(8, 0.25, 0.1, seed=3)
-        for (U, r, Vh), (D, D_star) in zip(pair.defect_factors, pair.defects):
-            V = Vh.conj().T
-            np.testing.assert_allclose(D @ V, V * r, atol=1e-14)
-            np.testing.assert_allclose(D_star @ U, U * r, atol=1e-14)
+        for factors, held in zip(pair.defect_factors, pair.defects):
+            for (w, Q), D in zip(linops.defect_eigenpairs(*factors), held):
+                np.testing.assert_allclose(D @ Q, Q * w, atol=1e-14)
+                np.testing.assert_allclose(Q.conj().T @ Q, np.eye(8), atol=1e-14)
 
     def test_one_factorization_per_contraction(self, monkeypatch):
         # assembling a pair and one verify run factor T and T0 once: the
