@@ -94,16 +94,17 @@ def lemma_checks(pair: linops.ContractionPair) -> list[CheckResult]:
 
 
 def dilation_checks(pair: linops.ContractionPair) -> list[CheckResult]:
-    """Window structure, compressions and trace transfer for powers 1..WINDOW_N."""
-    defects_T, defects_T0 = pair.defects
-    WT = dilation.build_window_dilation(pair.T, defects_T, WINDOW_N)
-    W0 = dilation.build_window_dilation(pair.T0, defects_T0, WINDOW_N)
-    results = [_within(f"dilation/orthonormal_{name}", dilation.interior_column_orthonormality(W),
+    """Window structure, compressions and trace transfer for powers 1..WINDOW_N,
+    each read off the Julia operators of T and T0."""
+    (D, D_star), (D0, D0_star) = pair.defects
+    JT = dilation.julia(pair.T, D, D_star)
+    J0 = dilation.julia(pair.T0, D0, D0_star)
+    results = [_within(f"dilation/orthonormal_{name}", dilation.interior_column_orthonormality(J),
                        TOLERANCES["orthonormality_tol"])
-               for name, W in (("T", WT), ("T0", W0))]
-    results.append(_within("dilation/four_blocks", dilation.four_blocks_residual(pair, WT, W0),
+               for name, J in (("T", JT), ("T0", J0))]
+    results.append(_within("dilation/four_blocks", dilation.four_blocks_residual(pair, JT, J0),
                            TOLERANCES["offblock_tol"]))
-    for n, gap, lhs, rhs in dilation.power_walk(pair, WT, W0):
+    for n, gap, lhs, rhs in dilation.power_walk(pair, JT, J0, WINDOW_N):
         results.append(_within(f"dilation/compression_n{n}", gap, TOLERANCES["compression_tol"]))
         results.append(_within(f"dilation/trace_transfer_n{n}", abs(lhs - rhs),
                                TOLERANCES["trace_transfer_tol"]))

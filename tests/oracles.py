@@ -5,8 +5,7 @@ derivatives and Jacobian by Horner ``polyval``, the truncated Poisson kernel,
 Abel values at arbitrary angles by the dense mode matrix, the inverse of
 ``ssf_from_moments``, a trace-norm bound for the dilation difference, one
 value of the shared disc quadrature, eigenpairs and defects of a bare matrix,
-a window built from one, the power walk over every block of W^n, and
-``apply_series`` by plain Horner.
+the dilation's window as one dense array, and ``apply_series`` by plain Horner.
 """
 
 import numpy as np
@@ -114,38 +113,18 @@ def defects_of(M):
     return linops.defects(*linops.validate_contraction(M)[1])
 
 
-def window(T, N: int):
-    """``build_window_dilation`` of a bare matrix, its defects taken here."""
-    return dilation.build_window_dilation(T, defects_of(T), N)
-
-
-def unpruned_window_powers(W):
-    """([W^n]_00, Tr W^n) for n = 1..N with every block of W^n formed."""
-    N, d = W.window_radius_n, W.block_dim_d
-    U = P = W.held
-    zero = np.zeros((d, d), dtype=complex)
-    powers = []
-    for n in range(1, N + 1):
-        if n > 1:
-            P = dilation._block_product(P, U, d)
-        diagonal = (P[(i, i)] for i in range(-N, N + 1) if (i, i) in P)
-        powers.append((dilation._dense(P.get((0, 0), zero), d),
-                       sum((d if b is dilation._I else np.trace(b) for b in diagonal), 0j)))
-    return powers
-
-
-def unpruned_power_walk(pair, WT, W0):
-    """``dilation.power_walk`` with every block of every window power formed."""
-    Tn, T0n = pair.T, pair.T0
-    walk = []
-    for n, (central, trace_T), (_, trace_0) in zip(
-            range(1, WT.window_radius_n + 1), unpruned_window_powers(WT),
-            unpruned_window_powers(W0)):
-        if n > 1:
-            Tn, T0n = Tn @ pair.T, T0n @ pair.T0
-        walk.append((n, float(np.linalg.norm(central - Tn, "fro")),
-                     complex(np.trace(Tn) - np.trace(T0n)), complex(trace_T - trace_0)))
-    return walk
+def dense_window(T, N: int) -> np.ndarray:
+    """The window [-N, N] of the dilation of a bare matrix as one ((2N+1)d)^2 array:
+    ``dilation.julia`` in block rows -1, 0 and columns 0, 1, its defects taken
+    here, and an identity at each of the 2N - 2 shift positions (k, k+1)."""
+    T = np.asarray(T, dtype=complex)
+    d = len(T)
+    W = np.zeros(((2 * N + 1) * d,) * 2, dtype=complex)
+    for k in range(-N, N):
+        if k not in (-1, 0):
+            W[(k + N) * d:(k + N + 1) * d, (k + N + 1) * d:(k + N + 2) * d] = np.eye(d)
+    W[(N - 1) * d:(N + 1) * d, N * d:(N + 2) * d] = dilation.julia(T, *defects_of(T))
+    return W
 
 
 def horner(phi: LaurentSeries, T) -> np.ndarray:

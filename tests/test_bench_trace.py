@@ -3,9 +3,11 @@
 ``perfbench/tracer.py`` wraps the package's public functions from outside
 and reads some of them by name: ``DiscQuadratureConfig``, the semigroup
 report's ``direct_difference`` and ``nodes_used``, and the parameters of
-``build_window_dilation`` and ``ssf.moments``.  A rename in src that breaks
-one of those reads fails here, in the tier-1 suite, instead of in a
-benchmark run.
+``ssf.moments``.  It also keys ``dilation.build_window_dilation`` by its
+parameters ``T`` and ``N``; the package defines no function of that name
+now, and one with other parameters would break every traced run.  A rename
+in src that breaks one of those reads fails here, in the tier-1 suite,
+instead of in a benchmark run.
 """
 
 from pathlib import Path

@@ -7,8 +7,6 @@ are built after patching, because ``make_pair`` stores the defect factors
 on the pair and ``pair.defects`` is cached there.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,7 @@ exact_validate = linops.validate_contraction
 exact_moments = ssf.moments
 exact_ring_sums = disc._ring_sums
 exact_ring_wirtinger = disc._ring_wirtinger
-exact_window = dilation.build_window_dilation
+exact_julia = dilation.julia
 exact_integral = kernel_integral.semigroup_integral
 QUAD_ROWS = {f"disc/quad_vs_closed_{name}" for name in checks.DISC_TABLES}
 
@@ -64,31 +62,25 @@ def ring_wirtinger_dzbar_sign_slip(coeffs, r, M):
     return dz, ssf.uniform_trig_values(n - 1, coeffs[..., None, K - n] * scale, M)
 
 
-def window_transposed_block(T, defects, N):
-    """dilation.build_window_dilation with -T in place of -T* at block (-1, 1)."""
-    W = exact_window(T, defects, N)
-    return dataclasses.replace(W, held={**W.held, (-1, 1): -linops.as_operator(T)})
+def julia_minus_t(T, D, D_star):
+    """dilation.julia with -T in place of -T* in block (-1, 1)."""
+    J = exact_julia(T, D, D_star)
+    d = len(T)
+    J[:d, d:] = -T
+    return J
 
 
-def moved(W, old, new):
-    """W with what it holds at ``old`` held at ``new``, in the same place in its order."""
-    return dataclasses.replace(W, held={new if ij == old else ij: b for ij, b in W.held.items()})
+def julia_defects_swapped(T, D, D_star):
+    """dilation.julia with D_T and D_T* in each other's slots."""
+    return exact_julia(T, D_star, D)
 
 
-def window_shift_reversed(T, defects, N):
-    """dilation.build_window_dilation with the shift at (2, 3) moved to (3, 2)."""
-    return moved(exact_window(T, defects, N), (2, 3), (3, 2))
-
-
-def window_without_shifts(T, defects, N):
-    """dilation.build_window_dilation holding no shifts."""
-    W = exact_window(T, defects, N)
-    return dataclasses.replace(W, held={ij: b for ij, b in W.held.items() if b is not dilation._I})
-
-
-def window_defect_below_diagonal(T, defects, N):
-    """dilation.build_window_dilation with D_T* at block (1, 0), below the diagonal, not (0, 1)."""
-    return moved(exact_window(T, defects, N), (0, 1), (1, 0))
+def julia_conjugated_t(T, D, D_star):
+    """dilation.julia with conj(T) in T's slot."""
+    J = exact_julia(T, D, D_star)
+    d = len(T)
+    J[d:, :d] = T.conj()
+    return J
 
 
 def failed_rows(suites):
@@ -130,24 +122,22 @@ def test_wrong_jacobian_fails_disc_quadrature(monkeypatch, name, mutant):
 
 def test_transposed_block_fails_dilation(monkeypatch):
     assert not failed_rows(("dilation",))
-    monkeypatch.setattr(dilation, "build_window_dilation", window_transposed_block)
+    monkeypatch.setattr(dilation, "julia", julia_minus_t)
     assert {"dilation/orthonormal_T", "dilation/orthonormal_T0",
             "dilation/four_blocks"} <= failed_rows(("dilation",))
 
 
-def test_defect_below_diagonal_fails_dilation(monkeypatch):
-    # block row 0 now holds T alone, so no walk leaves row 0 and none through (1, 0)
-    # returns: [W^n]_00 = T^n and Tr W^n = Tr T^n, and only the column Gram and the
-    # four-block residual see the move
-    monkeypatch.setattr(dilation, "build_window_dilation", window_defect_below_diagonal)
+def test_swapped_defects_fail_dilation(monkeypatch):
+    monkeypatch.setattr(dilation, "julia", julia_defects_swapped)
     assert failed_rows(("dilation",)) == {"dilation/orthonormal_T", "dilation/orthonormal_T0",
                                           "dilation/four_blocks"}
 
 
-@pytest.mark.parametrize("mutant", [window_shift_reversed, window_without_shifts])
-def test_wrong_shifts_fail_orthonormality(monkeypatch, mutant):
-    # on the documented pattern every cycle of the window runs through block (0, 0),
-    # so Tr W^n = Tr T^n and [W^n]_00 = T^n whatever the shifts are: only the column
-    # Gram sees them
-    monkeypatch.setattr(dilation, "build_window_dilation", mutant)
-    assert failed_rows(("dilation",)) == {"dilation/orthonormal_T", "dilation/orthonormal_T0"}
+def test_conjugated_t_fails_every_dilation_row(monkeypatch):
+    # the T slot is what the power walk raises to n, so [W^n]_00 = conj(T)^n and
+    # Tr W^n = conj(Tr T^n) move off T^n and Tr T^n
+    monkeypatch.setattr(dilation, "julia", julia_conjugated_t)
+    pair = linops.random_pair(16, 0.25, 0.1, seed=1)
+    rows = checks.dilation_checks(pair)
+    assert len(rows) == 19
+    assert [r.name for r in rows if r.passed] == []

@@ -1,7 +1,8 @@
-"""The scripts under scripts/ run end to end on a small pair."""
+"""The scripts under scripts/ run end to end on small pairs."""
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +34,45 @@ def test_script_runs(tmp_path, script, written):
         assert (out / name).is_file()
     if script in LAST_LINE:
         assert re.fullmatch(LAST_LINE[script], done.stdout.splitlines()[-1])
+
+
+def diff_reports(old_src, new_src):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "diff_reports.py"), str(old_src), str(new_src)],
+        capture_output=True, text=True, timeout=300)
+
+
+def test_diff_reports_sees_no_move_between_one_tree_and_itself():
+    done = diff_reports(ROOT / "src", ROOT / "src")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["moved rows: 0 of 943"]
+
+
+# a definition appended to a copied module replaces the original: adding
+# 2^-60 to the Gram deviation moves every orthonormal_* value and flips no verdict;
+# a zero tolerance flips verdicts
+EDITS = {
+    "moved": ("dilation.py", "exact = interior_column_orthonormality\n"
+              "def interior_column_orthonormality(J):\n"
+              "    return exact(J) + 2 ** -60\n"),
+    "flipped": ("checks.py", "TOLERANCES = MappingProxyType("
+                "{**TOLERANCES, 'orthonormality_tol': 0.0})\n"),
+}
+
+
+@pytest.mark.parametrize("edit", EDITS)
+def test_diff_reports_sees_an_edited_tree(tmp_path, edit):
+    module, appended = EDITS[edit]
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "ssftrace" / module, "a") as fh:
+        fh.write("\n\n" + appended)
+    done = diff_reports(ROOT / "src", tmp_path / "src")
+    lines = done.stdout.splitlines()
+    if edit == "flipped":
+        assert done.returncode == 1
+        assert lines[0].startswith("names or verdicts differ")
+    else:
+        assert done.returncode == 0, done.stderr
+        assert {line.split()[0] for line in lines[:-1]} == {"dilation/orthonormal_T",
+                                                          "dilation/orthonormal_T0"}
+        assert lines[-1] == "moved rows: 46 of 943"
