@@ -5,7 +5,7 @@ derivatives and Jacobian by Horner ``polyval``, the truncated Poisson kernel,
 Abel values at arbitrary angles by the dense mode matrix, the inverse of
 ``ssf_from_moments``, a trace-norm bound for the dilation difference, one
 value of the shared disc quadrature, eigenpairs and defects of a bare matrix,
-the dilation's window as one dense array, and ``apply_series`` by plain Horner.
+the dilation's window as one dense array and its walk with every block formed, and ``apply_series`` by plain Horner.
 """
 
 import numpy as np
@@ -125,6 +125,31 @@ def dense_window(T, N: int) -> np.ndarray:
             W[(k + N) * d:(k + N + 1) * d, (k + N + 1) * d:(k + N + 2) * d] = np.eye(d)
     W[(N - 1) * d:(N + 1) * d, N * d:(N + 2) * d] = dilation.julia(T, *defects_of(T))
     return W
+
+
+def unpruned_power_walk(pair, WT, W0, N: int) -> list:
+    """``dilation.power_walk``'s entries from two dense windows of radius N, every
+    block (i, j) of W^n formed as sum_k [W^(n-1)]_ik W_kj, traces summed block by
+    block; T^n and T0^n by the walk's own products."""
+    d, m = pair.dim, 2 * N + 1
+
+    def blocks(W):
+        return [[W[i * d:(i + 1) * d, j * d:(j + 1) * d] for j in range(m)] for i in range(m)]
+
+    BT, B0 = blocks(WT), blocks(W0)
+    PT, P0 = BT, B0
+    Tn, T0n = pair.T, pair.T0
+    walk = []
+    for n in range(1, N + 1):
+        if n > 1:
+            PT, P0 = ([[sum((P[i][k] @ B[k][j] for k in range(m)), np.zeros((d, d), complex))
+                        for j in range(m)] for i in range(m)] for P, B in ((PT, BT), (P0, B0)))
+            Tn, T0n = Tn @ pair.T, T0n @ pair.T0
+        trace_T = sum((np.trace(PT[i][i]) for i in range(m)), 0j)
+        trace_0 = sum((np.trace(P0[i][i]) for i in range(m)), 0j)
+        walk.append((n, float(np.linalg.norm(PT[N][N] - Tn, "fro")),
+                     complex(np.trace(Tn) - np.trace(T0n)), complex(trace_T - trace_0)))
+    return walk
 
 
 def horner(phi: LaurentSeries, T) -> np.ndarray:

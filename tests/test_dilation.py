@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import defects_of, dense_window, difference_block_trace_norm_sum
+from oracles import (defects_of, dense_window, difference_block_trace_norm_sum,
+                     unpruned_power_walk)
 from pairs import NORM_ONE_IDS, norm_one_pairs, random_pairs, scalar_pair
 from ssftrace import checks, dilation, linops
 
@@ -121,6 +122,22 @@ def test_d64_suite_passes_within_one_window_of_memory():
 
 
 class TestPrunedWalk:
+    @pytest.mark.parametrize("edit", [None, "conj"])
+    def test_equals_the_unpruned_walk_bit_for_bit(self, edit):
+        # the rows read off J's T slot are those of the whole window's block walk;
+        # "conj" puts conj(T) in the slot of J and of the window alike
+        pair = random_pairs(1, seed=411, dims=(4,))[0]
+        N, d = checks.WINDOW_N, pair.dim
+        (JT, J0), WT, W0 = julias(pair), dense_window(pair.T, N), dense_window(pair.T0, N)
+        if edit == "conj":
+            for J, W, T in ((JT, WT, pair.T), (J0, W0, pair.T0)):
+                J[d:, :d] = T.conj()
+                block(W, N, 0, 0, d)[:] = T.conj()
+        walk = dilation.power_walk(pair, JT, J0, N)
+        assert walk == unpruned_power_walk(pair, WT, W0, N)
+        gaps = [gap for _, gap, _, _ in walk]
+        assert (max(gaps) > 0.1) if edit else (max(gaps) == 0.0)
+
     def test_documented_layout_forms_only_the_central_block(self):
         # the window is block upper triangular and (0, 0), J's T slot, is its only
         # nonzero diagonal block, so [W^n]_00 = (T slot)^n and Tr W^n = Tr (T slot)^n
