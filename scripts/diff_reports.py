@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
-"""Compare the verify rows of two source trees bit for bit.
+"""Compare the verify rows and the CLI outputs of two source trees bit for bit.
 
-Runs ``checks.run(pair, SUITES, 64)`` under each tree, in a process of its
+Runs ``checks.run(pair, SUITES, 64)``, ``ssftrace ssf`` (defaults) and
+``ssftrace disc-report`` (default radii) under each tree, in a process of its
 own, on 23 fixed pairs: ``random_pair(d, 0.25, 0.1, s)`` for d in
 {4, 6, 8, 32, 128} and s in 0..3, and the three ``norm_one_pairs`` of
 tests/pairs.py, 943 rows in all.  Prints the largest move of each row name
 whose measured value or threshold differs by ``float.hex()``, then the count
-of moved rows, and exits 1 if any row's name or verdict differs.
+of moved rows, then the counts of moved values of ssf.csv and ssf_coeffs.json
+and of disc.csv.  Exits 1 if any row's name or verdict differs, or if the
+trees write a different number of values.
 
     python3 scripts/diff_reports.py OLD/src NEW/src
 """
 
 import argparse
+import csv
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,22 +27,41 @@ DIMS = (4, 6, 8, 32, 128)
 SEEDS = range(4)
 
 
-def rows(src: str) -> list:
-    """[pair, name, passed, measured hex, threshold hex] of every row, under ``src``."""
+def _csv_values(path: Path) -> list:
+    with open(path, newline="") as fh:
+        return [float(v).hex() for row in list(csv.reader(fh))[1:] for v in row]
+
+
+def outputs(src: str) -> dict:
+    """Under ``src``: "rows", [pair, name, passed, measured hex, threshold hex] of every
+    row, and "ssf" and "disc", the hex of every value the two commands write."""
     sys.path[:0] = [src, str(ROOT / "tests")]
     from pairs import NORM_ONE_IDS, norm_one_pairs
-    from ssftrace import checks, linops
+    from ssftrace import checks, cli, linops, serialize
 
     pairs = {f"random_d{d}_s{s}": linops.random_pair(d, 0.25, 0.1, seed=s)
              for d in DIMS for s in SEEDS}
     pairs.update(zip(NORM_ONE_IDS, norm_one_pairs()))
-    return [[pair_id, c.name, c.passed, c.measured.hex(), c.threshold.hex()]
-            for pair_id, pair in pairs.items()
-            for c in checks.run(pair, checks.SUITES, 64)[0]]
+    found = {"rows": [], "ssf": [], "disc": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for pair_id, pair in pairs.items():
+            found["rows"] += [[pair_id, c.name, c.passed, c.measured.hex(), c.threshold.hex()]
+                              for c in checks.run(pair, checks.SUITES, 64)[0]]
+            serialize.save_matrix(out / "T.json", pair.T)
+            serialize.save_matrix(out / "T0.json", pair.T0)
+            files = ["--t", str(out / "T.json"), "--t0", str(out / "T0.json"), "--out", tmp]
+            if cli.main(["ssf", *files]) or cli.main(["disc-report", *files]):
+                raise RuntimeError(f"a command failed on {pair_id}")
+            coeffs = json.loads((out / "ssf_coeffs.json").read_text())["coeffs"]
+            found["ssf"] += _csv_values(out / "ssf.csv") + [
+                float(v).hex() for _, re, im in coeffs for v in (re, im)]
+            found["disc"] += _csv_values(out / "disc.csv")
+    return found
 
 
-def rows_under(src: str) -> list:
-    done = subprocess.run([sys.executable, __file__, "--rows", src],
+def outputs_under(src: str) -> dict:
+    done = subprocess.run([sys.executable, __file__, "--outputs", src],
                           stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -46,22 +70,23 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", nargs="?")
     parser.add_argument("new_src", nargs="?")
-    parser.add_argument("--rows", metavar="SRC", help="print the rows under SRC as JSON")
+    parser.add_argument("--outputs", metavar="SRC",
+                        help="print the rows and command outputs under SRC as JSON")
     args = parser.parse_args()
-    if args.rows:
-        print(json.dumps(rows(args.rows)))
+    if args.outputs:
+        print(json.dumps(outputs(args.outputs)))
         return 0
     if not (args.old_src and args.new_src):
         parser.error("OLD_SRC and NEW_SRC are required")
 
-    old, new = rows_under(args.old_src), rows_under(args.new_src)
-    if [r[:3] for r in old] != [r[:3] for r in new]:
-        changed = [(a[:3], b[:3]) for a, b in zip(old, new) if a[:3] != b[:3]]
-        print(f"names or verdicts differ: {len(old)} vs {len(new)} rows, "
+    old, new = outputs_under(args.old_src), outputs_under(args.new_src)
+    if [r[:3] for r in old["rows"]] != [r[:3] for r in new["rows"]]:
+        changed = [(a[:3], b[:3]) for a, b in zip(old["rows"], new["rows"]) if a[:3] != b[:3]]
+        print(f"names or verdicts differ: {len(old['rows'])} vs {len(new['rows'])} rows, "
               f"first difference {changed[0] if changed else 'in the row count'}")
         return 1
     largest, moved = {}, 0
-    for a, b in zip(old, new):
+    for a, b in zip(old["rows"], new["rows"]):
         if a[3:] == b[3:]:
             continue
         moved += 1
@@ -69,7 +94,13 @@ def main() -> int:
         largest[a[1]] = max(largest.get(a[1], 0.0), move)
     for name, move in largest.items():
         print(f"{name} {move:.3e}")
-    print(f"moved rows: {moved} of {len(old)}")
+    print(f"moved rows: {moved} of {len(old['rows'])}")
+    for command in ("ssf", "disc"):
+        a, b = old[command], new[command]
+        if len(a) != len(b):
+            print(f"{command} values differ in number: {len(a)} vs {len(b)}")
+            return 1
+        print(f"moved {command} values: {sum(x != y for x, y in zip(a, b))} of {len(a)}")
     return 0
 
 

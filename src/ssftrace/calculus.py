@@ -78,20 +78,17 @@ def trace_rhs_circle_quadrature(s: LaurentSeries, phis: list[LaurentSeries],
 
     Independent of the coefficient pairing: the shift function enters only
     through its Abel-regularized pointwise values, taken once for all symbols,
-    and each product is summed point by point on the grid.  Every phi' is
-    taken over the modes -K..K of the largest order, in one batch; the zero
-    modes fold exactly.
+    and each product is summed point by point on the grid.  The symbols are
+    padded with zero modes to the largest order K and stacked, so every phi'
+    is taken over the modes -K..K in one batch; the zero modes fold exactly.
     """
-    K = max((phi.order for phi in phis), default=0)
+    K = max(phi.order for phi in phis)
     if K > s.order:
         raise InsufficientCoefficientsError(
             f"symbol order {K} exceeds coefficient table order {s.order}")
     n = np.arange(-K, K + 1)
-    derivs = np.zeros((len(phis), len(n)), dtype=complex)
-    for row, phi in zip(derivs, phis):
-        modes = slice(K - phi.order, K + phi.order + 1)
-        row[modes] = 1j * n[modes] * phi.coeffs
-    phi_prime = uniform_trig_values(n, derivs, QUADRATURE_POINTS)
+    stacked = np.stack([np.pad(phi.coeffs, K - phi.order) for phi in phis])
+    phi_prime = uniform_trig_values(n, 1j * n * stacked, QUADRATURE_POINTS)
     xi_r = evaluate_ssf_uniform(s, QUADRATURE_POINTS, abel_radius)
     return [complex((2.0 * np.pi / QUADRATURE_POINTS) * np.sum(row * xi_r)) for row in phi_prime]
 

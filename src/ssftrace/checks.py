@@ -63,14 +63,9 @@ class CheckResult:
     measured: float
     threshold: float
 
-    def __post_init__(self):
-        self.passed = bool(self.passed)
-        self.measured = float(self.measured)
-        self.threshold = float(self.threshold)
-
 
 def _within(name: str, measured, threshold) -> CheckResult:
-    return CheckResult(name, measured <= threshold, measured, threshold)
+    return CheckResult(name, bool(measured <= threshold), float(measured), float(threshold))
 
 
 def lemma_checks(pair: linops.ContractionPair) -> list[CheckResult]:
@@ -78,7 +73,7 @@ def lemma_checks(pair: linops.ContractionPair) -> list[CheckResult]:
     identity, bound, semigroup = [], [], []
     defects_T, defects_T0 = pair.defects
     # ((eig D_T, eig D_T0), (eig D_T*, eig D_T0*))
-    eigenpairs = tuple(zip(*(linops.defect_eigenpairs(*f) for f in pair.defect_factors)))
+    eigenpairs = tuple(zip(*pair.defect_eigenpairs))
     operators = ((pair.T, pair.T0), (pair.T.conj().T, pair.T0.conj().T))
     for side, A, B, (eig_A, eig_B), (T, T0) in zip(("left", "right"), defects_T, defects_T0,
                                                    eigenpairs, operators):
@@ -194,8 +189,10 @@ def _stopwatch(timings: dict, name: str):
 def run(pair: linops.ContractionPair, suites,
         n_max: int) -> tuple[list[CheckResult], dict[str, float]]:
     """Every check of the selected suites, in SUITES order, and the wall seconds
-    of each suite.  The circle and disc suites read one moment sequence, built
-    to the largest of their ``xi_orders``; building it is timed as "xi"."""
+    of each suite.  The circle and disc suites read one shift-function table,
+    built to the largest of their ``xi_orders``; building it is timed as "xi".
+    The disc suite pairs only the modes of its tables, so the longer table
+    moves none of its rows."""
     results, timings = [], {}
     if "lemma" in suites:
         with _stopwatch(timings, "lemma"):
@@ -206,12 +203,11 @@ def run(pair: linops.ContractionPair, suites,
     orders = xi_orders(suites, n_max)
     if orders:
         with _stopwatch(timings, "xi"):
-            m = ssf.moments(pair, max(orders.values()))
-            xi = {suite: ssf.ssf_from_moments(m[:order]) for suite, order in orders.items()}
-        if "circle" in xi:
+            xi = ssf.ssf_from_moments(ssf.moments(pair, max(orders.values())))
+        if "circle" in suites:
             with _stopwatch(timings, "circle"):
-                results += circle_checks(pair, xi["circle"])
-        if "disc" in xi:
+                results += circle_checks(pair, xi)
+        if "disc" in suites:
             with _stopwatch(timings, "disc"):
-                results += disc_checks(pair, xi["disc"])
+                results += disc_checks(pair, xi)
     return results, timings

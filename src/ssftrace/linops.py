@@ -1,9 +1,9 @@
 """Dense complex matrix kernel.
 
 Contraction validation, defect operators, trace norms and reproducible
-random pair generation.  A contraction's certificate, both its defect
-operators and their eigenpairs come from its one singular value
-decomposition, which ``make_pair`` takes once per contraction.  All
+random pair generation.  A contraction's certificate and the eigenpairs of
+both its defect operators come from its one singular value decomposition,
+which ``make_pair`` takes once per contraction.  All
 functions are pure; matrices are plain complex numpy arrays.
 """
 
@@ -43,8 +43,8 @@ class ContractionPair:
     T0: np.ndarray
     cert_T: ContractionCertificate
     cert_T0: ContractionCertificate
-    # ((U, r, Vh) of T, (U, r, Vh) of T0), from ``validate_contraction``
-    defect_factors: tuple[tuple, tuple]
+    # (((r, V), (r, U)) of T, ((r, V), (r, U)) of T0), from ``validate_contraction``
+    defect_eigenpairs: tuple[tuple, tuple]
 
     @property
     def dim(self) -> int:
@@ -52,8 +52,8 @@ class ContractionPair:
 
     @cached_property
     def defects(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """((D_T, D_T*), (D_T0, D_T0*)) from ``defect_factors``, read-only."""
-        pairs = tuple(defects(*factors) for factors in self.defect_factors)
+        """((D_T, D_T*), (D_T0, D_T0*)) from ``defect_eigenpairs``, read-only."""
+        pairs = tuple(defects(eigenpairs) for eigenpairs in self.defect_eigenpairs)
         for D in (*pairs[0], *pairs[1]):
             D.flags.writeable = False
         return pairs
@@ -72,12 +72,12 @@ def as_operator(M) -> np.ndarray:
 
 
 def validate_contraction(M) -> tuple[ContractionCertificate, tuple]:
-    """Certify that M is a contraction, measure its strictness margin and factor
-    its defects, all from one SVD M = U diag(s) Vh.
+    """Certify that M is a contraction, measure its strictness margin and take
+    the eigenpairs of its defects, all from one SVD M = U diag(s) V*.
 
-    The factors (U, r, Vh), r = sqrt((1 - s)(1 + s)), are read-only.  The
-    defects are formed from their ``defect_eigenpairs``, so M D_M = D_M* M
-    holds in factored form even where s is near 1.
+    The eigenpairs ((r, V), (r, U)), r = sqrt((1 - s)(1 + s)), are those of
+    D_M = V diag(r) V* and D_M* = U diag(r) U*, and are read-only.  Sharing r
+    makes M D_M = D_M* M hold in factored form even where s is near 1.
     A norm in (1, 1 + NORM_TOL] is divided out of s, as
     ``make_pair`` divides it out of M, so r is 0 there, not NaN.
     """
@@ -87,12 +87,12 @@ def validate_contraction(M) -> tuple[ContractionCertificate, tuple]:
         raise NotAContractionError(f"operator norm {norm} exceeds 1 + {NORM_TOL}")
     if norm > 1.0:
         s = s / norm
-    factors = U, np.sqrt((1.0 - s) * (1.0 + s)), Vh
-    for F in factors:
+    r, V = np.sqrt((1.0 - s) * (1.0 + s)), Vh.conj().T
+    for F in (r, V, U):
         F.flags.writeable = False
     delta = 1.0 - norm
     return ContractionCertificate(operator_norm=norm, strictness_margin_delta=delta,
-                                  is_strict=delta >= DELTA_MIN), factors
+                                  is_strict=delta >= DELTA_MIN), ((r, V), (r, U))
 
 
 def make_pair(T, T0) -> ContractionPair:
@@ -105,8 +105,8 @@ def make_pair(T, T0) -> ContractionPair:
     T0 = as_operator(T0)
     if T.shape != T0.shape:
         raise NotSquareError(f"dimension mismatch: {T.shape} vs {T0.shape}")
-    cert_T, factors_T = validate_contraction(T)
-    cert_T0, factors_T0 = validate_contraction(T0)
+    cert_T, eigenpairs_T = validate_contraction(T)
+    cert_T0, eigenpairs_T0 = validate_contraction(T0)
     if not cert_T0.is_strict:
         raise RequiresStrictContractionError(
             f"T0 has norm {cert_T0.operator_norm}; strictness margin "
@@ -114,18 +114,13 @@ def make_pair(T, T0) -> ContractionPair:
     if cert_T.operator_norm > 1.0:
         T = T / cert_T.operator_norm
     return ContractionPair(T=T, T0=T0, cert_T=cert_T, cert_T0=cert_T0,
-                           defect_factors=(factors_T, factors_T0))
+                           defect_eigenpairs=(eigenpairs_T, eigenpairs_T0))
 
 
-def defect_eigenpairs(U, r, Vh) -> tuple[tuple, tuple]:
-    """((r, V), (r, U)), the eigenpairs of D_M = V diag(r) V* and D_M* = U diag(r) U*."""
-    return (r, Vh.conj().T), (r, U)
-
-
-def defects(U, r, Vh) -> tuple[np.ndarray, np.ndarray]:
-    """Defect operators (D_M, D_M*) = ((I - M*M)^(1/2), (I - MM*)^(1/2)) from the
-    defect factors of M, composed from their ``defect_eigenpairs``."""
-    return tuple((Q * w) @ Q.conj().T for w, Q in defect_eigenpairs(U, r, Vh))
+def defects(eigenpairs) -> tuple[np.ndarray, np.ndarray]:
+    """Defect operators (D_M, D_M*) = ((I - M*M)^(1/2), (I - MM*)^(1/2)) composed
+    from their eigenpairs ((r, V), (r, U)), as ``validate_contraction`` gives them."""
+    return tuple((Q * w) @ Q.conj().T for w, Q in eigenpairs)
 
 
 def trace_norm(M) -> float:

@@ -100,14 +100,11 @@ def uniform_trig_values(n: np.ndarray, c: np.ndarray, M: int) -> np.ndarray:
     contiguous mode range, and c of shape (..., len(n)) gives (..., M), one grid per
     leading index.
 
-    Modes are folded n -> n mod M first, which is exact on this grid for
-    any mode range, so a table longer than M is not truncated.
+    Modes are folded n -> n mod M first, by one ``np.add.at``, which is exact
+    on this grid for any mode range, so a table longer than M is not truncated.
     """
     folded = np.zeros((*np.shape(c)[:-1], M), dtype=complex)
-    if len(n) <= M:  # distinct residues: the fold is an assignment
-        folded[..., n % M] = c
-    else:
-        np.add.at(folded, (..., n % M), c)
+    np.add.at(folded, (..., n % M), c)
     return np.fft.ifft(folded, norm="forward")
 
 

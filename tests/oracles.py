@@ -108,9 +108,9 @@ def eigh(M):
 
 
 def defects_of(M):
-    """(D_M, D_M*) of a bare matrix, from the defect factors of its
+    """(D_M, D_M*) of a bare matrix, from the defect eigenpairs of its
     ``validate_contraction``."""
-    return linops.defects(*linops.validate_contraction(M)[1])
+    return linops.defects(linops.validate_contraction(M)[1])
 
 
 def dense_window(T, N: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import (OutsideOpenDiscError, _wirtinger, disc_quadrature, evaluate_ssf_grid,
                      jacobian_at, kernel_expansion_check, poisson_extend)
-from pairs import random_pairs, random_strict_pair, scalar_pair
+from pairs import norm_one_pairs, random_pairs, random_strict_pair, scalar_pair
 from ssftrace import calculus, checks, disc, linops, ssf
 from ssftrace.calculus import LaurentSeries
 from ssftrace.errors import InsufficientCoefficientsError, InvalidRadiusError
@@ -369,6 +369,34 @@ class TestSharedQuadrature:
         assert all(c.passed for c in results)
         grids = 7 * disc.radial_nodes(checks.DISC_MAX_ORDER) * 1024 * 16
         assert peak < grids
+
+
+class TestOneXi:
+    """The circle and disc suites of one verify run read one shift-function table."""
+
+    def test_run_builds_one_table(self, monkeypatch):
+        calls = collections.Counter()
+        ssf_from_moments = ssf.ssf_from_moments
+
+        def counted(m):
+            calls[len(m)] += 1
+            return ssf_from_moments(m)
+
+        monkeypatch.setattr(ssf, "ssf_from_moments", counted)
+        checks.run(linops.random_pair(8, 0.25, 0.1, seed=1), checks.SUITES, 64)
+        assert calls == {64: 1}
+
+    @pytest.mark.parametrize("pair", [linops.random_pair(8, 0.25, 0.1, seed=1),
+                                      linops.random_pair(32, 0.25, 0.1, seed=2),
+                                      *norm_one_pairs()])
+    def test_disc_rows_do_not_see_the_longer_table(self, pair):
+        # the tables pair only xi's modes up to their own order, so one table for
+        # both suites moves no disc row
+        m = ssf.moments(pair, 64)
+        rows = [[(c.name, c.passed, c.measured.hex(), c.threshold.hex())
+                 for c in checks.disc_checks(pair, ssf.ssf_from_moments(m[:order]))]
+                for order in (checks.DISC_MAX_ORDER, 64)]
+        assert rows[0] == rows[1]
 
 
 class TestChunks:

@@ -66,8 +66,7 @@ def test_checks_shapes_before_reading_eigenpairs():
 def test_svd_eigenpairs_match_eigh():
     # the lemma's eigenpairs come from the SVD of T; eigh of each defect gives the same
     pair = linops.random_pair(12, 0.25, 0.1, seed=5)
-    sides = zip(pair.defects[0], pair.defects[1],
-                zip(*(linops.defect_eigenpairs(*f) for f in pair.defect_factors)))
+    sides = zip(pair.defects[0], pair.defects[1], zip(*pair.defect_eigenpairs))
     for A, B, (eig_A, eig_B) in sides:
         by_svd = kernel_integral.semigroup_integral(A, B, eig_A, eig_B)
         by_eigh = integral(A, B)

@@ -198,16 +198,16 @@ class TestMakePair:
         assert np.linalg.norm(pair.T, 2) <= 1.0
         # (1 + 5e-11) times a unitary, and times a unitary with two singular
         # values below 1, whose defects show whether the clip reached them: the
-        # defect factors are those of the clipped T
+        # defect eigenpairs are those of the clipped T
         Q, _ = np.linalg.qr(linops.ginibre(np.random.default_rng(5), 4))
         eye = np.eye(4)
         for M in (Q, Q * [1.0, 1.0, 0.5, 0.2]):
             pair = linops.make_pair((1.0 + 5e-11) * M, 0.5 * eye)
             # the certificate keeps the norm from before the clip
             assert pair.cert_T.operator_norm == pytest.approx(1.0 + 5e-11, rel=1e-14, abs=0)
-            U, r, Vh = pair.defect_factors[0]
-            assert r.min() == 0.0
-            D, D_star = linops.defects(U, r, Vh)
+            eigenpairs = pair.defect_eigenpairs[0]
+            assert min(w.min() for w, _ in eigenpairs) == 0.0
+            D, D_star = linops.defects(eigenpairs)
             np.testing.assert_allclose(D @ D, eye - pair.T.conj().T @ pair.T,
                                        rtol=0, atol=1e-14)
             np.testing.assert_allclose(D_star @ D_star, eye - pair.T @ pair.T.conj().T,
@@ -218,25 +218,27 @@ class TestPairDefects:
     def test_matches_defects_and_is_read_only(self):
         pair = linops.random_pair(4, 0.25, 0.1, seed=2)
         assert pair.defects is pair.defects
-        assert pair.defect_factors is pair.defect_factors
-        for M, factors, held in zip((pair.T, pair.T0), pair.defect_factors, pair.defects):
-            for F, ref in zip(factors, linops.validate_contraction(M)[1]):
-                np.testing.assert_array_equal(F, ref)
+        assert pair.defect_eigenpairs is pair.defect_eigenpairs
+        for M, eigenpairs, held in zip((pair.T, pair.T0), pair.defect_eigenpairs, pair.defects):
+            for (w, Q), (w_ref, Q_ref) in zip(eigenpairs, linops.validate_contraction(M)[1]):
+                np.testing.assert_array_equal(w, w_ref)
+                np.testing.assert_array_equal(Q, Q_ref)
             for D, ref in zip(held, defects_of(M)):
                 np.testing.assert_array_equal(D, ref)
         with pytest.raises(dataclasses.FrozenInstanceError):
             pair.defects = pair.defects
         with pytest.raises(ValueError, match="read-only"):
             pair.defects[0][0][0, 0] = 0.0
-        for F in pair.defect_factors[1]:
-            with pytest.raises(ValueError, match="read-only"):
-                F[0] = 0.0
+        for w, Q in pair.defect_eigenpairs[1]:
+            for F in (w, Q):
+                with pytest.raises(ValueError, match="read-only"):
+                    F[0] = 0.0
 
     def test_factors_are_eigenpairs_of_the_defects(self):
         # D_T = V diag(r) V* and D_T* = U diag(r) U*: what the lemma hands the kernel
         pair = linops.random_pair(8, 0.25, 0.1, seed=3)
-        for factors, held in zip(pair.defect_factors, pair.defects):
-            for (w, Q), D in zip(linops.defect_eigenpairs(*factors), held):
+        for eigenpairs, held in zip(pair.defect_eigenpairs, pair.defects):
+            for (w, Q), D in zip(eigenpairs, held):
                 np.testing.assert_allclose(D @ Q, Q * w, atol=1e-14)
                 np.testing.assert_allclose(Q.conj().T @ Q, np.eye(8), atol=1e-14)
 

@@ -3,7 +3,7 @@
 Each mutant replaces one layer function with a plausible mistake, and the
 suites that touch that layer must then fail at least one row.  A mutant
 that no row catches points to a row that measures only roundoff.  Pairs
-are built after patching, because ``make_pair`` stores the defect factors
+are built after patching, because ``make_pair`` stores the defect eigenpairs
 on the pair and ``pair.defects`` is cached there.
 """
 
@@ -26,7 +26,14 @@ def factors_one_minus_s(M):
     """linops.validate_contraction with r = 1 - s in place of sqrt((1 - s)(1 + s)):
     both the pair's defects and the lemma's eigenpairs read it."""
     U, s, Vh = np.linalg.svd(linops.as_operator(M))
-    return exact_validate(M)[0], (U, 1.0 - s, Vh)
+    return exact_validate(M)[0], ((1.0 - s, Vh.conj().T), (1.0 - s, U))
+
+
+def eigenpairs_swapped(M):
+    """linops.validate_contraction with the eigenpairs of D_M and D_M* in each
+    other's places."""
+    cert, (eig_D, eig_D_star) = exact_validate(M)
+    return cert, (eig_D_star, eig_D)
 
 
 def integral_eigenvalues_reversed(A, B, eig_A, eig_B):
@@ -93,6 +100,14 @@ def test_wrong_defect_fails_lemma(monkeypatch):
     assert not failed_rows(("lemma",))
     monkeypatch.setattr(linops, "validate_contraction", factors_one_minus_s)
     assert {"lemma/identity_left", "lemma/identity_right"} <= failed_rows(("lemma",))
+
+
+def test_swapped_eigenpairs_fail_identity_and_orthonormality(monkeypatch):
+    # D_M and D_M* share their spectrum, so the trace norms and the semigroup
+    # integral of each side still meet; M D_M = D_M* M and the Julia operator do not
+    monkeypatch.setattr(linops, "validate_contraction", eigenpairs_swapped)
+    assert failed_rows(checks.SUITES) == {"lemma/identity_left", "lemma/identity_right",
+                                          "dilation/orthonormal_T", "dilation/orthonormal_T0"}
 
 
 def test_reversed_eigenvalues_fail_semigroup(monkeypatch):

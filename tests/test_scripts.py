@@ -42,19 +42,30 @@ def diff_reports(old_src, new_src):
         capture_output=True, text=True, timeout=300)
 
 
+# the counts of the three comparisons when no value moves: 943 rows, then the
+# 256 (t, xi_r) lines of ssf.csv and the 129 (re, im) coefficients of
+# ssf_coeffs.json, and the 5 radii of 7 values of disc.csv, on each of 23 pairs
+UNMOVED = ["moved rows: 0 of 943", "moved ssf values: 0 of 17710",
+           "moved disc values: 0 of 805"]
+
+
 def test_diff_reports_sees_no_move_between_one_tree_and_itself():
     done = diff_reports(ROOT / "src", ROOT / "src")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["moved rows: 0 of 943"]
+    assert done.stdout.splitlines() == UNMOVED
 
 
 # a definition appended to a copied module replaces the original: adding
 # 2^-60 to the Gram deviation moves every orthonormal_* value and flips no verdict;
-# a zero tolerance flips verdicts
+# writing each xi_r value one ulp up moves the 256 of each ssf.csv and nothing
+# else; a zero tolerance flips verdicts
 EDITS = {
     "moved": ("dilation.py", "exact = interior_column_orthonormality\n"
               "def interior_column_orthonormality(J):\n"
               "    return exact(J) + 2 ** -60\n"),
+    "ssf_moved": ("serialize.py", "exact = write_ssf_grid_csv\n"
+                  "def write_ssf_grid_csv(path, t_grid, values):\n"
+                  "    exact(path, t_grid, np.nextafter(values, np.inf))\n"),
     "flipped": ("checks.py", "TOLERANCES = MappingProxyType("
                 "{**TOLERANCES, 'orthonormality_tol': 0.0})\n"),
 }
@@ -71,8 +82,11 @@ def test_diff_reports_sees_an_edited_tree(tmp_path, edit):
     if edit == "flipped":
         assert done.returncode == 1
         assert lines[0].startswith("names or verdicts differ")
+    elif edit == "ssf_moved":
+        assert done.returncode == 0, done.stderr
+        assert lines == [UNMOVED[0], "moved ssf values: 5888 of 17710", UNMOVED[2]]
     else:
         assert done.returncode == 0, done.stderr
-        assert {line.split()[0] for line in lines[:-1]} == {"dilation/orthonormal_T",
+        assert {line.split()[0] for line in lines[:-3]} == {"dilation/orthonormal_T",
                                                           "dilation/orthonormal_T0"}
-        assert lines[-1] == "moved rows: 46 of 943"
+        assert lines[-3:] == ["moved rows: 46 of 943", *UNMOVED[1:]]

@@ -7,7 +7,10 @@ Yafaev, Mathematical Scattering Theory, AMS 1992, ch. 8):
 
 - rotation: xi of (e^(i theta) T, e^(i theta) T0) at t is xi at t - theta, so
   for theta = 2*pi*k/M the grid is rolled by k;
-- adjoint: xi of (T*, T0*) at t is -xi at -t, the grid read backwards from j = 0.
+- adjoint: xi of (T*, T0*) at t is -xi at -t, the grid read backwards from j = 0;
+- unitary invariance: xi of (Q T Q*, Q T0 Q*) is xi, Q unitary;
+- direct sum: xi of (T + S, T0 + S), S strict on a space of its own, is xi;
+- chain additivity: xi of (T, T1) plus xi of (T1, T0) is xi of (T, T0), T1 strict.
 """
 
 import numpy as np
@@ -58,6 +61,58 @@ def test_rotation_rolls_the_grid(matrices, k):
 @given(pair_space())
 def test_adjoint_mirrors_and_negates(matrices):
     assert adjoint_gap(*matrices) <= LAW_TOL
+
+
+def strict(dim, norm, seed):
+    """A Ginibre matrix of operator norm ``norm`` < 1, from the generator ``seed``."""
+    return linops.random_contraction(dim, norm, np.random.default_rng(seed))
+
+
+strict_norms, seeds = st.floats(0.0, 0.99), st.integers(0, 2 ** 32 - 1)
+
+
+def unitary_gap(T, T0, seed) -> float:
+    """Largest gap between xi of (Q T Q*, Q T0 Q*) and xi, Q a unitary from ``seed``."""
+    Q, _ = np.linalg.qr(linops.ginibre(np.random.default_rng(seed), len(T)))
+    xi = values(T, T0)
+    if xi is None:
+        return 0.0
+    return float(np.abs(values(Q @ T @ Q.conj().T, Q @ T0 @ Q.conj().T) - xi).max())
+
+
+def direct_sum_gap(T, T0, S) -> float:
+    """Largest gap between xi of (T + S, T0 + S), S on a space of its own, and xi."""
+    def plus_S(A):
+        out = np.zeros((len(A) + len(S),) * 2, dtype=complex)
+        out[:len(A), :len(A)], out[len(A):, len(A):] = A, S
+        return out
+    xi = values(T, T0)
+    return 0.0 if xi is None else float(np.abs(values(plus_S(T), plus_S(T0)) - xi).max())
+
+
+def chain_gap(T, T0, T1) -> float:
+    """Largest gap between xi of (T, T1) plus xi of (T1, T0) and xi of (T, T0)."""
+    xi = values(T, T0)
+    return 0.0 if xi is None else float(np.abs(values(T, T1) + values(T1, T0) - xi).max())
+
+
+@LAWS
+@given(pair_space(), seeds)
+def test_unitary_conjugation_leaves_xi(matrices, seed):
+    assert unitary_gap(*matrices, seed) <= LAW_TOL
+
+
+@LAWS
+@given(pair_space(), st.integers(1, 6), strict_norms, seeds)
+def test_direct_sum_with_a_strict_block_leaves_xi(matrices, dim, norm, seed):
+    assert direct_sum_gap(*matrices, strict(dim, norm, seed)) <= LAW_TOL
+
+
+@LAWS
+@given(pair_space(), strict_norms, seeds)
+def test_chain_adds(matrices, norm, seed):
+    T, T0 = matrices
+    assert chain_gap(T, T0, strict(len(T), norm, seed)) <= LAW_TOL
 
 
 def mirrored_trig_values(n, c, M):
