@@ -66,6 +66,29 @@ def outputs_under(src: str) -> dict:
     return json.loads(done.stdout)
 
 
+def compare(old: dict, new: dict) -> tuple[list[str], int]:
+    """The lines the script prints for two ``outputs`` dicts, and its exit code."""
+    if [r[:3] for r in old["rows"]] != [r[:3] for r in new["rows"]]:
+        changed = [(a[:3], b[:3]) for a, b in zip(old["rows"], new["rows"]) if a[:3] != b[:3]]
+        return [f"names or verdicts differ: {len(old['rows'])} vs {len(new['rows'])} rows, "
+                f"first difference {changed[0] if changed else 'in the row count'}"], 1
+    largest, moved = {}, 0
+    for a, b in zip(old["rows"], new["rows"]):
+        if a[3:] == b[3:]:
+            continue
+        moved += 1
+        move = max(abs(float.fromhex(y) - float.fromhex(x)) for x, y in zip(a[3:], b[3:]))
+        largest[a[1]] = max(largest.get(a[1], 0.0), move)
+    lines = [f"{name} {move:.3e}" for name, move in largest.items()]
+    lines.append(f"moved rows: {moved} of {len(old['rows'])}")
+    for command in ("ssf", "disc"):
+        a, b = old[command], new[command]
+        if len(a) != len(b):
+            return [*lines, f"{command} values differ in number: {len(a)} vs {len(b)}"], 1
+        lines.append(f"moved {command} values: {sum(x != y for x, y in zip(a, b))} of {len(a)}")
+    return lines, 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", nargs="?")
@@ -79,29 +102,9 @@ def main() -> int:
     if not (args.old_src and args.new_src):
         parser.error("OLD_SRC and NEW_SRC are required")
 
-    old, new = outputs_under(args.old_src), outputs_under(args.new_src)
-    if [r[:3] for r in old["rows"]] != [r[:3] for r in new["rows"]]:
-        changed = [(a[:3], b[:3]) for a, b in zip(old["rows"], new["rows"]) if a[:3] != b[:3]]
-        print(f"names or verdicts differ: {len(old['rows'])} vs {len(new['rows'])} rows, "
-              f"first difference {changed[0] if changed else 'in the row count'}")
-        return 1
-    largest, moved = {}, 0
-    for a, b in zip(old["rows"], new["rows"]):
-        if a[3:] == b[3:]:
-            continue
-        moved += 1
-        move = max(abs(float.fromhex(y) - float.fromhex(x)) for x, y in zip(a[3:], b[3:]))
-        largest[a[1]] = max(largest.get(a[1], 0.0), move)
-    for name, move in largest.items():
-        print(f"{name} {move:.3e}")
-    print(f"moved rows: {moved} of {len(old['rows'])}")
-    for command in ("ssf", "disc"):
-        a, b = old[command], new[command]
-        if len(a) != len(b):
-            print(f"{command} values differ in number: {len(a)} vs {len(b)}")
-            return 1
-        print(f"moved {command} values: {sum(x != y for x, y in zip(a, b))} of {len(a)}")
-    return 0
+    lines, code = compare(outputs_under(args.old_src), outputs_under(args.new_src))
+    print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 
-from .errors import InsufficientCoefficientsError
 from .linops import ContractionPair, as_operator, trace_norm
-from .ssf import LaurentSeries, evaluate_ssf_uniform, uniform_trig_values
+from .ssf import LaurentSeries, evaluate_ssf_uniform, stack_tables, uniform_trig_values
 
 # grid size of the circle quadrature route
 QUADRATURE_POINTS = 4096
@@ -82,12 +81,9 @@ def trace_rhs_circle_quadrature(s: LaurentSeries, phis: list[LaurentSeries],
     padded with zero modes to the largest order K and stacked, so every phi'
     is taken over the modes -K..K in one batch; the zero modes fold exactly.
     """
-    K = max(phi.order for phi in phis)
-    if K > s.order:
-        raise InsufficientCoefficientsError(
-            f"symbol order {K} exceeds coefficient table order {s.order}")
+    stacked = stack_tables(phis, s)
+    K = stacked.shape[1] // 2
     n = np.arange(-K, K + 1)
-    stacked = np.stack([np.pad(phi.coeffs, K - phi.order) for phi in phis])
     phi_prime = uniform_trig_values(n, 1j * n * stacked, QUADRATURE_POINTS)
     xi_r = evaluate_ssf_uniform(s, QUADRATURE_POINTS, abel_radius)
     return [complex((2.0 * np.pi / QUADRATURE_POINTS) * np.sum(row * xi_r)) for row in phi_prime]

@@ -141,19 +141,23 @@ def cross_theorem_check(pair: linops.ContractionPair, name: str, psi: ssf.Lauren
 
 
 def disc_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries) -> list[CheckResult]:
-    """Disc formula per table: quadrature vs. closed form, limit gap in the tail, cross-theorem."""
+    """Disc formula per table, from its three routes (quadrature over the radius schedule,
+    closed form, trace of the two-sided difference): quadrature vs. closed form, limit gap
+    in the tail, cross-theorem."""
     results = []
     psis = [ssf.LaurentSeries.from_terms(terms) for terms in DISC_TABLES.values()]
-    reports = disc.verify_disc_trace_formula(pair, xi, psis, DISC_CONFIG)
-    for (name, terms), psi, report in zip(DISC_TABLES.items(), psis, reports):
-        worst = max(abs(q - c) for _, q, c in report.per_radius)
+    radii = DISC_CONFIG.radius_schedule
+    quads = disc.quadrature(xi, psis, radii)
+    for (name, terms), psi, quad in zip(DISC_TABLES.items(), psis, quads):
+        closed = disc.disc_integral_closed_form(xi, psi, radii).tolist()
+        lhs = calculus.laurent_difference_trace(pair, psi)
+        worst = max(abs(q - c) for q, c in zip(quad.tolist(), closed))
         results.append(_within(f"disc/quad_vs_closed_{name}", worst, TOLERANCES["quad_match_tol"]))
-        R_last, _, closed = report.per_radius[-1]
-        results.append(_within(f"disc/limit_gap_{name}", abs(closed - report.lhs_trace),
-                               disc.disc_tail_bound(xi, psi, R_last)
+        results.append(_within(f"disc/limit_gap_{name}", abs(closed[-1] - lhs),
+                               disc.disc_tail_bound(xi, psi, radii[-1])
                                + TOLERANCES["disc_gap_extra"]))
         if all(n >= 0 for n in terms):
-            results.append(cross_theorem_check(pair, name, psi, report.lhs_trace))
+            results.append(cross_theorem_check(pair, name, psi, lhs))
     return results
 
 

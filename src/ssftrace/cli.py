@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, disc, linops, serialize, ssf
+from . import calculus, checks, disc, linops, serialize, ssf
 from .errors import SsftraceError
 
 # what a bad pair, table or option raises; a missing or unreadable file is an OSError
@@ -109,10 +109,13 @@ def cmd_disc_report(args) -> int:
            else ssf.LaurentSeries.from_terms(checks.DISC_TABLES["real_sym"]))
     # the pairing reads xi_hat(-n) only at the modes psi holds
     xi = ssf.ssf_from_moments(ssf.moments(pair, max(psi.order, 1)))
-    report, = disc.verify_disc_trace_formula(pair, xi, [psi], cfg)
+    radii = cfg.radius_schedule
+    quads, = disc.quadrature(xi, [psi], radii)
+    closed = disc.disc_integral_closed_form(xi, psi, radii)
+    lhs = calculus.laurent_difference_trace(pair, psi)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    serialize.write_disc_report_csv(out / "disc.csv", report)
+    serialize.write_disc_report_csv(out / "disc.csv", radii, quads, closed, lhs)
     return 0
 
 

@@ -29,10 +29,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .calculus import laurent_difference_trace
-from .errors import InsufficientCoefficientsError, InvalidRadiusError
-from .linops import ContractionPair
-from .ssf import LaurentSeries, uniform_trig_values
+from .errors import InvalidRadiusError
+from .ssf import stack_tables, uniform_trig_values
 
 # grid points of one batched ring transform: a table of order 127 gets one radius per chunk
 CHUNK_POINTS = 127 * 1024
@@ -53,12 +51,6 @@ class DiscQuadratureConfig:
             raise ValueError("radius_schedule must be strictly increasing")
         if not all(0.0 < r < 1.0 for r in rs):
             raise ValueError("radius_schedule must stay inside (0, 1)")
-
-
-@dataclass(frozen=True)
-class DiscPairingReport:
-    per_radius: tuple[tuple[float, complex, complex], ...]
-    lhs_trace: complex
 
 
 @cache
@@ -101,15 +93,15 @@ def _ring_sums(xi_grids, psi_grids) -> np.ndarray:
     return (pzb[..., None, :] @ xz[..., None] - pz[..., None, :] @ xzb[..., None])[..., 0, 0]
 
 
-def _quadratures(xi, psis, radii) -> np.ndarray:
+def quadrature(xi, psis, radii) -> np.ndarray:
     """Jacobian quadrature of xi against each of ``psis`` at each of ``radii``, a (tables,
     radii) array: Gauss-Legendre radially and trapezoid angularly, both sized to the
     tables, -2i for dz ^ dzbar.  The tables are padded with zero modes to the largest
-    order and stacked; xi's modes above that order pair with none of theirs."""
-    K = max(psi.order for psi in psis)
-    stacked = np.stack([np.pad(psi.coeffs, K - psi.order) for psi in psis])
-    k = min(K, xi.order)
-    xi_coeffs = xi.coeffs[xi.order - k: xi.order + k + 1]
+    order K and stacked (InsufficientCoefficientsError if K exceeds xi's order); xi's
+    modes above K pair with none of theirs."""
+    stacked = stack_tables(psis, xi)
+    K = stacked.shape[1] // 2
+    xi_coeffs = xi.coeffs[xi.order - K: xi.order + K + 1]
     x, w = legendre_rule(radial_nodes(K))
     M = angular_nodes(K)
     R = np.asarray(radii, dtype=float)[:, None]
@@ -145,18 +137,3 @@ def disc_tail_bound(xi, psi, R: float) -> float:
     n, p, x = _paired_modes(xi, psi)
     return 2.0 * np.pi * float(np.sum(np.abs(np.abs(n) * p * x) * (1.0 - R ** (2 * np.abs(n)))))
 
-
-def verify_disc_trace_formula(pair: ContractionPair, xi: LaurentSeries, psis: list[LaurentSeries],
-                              cfg: DiscQuadratureConfig) -> list[DiscPairingReport]:
-    """Both routes of the disc trace formula on one pair, one report per table of ``psis``;
-    ``xi`` is the shift function of ``pair``, its order reaching every table's."""
-    order = max((psi.order for psi in psis), default=0)
-    if order > xi.order:
-        raise InsufficientCoefficientsError(
-            f"table order {order} exceeds coefficient table order {xi.order}")
-    radii = cfg.radius_schedule
-    quads = _quadratures(xi, psis, radii)
-    return [DiscPairingReport(
-        per_radius=tuple(zip(map(float, radii), q.tolist(),
-                             disc_integral_closed_form(xi, psi, radii).tolist())),
-        lhs_trace=laurent_difference_trace(pair, psi)) for psi, q in zip(psis, quads)]

@@ -132,11 +132,12 @@ def write_ssf_grid_csv(path, t_grid, values):
         fh.write("t,xi_r\r\n" + "".join(f"{t!r},{v!r}\r\n" for t, v in rows))
 
 
-def write_disc_report_csv(path, report):
+def write_disc_report_csv(path, radii, quads, closed, lhs: complex):
+    """One row per radius: R, the quadrature and closed form there (arrays over ``radii``)
+    and the trace ``lhs``, each written from a Python float."""
+    rows = zip(map(float, radii), quads.tolist(), closed.tolist())
     with open(path, "w", newline="") as fh:
-        lhs = report.lhs_trace
         csv.writer(fh).writerows([
             ["R", "quad_re", "quad_im", "closed_re", "closed_im", "lhs_re", "lhs_im"],
-            *([repr(float(R)), repr(quad.real), repr(quad.imag), repr(closed.real),
-               repr(closed.imag), repr(lhs.real), repr(lhs.imag)]
-              for R, quad, closed in report.per_radius)])
+            *([repr(R), repr(q.real), repr(q.imag), repr(c.real), repr(c.imag),
+               repr(lhs.real), repr(lhs.imag)] for R, q, c in rows)])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonRealResultError
+from .errors import InsufficientCoefficientsError, NonRealResultError
 from .linops import ContractionPair
 
 REAL_TOL = 1e-10
@@ -58,6 +58,17 @@ class LaurentSeries:
         coeffs = self.coeffs.copy()
         coeffs[self.order] = c
         return LaurentSeries(coeffs=coeffs)
+
+
+def stack_tables(tables: list[LaurentSeries], s: LaurentSeries) -> np.ndarray:
+    """The coefficients of ``tables`` padded with zero modes to their largest order K and
+    stacked, (len(tables), 2K + 1); InsufficientCoefficientsError if K exceeds the order
+    of ``s``, the table they pair with."""
+    K = max(t.order for t in tables)
+    if K > s.order:
+        raise InsufficientCoefficientsError(
+            f"table order {K} exceeds coefficient table order {s.order}")
+    return np.stack([np.pad(t.coeffs, K - t.order) for t in tables])
 
 
 def moments(pair: ContractionPair, n_max: int) -> np.ndarray:

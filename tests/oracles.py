@@ -4,7 +4,7 @@ No ``ssftrace`` command runs them: pointwise harmonic extension, Wirtinger
 derivatives and Jacobian by Horner ``polyval``, the truncated Poisson kernel,
 Abel values at arbitrary angles by the dense mode matrix, the inverse of
 ``ssf_from_moments``, a trace-norm bound for the dilation difference, one
-value of the shared disc quadrature, eigenpairs and defects of a bare matrix,
+value of the disc quadrature, eigenpairs and defects of a bare matrix,
 the dilation's window as one dense array and its walk with every block formed, and ``apply_series`` by plain Horner.
 """
 
@@ -76,9 +76,10 @@ def jacobian_at(xi, psi, z: complex) -> complex:
 
 
 def disc_quadrature(xi, psi, R: float) -> complex:
-    """The shared disc quadrature of ``verify_disc_trace_formula`` for one table at
-    one radius R in (0, 1)."""
-    return complex(disc._quadratures(xi, [psi], [R])[0, 0])
+    """``disc.quadrature`` for one table at one radius R in (0, 1); xi is first padded
+    with zero modes to psi's order, which pair with nothing, so any two tables pair."""
+    xi = LaurentSeries(coeffs=np.pad(xi.coeffs, max(psi.order - xi.order, 0)))
+    return complex(disc.quadrature(xi, [psi], [R])[0, 0])
 
 
 def evaluate_ssf_grid(s: LaurentSeries, t_grid, abel_radius: float) -> np.ndarray:

@@ -262,14 +262,24 @@ class TestDiscIntegral:
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
 
 
+def disc_routes(pair, xi, psi):
+    """The three routes of the disc formula on ``pair`` over the suite's radius schedule:
+    (R, quadrature, closed form) per radius, and the trace of the two-sided difference."""
+    radii = checks.DISC_CONFIG.radius_schedule
+    quads, = disc.quadrature(xi, [psi], radii)
+    closed = disc.disc_integral_closed_form(xi, psi, radii)
+    return (list(zip(radii, quads.tolist(), closed.tolist())),
+            calculus.laurent_difference_trace(pair, psi))
+
+
 class TestVerifyDiscFormula:
     def test_equal_pair(self):
         psi = LaurentSeries.from_terms({-1: 0.5, 2: 1.0})
         pair = scalar_pair(0.4, 0.4)
         xi = ssf.ssf_from_moments(ssf.moments(pair, 8))
-        rep, = disc.verify_disc_trace_formula(pair, xi, [psi], checks.DISC_CONFIG)
-        assert rep.lhs_trace == 0.0
-        for _, quad, closed in rep.per_radius:
+        per_radius, lhs = disc_routes(pair, xi, psi)
+        assert lhs == 0.0
+        for _, quad, closed in per_radius:
             assert abs(quad) <= 1e-12
             assert closed == 0.0
 
@@ -277,20 +287,20 @@ class TestVerifyDiscFormula:
         psi = LaurentSeries.from_terms({1: 1.0})
         pair = scalar_pair(0.5, 0.25)
         xi = ssf.ssf_from_moments(ssf.moments(pair, 16))
-        rep, = disc.verify_disc_trace_formula(pair, xi, [psi], checks.DISC_CONFIG)
-        assert rep.lhs_trace == pytest.approx(0.25, abs=1e-14)
-        for R, _, closed in rep.per_radius:
+        per_radius, lhs = disc_routes(pair, xi, psi)
+        assert lhs == pytest.approx(0.25, abs=1e-14)
+        for R, _, closed in per_radius:
             assert closed == pytest.approx(0.25 * R ** 2, abs=1e-12)
         # the limit gap at the last radius, within the disc tail there
-        R_last, _, closed = rep.per_radius[-1]
-        assert abs(closed - rep.lhs_trace) <= disc.disc_tail_bound(xi, psi, R_last) + 1e-9
+        R_last, _, closed = per_radius[-1]
+        assert abs(closed - lhs) <= disc.disc_tail_bound(xi, psi, R_last) + 1e-9
 
     def test_table_beyond_shift_order(self):
         pair = scalar_pair(0.5, 0.25)
         xi = ssf.ssf_from_moments(ssf.moments(pair, 1))
         with pytest.raises(InsufficientCoefficientsError):
-            disc.verify_disc_trace_formula(pair, xi, [LaurentSeries.from_terms({2: 1.0})],
-                                           checks.DISC_CONFIG)
+            disc.quadrature(xi, [LaurentSeries.from_terms({2: 1.0})],
+                            checks.DISC_CONFIG.radius_schedule)
 
     def test_real_symmetric_table(self):
         terms = {1: 0.4 - 0.1j, 3: 0.2j}
@@ -298,9 +308,9 @@ class TestVerifyDiscFormula:
         psi = LaurentSeries.from_terms(terms)
         pair = random_pairs(1, seed=613, dims=(5,))[0]
         xi = ssf.ssf_from_moments(ssf.moments(pair, 48))
-        rep, = disc.verify_disc_trace_formula(pair, xi, [psi], checks.DISC_CONFIG)
-        assert abs(rep.lhs_trace.imag) <= 1e-10
-        for _, quad, closed in rep.per_radius:
+        per_radius, lhs = disc_routes(pair, xi, psi)
+        assert abs(lhs.imag) <= 1e-10
+        for _, quad, closed in per_radius:
             assert abs(quad.imag) <= 1e-10
             assert abs(closed.imag) <= 1e-10
 
@@ -318,8 +328,7 @@ class TestSharedQuadrature:
         xi = random_table(64, seed=20)
         psis = [random_table(order, seed=21 + order) for order in (1, 3, 12)]
         cfg = disc.DiscQuadratureConfig()
-        reports = disc.verify_disc_trace_formula(scalar_pair(0.5, 0.25), xi, psis, cfg)
-        shared = [[q for _, q, _ in rep.per_radius] for rep in reports]
+        shared = disc.quadrature(xi, psis, cfg.radius_schedule).tolist()
         for psi, values in zip(psis, shared):
             for R, q in zip(cfg.radius_schedule, values):
                 single = disc_quadrature(xi, psi, R)
@@ -330,7 +339,7 @@ class TestSharedQuadrature:
 
         monkeypatch.setattr(disc, "disc_integral_closed_form", forbidden)
         monkeypatch.setattr(disc, "_paired_modes", forbidden)
-        assert disc._quadratures(xi, psis, cfg.radius_schedule).tolist() == shared
+        assert disc.quadrature(xi, psis, cfg.radius_schedule).tolist() == shared
 
     def test_suite_evaluates_each_ring_grid_once(self, monkeypatch):
         # one transform pair for xi and one for the stacked tables, every radius of the
@@ -414,7 +423,7 @@ class TestChunks:
         for radii in (self.RADII[-1:], self.RADII):
             tracemalloc.start()
             try:
-                disc._quadratures(xi, [psi], radii)
+                disc.quadrature(xi, [psi], radii)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -428,17 +437,17 @@ class TestChunks:
         xi, psis = random_table(64, seed=42), [random_table(24, seed=43), random_table(5, 44)]
         per_radius = len(psis) * disc.radial_nodes(24) * disc.angular_nodes(24)
         assert disc.CHUNK_POINTS // per_radius == 13
-        chunked = disc._quadratures(xi, psis, self.RADII)
+        chunked = disc.quadrature(xi, psis, self.RADII)
         for points in (1, len(self.RADII) * per_radius):
             monkeypatch.setattr(disc, "CHUNK_POINTS", points)
-            other = disc._quadratures(xi, psis, self.RADII)
+            other = disc.quadrature(xi, psis, self.RADII)
             assert np.abs(other - chunked).max() <= 1e-15 * np.abs(chunked).max()
 
 
 def quadrature_misses(xi, psi, radii):
     """Largest miss of the quadrature against the closed form over ``radii``,
     relative to 1 + |closed|."""
-    quads = disc._quadratures(xi, [psi], radii)[0]
+    quads = disc.quadrature(xi, [psi], radii)[0]
     closed = disc.disc_integral_closed_form(xi, psi, radii)
     return float(np.max(np.abs(quads - closed) / (1.0 + np.abs(closed))))
 
@@ -469,9 +478,9 @@ class TestRadialRule:
         pair = linops.random_pair(8, 0.25, 0.1, seed=1)
         xi = ssf.ssf_from_moments(ssf.moments(pair, 64))
         psis = [ssf.LaurentSeries.from_terms(t) for t in checks.DISC_TABLES.values()]
-        sized = disc._quadratures(xi, psis, self.RADII)
+        sized = disc.quadrature(xi, psis, self.RADII)
         monkeypatch.setattr(disc, "legendre_rule", lambda n: legendre_rule(64))
-        wide = disc._quadratures(xi, psis, self.RADII)
+        wide = disc.quadrature(xi, psis, self.RADII)
         assert np.all(np.abs(sized - wide) <= 1e-14 * (1.0 + np.abs(sized)))
 
 
@@ -514,8 +523,8 @@ class TestAngularRule:
         pair = linops.random_pair(8, 0.25, 0.1, seed=1)
         xi = ssf.ssf_from_moments(ssf.moments(pair, checks.DISC_MAX_ORDER))
         psis = [ssf.LaurentSeries.from_terms(t) for t in checks.DISC_TABLES.values()]
-        sized = disc._quadratures(xi, psis, self.RADII)
+        sized = disc.quadrature(xi, psis, self.RADII)
         assert disc.angular_nodes(checks.DISC_MAX_ORDER) == 28
         monkeypatch.setattr(disc, "angular_nodes", lambda order: 1024)
-        wide = disc._quadratures(xi, psis, self.RADII)
+        wide = disc.quadrature(xi, psis, self.RADII)
         assert np.all(np.abs(sized - wide) <= 1e-14 * np.abs(sized))

@@ -2,6 +2,7 @@
 
 import os
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -42,6 +43,16 @@ def diff_reports(old_src, new_src):
         capture_output=True, text=True, timeout=300)
 
 
+# compare() and outputs_under() of the script, which the tests below call
+DIFF_REPORTS = runpy.run_path(str(ROOT / "scripts" / "diff_reports.py"))
+
+
+@pytest.fixture(scope="module")
+def unedited():
+    """The rows and command outputs under the unedited tree, computed once per module."""
+    return DIFF_REPORTS["outputs_under"](str(ROOT / "src"))
+
+
 # the counts of the three comparisons when no value moves: 943 rows, then the
 # 256 (t, xi_r) lines of ssf.csv and the 129 (re, im) coefficients of
 # ssf_coeffs.json, and the 5 radii of 7 values of disc.csv, on each of 23 pairs
@@ -49,10 +60,8 @@ UNMOVED = ["moved rows: 0 of 943", "moved ssf values: 0 of 17710",
            "moved disc values: 0 of 805"]
 
 
-def test_diff_reports_sees_no_move_between_one_tree_and_itself():
-    done = diff_reports(ROOT / "src", ROOT / "src")
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == UNMOVED
+def test_diff_reports_sees_no_move_between_one_tree_and_itself(unedited):
+    assert DIFF_REPORTS["compare"](unedited, unedited) == (UNMOVED, 0)
 
 
 # a definition appended to a copied module replaces the original: adding
@@ -72,21 +81,23 @@ EDITS = {
 
 
 @pytest.mark.parametrize("edit", EDITS)
-def test_diff_reports_sees_an_edited_tree(tmp_path, edit):
+def test_diff_reports_sees_an_edited_tree(tmp_path, request, edit):
     module, appended = EDITS[edit]
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     with open(tmp_path / "src" / "ssftrace" / module, "a") as fh:
         fh.write("\n\n" + appended)
-    done = diff_reports(ROOT / "src", tmp_path / "src")
-    lines = done.stdout.splitlines()
     if edit == "flipped":
+        # the script's command line, end to end, once
+        done = diff_reports(ROOT / "src", tmp_path / "src")
         assert done.returncode == 1
-        assert lines[0].startswith("names or verdicts differ")
-    elif edit == "ssf_moved":
-        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0].startswith("names or verdicts differ")
+        return
+    lines, code = DIFF_REPORTS["compare"](
+        request.getfixturevalue("unedited"), DIFF_REPORTS["outputs_under"](str(tmp_path / "src")))
+    assert code == 0
+    if edit == "ssf_moved":
         assert lines == [UNMOVED[0], "moved ssf values: 5888 of 17710", UNMOVED[2]]
     else:
-        assert done.returncode == 0, done.stderr
         assert {line.split()[0] for line in lines[:-3]} == {"dilation/orthonormal_T",
                                                           "dilation/orthonormal_T0"}
         assert lines[-3:] == ["moved rows: 46 of 943", *UNMOVED[1:]]
