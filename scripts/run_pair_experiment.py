@@ -23,7 +23,6 @@ def main() -> int:
     parser.add_argument("--delta", type=float, default=0.25)
     parser.add_argument("--perturbation", type=float, default=0.1)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--n-max", type=int, default=48)
     parser.add_argument("--out", default="runs/pair")
     args = parser.parse_args()
 
@@ -34,8 +33,7 @@ def main() -> int:
     if code != 0:
         return code
     code = cli.main(["verify", "--t", str(out / "T.json"),
-                     "--t0", str(out / "T0.json"), "--suite", "all",
-                     "--n-max", str(args.n_max), "--out", str(out)])
+                     "--t0", str(out / "T0.json"), "--suite", "all", "--out", str(out)])
     with open(out / "report.csv", newline="") as fh:
         for name, passed, measured, threshold in list(csv.reader(fh))[1:]:
             mark = "ok " if passed == "True" else "FAIL"

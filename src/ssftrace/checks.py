@@ -133,13 +133,6 @@ def circle_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries,
     return results
 
 
-def cross_theorem_check(pair: linops.ContractionPair, name: str, psi: ssf.LaurentSeries,
-                        disc_lhs: complex) -> CheckResult:
-    """Disc side ``disc_lhs`` and circle left side agree on a table with no negative modes."""
-    gap = abs(disc_lhs - calculus.trace_lhs_circle(pair, psi))
-    return _within(f"disc/cross_theorem_{name}", gap, TOLERANCES["cross_theorem_tol"])
-
-
 def disc_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries) -> list[CheckResult]:
     """Disc formula per table, from its three routes (quadrature over the radius schedule,
     closed form, trace of the two-sided difference): quadrature vs. closed form, limit gap
@@ -156,8 +149,10 @@ def disc_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries) -> list[Che
         results.append(_within(f"disc/limit_gap_{name}", abs(closed[-1] - lhs),
                                disc.disc_tail_bound(xi, psi, radii[-1])
                                + TOLERANCES["disc_gap_extra"]))
-        if all(n >= 0 for n in terms):
-            results.append(cross_theorem_check(pair, name, psi, lhs))
+        if all(n >= 0 for n in terms):  # no negative modes: the circle left side applies
+            results.append(_within(f"disc/cross_theorem_{name}",
+                                   abs(lhs - calculus.trace_lhs_circle(pair, psi)),
+                                   TOLERANCES["cross_theorem_tol"]))
     return results
 
 

@@ -24,21 +24,10 @@ def julia(T, D, D_star) -> np.ndarray:
     return np.block([[D, -T.conj().T], [T, D_star]])
 
 
-def _slots(J) -> tuple:
-    """((D_T, -T*), (T, D_T*)), J's blocks as views."""
-    d = len(J) // 2
-    return (J[:d, :d], J[:d, d:]), (J[d:, :d], J[d:, d:])
-
-
 def interior_column_orthonormality(J) -> float:
     """Max deviation of the window's interior columns from orthonormality, that of J's:
-    G_00, G_11 of J*J against I and G_01 against 0, each summed over rows -1 then 0."""
-    (A, B), (C, E) = _slots(J)
-    eye = np.eye(len(A))
-    G00 = A.conj().T @ A + C.conj().T @ C
-    G01 = A.conj().T @ B + C.conj().T @ E
-    G11 = B.conj().T @ B + E.conj().T @ E
-    return max(float(np.abs(G - I).max()) for G, I in ((G00, eye), (G11, eye), (G01, 0.0)))
+    max |J*J - I|."""
+    return float(np.abs(J.conj().T @ J - np.eye(len(J))).max())
 
 
 def dilation_difference_blocks(pair: ContractionPair) -> dict:
@@ -51,15 +40,16 @@ def dilation_difference_blocks(pair: ContractionPair) -> dict:
 
 def four_blocks_residual(pair: ContractionPair, JT, J0) -> float:
     """Worst Frobenius norm of a block of JT - J0 against its closed form."""
-    slots = _slots(JT - J0)
-    return max(float(np.linalg.norm(slots[i + 1][j] - ref, "fro"))
+    blocks = (JT - J0).reshape(2, pair.dim, 2, pair.dim)  # [row + 1, :, column]
+    return max(float(np.linalg.norm(blocks[i + 1, :, j] - ref, "fro"))
                for (i, j), ref in dilation_difference_blocks(pair).items())
 
 
 def power_walk(pair: ContractionPair, JT, J0, N: int) -> list:
     """Entry n = 1..N is (n, ||[W_T^n]_00 - T^n||_F, Tr(T^n - T0^n), Tr(W_T^n - W_T0^n)),
     W^n read as the n-th power of J's T slot; T^n and T0^n come from T and T0 alone."""
-    S, S0 = _slots(JT)[1][0], _slots(J0)[1][0]
+    d = pair.dim
+    S, S0 = JT[d:, :d], J0[d:, :d]
     Tn, T0n, P, P0 = pair.T, pair.T0, S, S0
     walk = []
     for n in range(1, N + 1):

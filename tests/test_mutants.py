@@ -7,10 +7,13 @@ are built after patching, because ``make_pair`` stores the defect eigenpairs
 on the pair and ``pair.defects`` is cached there.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ssftrace import checks, dilation, disc, kernel_integral, linops, ssf
+from pairs import NORM_ONE_IDS, norm_one_pairs
+from ssftrace import calculus, checks, dilation, disc, kernel_integral, linops, ssf
 
 N_MAX = 64
 exact_validate = linops.validate_contraction
@@ -19,6 +22,8 @@ exact_ring_sums = disc._ring_sums
 exact_ring_wirtinger = disc._ring_wirtinger
 exact_julia = dilation.julia
 exact_integral = kernel_integral.semigroup_integral
+exact_circle_quadrature = calculus.trace_rhs_circle_quadrature
+POOL_IDS = ("random_d16", *NORM_ONE_IDS)
 QUAD_ROWS = {f"disc/quad_vs_closed_{name}" for name in checks.DISC_TABLES}
 
 
@@ -41,6 +46,19 @@ def integral_eigenvalues_reversed(A, B, eig_A, eig_B):
     reverse order against their eigenvectors."""
     (a, Va), (b, Vb) = eig_A, eig_B
     return exact_integral(A, B, (a[::-1], Va), (b[::-1], Vb))
+
+
+def trace_bound_frobenius(A, B, eig_A, eig_B):
+    """kernel_integral.semigroup_integral with ||A^2 - B^2||_F / delta_B, not the trace
+    norm, as the bound: at most the true bound, so below ||A - B||_1 where that is tight."""
+    report = exact_integral(A, B, eig_A, eig_B)
+    bound = np.linalg.norm(A @ A - B @ B, "fro") / eig_B[0].min()
+    return dataclasses.replace(report, trace_bound=float(bound))
+
+
+def circle_quadrature_conjugated(s, phis, abel_radius):
+    """calculus.trace_rhs_circle_quadrature returning the conjugate of each value."""
+    return [q.conjugate() for q in exact_circle_quadrature(s, phis, abel_radius)]
 
 
 def moments_shifted(pair, n_max):
@@ -94,6 +112,14 @@ def failed_rows(suites):
     pair = linops.random_pair(16, 0.25, 0.1, seed=1)
     results, _ = checks.run(pair, suites, N_MAX)
     return {c.name for c in results if not c.passed}
+
+
+def failed_rows_by_pair():
+    """{pair id: failed rows of every suite} over the random pair of ``failed_rows``
+    and the three ``norm_one_pairs``, where the bound rows are tight."""
+    pairs = [linops.random_pair(16, 0.25, 0.1, seed=1), *norm_one_pairs()]
+    return {pair_id: {c.name for c in checks.run(pair, checks.SUITES, N_MAX)[0] if not c.passed}
+            for pair_id, pair in zip(POOL_IDS, pairs)}
 
 
 def test_wrong_defect_fails_lemma(monkeypatch):
@@ -156,3 +182,27 @@ def test_conjugated_t_fails_every_dilation_row(monkeypatch):
     rows = checks.dilation_checks(pair)
     assert len(rows) == 19
     assert [r.name for r in rows if r.passed] == []
+
+
+def test_frobenius_bound_fails_trace_bound_where_tight(monkeypatch):
+    # ||C||_F <= ||C||_1, so the bound only drops; it drops below ||A - B||_1 on the
+    # norm-one pairs, where the unmutated bound has the least slack
+    bound_rows = {"lemma/trace_bound_left", "lemma/trace_bound_right"}
+    monkeypatch.setattr(kernel_integral, "semigroup_integral", trace_bound_frobenius)
+    assert failed_rows_by_pair() == {"random_d16": set(),
+                                     **dict.fromkeys(NORM_ONE_IDS, bound_rows)}
+
+
+def test_conjugated_quadrature_fails_circle_quadrature(monkeypatch):
+    quadrature_rows = {f"circle/quadrature_{name}" for name in checks.CIRCLE_SERIES}
+    monkeypatch.setattr(calculus, "trace_rhs_circle_quadrature", circle_quadrature_conjugated)
+    assert failed_rows_by_pair() == dict.fromkeys(POOL_IDS, quadrature_rows)
+
+
+def test_coarse_quadrature_grid_fails_where_xi_is_rough(monkeypatch):
+    # a 32-point grid aliases the exp and poly symbols against the unitary pair's xi,
+    # whose coefficients decay slowest; the other pairs' xi is smooth enough
+    monkeypatch.setattr(calculus, "QUADRATURE_POINTS", 32)
+    assert failed_rows_by_pair() == {
+        "random_d16": set(), "unitary_d4": {"circle/quadrature_poly", "circle/quadrature_exp"},
+        "half_isometry_d16": set(), "half_isometry_d64": set()}
