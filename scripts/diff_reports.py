@@ -8,8 +8,10 @@ own, on 23 fixed pairs: ``random_pair(d, 0.25, 0.1, s)`` for d in
 tests/pairs.py, 943 rows in all.  Prints the largest move of each row name
 whose measured value or threshold differs by ``float.hex()``, then the count
 of moved rows, then the counts of moved values of ssf.csv and ssf_coeffs.json
-and of disc.csv.  Exits 1 if any row's name or verdict differs, or if the
-trees write a different number of values.
+and of disc.csv, then each setting of ``checks.config(SUITES, 64)`` that differs,
+as ``config <key>: <old> -> <new>``.  Exits 1 if any row's name or verdict
+differs, or if the trees write a different number of values; a setting that
+differs does not change the exit code.
 
     python3 scripts/diff_reports.py OLD/src NEW/src
 """
@@ -34,7 +36,8 @@ def _csv_values(path: Path) -> list:
 
 def outputs(src: str) -> dict:
     """Under ``src``: "rows", [pair, name, passed, measured hex, threshold hex] of every
-    row, and "ssf" and "disc", the hex of every value the two commands write."""
+    row, "ssf" and "disc", the hex of every value the two commands write, and
+    "config", the settings the rows are checked with."""
     sys.path[:0] = [src, str(ROOT / "tests")]
     from pairs import NORM_ONE_IDS, norm_one_pairs
     from ssftrace import checks, cli, linops, serialize
@@ -42,7 +45,7 @@ def outputs(src: str) -> dict:
     pairs = {f"random_d{d}_s{s}": linops.random_pair(d, 0.25, 0.1, seed=s)
              for d in DIMS for s in SEEDS}
     pairs.update(zip(NORM_ONE_IDS, norm_one_pairs()))
-    found = {"rows": [], "ssf": [], "disc": []}
+    found = {"rows": [], "ssf": [], "disc": [], "config": checks.config(checks.SUITES, 64)}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for pair_id, pair in pairs.items():
@@ -66,8 +69,27 @@ def outputs_under(src: str) -> dict:
     return json.loads(done.stdout)
 
 
+def _settings(config: dict, prefix: str = "") -> dict:
+    """The settings of ``config`` by dotted key, nested tables flattened."""
+    flat = {}
+    for key, value in config.items():
+        if isinstance(value, dict):
+            flat.update(_settings(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
 def compare(old: dict, new: dict) -> tuple[list[str], int]:
     """The lines the script prints for two ``outputs`` dicts, and its exit code."""
+    lines, code = _compare_values(old, new)
+    a, b = _settings(old["config"]), _settings(new["config"])
+    lines += [f"config {key}: {a.get(key)} -> {b.get(key)}"
+              for key in {**a, **b} if a.get(key) != b.get(key)]
+    return lines, code
+
+
+def _compare_values(old: dict, new: dict) -> tuple[list[str], int]:
     if [r[:3] for r in old["rows"]] != [r[:3] for r in new["rows"]]:
         changed = [(a[:3], b[:3]) for a, b in zip(old["rows"], new["rows"]) if a[:3] != b[:3]]
         return [f"names or verdicts differ: {len(old['rows'])} vs {len(new['rows'])} rows, "

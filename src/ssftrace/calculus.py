@@ -13,11 +13,9 @@ import math
 
 import numpy as np
 
+from .disc import angular_nodes
 from .linops import ContractionPair, as_operator, trace_norm
 from .ssf import LaurentSeries, evaluate_ssf_uniform, stack_tables, uniform_trig_values
-
-# grid size of the circle quadrature route
-QUADRATURE_POINTS = 4096
 
 
 def apply_series(phi: LaurentSeries, T) -> np.ndarray:
@@ -78,15 +76,16 @@ def trace_rhs_circle_quadrature(s: LaurentSeries, phis: list[LaurentSeries],
     Independent of the coefficient pairing: the shift function enters only
     through its Abel-regularized pointwise values, taken once for all symbols,
     and each product is summed point by point on the grid.  The symbols are
-    padded with zero modes to the largest order K and stacked, so every phi'
-    is taken over the modes -K..K in one batch; the zero modes fold exactly.
+    padded with zero modes to the largest order K and stacked, and xi cut to its
+    modes |n| <= K, so every phi' is taken over the modes -K..K in one batch; each
+    product has degree 2K, summed exactly on the disc's ``angular_nodes(K)`` points.
     """
-    stacked = stack_tables(phis, s)
-    K = stacked.shape[1] // 2
+    stacked, xi = stack_tables(phis, s)
+    K, M = xi.order, angular_nodes(xi.order)
     n = np.arange(-K, K + 1)
-    phi_prime = uniform_trig_values(n, 1j * n * stacked, QUADRATURE_POINTS)
-    xi_r = evaluate_ssf_uniform(s, QUADRATURE_POINTS, abel_radius)
-    return [complex((2.0 * np.pi / QUADRATURE_POINTS) * np.sum(row * xi_r)) for row in phi_prime]
+    phi_prime = uniform_trig_values(n, 1j * n * stacked, M)
+    xi_r = evaluate_ssf_uniform(xi, M, abel_radius)
+    return [complex((2.0 * np.pi / M) * np.sum(row * xi_r)) for row in phi_prime]
 
 
 def laurent_difference_trace(pair: ContractionPair, psi: LaurentSeries) -> complex:

@@ -171,7 +171,7 @@ def config(suites, n_max: int) -> dict:
         "xi_order": xi_orders(suites, n_max),
         "window_n": WINDOW_N,
         "abel_radius": ABEL_RADIUS,
-        "quadrature_points": calculus.QUADRATURE_POINTS,
+        "quadrature_points": disc.angular_nodes(CIRCLE_MIN_N_MAX),
         "disc_grid": {"radial_nodes": disc.radial_nodes(DISC_MAX_ORDER),
                       "angular_nodes": disc.angular_nodes(DISC_MAX_ORDER),
                       "radius_schedule": list(DISC_CONFIG.radius_schedule)},

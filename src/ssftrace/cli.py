@@ -139,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[pair], help="run verification suites on a pair")
     verify.add_argument("--suite", choices=[*checks.SUITES, "all"], default="all")
     verify.add_argument("--n-max", type=int, default=64,
-                        help=f"xi order of the circle suite, {checks.CIRCLE_MIN_N_MAX} if lower")
+                        help=f"xi order built for the circle suite, {checks.CIRCLE_MIN_N_MAX} "
+                             f"if lower; no row reads a mode above {checks.CIRCLE_MIN_N_MAX}")
     verify.set_defaults(func=cmd_verify)
 
     export = sub.add_parser("ssf", parents=[pair],

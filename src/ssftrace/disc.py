@@ -15,10 +15,10 @@ goes on the batch axis of ``ssf.uniform_trig_values``, so xi's two ring
 derivatives and the stacked tables' two are one inverse FFT each per chunk of
 radii, a chunk holding at most CHUNK_POINTS grid points per transform.
 Against tables of order <= K only xi's modes |n| <= K survive a ring's angular
-sum, each as r^(2|n| - 2), so xi is cut to order K before its transform; both
-rules then depend on K alone.  The angular rule sums each ring exactly, and r
-times a ring sum is a polynomial of degree 2K - 1 in r, which K Gauss-Legendre
-nodes integrate exactly (Davis & Rabinowitz, Methods of Numerical Integration, 2.7).
+sum, each as r^(2|n| - 2), so ``stack_tables`` cuts xi to order K; both rules
+then depend on K alone.  The angular rule sums each ring exactly, and r times a
+ring sum is a polynomial of degree 2K - 1 in r, which K Gauss-Legendre nodes
+integrate exactly (Davis & Rabinowitz, Methods of Numerical Integration, 2.7).
 """
 
 from __future__ import annotations
@@ -68,8 +68,9 @@ def radial_nodes(order: int) -> int:
 
 
 def angular_nodes(order: int) -> int:
-    """Trapezoid nodes per ring against tables of order <= ``order``: four times the
-    table length, 4 (2 order + 1), so no mode of a ring's Jacobian aliases onto mode 0."""
+    """Trapezoid nodes per disc ring and on the circle grid, against tables and xi cut to
+    ``order``: 4 (2 order + 1), more than 2 order, the degree of a ring's Jacobian and of
+    phi' xi_r, so the rule sums both exactly (Trefethen & Weideman, SIAM Rev. 56, 2014)."""
     return 4 * (2 * order + 1)
 
 
@@ -96,20 +97,17 @@ def _ring_sums(xi_grids, psi_grids) -> np.ndarray:
 def quadrature(xi, psis, radii) -> np.ndarray:
     """Jacobian quadrature of xi against each of ``psis`` at each of ``radii``, a (tables,
     radii) array: Gauss-Legendre radially and trapezoid angularly, both sized to the
-    tables, -2i for dz ^ dzbar.  The tables are padded with zero modes to the largest
-    order K and stacked (InsufficientCoefficientsError if K exceeds xi's order); xi's
-    modes above K pair with none of theirs."""
-    stacked = stack_tables(psis, xi)
-    K = stacked.shape[1] // 2
-    xi_coeffs = xi.coeffs[xi.order - K: xi.order + K + 1]
-    x, w = legendre_rule(radial_nodes(K))
-    M = angular_nodes(K)
+    tables, -2i for dz ^ dzbar.  ``stack_tables`` pads and stacks the tables and cuts xi
+    to their largest order (InsufficientCoefficientsError if xi holds fewer modes)."""
+    stacked, xi = stack_tables(psis, xi)
+    x, w = legendre_rule(radial_nodes(xi.order))
+    M = angular_nodes(xi.order)
     R = np.asarray(radii, dtype=float)[:, None]
     r = (R * (x + 1.0) / 2.0).ravel()  # the rings, radius-major
     weights = (w * R / 2.0).ravel() * r * (2.0 * np.pi / M)
     step = len(x) * max(1, CHUNK_POINTS // (len(psis) * len(x) * M))
     sums = np.concatenate([
-        _ring_sums(_ring_wirtinger(xi_coeffs, r[i:i + step], M),
+        _ring_sums(_ring_wirtinger(xi.coeffs, r[i:i + step], M),
                    _ring_wirtinger(stacked, r[i:i + step], M))
         for i in range(0, len(r), step)], axis=1)
     return -2j * (sums * weights).reshape(len(psis), len(R), len(x)).sum(axis=-1)

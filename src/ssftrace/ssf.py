@@ -60,15 +60,16 @@ class LaurentSeries:
         return LaurentSeries(coeffs=coeffs)
 
 
-def stack_tables(tables: list[LaurentSeries], s: LaurentSeries) -> np.ndarray:
+def stack_tables(tables: list[LaurentSeries], s: LaurentSeries) -> tuple:
     """The coefficients of ``tables`` padded with zero modes to their largest order K and
-    stacked, (len(tables), 2K + 1); InsufficientCoefficientsError if K exceeds the order
-    of ``s``, the table they pair with."""
+    stacked, (len(tables), 2K + 1), and ``s``, the table they pair with, cut to the modes
+    |n| <= K that a pairing reads; InsufficientCoefficientsError if K exceeds its order."""
     K = max(t.order for t in tables)
     if K > s.order:
         raise InsufficientCoefficientsError(
             f"table order {K} exceeds coefficient table order {s.order}")
-    return np.stack([np.pad(t.coeffs, K - t.order) for t in tables])
+    return (np.stack([np.pad(t.coeffs, K - t.order) for t in tables]),
+            LaurentSeries(s.coeffs[s.order - K:s.order + K + 1]))
 
 
 def moments(pair: ContractionPair, n_max: int) -> np.ndarray:

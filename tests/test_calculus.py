@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import horner
-from pairs import random_pairs, scalar_pair
+from pairs import NORM_ONE_IDS, norm_one_pairs, random_pairs, scalar_pair
 from ssftrace import calculus, checks, disc, linops, ssf
 from ssftrace.calculus import LaurentSeries
 from ssftrace.errors import InsufficientCoefficientsError, NonRealResultError
@@ -162,13 +162,48 @@ class TestCircleRhs:
 
     def test_batched_symbols_equal_single_calls(self):
         # the symbols' phi' tables are zero-padded to the largest order and taken
-        # in one batch; that moves no bit of any symbol's value
+        # in one batch; that moves no bit of any symbol's value.  The grid is sized
+        # to the order, so each single symbol is padded to the batch order too
         pair = random_pairs(1, seed=605, dims=(8,))[0]
         s = ssf.ssf_from_moments(ssf.moments(pair, 64))
         phis = [LaurentSeries.from_terms(t) for t in checks.CIRCLE_SERIES.values()]
+        K = max(phi.order for phi in phis)
         batched = calculus.trace_rhs_circle_quadrature(s, phis, checks.ABEL_RADIUS)
-        assert batched == [calculus.trace_rhs_circle_quadrature(s, [phi], checks.ABEL_RADIUS)[0]
-                           for phi in phis]
+        assert batched == [calculus.trace_rhs_circle_quadrature(
+            s, [LaurentSeries(np.pad(phi.coeffs, K - phi.order))], checks.ABEL_RADIUS)[0]
+            for phi in phis]
+
+    @pytest.mark.parametrize("pair_id, pair", [
+        *((f"random_d{d}_s{seed}", linops.random_pair(d, 0.25, 0.1, seed=seed))
+          for d in (4, 8, 32) for seed in range(2)),
+        ("random_d8_s605", random_pairs(1, seed=605, dims=(8,))[0]),
+        *zip(NORM_ONE_IDS, norm_one_pairs())])
+    def test_sized_grid_matches_a_fine_grid(self, pair_id, pair):
+        # phi' xi_r with xi cut to the symbols' order K has degree 2K, which the
+        # trapezoid rule on angular_nodes(K) points sums exactly: the same numbers,
+        # to roundoff, as 4096 points against the whole of xi
+        s = ssf.ssf_from_moments(ssf.moments(pair, 64))
+        phis = [LaurentSeries.from_terms(t) for t in checks.CIRCLE_SERIES.values()]
+        K, M = max(phi.order for phi in phis), 4096
+        n = np.arange(-K, K + 1)
+        stacked = np.stack([np.pad(phi.coeffs, K - phi.order) for phi in phis])
+        phi_prime = ssf.uniform_trig_values(n, 1j * n * stacked, M)
+        xi_r = ssf.evaluate_ssf_uniform(s, M, checks.ABEL_RADIUS)
+        fine = [(2.0 * np.pi / M) * np.sum(row * xi_r) for row in phi_prime]
+        sized = calculus.trace_rhs_circle_quadrature(s, phis, checks.ABEL_RADIUS)
+        assert max(abs(a - b) for a, b in zip(sized, fine)) <= 1e-15
+
+    def test_modes_above_the_symbols_move_no_bit(self):
+        pair = random_pairs(1, seed=605, dims=(8,))[0]
+        s = ssf.ssf_from_moments(ssf.moments(pair, 64))
+        phis = [LaurentSeries.from_terms(t) for t in checks.CIRCLE_SERIES.values()]
+        K = max(phi.order for phi in phis)
+        scaled = s.coeffs.copy()
+        scaled[:s.order - K] *= 1000.0
+        scaled[s.order + K + 1:] *= 1000.0
+        assert calculus.trace_rhs_circle_quadrature(
+            LaurentSeries(scaled), phis, checks.ABEL_RADIUS) == \
+            calculus.trace_rhs_circle_quadrature(s, phis, checks.ABEL_RADIUS)
 
     def test_circle_suite_takes_one_abel_grid(self, monkeypatch):
         pair = random_pairs(1, seed=605, dims=(8,))[0]

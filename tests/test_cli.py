@@ -14,7 +14,7 @@ import pytest
 import ssftrace
 from oracles import evaluate_ssf_grid
 from pairs import NORM_ONE_IDS, norm_one_pairs
-from ssftrace import checks, cli, linops, serialize, ssf
+from ssftrace import calculus, checks, cli, disc, linops, serialize, ssf
 
 
 def run(argv):
@@ -101,10 +101,25 @@ class TestVerify:
             "xi_order": {"circle": 48, "disc": 3},
             "window_n": 8,
             "abel_radius": 0.999,
-            "quadrature_points": 4096,
+            "quadrature_points": 244,
             "disc_grid": {"radial_nodes": 3, "angular_nodes": 28,
                           "radius_schedule": [0.5, 0.8, 0.9, 0.99, 0.999]},
         }
+
+    def test_recorded_grids_are_the_grids_in_use(self, monkeypatch):
+        # every uniform grid a full run evaluates on is one that summary.json records
+        sizes = set()
+        exact = ssf.uniform_trig_values
+
+        def recorded(n, c, M):
+            sizes.add(M)
+            return exact(n, c, M)
+
+        for module in (ssf, calculus, disc):
+            monkeypatch.setattr(module, "uniform_trig_values", recorded)
+        checks.run(linops.random_pair(8, 0.25, 0.1, seed=1), checks.SUITES, 64)
+        config = checks.config(checks.SUITES, 64)
+        assert sizes == {config["quadrature_points"], config["disc_grid"]["angular_nodes"]}
 
     def test_single_suite(self, tmp_path):
         pair_dir = gen_pair(tmp_path, seed=5)

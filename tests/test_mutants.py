@@ -200,9 +200,10 @@ def test_conjugated_quadrature_fails_circle_quadrature(monkeypatch):
 
 
 def test_coarse_quadrature_grid_fails_where_xi_is_rough(monkeypatch):
-    # a 32-point grid aliases the exp and poly symbols against the unitary pair's xi,
-    # whose coefficients decay slowest; the other pairs' xi is smooth enough
-    monkeypatch.setattr(calculus, "QUADRATURE_POINTS", 32)
+    # a 32-point rule on the circle route alone (the disc keeps its rule) aliases
+    # the poly symbol against the unitary pair's xi, whose coefficients decay
+    # slowest; the other pairs' xi is smooth enough
+    monkeypatch.setattr(calculus, "angular_nodes", lambda order: 32)
     assert failed_rows_by_pair() == {
-        "random_d16": set(), "unitary_d4": {"circle/quadrature_poly", "circle/quadrature_exp"},
+        "random_d16": set(), "unitary_d4": {"circle/quadrature_poly"},
         "half_isometry_d16": set(), "half_isometry_d64": set()}

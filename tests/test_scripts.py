@@ -55,7 +55,8 @@ def unedited():
 
 # the counts of the three comparisons when no value moves: 943 rows, then the
 # 256 (t, xi_r) lines of ssf.csv and the 129 (re, im) coefficients of
-# ssf_coeffs.json, and the 5 radii of 7 values of disc.csv, on each of 23 pairs
+# ssf_coeffs.json, and the 5 radii of 7 values of disc.csv, on each of 23 pairs;
+# no config line follows, as no setting differs
 UNMOVED = ["moved rows: 0 of 943", "moved ssf values: 0 of 17710",
            "moved disc values: 0 of 805"]
 
@@ -67,7 +68,8 @@ def test_diff_reports_sees_no_move_between_one_tree_and_itself(unedited):
 # a definition appended to a copied module replaces the original: adding
 # 2^-60 to the Gram deviation moves every orthonormal_* value and flips no verdict;
 # writing each xi_r value one ulp up moves the 256 of each ssf.csv and nothing
-# else; a zero tolerance flips verdicts
+# else; recording another grid size moves one setting and no value; a zero
+# tolerance flips verdicts
 EDITS = {
     "moved": ("dilation.py", "exact = interior_column_orthonormality\n"
               "def interior_column_orthonormality(J):\n"
@@ -75,6 +77,9 @@ EDITS = {
     "ssf_moved": ("serialize.py", "exact = write_ssf_grid_csv\n"
                   "def write_ssf_grid_csv(path, t_grid, values):\n"
                   "    exact(path, t_grid, np.nextafter(values, np.inf))\n"),
+    "config_moved": ("checks.py", "exact = config\n"
+                     "def config(suites, n_max):\n"
+                     "    return {**exact(suites, n_max), 'quadrature_points': 4096}\n"),
     "flipped": ("checks.py", "TOLERANCES = MappingProxyType("
                 "{**TOLERANCES, 'orthonormality_tol': 0.0})\n"),
 }
@@ -91,12 +96,16 @@ def test_diff_reports_sees_an_edited_tree(tmp_path, request, edit):
         done = diff_reports(ROOT / "src", tmp_path / "src")
         assert done.returncode == 1
         assert done.stdout.splitlines()[0].startswith("names or verdicts differ")
+        assert done.stdout.splitlines()[1:] == [
+            "config tolerances.orthonormality_tol: 1e-10 -> 0.0"]
         return
     lines, code = DIFF_REPORTS["compare"](
         request.getfixturevalue("unedited"), DIFF_REPORTS["outputs_under"](str(tmp_path / "src")))
     assert code == 0
     if edit == "ssf_moved":
         assert lines == [UNMOVED[0], "moved ssf values: 5888 of 17710", UNMOVED[2]]
+    elif edit == "config_moved":
+        assert lines == [*UNMOVED, "config quadrature_points: 244 -> 4096"]
     else:
         assert {line.split()[0] for line in lines[:-3]} == {"dilation/orthonormal_T",
                                                           "dilation/orthonormal_T0"}
