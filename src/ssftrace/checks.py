@@ -8,11 +8,14 @@ from-imports, so a profiler that rebinds module attributes sees every call.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
+
+import numpy as np
 
 from . import calculus, dilation, disc, kernel_integral, linops, ssf
 
@@ -53,6 +56,9 @@ DISC_TABLES = {
 # the circle pairing needs xi_hat(-k) up to the largest degree of its symbols
 CIRCLE_MIN_N_MAX = max(max(terms) for terms in CIRCLE_SERIES.values())
 DISC_MAX_ORDER = max(abs(n) for terms in DISC_TABLES.values() for n in terms)
+# powers of the stacked pair each suite's left sides read: the circle symbols' babies to
+# isqrt of their largest degree, and the disc tables' powers to their order
+TABLE_ORDERS = {"circle": math.isqrt(CIRCLE_MIN_N_MAX), "disc": DISC_MAX_ORDER}
 DISC_CONFIG = disc.DiscQuadratureConfig()
 
 
@@ -114,14 +120,15 @@ def _quadrature_budget(xi, phi) -> float:
     return TOLERANCES["quad_budget_factor"] * (tail + grid)
 
 
-def circle_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries,
+def circle_checks(powers, xi: ssf.LaurentSeries,
                   series: dict = CIRCLE_SERIES) -> list[CheckResult]:
-    """Circle formula per symbol: pairing vs. left side, quadrature, constant shift."""
+    """Circle formula per symbol: pairing vs. left side, quadrature, constant shift.
+    The left sides read ``powers``, the ``calculus.power_table`` of the stacked pair."""
     results = []
     phis = [ssf.LaurentSeries.from_terms(terms) for terms in series.values()]
     quads = calculus.trace_rhs_circle_quadrature(xi, phis, abel_radius=ABEL_RADIUS)
     for name, phi, quad in zip(series, phis, quads):
-        lhs = calculus.trace_lhs_circle(pair, phi)
+        lhs = calculus.trace_lhs_circle(powers, phi)
         rhs = complex(disc.disc_integral_closed_form(xi, phi, 1.0))  # 2*pi*i sum k a_k xi_hat(-k)
         results.append(_within(f"circle/formula_{name}", abs(lhs - rhs),
                                TOLERANCES["circle_tol"] * (1.0 + phi.weighted_norm)))
@@ -133,17 +140,18 @@ def circle_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries,
     return results
 
 
-def disc_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries) -> list[CheckResult]:
+def disc_checks(powers, xi: ssf.LaurentSeries) -> list[CheckResult]:
     """Disc formula per table, from its three routes (quadrature over the radius schedule,
     closed form, trace of the two-sided difference): quadrature vs. closed form, limit gap
-    in the tail, cross-theorem."""
+    in the tail, cross-theorem.  The left sides read ``powers``, the
+    ``calculus.power_table`` of the stacked pair."""
     results = []
     psis = [ssf.LaurentSeries.from_terms(terms) for terms in DISC_TABLES.values()]
     radii = DISC_CONFIG.radius_schedule
     quads = disc.quadrature(xi, psis, radii)
     for (name, terms), psi, quad in zip(DISC_TABLES.items(), psis, quads):
         closed = disc.disc_integral_closed_form(xi, psi, radii).tolist()
-        lhs = calculus.laurent_difference_trace(pair, psi)
+        lhs = calculus.laurent_difference_trace(powers, psi)
         worst = max(abs(q - c) for q, c in zip(quad.tolist(), closed))
         results.append(_within(f"disc/quad_vs_closed_{name}", worst, TOLERANCES["quad_match_tol"]))
         results.append(_within(f"disc/limit_gap_{name}", abs(closed[-1] - lhs),
@@ -151,7 +159,7 @@ def disc_checks(pair: linops.ContractionPair, xi: ssf.LaurentSeries) -> list[Che
                                + TOLERANCES["disc_gap_extra"]))
         if all(n >= 0 for n in terms):  # no negative modes: the circle left side applies
             results.append(_within(f"disc/cross_theorem_{name}",
-                                   abs(lhs - calculus.trace_lhs_circle(pair, psi)),
+                                   abs(lhs - calculus.trace_lhs_circle(powers, psi)),
                                    TOLERANCES["cross_theorem_tol"]))
     return results
 
@@ -191,7 +199,9 @@ def run(pair: linops.ContractionPair, suites,
     of each suite.  The circle and disc suites read one shift-function table,
     built to the largest of their ``xi_orders``; building it is timed as "xi".
     The disc suite pairs only the modes of its tables, so the longer table
-    moves none of its rows."""
+    moves none of its rows.  Their left sides read one power table of the stacked
+    pair, to the largest of their ``TABLE_ORDERS``, built and timed in the first
+    of them that runs."""
     results, timings = [], {}
     if "lemma" in suites:
         with _stopwatch(timings, "lemma"):
@@ -203,10 +213,13 @@ def run(pair: linops.ContractionPair, suites,
     if orders:
         with _stopwatch(timings, "xi"):
             xi = ssf.ssf_from_moments(ssf.moments(pair, max(orders.values())))
+        order = max(TABLE_ORDERS[suite] for suite in orders)
+        powers = functools.cache(
+            lambda: calculus.power_table(np.stack((pair.T, pair.T0)), order))
         if "circle" in suites:
             with _stopwatch(timings, "circle"):
-                results += circle_checks(pair, xi)
+                results += circle_checks(powers(), xi)
         if "disc" in suites:
             with _stopwatch(timings, "disc"):
-                results += disc_checks(pair, xi)
+                results += disc_checks(powers(), xi)
     return results, timings

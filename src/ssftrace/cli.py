@@ -112,7 +112,9 @@ def cmd_disc_report(args) -> int:
     radii = cfg.radius_schedule
     quads, = disc.quadrature(xi, [psi], radii)
     closed = disc.disc_integral_closed_form(xi, psi, radii)
-    lhs = calculus.laurent_difference_trace(pair, psi)
+    # S and running products past it: the same products as any longer table
+    lhs = calculus.laurent_difference_trace(
+        calculus.power_table(np.stack((pair.T, pair.T0)), 1), psi)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     serialize.write_disc_report_csv(out / "disc.csv", radii, quads, closed, lhs)

@@ -28,7 +28,8 @@ def matrix_to_dict(M) -> dict:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim {A.ndim}")
-    data = [[float(v.real), float(v.imag)] for v in A.ravel()]
+    # [re, im] rows from the interleaved float view: the same floats, -0.0 included
+    data = np.ascontiguousarray(A).view(float).reshape(-1, 2).tolist()
     return {"rows": A.shape[0], "cols": A.shape[1], "data": data}
 
 
@@ -65,9 +66,10 @@ def _data(data) -> np.ndarray:
     try:
         if (type(data) is list and set(map(type, data)) <= {list} and set(map(len, data)) <= {2}
                 and set(map(type, itertools.chain.from_iterable(data))) <= {int, float}):
-            values = np.array(data, dtype=float)
+            values = np.fromiter(itertools.chain.from_iterable(data), dtype=float,
+                                 count=2 * len(data))
             if np.isfinite(values).all():
-                return values.reshape(-1, 2).view(complex).ravel()
+                return values.view(complex)
     except OverflowError:  # an integer beyond the float range
         pass
     for row in data:

@@ -72,11 +72,30 @@ def stack_tables(tables: list[LaurentSeries], s: LaurentSeries) -> tuple:
             LaurentSeries(s.coeffs[s.order - K:s.order + K + 1]))
 
 
+def _sum2(terms: np.ndarray) -> np.ndarray:
+    """Column sums of a float array (w, k) by a pairwise TwoSum tree, its rounding errors
+    summed beside it: Sum2 of Ogita, Rump & Oishi (SIAM J. Sci. Comput. 26(6), 2005), as
+    accurate as a sum in twice the working precision.  Each level adds row i + h to row i,
+    h = w // 2, an odd last row carried up, so row i first meets row i + w // 2."""
+    err = np.zeros((len(terms) // 2, terms.shape[1]))
+    while len(terms) > 1:
+        half = len(terms) // 2
+        a, b = terms[:half], terms[half:2 * half]
+        s = a + b
+        z = s - a
+        err[:half] += (a - (s - z)) + (b - z)  # Knuth's TwoSum: a + b = s + this, exactly
+        terms = s if len(terms) % 2 == 0 else np.concatenate([s, terms[-1:]])
+    return terms[0] + err.sum(axis=0)
+
+
 def moments(pair: ContractionPair, n_max: int) -> np.ndarray:
     """Moment traces m_n = Tr(T^n) - Tr(T0^n), n = 1..n_max, with compensated sums, by
     baby-step/giant-step on S = (T, T0) (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973):
     babies S^1..S^s, s = isqrt(n_max), giants S^(ks), and the diagonal of S^(ks + r) as
-    row dots of giant and baby r, never formed; 13 products for n_max = 64."""
+    row dots of giant and baby r, never formed; 13 products for n_max = 64.  The babies
+    are built here, never taken from ``calculus``.  The 2d diagonal terms of every
+    moment, real and imaginary parts apart, are summed in one ``_sum2`` pass, each
+    Tr(T^n) term first meeting its -Tr(T0^n) term."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     s = math.isqrt(n_max)
@@ -92,9 +111,8 @@ def moments(pair: ContractionPair, n_max: int) -> np.ndarray:
         width = min(s, n_max - ks)
         diagonals[ks:ks + width] = np.einsum('kij,rkji->rki', giant, babies[:width])
     np.negative(diagonals[:, 1], out=diagonals[:, 1])
-    terms = diagonals.reshape(n_max, -1)
-    return np.array([complex(math.fsum(re), math.fsum(im))
-                     for re, im in zip(terms.real.tolist(), terms.imag.tolist())])
+    # row i of the terms: [Re, Im] of term i of every moment, T's d terms then T0's
+    return _sum2(diagonals.reshape(n_max, -1).T.copy().view(float)).view(complex)
 
 
 def ssf_from_moments(m: np.ndarray) -> LaurentSeries:

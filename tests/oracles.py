@@ -5,8 +5,14 @@ derivatives and Jacobian by Horner ``polyval``, the truncated Poisson kernel,
 Abel values at arbitrary angles by the dense mode matrix, the inverse of
 ``ssf_from_moments``, a trace-norm bound for the dilation difference, one
 value of the disc quadrature, eigenpairs and defects of a bare matrix,
-the dilation's window as one dense array and its walk with every block formed, and ``apply_series`` by plain Horner.
+the dilation's window as one dense array and its walk with every block formed,
+``apply_series`` by plain Horner, both evaluators on one operator with its own
+powers, which the power table must match bit for bit, and pairs whose moments are
+known exactly, with those moments.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -153,6 +159,40 @@ def unpruned_power_walk(pair, WT, W0, N: int) -> list:
     return walk
 
 
+def per_operator_series(phi: LaurentSeries, T) -> np.ndarray:
+    """``calculus.apply_series`` on one operator with its own babies: T^1..T^s,
+    s = isqrt(K), each the one before times T, and Horner in T^s over blocks of s
+    coefficients."""
+    T = np.asarray(T, dtype=complex)
+    a, K, d = phi.coeffs[phi.order:], phi.order, len(T)
+    s = max(math.isqrt(K), 1)
+    babies = [T]
+    while len(babies) < s:
+        babies.append(babies[-1] @ T)
+    babies = np.array(babies)
+    acc = None
+    top = max(K - 1, 0) // s
+    for j in range(top, -1, -1):
+        block = a[j * s:] if j == top else a[j * s:(j + 1) * s]
+        poly = (block[1:] @ babies[:len(block) - 1].reshape(-1, d * d)).reshape(d, d)
+        poly.flat[::d + 1] += block[0]
+        acc = poly if acc is None else acc @ babies[-1] + poly
+    return acc
+
+
+def per_operator_laurent(psi: LaurentSeries, T) -> np.ndarray:
+    """``calculus.apply_laurent`` on one operator by the power loop P = P T from
+    P = I."""
+    T = np.asarray(T, dtype=complex)
+    eye = np.eye(len(T), dtype=complex)
+    acc = psi.coeff(0) * eye
+    P = eye
+    for n in range(1, psi.order + 1):
+        P = P @ T
+        acc = acc + psi.coeff(-n) * P.conj().T + psi.coeff(n) * P
+    return acc
+
+
 def horner(phi: LaurentSeries, T) -> np.ndarray:
     """sum a_k T^k over a_0..a_K by Horner, K products."""
     T = np.asarray(T, dtype=complex)
@@ -162,3 +202,40 @@ def horner(phi: LaurentSeries, T) -> np.ndarray:
     for a in coeffs[-2::-1]:
         acc = acc @ T + a * eye
     return acc
+
+
+def sylvester_hadamard(d: int) -> np.ndarray:
+    """The d x d Sylvester-Hadamard matrix, d a power of two: H H^T = d I."""
+    if d < 1 or d & (d - 1):
+        raise ValueError(f"d must be a power of two, got {d}")
+    H = np.ones((1, 1))
+    while len(H) < d:
+        H = np.block([[H, H], [H, -H]])
+    return H
+
+
+def hadamard_pair(d: int, seed: int):
+    """(pair, eig_T, eig_T0) with T = H (D + N) H^T / d, H ``sylvester_hadamard(d)``, D a
+    dyadic diagonal (numerators below 2^9 over 2^11, below 2^8 for T0) and N strictly
+    upper triangular (numerators below 2^9 over 2^11 d), T0 built the same way.
+    H / sqrt(d) is orthogonal, so ||T|| = ||D + N|| (about 0.25, and 0.12 for T0), and
+    T is similar to the triangular D + N, whose eigenvalues are D's entries: the pair is
+    dense and non-normal with a known spectrum.  Every float entry of T is exact, a
+    dyadic of at most 11 + 2 log2(d) bits, as 1/d is a power of two.  Each eig_* lists
+    the integers a of the eigenvalues a / 2^11."""
+    rng = np.random.default_rng(seed)
+    H = sylvester_hadamard(d)
+    sides, eigs = [], []
+    for bits in (9, 8):
+        a = rng.integers(-2 ** bits + 1, 2 ** bits, d)
+        N = np.triu(rng.integers(-2 ** 9 + 1, 2 ** 9, (d, d)), 1)
+        sides.append(H @ (np.diag(a) / 2.0 ** 11 + N / (2.0 ** 11 * d)) @ H.T / d)
+        eigs.append(a.tolist())
+    return linops.make_pair(*sides), eigs[0], eigs[1]
+
+
+def exact_moments(eig_T, eig_T0, n_max: int) -> list:
+    """sum lambda^n - sum mu^n, n = 1..n_max, as ``Fraction``s, from the eigenvalues
+    a / 2^11 of ``hadamard_pair``: the powers a^n summed in integers, over 2^(11 n)."""
+    return [Fraction(sum(a ** n for a in eig_T) - sum(b ** n for b in eig_T0), 2 ** (11 * n))
+            for n in range(1, n_max + 1)]

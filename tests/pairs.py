@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from ssftrace import linops
+from ssftrace import calculus, checks, linops
 
 
 def random_pairs(count, seed, dims=(2, 4, 6, 8), delta=0.3, perturbation=0.1):
@@ -132,3 +132,10 @@ def pair_space(draw):
     A = draw(_side(rng, dim))
     B = draw(_side(rng, dim, A))
     return (A, B) if draw(st.booleans()) else (B, A)
+
+
+def pair_powers(pair, s=None):
+    """``calculus.power_table`` of the stacked pair (T, T0): S^1..S^s, by default to the
+    order ``checks.run`` builds for the circle and disc suites."""
+    s = max(checks.TABLE_ORDERS.values()) if s is None else s
+    return calculus.power_table(np.stack((pair.T, pair.T0)), s)

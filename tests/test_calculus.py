@@ -4,12 +4,13 @@ The circle pairing 2*pi*i sum k a_k xi_hat(-k) is the disc closed form at R = 1.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import horner
-from pairs import NORM_ONE_IDS, norm_one_pairs, random_pairs, scalar_pair
+from oracles import horner, per_operator_laurent, per_operator_series
+from pairs import NORM_ONE_IDS, norm_one_pairs, pair_powers, random_pairs, scalar_pair
 from ssftrace import calculus, checks, disc, linops, ssf
 from ssftrace.calculus import LaurentSeries
 from ssftrace.errors import InsufficientCoefficientsError, NonRealResultError
@@ -25,17 +26,17 @@ def pairing(s, phi):
 class TestApplySeries:
     def test_constant(self):
         phi = LaurentSeries.from_terms({0: 1.0})
-        np.testing.assert_allclose(calculus.apply_series(phi, np.zeros((3, 3))),
-                                   np.eye(3))
+        powers = calculus.power_table(np.zeros((3, 3)), 1)
+        np.testing.assert_allclose(calculus.apply_series(phi, powers), np.eye(3))
 
     def test_identity_symbol(self):
         phi = LaurentSeries.from_terms({1: 1.0})
         T = np.array([[0.2, 0.1], [0.0, 0.3]])
-        np.testing.assert_allclose(calculus.apply_series(phi, T), T)
+        np.testing.assert_allclose(calculus.apply_series(phi, calculus.power_table(T, 1)), T)
 
     def test_exponential_oracle(self):
         T = np.diag([0.5, -0.3])
-        out = calculus.apply_series(EXP_SERIES, T)
+        out = calculus.apply_series(EXP_SERIES, calculus.power_table(T, 4))
         np.testing.assert_allclose(out, np.diag([np.exp(0.5), np.exp(-0.3)]),
                                    atol=1e-12)
 
@@ -47,55 +48,118 @@ class TestApplySeries:
         a = rng.standard_normal(K + 1) + 1j * rng.standard_normal(K + 1)
         phi = LaurentSeries.from_terms(dict(enumerate(a)))
         ref = horner(phi, T)
-        out = calculus.apply_series(phi, T)
+        out = calculus.apply_series(phi, calculus.power_table(T, max(math.isqrt(K), 1)))
         assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_rejects_negative_mode(self):
         # the evaluation runs over a_0..a_K only, so a nonzero negative mode would be dropped
         phi = LaurentSeries.from_terms({-1: 0.5, 2: 1.0})
         with pytest.raises(ValueError, match="negative mode"):
-            calculus.apply_series(phi, np.eye(2))
+            calculus.apply_series(phi, calculus.power_table(np.eye(2), 1))
 
 
 class TestApplyLaurent:
     def test_constant(self):
         psi = LaurentSeries.from_terms({0: 2.5})
-        np.testing.assert_allclose(calculus.apply_laurent(psi, np.zeros((2, 2))),
-                                   2.5 * np.eye(2))
+        powers = calculus.power_table(np.zeros((2, 2)), 1)
+        np.testing.assert_allclose(calculus.apply_laurent(psi, powers), 2.5 * np.eye(2))
 
     def test_adjoint_mode(self):
         psi = LaurentSeries.from_terms({-1: 1.0})
         T = np.array([[0.1, 0.4], [0.0, 0.2]])
-        np.testing.assert_allclose(calculus.apply_laurent(psi, T), T.conj().T)
+        np.testing.assert_allclose(calculus.apply_laurent(psi, calculus.power_table(T, 1)),
+                                   T.conj().T)
 
     def test_symmetric_pair_of_modes(self):
         psi = LaurentSeries.from_terms({1: 1.0, -1: 1.0})
         T = np.array([[0, 1], [0, 0]], dtype=complex)
-        np.testing.assert_allclose(calculus.apply_laurent(psi, T),
+        np.testing.assert_allclose(calculus.apply_laurent(psi, calculus.power_table(T, 1)),
                                    np.array([[0, 1], [1, 0]]))
+
+
+# diff_reports' random pairs, odd sizes (where a flat gemv over the stacked pair would
+# split its columns differently), scalars and the norm-one pairs
+FIXED_PAIRS = [
+    *((f"random_d{d}_s{seed}", linops.random_pair(d, 0.25, 0.1, seed=seed))
+      for d in (4, 6, 8, 32, 128) for seed in range(4)),
+    *((f"random_d{d}_s0", linops.random_pair(d, 0.25, 0.1, seed=0)) for d in (1, 5, 17)),
+    *zip(NORM_ONE_IDS, norm_one_pairs())]
+STACK_SYMBOLS = [LaurentSeries.from_terms(t) for t in (
+    *checks.CIRCLE_SERIES.values(), checks.DISC_TABLES["one_sided"], {0: 0.5},
+    {1: 1.0, 3: -1.0 / 3.0, 5: 0.2}, {2: 1.0})]
+STACK_TABLES = [LaurentSeries.from_terms(t) for t in (
+    *checks.DISC_TABLES.values(), {n: 0.5 ** abs(n) * (1 - 0.5j) for n in range(-9, 10)})]
+
+
+class TestPowerTable:
+    @pytest.mark.parametrize("pair_id, pair", FIXED_PAIRS)
+    def test_stacked_pair_gives_each_operator_bit_for_bit(self, pair_id, pair):
+        # one table of S = (T, T0) for both operators and every symbol moves no bit of
+        # what each operator's own evaluation, with its own powers, gives
+        powers = pair_powers(pair)
+        for phi in STACK_SYMBOLS:
+            both = calculus.apply_series(phi, powers)
+            assert [M.tobytes() for M in both] == [
+                per_operator_series(phi, M).tobytes() for M in (pair.T, pair.T0)], phi
+        for psi in STACK_TABLES:
+            both = calculus.apply_laurent(psi, powers)
+            assert [M.tobytes() for M in both] == [
+                per_operator_laurent(psi, M).tobytes() for M in (pair.T, pair.T0)], psi
+
+    def test_laurent_past_the_table_takes_the_same_products(self):
+        # past its last power the table's evaluation goes on by one running product,
+        # the product the longer table holds
+        psi = STACK_TABLES[-1]
+        for _, pair in FIXED_PAIRS[:8]:
+            values = {calculus.apply_laurent(psi, pair_powers(pair, s)).tobytes()
+                      for s in (1, 4, psi.order, psi.order + 3)}
+            assert len(values) == 1
+
+    @pytest.mark.parametrize("s", [1, 5])
+    def test_order_127_table_memory_at_d128(self, s):
+        # the table and three more (2, d, d) stacks live at once: the sum, the running
+        # power and the next one, or one scaled power in its place; a table of all
+        # 127 powers would take 127 stacks
+        d = 128
+        pair = linops.random_pair(d, 0.25, 0.1, seed=1)
+        psi = LaurentSeries.from_terms({n: 0.5 ** abs(n) for n in range(-127, 128)})
+        S = np.stack((pair.T, pair.T0))
+        tracemalloc.start()
+        try:
+            calculus.laurent_difference_trace(calculus.power_table(S, s), psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (s + 4) * 2 * d * d * 16
+
+    def test_short_table_refused(self):
+        table = calculus.power_table(np.eye(3), 4)
+        calculus.apply_series(LaurentSeries.from_terms({24: 1.0}), table)
+        with pytest.raises(ValueError, match="reads powers to 5"):
+            calculus.apply_series(LaurentSeries.from_terms({25: 1.0}), table)
 
 
 class TestCircleLhs:
     def test_equal_pair(self):
         phi = LaurentSeries.from_terms({2: 1.0, 5: 0.3})
-        assert calculus.trace_lhs_circle(scalar_pair(0.4, 0.4), phi) == 0.0
+        assert calculus.trace_lhs_circle(pair_powers(scalar_pair(0.4, 0.4)), phi) == 0.0
 
     def test_linear_symbol_is_first_moment(self):
         pair = random_pairs(1, seed=600, dims=(5,))[0]
         phi = LaurentSeries.from_terms({1: 1.0})
         m = ssf.moments(pair, 1)
-        assert calculus.trace_lhs_circle(pair, phi) == pytest.approx(
+        assert calculus.trace_lhs_circle(pair_powers(pair), phi) == pytest.approx(
             m[0], abs=1e-13)
 
     def test_scalar_square(self):
         phi = LaurentSeries.from_terms({2: 1.0})
-        assert calculus.trace_lhs_circle(scalar_pair(0.5, 0.25), phi) \
+        assert calculus.trace_lhs_circle(pair_powers(scalar_pair(0.5, 0.25)), phi) \
             == pytest.approx(0.1875)
 
     def test_telescoping_trace_norm_bound(self):
         for pair in random_pairs(6, seed=601):
             for phi in (EXP_SERIES, LaurentSeries.from_terms({3: 1.0, 7: -2.0})):
-                lhs, rhs = calculus.laurent_difference_bound(pair, phi)
+                lhs, rhs = calculus.laurent_difference_bound(pair_powers(pair), phi)
                 assert lhs <= rhs + 1e-10
 
 
@@ -117,7 +181,7 @@ class TestCircleRhs:
         phi = LaurentSeries.from_terms({k: 0.7 ** k / k for k in range(1, 31)})
         for pair in random_pairs(5, seed=604, dims=(8,)):
             s = ssf.ssf_from_moments(ssf.moments(pair, 64))
-            lhs = calculus.trace_lhs_circle(pair, phi)
+            lhs = calculus.trace_lhs_circle(pair_powers(pair), phi)
             rhs = pairing(s, phi)
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + phi.weighted_norm)
 
@@ -217,7 +281,7 @@ class TestCircleRhs:
 
         monkeypatch.setattr(ssf, "evaluate_ssf_uniform", counted)
         monkeypatch.setattr(calculus, "evaluate_ssf_uniform", counted)
-        results = checks.circle_checks(pair, xi)
+        results = checks.circle_checks(pair_powers(pair), xi)
         assert len(calls) == 1
         assert len(results) == 3 * len(checks.CIRCLE_SERIES) and all(c.passed for c in results)
 
@@ -240,7 +304,7 @@ class TestCircleRhs:
         # against their threshold 0
         pair = linops.random_pair(d, 0.25, 0.1, seed=1)
         xi = ssf.ssf_from_moments(ssf.moments(pair, 64))
-        rows = [c for c in checks.circle_checks(pair, xi)
+        rows = [c for c in checks.circle_checks(pair_powers(pair), xi)
                 if c.name.startswith("circle/constant_independence_")]
         assert len(rows) == len(checks.CIRCLE_SERIES)
         assert all(c.passed and c.measured == 0.0 for c in rows)
@@ -258,25 +322,25 @@ class TestCircleRhs:
         pair = random_pairs(1, seed=607, dims=(4,))[0]
         xi = ssf.ssf_from_moments(ssf.moments(pair, checks.CIRCLE_MIN_N_MAX - 1))
         with pytest.raises(InsufficientCoefficientsError):
-            checks.circle_checks(pair, xi)
+            checks.circle_checks(pair_powers(pair), xi)
 
 
 class TestLaurentTrace:
     def test_constant_cancels(self):
         psi = LaurentSeries.from_terms({0: 5.0})
         pair = random_pairs(1, seed=608, dims=(4,))[0]
-        assert calculus.laurent_difference_trace(pair, psi) == 0.0
+        assert calculus.laurent_difference_trace(pair_powers(pair), psi) == 0.0
 
     def test_positive_mode_is_moment(self):
         pair = random_pairs(1, seed=609, dims=(5,))[0]
         psi = LaurentSeries.from_terms({1: 1.0})
         m = ssf.moments(pair, 1)
-        assert calculus.laurent_difference_trace(pair, psi) == pytest.approx(
+        assert calculus.laurent_difference_trace(pair_powers(pair), psi) == pytest.approx(
             m[0], abs=1e-13)
 
     def test_negative_mode_scalar(self):
         psi = LaurentSeries.from_terms({-1: 1.0})
-        assert calculus.laurent_difference_trace(scalar_pair(0.5, 0.25), psi) \
+        assert calculus.laurent_difference_trace(pair_powers(scalar_pair(0.5, 0.25)), psi) \
             == pytest.approx(0.25)
 
     def test_matches_moment_pairing(self):
@@ -284,13 +348,13 @@ class TestLaurentTrace:
         psi = LaurentSeries.from_terms({-2: 0.3 + 0.1j, -1: 0.5, 1: 0.2j, 3: -0.4})
         for pair in random_pairs(5, seed=610):
             xi = ssf.ssf_from_moments(ssf.moments(pair, 8))
-            direct = calculus.laurent_difference_trace(pair, psi)
+            direct = calculus.laurent_difference_trace(pair_powers(pair), psi)
             assert abs(direct - pairing(xi, psi)) <= 1e-11
 
     def test_trace_norm_inequality(self):
         psi = LaurentSeries.from_terms({-3: 0.2, -1: 1.0, 2: 0.7j})
         for pair in random_pairs(5, seed=611):
-            lhs, rhs = calculus.laurent_difference_bound(pair, psi)
+            lhs, rhs = calculus.laurent_difference_bound(pair_powers(pair), psi)
             assert lhs <= rhs + 1e-10
 
     def test_real_boundary_symbol_gives_real_trace(self):
@@ -298,5 +362,5 @@ class TestLaurentTrace:
         terms.update({-n: np.conj(v) for n, v in terms.items()})
         psi = LaurentSeries.from_terms(terms)
         for pair in random_pairs(5, seed=612):
-            val = calculus.laurent_difference_trace(pair, psi)
+            val = calculus.laurent_difference_trace(pair_powers(pair), psi)
             assert abs(val.imag) <= 1e-10

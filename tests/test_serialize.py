@@ -193,3 +193,14 @@ def test_matrix_json_schema(tmp_path):
     doc = json.loads(path.read_text())
     assert set(doc) == {"rows", "cols", "data"}
     assert doc["data"] == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+
+
+def test_matrix_json_bytes_equal_the_per_entry_writer():
+    # the rows come from one float view of the matrix: the same floats, signed zeros
+    # included, for complex, real and non-contiguous input alike
+    M = random_pairs(1, seed=705, dims=(6,))[0].T.copy()
+    M[0, 0], M[1, 2] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    for A in (M, M.T, M.real, np.eye(3)):
+        rows = [[float(v.real), float(v.imag)] for v in np.asarray(A, dtype=complex).ravel()]
+        assert json.dumps(serialize.matrix_to_dict(A), sort_keys=True) == \
+            json.dumps({"rows": A.shape[0], "cols": A.shape[1], "data": rows}, sort_keys=True)

@@ -1,11 +1,13 @@
 """Shift-function reconstruction from moments and its invariants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import dense_window, evaluate_ssf_grid, moments_from_ssf, poisson_extend
+from oracles import (dense_window, evaluate_ssf_grid, exact_moments, hadamard_pair,
+                     moments_from_ssf, poisson_extend, sylvester_hadamard)
 from pairs import random_pairs, scalar_pair
 from ssftrace import linops, ssf
 from ssftrace.errors import NonRealResultError
@@ -23,10 +25,11 @@ def fsum_moments(diagonals):
                      for terms in (np.concatenate([dT, -dT0]) for dT, dT0 in diagonals)])
 
 
-def schedule_moments(pair, n_max):
+def schedule_moments(pair, n_max, skip=None):
     """The baby-step/giant-step schedule restated: babies S^1..S^s of S = (T, T0),
     s = isqrt(n_max), giants S^(ks), and the diagonal of S^(ks + r) as row dots of
-    the giant with baby r."""
+    the giant with baby r.  ``skip`` = k leaves out the step to the giant S^(ks), so
+    that giant and every later one come out one S^s short."""
     s = math.isqrt(n_max)
     S = np.stack([pair.T, pair.T0])
     babies = [S]
@@ -36,7 +39,7 @@ def schedule_moments(pair, n_max):
     diagonals = list(np.diagonal(babies, axis1=2, axis2=3))
     giant = babies[-1]
     for k in range(1, (n_max - 1) // s + 1):
-        if k > 1:
+        if 1 < k != skip:
             giant = giant @ babies[-1]
         width = min(s, n_max - k * s)
         diagonals += list(np.einsum('kij,rkji->rki', giant, babies[:width]))
@@ -73,6 +76,65 @@ def test_moments_near_the_power_loop():
         n = np.arange(1, 128)
         bound = 64 * u * n * pair.dim * (norm_T ** n + norm_T0 ** n)
         assert np.all(np.abs(m - ref) <= bound)
+
+
+def exact_errors(m, exact):
+    """max |m_n - exact_n| over the real and imaginary parts, each difference taken
+    exactly; the exact moments of a real pair are real."""
+    return max(max(abs(Fraction(v.real) - e), abs(Fraction(v.imag))) for v, e in zip(m, exact))
+
+
+@pytest.mark.parametrize("d", [16, 64])
+def test_moments_match_exact_hadamard_moments(d):
+    # every entry of T is exact, the spectrum is known, so m_n = sum a^n / 2^(11n) -
+    # sum b^n / 2^(11n) exactly; ||T|| ~ 0.25 keeps every moment's roundoff near 1e-19.
+    # n_max = 64 takes s = 8 and giants from S^16 on, so a wrong giant shows from m_16
+    pair, eig_T, eig_T0 = hadamard_pair(d, seed=d)
+    # H^T T H / d is upper triangular with the listed eigenvalues on its diagonal; its
+    # entries are dyadics of at most 11 + 4 log2(d) bits, so the floats hold it exactly
+    H = sylvester_hadamard(d)
+    for M, eig in ((pair.T, eig_T), (pair.T0, eig_T0)):
+        back = H.T @ M @ H / d
+        assert not np.tril(back, -1).any()
+        assert np.array_equal(np.diagonal(back), np.array(eig) / 2.0 ** 11)
+    exact = exact_moments(eig_T, eig_T0, 64)
+    assert exact_errors(ssf.moments(pair, 64), exact) <= 1e-18
+    assert exact_errors(schedule_moments(pair, 64), exact) <= 1e-18
+    # a schedule one giant step short fails the same pin
+    assert exact_errors(schedule_moments(pair, 64, skip=2), exact) > 1e-9
+
+
+SUM2_WIDTHS = (1, 2, 6, 16, 64, 256)
+
+
+@pytest.mark.parametrize("w", SUM2_WIDTHS)
+def test_sum2_within_its_error_bound(w):
+    # Ogita, Rump & Oishi (SIAM J. Sci. Comput. 26(6), 2005), Proposition 4.5: Sum2 of
+    # p_1..p_w returns res with |res - S| <= u |S| + gamma_(w-1)^2 sum |p_i|, where
+    # S = sum p_i and gamma_n = n u / (1 - n u).  The pairwise tree transforms the sum
+    # without error too, S = s + sum q_i, with sum |q_i| <= gamma_ceil(log2 w) sum |p_i|
+    # <= gamma_(w-1) sum |p_i|, and w - 1 errors summed in any order err by at most
+    # gamma_(w-2) sum |q_i|, so the same bound holds
+    u = Fraction(1, 2 ** 53)
+
+    def gamma(n):
+        return n * u / (1 - n * u)
+
+    rng = np.random.default_rng(900 + w)
+    k = 40
+    top = rng.standard_normal((w - w // 2, k)) * 10.0 ** rng.integers(-8, 9, (w - w // 2, k))
+    # the lower half cancels the upper half up to a relative 1e-12 and a small term, its
+    # rows reversed, so that cancelling terms meet only near the top of the tree
+    low = -top[w // 2 - 1::-1] * (1.0 + 1e-12 * rng.standard_normal((w // 2, k))) \
+        + 1e-20 * rng.standard_normal((w // 2, k))
+    terms = np.concatenate([top, low])
+    before = terms.copy()
+    sums = ssf._sum2(terms)
+    assert np.array_equal(terms, before)
+    for j in range(k):
+        p = [Fraction(x) for x in terms[:, j].tolist()]
+        S = sum(p)
+        assert abs(Fraction(sums[j]) - S) <= u * abs(S) + gamma(w - 1) ** 2 * sum(map(abs, p))
 
 
 def test_moments_scalar():
