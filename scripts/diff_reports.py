@@ -3,9 +3,9 @@
 
 Runs ``checks.run(pair, SUITES, 64)``, ``ssftrace ssf`` (defaults) and
 ``ssftrace disc-report`` (default radii) under each tree, in a process of its
-own, on 23 fixed pairs: ``random_pair(d, 0.25, 0.1, s)`` for d in
-{4, 6, 8, 32, 128} and s in 0..3, and the three ``norm_one_pairs`` of
-tests/pairs.py, 943 rows in all.  Prints the largest move of each row name
+own, on the 23 fixed pairs of tests/pairs.py's ``report_pairs``: ``random_pair(d,
+0.25, 0.1, s)`` for d in {4, 6, 8, 32, 128} and s in 0..3, and the three
+``norm_one_pairs``, 943 rows in all.  Prints the largest move of each row name
 whose measured value or threshold differs by ``float.hex()``, then the count
 of moved rows, then the counts of moved values of ssf.csv and ssf_coeffs.json
 and of disc.csv, then each setting of ``checks.config(SUITES, 64)`` that differs,
@@ -25,8 +25,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DIMS = (4, 6, 8, 32, 128)
-SEEDS = range(4)
 
 
 def _csv_values(path: Path) -> list:
@@ -39,12 +37,10 @@ def outputs(src: str) -> dict:
     row, "ssf" and "disc", the hex of every value the two commands write, and
     "config", the settings the rows are checked with."""
     sys.path[:0] = [src, str(ROOT / "tests")]
-    from pairs import NORM_ONE_IDS, norm_one_pairs
-    from ssftrace import checks, cli, linops, serialize
+    from pairs import report_pairs
+    from ssftrace import checks, cli, serialize
 
-    pairs = {f"random_d{d}_s{s}": linops.random_pair(d, 0.25, 0.1, seed=s)
-             for d in DIMS for s in SEEDS}
-    pairs.update(zip(NORM_ONE_IDS, norm_one_pairs()))
+    pairs = report_pairs()
     found = {"rows": [], "ssf": [], "disc": [], "config": checks.config(checks.SUITES, 64)}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)

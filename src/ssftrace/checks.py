@@ -1,7 +1,6 @@
 """What ``ssftrace verify`` checks: every check, threshold and test symbol.
 
-The CLI and the acceptance tests both call these suite functions.  The circle
-quadrature budget and the disc limit gap take one tail, ``disc.disc_tail_bound``.
+The CLI and the acceptance tests both call these suite functions.
 Layer functions are called through their modules (``ssf.moments(...)``), not
 from-imports, so a profiler that rebinds module attributes sees every call.
 """
@@ -32,8 +31,6 @@ TOLERANCES = MappingProxyType({
     "compression_tol": 1e-10,
     "trace_transfer_tol": 1e-9,
     "circle_tol": 1e-9,
-    "quad_budget_factor": 10.0,
-    "quad_grid_allowance": 1e-12,  # per unit of 1 + the symbol's weighted norm
     "quad_match_tol": 1e-8,
     "disc_gap_extra": 1e-9,
     "cross_theorem_tol": 1e-10,
@@ -112,28 +109,22 @@ def dilation_checks(pair: linops.ContractionPair) -> list[CheckResult]:
     return results
 
 
-def _quadrature_budget(xi, phi) -> float:
-    """Budget factor times (Abel tail + grid term).  The Abel mean at radius r of the
-    circle pairing is the disc closed form at R = sqrt(r), so its tail is the disc tail."""
-    tail = disc.disc_tail_bound(xi, phi, math.sqrt(ABEL_RADIUS))
-    grid = TOLERANCES["quad_grid_allowance"] * (1.0 + phi.weighted_norm)
-    return TOLERANCES["quad_budget_factor"] * (tail + grid)
-
-
 def circle_checks(powers, xi: ssf.LaurentSeries,
                   series: dict = CIRCLE_SERIES) -> list[CheckResult]:
-    """Circle formula per symbol: pairing vs. left side, quadrature, constant shift.
+    """Circle formula per symbol: pairing vs. left side, quadrature vs. the pairing's
+    Abel mean, constant shift.  The grid sums phi' xi_r exactly, so the quadrature
+    meets the Abel mean at radius r, the closed form at R = sqrt(r), to roundoff.
     The left sides read ``powers``, the ``calculus.power_table`` of the stacked pair."""
     results = []
     phis = [ssf.LaurentSeries.from_terms(terms) for terms in series.values()]
     quads = calculus.trace_rhs_circle_quadrature(xi, phis, abel_radius=ABEL_RADIUS)
     for name, phi, quad in zip(series, phis, quads):
         lhs = calculus.trace_lhs_circle(powers, phi)
-        rhs = complex(disc.disc_integral_closed_form(xi, phi, 1.0))  # 2*pi*i sum k a_k xi_hat(-k)
-        results.append(_within(f"circle/formula_{name}", abs(lhs - rhs),
-                               TOLERANCES["circle_tol"] * (1.0 + phi.weighted_norm)))
-        results.append(_within(f"circle/quadrature_{name}", abs(quad - rhs),
-                               _quadrature_budget(xi, phi)))
+        # 2*pi*i sum k a_k xi_hat(-k) R^(2k) at R = sqrt(r) and at the limit R = 1
+        abel, rhs = disc.disc_integral_closed_form(xi, phi, (math.sqrt(ABEL_RADIUS), 1.0)).tolist()
+        tol = TOLERANCES["circle_tol"] * (1.0 + phi.weighted_norm)
+        results.append(_within(f"circle/formula_{name}", abs(lhs - rhs), tol))
+        results.append(_within(f"circle/quadrature_{name}", abs(quad - abel), tol))
         shifted = complex(disc.disc_integral_closed_form(xi.with_constant(CONSTANT_SHIFT),
                                                           phi, 1.0))
         results.append(_within(f"circle/constant_independence_{name}", abs(shifted - rhs), 0.0))

@@ -5,8 +5,9 @@ f~(z) = c_0 + sum c_(-n) zbar^n + sum c_n z^n.  The Jacobian pairing of
 two such extensions integrates over discs of radius R < 1 (measure
 convention dz ^ dzbar = -2i dx dy) and converges, as R -> 1, to
 2*pi*i * sum n psi_hat(n) xi_hat(-n) -- the same number as the trace of
-the two-sided functional-calculus difference, within ``disc_tail_bound`` at R
-(at R = sqrt(r) that is also the Abel tail of the circle pairing at radius r).
+the two-sided functional-calculus difference, within ``disc_tail_bound`` at R.
+At R = sqrt(r) the closed form is the circle pairing's Abel mean at radius r,
+which the circle quadrature sums on its grid.
 
 The quadrature sums the Jacobian on a polar grid of K radial x
 ``angular_nodes(order)`` angular nodes per radius, never from the coefficients

@@ -55,6 +55,16 @@ def norm_one_pairs():
     return pairs
 
 
+def report_pairs():
+    """The fixed pairs that scripts/diff_reports.py compares two trees on, by id:
+    random_pair(d, 0.25, 0.1, s) for d in {4, 6, 8, 32, 128} and s in 0..3, and the
+    three ``norm_one_pairs``."""
+    pairs = {f"random_d{d}_s{s}": linops.random_pair(d, 0.25, 0.1, seed=s)
+             for d in (4, 6, 8, 32, 128) for s in range(4)}
+    pairs.update(zip(NORM_ONE_IDS, norm_one_pairs()))
+    return pairs
+
+
 def scalar_pair(t, t0):
     return linops.make_pair(np.array([[t]], dtype=complex),
                             np.array([[t0]], dtype=complex))

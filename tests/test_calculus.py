@@ -192,22 +192,18 @@ class TestCircleRhs:
         s = ssf.ssf_from_moments(ssf.moments(pair, 64))
         rhs = pairing(s, phi)
         r = 0.999
+        assert checks.ABEL_RADIUS == r
         quad, = calculus.trace_rhs_circle_quadrature(s, [phi], abel_radius=r)
-        # the Abel tail 2*pi sum k|a_k||xi_hat(-k)|(1 - r^k), restated from the terms
+        # the grid sums phi' xi_r exactly, so the quadrature is the Abel mean at radius r
+        # of the pairing, the disc closed form at R = sqrt(r), to roundoff
+        abel = disc.disc_integral_closed_form(s, phi, np.sqrt(r))
+        assert abs(quad - abel) <= 1e-9 * (1.0 + sum(k * abs(a) for k, a in terms.items()))
+        # the Abel tail 2*pi sum k|a_k||xi_hat(-k)|(1 - r^k), restated from the terms,
+        # is the disc tail at R = sqrt(r), and bounds the way on from there to the pairing
         tail = 2.0 * np.pi * sum(
             k * abs(a) * abs(s.coeff(-k)) * (1.0 - r ** k) for k, a in terms.items())
+        assert disc.disc_tail_bound(s, phi, np.sqrt(r)) == pytest.approx(tail, rel=1e-12)
         assert abs(quad - rhs) <= 10.0 * (tail + 1e-12)
-        # the suite's budget is the same tail, with the grid term 1e-12 (1 + sum k|a_k|)
-        grid = 1e-12 * (1.0 + sum(k * abs(a) for k, a in terms.items()))
-        budget = checks._quadrature_budget(s, phi)
-        assert checks.ABEL_RADIUS == r
-        assert budget == pytest.approx(10.0 * (tail + grid), rel=1e-12)
-        # and that tail is the disc tail at R = sqrt(r): the Abel mean at radius r
-        # of the circle pairing is the disc closed form there
-        disc_tail = disc.disc_tail_bound(s, phi, np.sqrt(r))
-        assert disc_tail == pytest.approx(tail, rel=1e-12)
-        assert budget == pytest.approx(10.0 * (disc_tail + grid), rel=1e-12)
-        assert abs(quad - rhs) <= budget
 
     def test_quadrature_independent_of_pairing(self, monkeypatch):
         # the quadrature is the route that checks the coefficient pairing,

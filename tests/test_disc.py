@@ -8,7 +8,8 @@ import pytest
 
 from oracles import (OutsideOpenDiscError, _wirtinger, disc_quadrature, evaluate_ssf_grid,
                      jacobian_at, kernel_expansion_check, poisson_extend)
-from pairs import norm_one_pairs, pair_powers, random_pairs, random_strict_pair, scalar_pair
+from pairs import (norm_one_pairs, pair_powers, random_pairs, random_strict_pair,
+                   report_pairs, scalar_pair)
 from ssftrace import calculus, checks, disc, linops, ssf
 from ssftrace.calculus import LaurentSeries
 from ssftrace.errors import InsufficientCoefficientsError, InvalidRadiusError
@@ -260,6 +261,27 @@ class TestDiscIntegral:
         gaps = [abs(disc.disc_integral_closed_form(s, psi, R) - limit)
                 for R in (0.5, 0.7, 0.9, 0.99)]
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
+
+
+@pytest.fixture(scope="module")
+def report_xis():
+    """xi to order 64, as ``verify`` builds it, on each of ``report_pairs``."""
+    return {pair_id: ssf.ssf_from_moments(ssf.moments(pair, 64))
+            for pair_id, pair in report_pairs().items()}
+
+
+@pytest.mark.parametrize("terms", [*checks.CIRCLE_SERIES.values(), *checks.DISC_TABLES.values()],
+                         ids=[*checks.CIRCLE_SERIES, *checks.DISC_TABLES])
+def test_closed_form_within_tail_bound(report_xis, terms):
+    # |closed(R) - closed(1)| <= disc_tail_bound(xi, psi, R), term by term: at R =
+    # sqrt(ABEL_RADIUS) from the circle quadrature's Abel mean to the pairing, and
+    # at each schedule radius along the disc limit gap
+    psi = LaurentSeries.from_terms(terms)
+    radii = (np.sqrt(checks.ABEL_RADIUS), *checks.DISC_CONFIG.radius_schedule)
+    for pair_id, xi in report_xis.items():
+        *closed, limit = disc.disc_integral_closed_form(xi, psi, (*radii, 1.0)).tolist()
+        for R, value in zip(radii, closed):
+            assert abs(value - limit) <= disc.disc_tail_bound(xi, psi, R), (pair_id, R)
 
 
 def disc_routes(pair, xi, psi):

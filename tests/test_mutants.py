@@ -25,6 +25,10 @@ exact_integral = kernel_integral.semigroup_integral
 exact_circle_quadrature = calculus.trace_rhs_circle_quadrature
 POOL_IDS = ("random_d16", *NORM_ONE_IDS)
 QUAD_ROWS = {f"disc/quad_vs_closed_{name}" for name in checks.DISC_TABLES}
+CIRCLE_QUAD_ROWS = {f"circle/quadrature_{name}" for name in checks.CIRCLE_SERIES}
+GEOM_ROW = {"circle/quadrature_geom"}
+# random_d16's xi is smooth enough that only the longest symbol aliases on it
+ALIASED = {"random_d16": GEOM_ROW, **dict.fromkeys(NORM_ONE_IDS, CIRCLE_QUAD_ROWS)}
 
 
 def factors_one_minus_s(M):
@@ -194,16 +198,25 @@ def test_frobenius_bound_fails_trace_bound_where_tight(monkeypatch):
 
 
 def test_conjugated_quadrature_fails_circle_quadrature(monkeypatch):
-    quadrature_rows = {f"circle/quadrature_{name}" for name in checks.CIRCLE_SERIES}
     monkeypatch.setattr(calculus, "trace_rhs_circle_quadrature", circle_quadrature_conjugated)
-    assert failed_rows_by_pair() == dict.fromkeys(POOL_IDS, quadrature_rows)
+    assert failed_rows_by_pair() == dict.fromkeys(POOL_IDS, CIRCLE_QUAD_ROWS)
+
+
+@pytest.mark.parametrize("nodes, failed", [
+    # K and 2K points alias phi' xi_r, of degree 2K, onto its low modes; 2K + 1 points
+    # are the fewest that sum it exactly, so the roundoff threshold fails none
+    (lambda K: K, ALIASED),
+    (lambda K: 2 * K, {"random_d16": set(), **dict.fromkeys(NORM_ONE_IDS, GEOM_ROW)}),
+    (lambda K: 2 * K + 1, dict.fromkeys(POOL_IDS, set())),
+], ids=["K", "2K", "2K+1"])
+def test_aliasing_grid_fails_circle_quadrature(monkeypatch, nodes, failed):
+    monkeypatch.setattr(calculus, "angular_nodes", nodes)
+    assert failed_rows_by_pair() == failed
 
 
 def test_coarse_quadrature_grid_fails_where_xi_is_rough(monkeypatch):
     # a 32-point rule on the circle route alone (the disc keeps its rule) aliases
-    # the poly symbol against the unitary pair's xi, whose coefficients decay
-    # slowest; the other pairs' xi is smooth enough
+    # every symbol against the norm-one pairs' xi, whose coefficients decay slowest,
+    # and the longest symbol against random_d16's
     monkeypatch.setattr(calculus, "angular_nodes", lambda order: 32)
-    assert failed_rows_by_pair() == {
-        "random_d16": set(), "unitary_d4": {"circle/quadrature_poly"},
-        "half_isometry_d16": set(), "half_isometry_d64": set()}
+    assert failed_rows_by_pair() == ALIASED

@@ -3,16 +3,18 @@
 The commands run in process under ``sys.setprofile``; each function and
 method defined in ``src/ssftrace/*.py`` (found with ``ast``) must have been
 called, except the paper statements listed in ``NOT_YET_CHECKED``, which must
-not have been.
+not have been.  Every tolerance of ``checks.TOLERANCES`` must be read by a
+``verify`` run of every suite.
 """
 
 import ast
 import json
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import ssftrace
-from ssftrace import cli
+from ssftrace import checks, cli, linops
 
 SRC = Path(ssftrace.__file__).parent
 
@@ -90,3 +92,28 @@ def test_every_function_is_reached(tmp_path):
     stale = sorted(name for key, name in defined.items()
                    if key in called and name in NOT_YET_CHECKED)
     assert not stale, "NOT_YET_CHECKED lists reached " + ", ".join(stale)
+
+
+class ReadRecorder(Mapping):
+    """A mapping that records every key read through it."""
+
+    def __init__(self, values):
+        self.values, self.read = values, set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return self.values[key]
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __len__(self):
+        return len(self.values)
+
+
+def test_every_tolerance_is_read(monkeypatch):
+    # a tolerance whose last reader is gone is dead configuration in summary.json
+    recorder = ReadRecorder(checks.TOLERANCES)
+    monkeypatch.setattr(checks, "TOLERANCES", recorder)
+    checks.run(linops.random_pair(8, 0.25, 0.1, seed=1), checks.SUITES, 64)
+    assert recorder.read == set(checks.TOLERANCES)
