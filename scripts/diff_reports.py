@@ -1,23 +1,27 @@
 #!/usr/bin/env python3
 """Compare the verify rows and the CLI outputs of two source trees bit for bit.
 
-Runs ``checks.run(pair, SUITES, 64)``, ``ssftrace ssf`` (defaults) and
+Runs ``ssftrace verify --suite all``, ``ssftrace ssf`` (defaults) and
 ``ssftrace disc-report`` (default radii) under each tree, in a process of its
 own, on the 23 fixed pairs of tests/pairs.py's ``report_pairs``: ``random_pair(d,
 0.25, 0.1, s)`` for d in {4, 6, 8, 32, 128} and s in 0..3, and the three
-``norm_one_pairs``, 943 rows in all.  Prints the largest move of each row name
-whose measured value or threshold differs by ``float.hex()``, then the count
-of moved rows, then the counts of moved values of ssf.csv and ssf_coeffs.json
-and of disc.csv, then each setting of ``checks.config(SUITES, 64)`` that differs,
-as ``config <key>: <old> -> <new>``.  Exits 1 if any row's name or verdict
-differs, or if the trees write a different number of values; a setting that
-differs does not change the exit code.
+``norm_one_pairs``, 943 rows in all.  Only the command lines are called, so the
+script runs under any tree that has them.  Prints the largest move of each
+report.csv row name whose measured value or threshold differs by
+``float.hex()``, then the count of moved rows, then the counts of moved values
+of ssf.csv and ssf_coeffs.json and of disc.csv, then each setting of
+summary.json's "config" that differs, as ``config <key>: <old> -> <new>``.
+Exits 1 if any row's name or verdict differs, or if the trees write a
+different number of values; a setting that differs does not change the exit
+code.
 
     python3 scripts/diff_reports.py OLD/src NEW/src
 """
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -38,20 +42,28 @@ def outputs(src: str) -> dict:
     "config", the settings the rows are checked with."""
     sys.path[:0] = [src, str(ROOT / "tests")]
     from pairs import report_pairs
-    from ssftrace import checks, cli, serialize
+    from ssftrace import cli, serialize
 
     pairs = report_pairs()
-    found = {"rows": [], "ssf": [], "disc": [], "config": checks.config(checks.SUITES, 64)}
+    found = {"rows": [], "ssf": [], "disc": []}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for pair_id, pair in pairs.items():
-            found["rows"] += [[pair_id, c.name, c.passed, c.measured.hex(), c.threshold.hex()]
-                              for c in checks.run(pair, checks.SUITES, 64)[0]]
             serialize.save_matrix(out / "T.json", pair.T)
             serialize.save_matrix(out / "T0.json", pair.T0)
             files = ["--t", str(out / "T.json"), "--t0", str(out / "T0.json"), "--out", tmp]
-            if cli.main(["ssf", *files]) or cli.main(["disc-report", *files]):
+            # verify prints its verdict, kept off the JSON this process prints, and exits
+            # 1 on a failed row, which the comparison reports
+            with contextlib.redirect_stdout(io.StringIO()):
+                verified = cli.main(["verify", "--suite", "all", *files])
+            if verified not in (0, 1) or cli.main(["ssf", *files]) \
+                    or cli.main(["disc-report", *files]):
                 raise RuntimeError(f"a command failed on {pair_id}")
+            with open(out / "report.csv", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            found["rows"] += [[pair_id, name, passed == "True", float(value).hex(),
+                               float(threshold).hex()] for name, passed, value, threshold in rows]
+            found["config"] = json.loads((out / "summary.json").read_text())["config"]
             coeffs = json.loads((out / "ssf_coeffs.json").read_text())["coeffs"]
             found["ssf"] += _csv_values(out / "ssf.csv") + [
                 float(v).hex() for _, re, im in coeffs for v in (re, im)]

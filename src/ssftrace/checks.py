@@ -50,12 +50,14 @@ DISC_TABLES = {
     "real_sym": {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: -0.1j, -2: 0.1j},
     "mixed": {-1: 0.4, 1: 0.25, 3: 0.1},
 }
-# the circle pairing needs xi_hat(-k) up to the largest degree of its symbols
-CIRCLE_MIN_N_MAX = max(max(terms) for terms in CIRCLE_SERIES.values())
+# each pairing reads xi_hat(-n) only at its symbols' modes: the circle suite's up to
+# their largest degree, the disc suite's up to its tables' order
+CIRCLE_ORDER = max(max(terms) for terms in CIRCLE_SERIES.values())
 DISC_MAX_ORDER = max(abs(n) for terms in DISC_TABLES.values() for n in terms)
-# powers of the stacked pair each suite's left sides read: the circle symbols' babies to
-# isqrt of their largest degree, and the disc tables' powers to their order
-TABLE_ORDERS = {"circle": math.isqrt(CIRCLE_MIN_N_MAX), "disc": DISC_MAX_ORDER}
+XI_ORDERS = {"circle": CIRCLE_ORDER, "disc": DISC_MAX_ORDER}
+# powers of the stacked pair the left sides read: the circle symbols' babies to isqrt of
+# their largest degree, the disc tables' powers to their order
+TABLE_ORDER = max(math.isqrt(CIRCLE_ORDER), DISC_MAX_ORDER)
 DISC_CONFIG = disc.DiscQuadratureConfig()
 
 
@@ -155,22 +157,18 @@ def disc_checks(powers, xi: ssf.LaurentSeries) -> list[CheckResult]:
     return results
 
 
-def xi_orders(suites, n_max: int) -> dict[str, int]:
-    """Order of the shift function each selected suite reads: the circle suite's
-    pairing needs xi_hat(-k) to at least CIRCLE_MIN_N_MAX, the disc suite's to
-    DISC_MAX_ORDER, as neither pairs a mode its symbols lack."""
-    orders = {"circle": max(n_max, CIRCLE_MIN_N_MAX), "disc": DISC_MAX_ORDER}
-    return {suite: order for suite, order in orders.items() if suite in suites}
+def _xi_order(suites) -> dict[str, int]:
+    return {suite: order for suite, order in XI_ORDERS.items() if suite in suites}
 
 
-def config(suites, n_max: int) -> dict:
+def config(suites) -> dict:
     """The settings a verify run checks with, as ``summary.json`` records them."""
     return {
         "tolerances": dict(TOLERANCES),
-        "xi_order": xi_orders(suites, n_max),
+        "xi_order": _xi_order(suites),
         "window_n": WINDOW_N,
         "abel_radius": ABEL_RADIUS,
-        "quadrature_points": disc.angular_nodes(CIRCLE_MIN_N_MAX),
+        "quadrature_points": disc.angular_nodes(CIRCLE_ORDER),
         "disc_grid": {"radial_nodes": disc.radial_nodes(DISC_MAX_ORDER),
                       "angular_nodes": disc.angular_nodes(DISC_MAX_ORDER),
                       "radius_schedule": list(DISC_CONFIG.radius_schedule)},
@@ -184,15 +182,13 @@ def _stopwatch(timings: dict, name: str):
     timings[name] = time.perf_counter() - start
 
 
-def run(pair: linops.ContractionPair, suites,
-        n_max: int) -> tuple[list[CheckResult], dict[str, float]]:
+def run(pair: linops.ContractionPair, suites) -> tuple[list[CheckResult], dict[str, float]]:
     """Every check of the selected suites, in SUITES order, and the wall seconds
     of each suite.  The circle and disc suites read one shift-function table,
-    built to the largest of their ``xi_orders``; building it is timed as "xi".
+    built to the largest of their ``XI_ORDERS``; building it is timed as "xi".
     The disc suite pairs only the modes of its tables, so the longer table
     moves none of its rows.  Their left sides read one power table of the stacked
-    pair, to the largest of their ``TABLE_ORDERS``, built and timed in the first
-    of them that runs."""
+    pair, to ``TABLE_ORDER``, built and timed in the first of them that runs."""
     results, timings = [], {}
     if "lemma" in suites:
         with _stopwatch(timings, "lemma"):
@@ -200,13 +196,12 @@ def run(pair: linops.ContractionPair, suites,
     if "dilation" in suites:
         with _stopwatch(timings, "dilation"):
             results += dilation_checks(pair)
-    orders = xi_orders(suites, n_max)
+    orders = _xi_order(suites)
     if orders:
         with _stopwatch(timings, "xi"):
             xi = ssf.ssf_from_moments(ssf.moments(pair, max(orders.values())))
-        order = max(TABLE_ORDERS[suite] for suite in orders)
         powers = functools.cache(
-            lambda: calculus.power_table(np.stack((pair.T, pair.T0)), order))
+            lambda: calculus.power_table(np.stack((pair.T, pair.T0)), TABLE_ORDER))
         if "circle" in suites:
             with _stopwatch(timings, "circle"):
                 results += circle_checks(powers(), xi)

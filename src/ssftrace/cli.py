@@ -67,6 +67,7 @@ def _write_verify_reports(out: Path, results: list[checks.CheckResult],
 
 def cmd_verify(args) -> int:
     suites = checks.SUITES if args.suite == "all" else (args.suite,)
+    # --n-max sets nothing, but a negative value stays a usage error until it goes
     if args.n_max < 0:
         print(f"--n-max must be >= 0, got {args.n_max}", file=sys.stderr)
         return 2
@@ -77,9 +78,9 @@ def cmd_verify(args) -> int:
         results, timings = [], {}
         failures = [f"load: {type(exc).__name__}: {exc}"]
     else:
-        results, timings = checks.run(pair, suites, args.n_max)
+        results, timings = checks.run(pair, suites)
         failures = []
-    config = checks.config(suites, args.n_max)
+    config = checks.config(suites)
     summary = _write_verify_reports(out, results, failures, timings, config)
     print(json.dumps({"passed": summary["passed"], "failures": summary["failures"]}))
     return 0 if summary["passed"] else 1
@@ -141,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[pair], help="run verification suites on a pair")
     verify.add_argument("--suite", choices=[*checks.SUITES, "all"], default="all")
     verify.add_argument("--n-max", type=int, default=64,
-                        help=f"xi order built for the circle suite, {checks.CIRCLE_MIN_N_MAX} "
-                             f"if lower; no row reads a mode above {checks.CIRCLE_MIN_N_MAX}")
+                        help="ignored: verify builds xi to its symbols' order "
+                             f"({checks.CIRCLE_ORDER}); ROADMAP item 1 deletes the option")
     verify.set_defaults(func=cmd_verify)
 
     export = sub.add_parser("ssf", parents=[pair],

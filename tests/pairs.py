@@ -147,5 +147,5 @@ def pair_space(draw):
 def pair_powers(pair, s=None):
     """``calculus.power_table`` of the stacked pair (T, T0): S^1..S^s, by default to the
     order ``checks.run`` builds for the circle and disc suites."""
-    s = max(checks.TABLE_ORDERS.values()) if s is None else s
+    s = checks.TABLE_ORDER if s is None else s
     return calculus.power_table(np.stack((pair.T, pair.T0)), s)

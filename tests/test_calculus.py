@@ -316,7 +316,7 @@ class TestCircleRhs:
         # the closed form pairs only the modes xi holds; the quadrature in the
         # same loop keeps the suite's order guard
         pair = random_pairs(1, seed=607, dims=(4,))[0]
-        xi = ssf.ssf_from_moments(ssf.moments(pair, checks.CIRCLE_MIN_N_MAX - 1))
+        xi = ssf.ssf_from_moments(ssf.moments(pair, checks.CIRCLE_ORDER - 1))
         with pytest.raises(InsufficientCoefficientsError):
             checks.circle_checks(pair_powers(pair), xi)
 

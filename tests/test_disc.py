@@ -414,8 +414,8 @@ class TestOneXi:
             return ssf_from_moments(m)
 
         monkeypatch.setattr(ssf, "ssf_from_moments", counted)
-        checks.run(linops.random_pair(8, 0.25, 0.1, seed=1), checks.SUITES, 64)
-        assert calls == {64: 1}
+        checks.run(linops.random_pair(8, 0.25, 0.1, seed=1), checks.SUITES)
+        assert calls == {checks.CIRCLE_ORDER: 1}
 
     @pytest.mark.parametrize("pair", [linops.random_pair(8, 0.25, 0.1, seed=1),
                                       linops.random_pair(32, 0.25, 0.1, seed=2),

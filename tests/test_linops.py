@@ -270,6 +270,6 @@ class TestPairDefects:
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "norm", counted_norm)
-        checks.run(linops.make_pair(given.T, given.T0), checks.SUITES, 64)
+        checks.run(linops.make_pair(given.T, given.T0), checks.SUITES)
         # 2 SVDs in make_pair, and the two Hermitian trace norms of each lemma side
         assert calls == {"svd": 2, "eigvalsh": 4}

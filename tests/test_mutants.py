@@ -15,7 +15,6 @@ import pytest
 from pairs import NORM_ONE_IDS, norm_one_pairs
 from ssftrace import calculus, checks, dilation, disc, kernel_integral, linops, ssf
 
-N_MAX = 64
 exact_validate = linops.validate_contraction
 exact_moments = ssf.moments
 exact_ring_sums = disc._ring_sums
@@ -114,7 +113,7 @@ def julia_conjugated_t(T, D, D_star):
 
 def failed_rows(suites):
     pair = linops.random_pair(16, 0.25, 0.1, seed=1)
-    results, _ = checks.run(pair, suites, N_MAX)
+    results, _ = checks.run(pair, suites)
     return {c.name for c in results if not c.passed}
 
 
@@ -122,7 +121,7 @@ def failed_rows_by_pair():
     """{pair id: failed rows of every suite} over the random pair of ``failed_rows``
     and the three ``norm_one_pairs``, where the bound rows are tight."""
     pairs = [linops.random_pair(16, 0.25, 0.1, seed=1), *norm_one_pairs()]
-    return {pair_id: {c.name for c in checks.run(pair, checks.SUITES, N_MAX)[0] if not c.passed}
+    return {pair_id: {c.name for c in checks.run(pair, checks.SUITES)[0] if not c.passed}
             for pair_id, pair in zip(POOL_IDS, pairs)}
 
 

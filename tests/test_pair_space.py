@@ -14,5 +14,5 @@ def test_every_row_passes_or_make_pair_refuses(matrices):
         pair = linops.make_pair(*matrices)
     except SsftraceError:
         return
-    results, _ = checks.run(pair, checks.SUITES, 64)
+    results, _ = checks.run(pair, checks.SUITES)
     assert [(c.name, c.measured, c.threshold) for c in results if not c.passed] == []

@@ -115,5 +115,5 @@ def test_every_tolerance_is_read(monkeypatch):
     # a tolerance whose last reader is gone is dead configuration in summary.json
     recorder = ReadRecorder(checks.TOLERANCES)
     monkeypatch.setattr(checks, "TOLERANCES", recorder)
-    checks.run(linops.random_pair(8, 0.25, 0.1, seed=1), checks.SUITES, 64)
+    checks.run(linops.random_pair(8, 0.25, 0.1, seed=1), checks.SUITES)
     assert recorder.read == set(checks.TOLERANCES)

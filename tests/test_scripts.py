@@ -78,8 +78,8 @@ EDITS = {
                   "def write_ssf_grid_csv(path, t_grid, values):\n"
                   "    exact(path, t_grid, np.nextafter(values, np.inf))\n"),
     "config_moved": ("checks.py", "exact = config\n"
-                     "def config(suites, n_max):\n"
-                     "    return {**exact(suites, n_max), 'quadrature_points': 4096}\n"),
+                     "def config(suites):\n"
+                     "    return {**exact(suites), 'quadrature_points': 4096}\n"),
     "flipped": ("checks.py", "TOLERANCES = MappingProxyType("
                 "{**TOLERANCES, 'orthonormality_tol': 0.0})\n"),
 }

@@ -172,8 +172,8 @@ def test_ssf_coeffs_json_bytes_equal_the_per_coefficient_writer():
 
 def test_summary_json_bytes_equal_the_asdict_writer(tmp_path):
     pair = random_pairs(1, seed=704, dims=(4,))[0]
-    results, timings = checks.run(pair, ("circle", "disc"), 64)
-    config = checks.config(("circle", "disc"), 64)
+    results, timings = checks.run(pair, ("circle", "disc"))
+    config = checks.config(("circle", "disc"))
     cli._write_verify_reports(tmp_path, results, ["load: none"], timings, config)
     summary = {
         "passed": False,

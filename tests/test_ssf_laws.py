@@ -128,6 +128,6 @@ def test_mirrored_grid_passes_every_row_and_fails_rotation(monkeypatch):
     assert rotation_gap(T, T0, quarter) <= LAW_TOL
     for module in (ssf, calculus, disc):
         monkeypatch.setattr(module, "uniform_trig_values", mirrored_trig_values)
-    results, _ = checks.run(pair, checks.SUITES, N_MAX)
+    results, _ = checks.run(pair, checks.SUITES)
     assert [c.name for c in results if not c.passed] == []
     assert rotation_gap(T, T0, quarter) > 1e-3
