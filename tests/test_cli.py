@@ -242,13 +242,12 @@ class TestVerify:
             assert "--n-max" in capsys.readouterr().err
             assert not out.exists()
 
-    def test_n_max_sets_nothing(self, tmp_path):
+    def assert_n_max_sets_nothing(self, tmp_path, pair_dir, suites, values):
         # xi is built to the order of the symbols, so no --n-max, too large to
         # allocate included, moves a byte of the report or of the recorded settings
-        pair_dir = gen_pair(tmp_path, seed=9)
         argv = ["verify", "--t", str(pair_dir / "T.json"), "--t0", str(pair_dir / "T0.json")]
-        options = [[], *(["--n-max", str(n)] for n in (0, 10, 64, 200, 10 ** 16))]
-        for suite in ("circle", "disc", "all"):
+        options = [[], *(["--n-max", str(n)] for n in values)]
+        for suite in suites:
             outputs = set()
             for i, option in enumerate(options):
                 out = tmp_path / f"{suite}{i}"
@@ -256,6 +255,32 @@ class TestVerify:
                 config = json.loads((out / "summary.json").read_text())["config"]
                 outputs.add(((out / "report.csv").read_bytes(), json.dumps(config)))
             assert len(outputs) == 1, suite
+        return config
+
+    def test_circle_n_max_below_symbol_degree(self, tmp_path):
+        # the circle suite reads xi to the largest degree of its symbols whatever --n-max is
+        config = self.assert_n_max_sets_nothing(
+            tmp_path, gen_pair(tmp_path, seed=9), ("all", "circle"), (0, 10, 64, 10 ** 16))
+        assert config["xi_order"] == {"circle": checks.CIRCLE_ORDER}
+
+    def test_disc_n_max_above_quadrature_order(self, tmp_path):
+        # the disc suite reads xi to the order of its tables whatever --n-max is
+        high = checks.DISC_CONFIG.max_order + 1
+        config = self.assert_n_max_sets_nothing(
+            tmp_path, gen_pair(tmp_path, seed=9), ("all", "disc"), (0, high, 200, 10 ** 16))
+        assert config["xi_order"] == {"disc": checks.DISC_MAX_ORDER}
+
+    @pytest.mark.parametrize("index", [None, 0], ids=["random_d16", NORM_ONE_IDS[0]])
+    def test_n_max_moves_no_verdict(self, tmp_path, index):
+        # the circle and disc pairings read xi_hat(-n) only at their symbols' modes, so
+        # no order moves a verdict, nor a byte of any row
+        pair = linops.random_pair(16, 0.25, 0.1, seed=1) if index is None \
+            else norm_one_pairs()[index]
+        serialize.save_matrix(tmp_path / "T.json", pair.T)
+        serialize.save_matrix(tmp_path / "T0.json", pair.T0)
+        config = self.assert_n_max_sets_nothing(
+            tmp_path, tmp_path, ("all",), (0, 30, 64, 127, 10 ** 16))
+        assert config["xi_order"] == {"circle": checks.CIRCLE_ORDER, "disc": checks.DISC_MAX_ORDER}
 
     @pytest.mark.parametrize("index", range(3), ids=NORM_ONE_IDS)
     def test_norm_one_pair_passes(self, tmp_path, index):
