@@ -3,8 +3,9 @@
 Contraction validation, defect operators, trace norms and reproducible
 random pair generation.  A contraction's certificate and the eigenpairs of
 both its defect operators come from its one singular value decomposition,
-which ``make_pair`` takes once per contraction.  All
-functions are pure; matrices are plain complex numpy arrays.
+which ``make_pair`` takes once per contraction, and again for a T whose norm
+it divides out.  All functions are pure; matrices are plain complex numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -98,8 +99,11 @@ def validate_contraction(M) -> tuple[ContractionCertificate, tuple]:
 def make_pair(T, T0) -> ContractionPair:
     """Validate and assemble a ContractionPair (T0 must be strict).
 
-    Norms in (1, 1 + NORM_TOL] are renormalized to exactly 1; such
-    overshoots are floating-point artifacts, not genuine expansions.
+    Norms in (1, 1 + NORM_TOL] are divided out of T; such overshoots are
+    floating-point artifacts, not genuine expansions.  The divided T is
+    certified and factored again, until its norm is at most 1, so the pair
+    holds the eigenpairs of the T it stores and ``make_pair(pair.T, pair.T0)``
+    reproduces it.  ``cert_T`` keeps the norm of the T given.
     """
     T = as_operator(T)
     T0 = as_operator(T0)
@@ -111,8 +115,10 @@ def make_pair(T, T0) -> ContractionPair:
         raise RequiresStrictContractionError(
             f"T0 has norm {cert_T0.operator_norm}; strictness margin "
             f"{cert_T0.strictness_margin_delta} below {DELTA_MIN}")
-    if cert_T.operator_norm > 1.0:
-        T = T / cert_T.operator_norm
+    cert = cert_T
+    while cert.operator_norm > 1.0:
+        T = T / cert.operator_norm
+        cert, eigenpairs_T = validate_contraction(T)
     return ContractionPair(T=T, T0=T0, cert_T=cert_T, cert_T0=cert_T0,
                            defect_eigenpairs=(eigenpairs_T, eigenpairs_T0))
 

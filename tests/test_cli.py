@@ -282,20 +282,35 @@ class TestVerify:
             tmp_path, tmp_path, ("all",), (0, 30, 64, 127, 10 ** 16))
         assert config["xi_order"] == {"circle": checks.CIRCLE_ORDER, "disc": checks.DISC_MAX_ORDER}
 
-    @pytest.mark.parametrize("index", range(3), ids=NORM_ONE_IDS)
-    def test_norm_one_pair_passes(self, tmp_path, index):
-        # only T0 need be strict: a valid pair with ||T|| = 1 passes every check
-        pair = norm_one_pairs()[index]
+    def verify_saved(self, tmp_path, pair):
+        """verify --suite all on ``pair`` written to JSON; the output directory."""
         serialize.save_matrix(tmp_path / "T.json", pair.T)
         serialize.save_matrix(tmp_path / "T0.json", pair.T0)
         out = tmp_path / "verify"
         assert run(["verify", "--t", str(tmp_path / "T.json"), "--t0", str(tmp_path / "T0.json"),
                     "--suite", "all", "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("index", range(3), ids=NORM_ONE_IDS)
+    def test_norm_one_pair_passes(self, tmp_path, index):
+        # only T0 need be strict: a valid pair with ||T|| = 1 passes every check
+        out = self.verify_saved(tmp_path, norm_one_pairs()[index])
         summary = json.loads((out / "summary.json").read_text())
         assert summary["passed"] is True
         assert summary["num_checks"] == 41
         with open(out / "report.csv", newline="") as fh:
             assert all(row["passed"] == "True" for row in csv.DictReader(fh))
+
+    @pytest.mark.parametrize("index", range(3), ids=NORM_ONE_IDS)
+    def test_norm_one_rows_are_the_rows_in_process(self, tmp_path, index):
+        # the files of a pair load as the pair itself, so checks.run on a pair in memory
+        # computes the bytes verify writes for it
+        pair = norm_one_pairs()[index]
+        with open(self.verify_saved(tmp_path, pair) / "report.csv", newline="") as fh:
+            written = [(row["name"], float(row["measured"]).hex(), float(row["threshold"]).hex())
+                       for row in csv.DictReader(fh)]
+        results, _ = checks.run(pair, checks.SUITES)
+        assert written == [(c.name, c.measured.hex(), c.threshold.hex()) for c in results]
 
 
 class TestSsfCommand:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import defects_of
 from pairs import NORM_ONE_IDS, norm_one_pairs
-from ssftrace import checks, disc, linops
+from ssftrace import checks, disc, linops, serialize
 from ssftrace.errors import (
     InvalidDeltaError,
     NotAContractionError,
@@ -212,6 +212,24 @@ class TestMakePair:
                                        rtol=0, atol=1e-14)
             np.testing.assert_allclose(D_star @ D_star, eye - pair.T @ pair.T.conj().T,
                                        rtol=0, atol=1e-14)
+
+    def test_reproduces_a_saved_pair(self, tmp_path):
+        # a T whose norm overshot 1 is factored as it is stored, so a pair written to
+        # JSON, as gen writes it, loads as the same pair bit for bit
+        pairs = [*norm_one_pairs(),
+                 *(linops.random_pair(d, delta, 0.1, seed) for d in (4, 8, 16, 32, 64)
+                   for delta in (0.25, 0.005, 1e-6) for seed in range(6))]
+        for pair in pairs:
+            serialize.save_matrix(tmp_path / "T.json", pair.T)
+            serialize.save_matrix(tmp_path / "T0.json", pair.T0)
+            again = linops.make_pair(serialize.load_matrix(tmp_path / "T.json"),
+                                     serialize.load_matrix(tmp_path / "T0.json"))
+            np.testing.assert_array_equal(again.T, pair.T)
+            np.testing.assert_array_equal(again.T0, pair.T0)
+            for eigenpairs, held in zip(again.defect_eigenpairs, pair.defect_eigenpairs):
+                for (w, Q), (w_held, Q_held) in zip(eigenpairs, held):
+                    np.testing.assert_array_equal(w, w_held)
+                    np.testing.assert_array_equal(Q, Q_held)
 
 
 class TestPairDefects:

@@ -1,13 +1,15 @@
 """Wrong implementations that the verify suites must catch.
 
-Each mutant replaces one layer function with a plausible mistake, and the
-suites that touch that layer must then fail at least one row.  A mutant
-that no row catches points to a row that measures only roundoff.  Pairs
-are built after patching, because ``make_pair`` stores the defect eigenpairs
-on the pair and ``pair.defects`` is cached there.
+Each ``REGISTRY`` entry replaces one layer function with a plausible mistake and
+pins the rows it fails on each pool pair.  A mutant that no row catches points to
+a row that measures only roundoff, and a row that no mutant fails to a row that
+checks nothing.  Pairs are built after patching, because ``make_pair`` stores the
+defect eigenpairs on the pair and ``pair.defects`` is cached there.
 """
 
+import collections
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -22,12 +24,9 @@ exact_ring_wirtinger = disc._ring_wirtinger
 exact_julia = dilation.julia
 exact_integral = kernel_integral.semigroup_integral
 exact_circle_quadrature = calculus.trace_rhs_circle_quadrature
+exact_laurent = calculus.apply_laurent
 POOL_IDS = ("random_d16", *NORM_ONE_IDS)
-QUAD_ROWS = {f"disc/quad_vs_closed_{name}" for name in checks.DISC_TABLES}
-CIRCLE_QUAD_ROWS = {f"circle/quadrature_{name}" for name in checks.CIRCLE_SERIES}
-GEOM_ROW = {"circle/quadrature_geom"}
-# random_d16's xi is smooth enough that only the longest symbol aliases on it
-ALIASED = {"random_d16": GEOM_ROW, **dict.fromkeys(NORM_ONE_IDS, CIRCLE_QUAD_ROWS)}
+ROWS = [c.name for c in checks.run(linops.random_pair(4, 0.25, 0.1, seed=0), checks.SUITES)[0]]
 
 
 def factors_one_minus_s(M):
@@ -38,8 +37,7 @@ def factors_one_minus_s(M):
 
 
 def eigenpairs_swapped(M):
-    """linops.validate_contraction with the eigenpairs of D_M and D_M* in each
-    other's places."""
+    """linops.validate_contraction with the eigenpairs of D_M and D_M* swapped."""
     cert, (eig_D, eig_D_star) = exact_validate(M)
     return cert, (eig_D_star, eig_D)
 
@@ -57,16 +55,6 @@ def trace_bound_frobenius(A, B, eig_A, eig_B):
     report = exact_integral(A, B, eig_A, eig_B)
     bound = np.linalg.norm(A @ A - B @ B, "fro") / eig_B[0].min()
     return dataclasses.replace(report, trace_bound=float(bound))
-
-
-def circle_quadrature_conjugated(s, phis, abel_radius):
-    """calculus.trace_rhs_circle_quadrature returning the conjugate of each value."""
-    return [q.conjugate() for q in exact_circle_quadrature(s, phis, abel_radius)]
-
-
-def moments_shifted(pair, n_max):
-    """ssf.moments one power off: Tr(T^(n+1) - T0^(n+1)) in place of m_n."""
-    return exact_moments(pair, n_max + 1)[1:]
 
 
 def ring_sums_negated(xi_grids, psi_grids):
@@ -93,129 +81,139 @@ def ring_wirtinger_dzbar_sign_slip(coeffs, r, M):
 def julia_minus_t(T, D, D_star):
     """dilation.julia with -T in place of -T* in block (-1, 1)."""
     J = exact_julia(T, D, D_star)
-    d = len(T)
-    J[:d, d:] = -T
+    J[:len(T), len(T):] = -T
     return J
-
-
-def julia_defects_swapped(T, D, D_star):
-    """dilation.julia with D_T and D_T* in each other's slots."""
-    return exact_julia(T, D_star, D)
 
 
 def julia_conjugated_t(T, D, D_star):
     """dilation.julia with conj(T) in T's slot."""
     J = exact_julia(T, D, D_star)
-    d = len(T)
-    J[d:, :d] = T.conj()
+    J[len(T):, :len(T)] = T.conj()
     return J
 
 
-def failed_rows(suites):
-    pair = linops.random_pair(16, 0.25, 0.1, seed=1)
-    results, _ = checks.run(pair, suites)
-    return {c.name for c in results if not c.passed}
-
-
 def failed_rows_by_pair():
-    """{pair id: failed rows of every suite} over the random pair of ``failed_rows``
-    and the three ``norm_one_pairs``, where the bound rows are tight."""
+    """{pair id: failed rows of every suite} over ``random_pair(16, 0.25, 0.1, 1)`` and
+    the three ``norm_one_pairs``, where the bound rows are tight."""
     pairs = [linops.random_pair(16, 0.25, 0.1, seed=1), *norm_one_pairs()]
     return {pair_id: {c.name for c in checks.run(pair, checks.SUITES)[0] if not c.passed}
             for pair_id, pair in zip(POOL_IDS, pairs)}
 
 
-def test_wrong_defect_fails_lemma(monkeypatch):
-    assert not failed_rows(("lemma",))
-    monkeypatch.setattr(linops, "validate_contraction", factors_one_minus_s)
-    assert {"lemma/identity_left", "lemma/identity_right"} <= failed_rows(("lemma",))
+def rows(*prefixes):
+    return {name for name in ROWS if name.startswith(prefixes)}
 
 
-def test_swapped_eigenpairs_fail_identity_and_orthonormality(monkeypatch):
-    # D_M and D_M* share their spectrum, so the trace norms and the semigroup
-    # integral of each side still meet; M D_M = D_M* M and the Julia operator do not
-    monkeypatch.setattr(linops, "validate_contraction", eigenpairs_swapped)
-    assert failed_rows(checks.SUITES) == {"lemma/identity_left", "lemma/identity_right",
-                                          "dilation/orthonormal_T", "dilation/orthonormal_T0"}
+def pool(failed, **by_pair):
+    """{pool pair id: ``failed``}, save the pairs that ``by_pair`` names."""
+    return {pair_id: by_pair.get(pair_id, failed) for pair_id in POOL_IDS}
 
 
-def test_reversed_eigenvalues_fail_semigroup(monkeypatch):
+# an entry runs as test_<id>, and the ids <name>[<param>] as the parameters of test_<name>;
+# it replaces ssftrace's "module.attribute" target and fails {pool pair id: rows}
+Mutant = collections.namedtuple("Mutant", "id target replacement fails")
+IDENTITY, ORTHONORMAL = rows("lemma/identity_"), rows("dilation/orthonormal_")
+BLOCKS = rows("dilation/orthonormal_", "dilation/four_blocks")
+# unitary_d4's T0 = I/2 is real and Hermitian, with D_T0 = D_T0* scalar, so a slip that
+# puts T0*, conj(T0), the other defect or reordered eigenvalues in a slot moves no row of it
+UNITARY_BLOCKS = BLOCKS - {"dilation/orthonormal_T0"}
+CIRCLE_QUAD, GEOM = rows("circle/quadrature_"), {"circle/quadrature_geom"}
+# random_d16's xi is smooth enough that only the longest symbol aliases on it
+ALIASED = pool(CIRCLE_QUAD, random_d16=GEOM)
+# A mutant that leaves every traced difference unchanged is equivalent, not a gap in
+# the rows' reach: apply_series without a_0, or returning its transpose, fails no row,
+# since neither moves Tr(phi(T) - phi(T0)).  Such mutants are not registered.
+REGISTRY = (
+    Mutant("wrong_defect_fails_lemma", "linops.validate_contraction", factors_one_minus_s,
+           pool(IDENTITY | ORTHONORMAL, unitary_d4=IDENTITY | {"dilation/orthonormal_T0"})),
+    # D_M and D_M* share their spectrum, so the trace norms and the semigroup integral
+    # of each side still meet; M D_M = D_M* M and the Julia operator do not
+    Mutant("swapped_eigenpairs_fail_identity_and_orthonormality", "linops.validate_contraction",
+           eigenpairs_swapped,
+           pool(IDENTITY | ORTHONORMAL, unitary_d4={"dilation/orthonormal_T"})),
     # the trace norms and the defect identity never read the eigenpairs
-    monkeypatch.setattr(kernel_integral, "semigroup_integral", integral_eigenvalues_reversed)
-    assert failed_rows(("lemma",)) == {"lemma/semigroup_left", "lemma/semigroup_right"}
-
-
-def test_shifted_moments_fail_circle_and_disc(monkeypatch):
-    # these rows catch a wrong moment sequence through xi, so a pairing of the
-    # moments with a symbol, term for term the closed form, adds no detection
-    assert not failed_rows(("circle", "disc"))
-    monkeypatch.setattr(ssf, "moments", moments_shifted)
-    failed = failed_rows(("circle", "disc"))
-    assert any(name.startswith("circle/formula_") for name in failed)
-    assert any(name.startswith("disc/limit_gap_") for name in failed)
-
-
-@pytest.mark.parametrize("name, mutant", [("_ring_sums", ring_sums_negated),
-                                          ("_ring_wirtinger", ring_wirtinger_extra_power),
-                                          ("_ring_wirtinger", ring_wirtinger_dzbar_sign_slip)])
-def test_wrong_jacobian_fails_disc_quadrature(monkeypatch, name, mutant):
-    assert not failed_rows(("disc",))
-    monkeypatch.setattr(disc, name, mutant)
-    assert QUAD_ROWS <= failed_rows(("disc",))
-
-
-def test_transposed_block_fails_dilation(monkeypatch):
-    assert not failed_rows(("dilation",))
-    monkeypatch.setattr(dilation, "julia", julia_minus_t)
-    assert {"dilation/orthonormal_T", "dilation/orthonormal_T0",
-            "dilation/four_blocks"} <= failed_rows(("dilation",))
-
-
-def test_swapped_defects_fail_dilation(monkeypatch):
-    monkeypatch.setattr(dilation, "julia", julia_defects_swapped)
-    assert failed_rows(("dilation",)) == {"dilation/orthonormal_T", "dilation/orthonormal_T0",
-                                          "dilation/four_blocks"}
-
-
-def test_conjugated_t_fails_every_dilation_row(monkeypatch):
+    Mutant("reversed_eigenvalues_fail_semigroup", "kernel_integral.semigroup_integral",
+           integral_eigenvalues_reversed, pool(rows("lemma/semigroup_"), unitary_d4=set())),
+    # Tr(T^(n+1) - T0^(n+1)) in place of m_n: these rows catch a wrong moment sequence
+    # through xi, so a pairing of the moments with a symbol adds no detection
+    Mutant("shifted_moments_fail_circle_and_disc", "ssf.moments",
+           lambda pair, n_max: exact_moments(pair, n_max + 1)[1:],
+           pool(rows("circle/formula_", "disc/limit_gap_"))),
+    *(Mutant(f"wrong_jacobian_fails_disc_quadrature[{name}-{mutant.__name__}]",
+             f"disc.{name}", mutant, pool(rows("disc/quad_vs_closed_")))
+      for name, mutant in [("_ring_sums", ring_sums_negated),
+                           ("_ring_wirtinger", ring_wirtinger_extra_power),
+                           ("_ring_wirtinger", ring_wirtinger_dzbar_sign_slip)]),
+    Mutant("transposed_block_fails_dilation", "dilation.julia", julia_minus_t,
+           pool(BLOCKS, unitary_d4=UNITARY_BLOCKS)),
+    Mutant("swapped_defects_fail_dilation", "dilation.julia",
+           lambda T, D, D_star: exact_julia(T, D_star, D),
+           pool(BLOCKS, unitary_d4=UNITARY_BLOCKS)),
     # the T slot is what the power walk raises to n, so [W^n]_00 = conj(T)^n and
     # Tr W^n = conj(Tr T^n) move off T^n and Tr T^n
-    monkeypatch.setattr(dilation, "julia", julia_conjugated_t)
-    pair = linops.random_pair(16, 0.25, 0.1, seed=1)
-    rows = checks.dilation_checks(pair)
-    assert len(rows) == 19
-    assert [r.name for r in rows if r.passed] == []
-
-
-def test_frobenius_bound_fails_trace_bound_where_tight(monkeypatch):
+    Mutant("conjugated_t_fails_every_dilation_row", "dilation.julia", julia_conjugated_t,
+           pool(rows("dilation/"), unitary_d4=rows("dilation/") - {"dilation/orthonormal_T0"})),
     # ||C||_F <= ||C||_1, so the bound only drops; it drops below ||A - B||_1 on the
     # norm-one pairs, where the unmutated bound has the least slack
-    bound_rows = {"lemma/trace_bound_left", "lemma/trace_bound_right"}
-    monkeypatch.setattr(kernel_integral, "semigroup_integral", trace_bound_frobenius)
-    assert failed_rows_by_pair() == {"random_d16": set(),
-                                     **dict.fromkeys(NORM_ONE_IDS, bound_rows)}
-
-
-def test_conjugated_quadrature_fails_circle_quadrature(monkeypatch):
-    monkeypatch.setattr(calculus, "trace_rhs_circle_quadrature", circle_quadrature_conjugated)
-    assert failed_rows_by_pair() == dict.fromkeys(POOL_IDS, CIRCLE_QUAD_ROWS)
-
-
-@pytest.mark.parametrize("nodes, failed", [
+    Mutant("frobenius_bound_fails_trace_bound_where_tight", "kernel_integral.semigroup_integral",
+           trace_bound_frobenius, pool(rows("lemma/trace_bound_"), random_d16=set())),
+    Mutant("conjugated_quadrature_fails_circle_quadrature", "calculus.trace_rhs_circle_quadrature",
+           lambda *args, **kwargs: [q.conjugate()
+                                    for q in exact_circle_quadrature(*args, **kwargs)],
+           pool(CIRCLE_QUAD)),
     # K and 2K points alias phi' xi_r, of degree 2K, onto its low modes; 2K + 1 points
     # are the fewest that sum it exactly, so the roundoff threshold fails none
-    (lambda K: K, ALIASED),
-    (lambda K: 2 * K, {"random_d16": set(), **dict.fromkeys(NORM_ONE_IDS, GEOM_ROW)}),
-    (lambda K: 2 * K + 1, dict.fromkeys(POOL_IDS, set())),
-], ids=["K", "2K", "2K+1"])
-def test_aliasing_grid_fails_circle_quadrature(monkeypatch, nodes, failed):
-    monkeypatch.setattr(calculus, "angular_nodes", nodes)
-    assert failed_rows_by_pair() == failed
-
-
-def test_coarse_quadrature_grid_fails_where_xi_is_rough(monkeypatch):
+    *(Mutant(f"aliasing_grid_fails_circle_quadrature[{nodes}]", "calculus.angular_nodes",
+             rule, fails)
+      for nodes, rule, fails in [("K", lambda K: K, ALIASED),
+                                 ("2K", lambda K: 2 * K, pool(GEOM, random_d16=set())),
+                                 ("2K+1", lambda K: 2 * K + 1, pool(set()))]),
     # a 32-point rule on the circle route alone (the disc keeps its rule) aliases
     # every symbol against the norm-one pairs' xi, whose coefficients decay slowest,
     # and the longest symbol against random_d16's
-    monkeypatch.setattr(calculus, "angular_nodes", lambda order: 32)
-    assert failed_rows_by_pair() == ALIASED
+    Mutant("coarse_quadrature_grid_fails_where_xi_is_rough", "calculus.angular_nodes",
+           lambda order: 32, ALIASED),
+    # psi_hat(n) and psi_hat(-n) exchanged, so T^n sits in the slot of (T*)^n: the
+    # two-sided left side moves off the closed form, and on a one-sided table off the
+    # circle left side
+    Mutant("swapped_laurent_slots_fail_limit_gap_and_cross_theorem", "calculus.apply_laurent",
+           lambda psi, powers: exact_laurent(ssf.LaurentSeries(psi.coeffs[::-1]), powers),
+           pool(rows("disc/limit_gap_", "disc/cross_theorem_"))),
+)
+# rows that no wrong implementation fails, each with the reason
+CANNOT_FAIL = {f"circle/constant_independence_{name}":
+               "the closed form never reads xi_hat(0), so the shifted table gives the same "
+               "computation as the unshifted one; ROADMAP item 2 deletes the row"
+               for name in checks.CIRCLE_SERIES}
+
+
+def assert_fails(monkeypatch, mutant):
+    monkeypatch.setattr(f"ssftrace.{mutant.target}", mutant.replacement)
+    assert failed_rows_by_pair() == mutant.fails
+
+
+def _runner(mutants):
+    """The test of one registry name: its one mutant, or its mutants as parameters."""
+    if len(mutants) == 1:
+        return lambda monkeypatch: assert_fails(monkeypatch, mutants[0])
+
+    @pytest.mark.parametrize("mutant", mutants, ids=[m.id.partition("[")[2][:-1]
+                                                     for m in mutants])
+    def test(monkeypatch, mutant):
+        assert_fails(monkeypatch, mutant)
+    return test
+
+
+for _name, _mutants in itertools.groupby(REGISTRY, key=lambda m: m.id.partition("[")[0]):
+    globals()[f"test_{_name}"] = _runner(list(_mutants))
+
+
+def test_unmutated_pool_fails_no_row():
+    assert failed_rows_by_pair() == pool(set())
+
+
+def test_every_row_can_fail():
+    failed = set().union(*(on_pair for m in REGISTRY for on_pair in m.fails.values()))
+    assert not failed & CANNOT_FAIL.keys()
+    assert failed | CANNOT_FAIL.keys() == set(ROWS)
+    assert len(ROWS) == 41
