@@ -5,8 +5,8 @@ Runs ``ssftrace verify --suite all``, ``ssftrace ssf`` (defaults) and
 ``ssftrace disc-report`` (default radii) under each tree, in a process of its
 own, on the 23 fixed pairs of tests/pairs.py's ``report_pairs``: ``random_pair(d,
 0.25, 0.1, s)`` for d in {4, 6, 8, 32, 128} and s in 0..3, and the three
-``norm_one_pairs``, 943 rows in all.  Only the command lines are called, so the
-script runs under any tree that has them.  Prints the largest move of each
+``norm_one_pairs``.  Only the command lines are called, so the script runs
+under any tree that has them.  Prints the largest move of each
 report.csv row name whose measured value or threshold differs by
 ``float.hex()``, then the count of moved rows, then the counts of moved values
 of ssf.csv and ssf_coeffs.json and of disc.csv, then each setting of

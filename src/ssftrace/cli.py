@@ -8,7 +8,6 @@ passes; reports are written regardless.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -42,17 +41,15 @@ def cmd_gen(args) -> int:
         "files": {"T": "T.json", "T0": "T0.json"},
         "certificates": {"T": asdict(pair.cert_T), "T0": asdict(pair.cert_T0)},
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    serialize.write_json(out / "manifest.json", manifest, indent=2)
     return 0
 
 
 def _write_verify_reports(out: Path, results: list[checks.CheckResult],
                           failures: list[str], timings: dict, config: dict):
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows([["name", "passed", "measured", "threshold"],
-                                  *([c.name, c.passed, repr(c.measured), repr(c.threshold)]
-                                    for c in results)])
+    serialize.write_csv(out / "report.csv", ["name", "passed", "measured", "threshold"],
+                        ([c.name, c.passed, c.measured, c.threshold] for c in results))
     summary = {
         "passed": not failures and all(c.passed for c in results),
         "num_checks": len(results),
@@ -61,7 +58,7 @@ def _write_verify_reports(out: Path, results: list[checks.CheckResult],
         "timings_s": timings,
         "config": config,
     }
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    serialize.write_json(out / "summary.json", summary, indent=2)
     return summary
 
 
@@ -96,9 +93,8 @@ def cmd_ssf(args) -> int:
     values = ssf.evaluate_ssf_uniform(table, args.grid, args.abel_radius)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    serialize.write_ssf_grid_csv(out / "ssf.csv", t_grid, values)
-    (out / "ssf_coeffs.json").write_text(
-        json.dumps(serialize.ssf_to_dict(table), sort_keys=True) + "\n")
+    serialize.write_csv(out / "ssf.csv", ["t", "xi_r"], zip(t_grid.tolist(), values.tolist()))
+    serialize.write_json(out / "ssf_coeffs.json", serialize.ssf_to_dict(table))
     return 0
 
 
@@ -118,7 +114,10 @@ def cmd_disc_report(args) -> int:
         calculus.power_table(np.stack((pair.T, pair.T0)), 1), psi)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    serialize.write_disc_report_csv(out / "disc.csv", radii, quads, closed, lhs)
+    serialize.write_csv(
+        out / "disc.csv", ["R", "quad_re", "quad_im", "closed_re", "closed_im", "lhs_re", "lhs_im"],
+        ([R, q.real, q.imag, c.real, c.imag, lhs.real, lhs.imag]
+         for R, q, c in zip(map(float, radii), quads.tolist(), closed.tolist())))
     return 0
 
 

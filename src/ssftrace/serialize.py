@@ -12,7 +12,6 @@ a file nested too deeply to parse.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import sys
@@ -88,8 +87,19 @@ def matrix_from_dict(d: dict) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
+def write_json(path, doc, indent=None):
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=indent) + "\n")
+
+
+def write_csv(path, header, rows):
+    """The lines ``csv.writer`` would write, each field by ``str``: no name, bool or
+    float here needs quoting."""
+    with open(path, "w", newline="") as fh:
+        fh.write("".join([",".join(map(str, row)) + "\r\n" for row in [header, *rows]]))
+
+
 def save_matrix(path, M):
-    Path(path).write_text(json.dumps(matrix_to_dict(M), sort_keys=True) + "\n")
+    write_json(path, matrix_to_dict(M))
 
 
 def _load_json(path, what: str):
@@ -126,20 +136,3 @@ def series_from_dict(d: dict, max_order: int) -> LaurentSeries:
 def load_series(path, max_order: int) -> LaurentSeries:
     return series_from_dict(_load_json(path, "series"), max_order)
 
-
-def write_ssf_grid_csv(path, t_grid, values):
-    """The rows ``csv.writer`` would write, as one string: a float's repr needs no quoting."""
-    rows = zip(np.asarray(t_grid, dtype=float).tolist(), np.asarray(values, dtype=float).tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write("t,xi_r\r\n" + "".join(f"{t!r},{v!r}\r\n" for t, v in rows))
-
-
-def write_disc_report_csv(path, radii, quads, closed, lhs: complex):
-    """One row per radius: R, the quadrature and closed form there (arrays over ``radii``)
-    and the trace ``lhs``, each written from a Python float."""
-    rows = zip(map(float, radii), quads.tolist(), closed.tolist())
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([
-            ["R", "quad_re", "quad_im", "closed_re", "closed_im", "lhs_re", "lhs_im"],
-            *([repr(R), repr(q.real), repr(q.imag), repr(c.real), repr(c.imag),
-               repr(lhs.real), repr(lhs.imag)] for R, q, c in rows)])

@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from ssftrace import calculus, checks, linops
 
+# the rows ``verify --suite all`` writes for a valid pair
+ROW_COUNT = 41
+
 
 def random_pairs(count, seed, dims=(2, 4, 6, 8), delta=0.3, perturbation=0.1):
     """Deterministic list of contraction pairs cycling through dims."""

@@ -13,7 +13,7 @@ import pytest
 
 import ssftrace
 from oracles import evaluate_ssf_grid
-from pairs import NORM_ONE_IDS, norm_one_pairs
+from pairs import NORM_ONE_IDS, ROW_COUNT, norm_one_pairs
 from ssftrace import calculus, checks, cli, disc, linops, serialize, ssf
 
 
@@ -297,7 +297,7 @@ class TestVerify:
         out = self.verify_saved(tmp_path, norm_one_pairs()[index])
         summary = json.loads((out / "summary.json").read_text())
         assert summary["passed"] is True
-        assert summary["num_checks"] == 41
+        assert summary["num_checks"] == ROW_COUNT
         with open(out / "report.csv", newline="") as fh:
             assert all(row["passed"] == "True" for row in csv.DictReader(fh))
 

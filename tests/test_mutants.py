@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from pairs import NORM_ONE_IDS, norm_one_pairs
+from pairs import NORM_ONE_IDS, ROW_COUNT, norm_one_pairs
 from ssftrace import calculus, checks, dilation, disc, kernel_integral, linops, ssf
 
 exact_validate = linops.validate_contraction
@@ -216,4 +216,4 @@ def test_every_row_can_fail():
     failed = set().union(*(on_pair for m in REGISTRY for on_pair in m.fails.values()))
     assert not failed & CANNOT_FAIL.keys()
     assert failed | CANNOT_FAIL.keys() == set(ROWS)
-    assert len(ROWS) == 41
+    assert len(ROWS) == ROW_COUNT

@@ -1,7 +1,5 @@
-"""The scripts under scripts/ run end to end on small pairs."""
+"""scripts/diff_reports.py on one tree against itself and against edited copies."""
 
-import os
-import re
 import runpy
 import shutil
 import subprocess
@@ -10,31 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from pairs import ROW_COUNT, report_pairs
+
 ROOT = Path(__file__).resolve().parents[1]
-
-
-# last stdout line of a script, where one is pinned: the wall seconds of each
-# suite, in the key order of summary.json
-LAST_LINE = {"run_pair_experiment.py": r"timings_s circle=\d+\.\d{4} dilation=\d+\.\d{4} "
-                                       r"disc=\d+\.\d{4} lemma=\d+\.\d{4} xi=\d+\.\d{4}"}
-
-
-@pytest.mark.parametrize("script, written", [
-    ("ssf_profile.py", ("ssf.csv", "ssf_coeffs.json", "disc.csv")),
-    ("run_pair_experiment.py", ("report.csv", "summary.json")),
-])
-def test_script_runs(tmp_path, script, written):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    out = tmp_path / "out"
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--dim", "4", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    for name in written:
-        assert (out / name).is_file()
-    if script in LAST_LINE:
-        assert re.fullmatch(LAST_LINE[script], done.stdout.splitlines()[-1])
+REPORT_PAIRS = len(report_pairs())
 
 
 def diff_reports(old_src, new_src):
@@ -53,11 +30,11 @@ def unedited():
     return DIFF_REPORTS["outputs_under"](str(ROOT / "src"))
 
 
-# the counts of the three comparisons when no value moves: 943 rows, then the
+# the counts of the three comparisons when no value moves: ROW_COUNT rows, then the
 # 256 (t, xi_r) lines of ssf.csv and the 129 (re, im) coefficients of
-# ssf_coeffs.json, and the 5 radii of 7 values of disc.csv, on each of 23 pairs;
+# ssf_coeffs.json, and the 5 radii of 7 values of disc.csv, on each report pair;
 # no config line follows, as no setting differs
-UNMOVED = ["moved rows: 0 of 943", "moved ssf values: 0 of 17710",
+UNMOVED = [f"moved rows: 0 of {ROW_COUNT * REPORT_PAIRS}", "moved ssf values: 0 of 17710",
            "moved disc values: 0 of 805"]
 
 
@@ -74,9 +51,11 @@ EDITS = {
     "moved": ("dilation.py", "exact = interior_column_orthonormality\n"
               "def interior_column_orthonormality(J):\n"
               "    return exact(J) + 2 ** -60\n"),
-    "ssf_moved": ("serialize.py", "exact = write_ssf_grid_csv\n"
-                  "def write_ssf_grid_csv(path, t_grid, values):\n"
-                  "    exact(path, t_grid, np.nextafter(values, np.inf))\n"),
+    "ssf_moved": ("serialize.py", "exact = write_csv\n"
+                  "def write_csv(path, header, rows):\n"
+                  "    if header == ['t', 'xi_r']:\n"
+                  "        rows = ((t, float(np.nextafter(v, np.inf))) for t, v in rows)\n"
+                  "    exact(path, header, rows)\n"),
     "config_moved": ("checks.py", "exact = config\n"
                      "def config(suites):\n"
                      "    return {**exact(suites), 'quadrature_points': 4096}\n"),
@@ -109,4 +88,5 @@ def test_diff_reports_sees_an_edited_tree(tmp_path, request, edit):
     else:
         assert {line.split()[0] for line in lines[:-3]} == {"dilation/orthonormal_T",
                                                           "dilation/orthonormal_T0"}
-        assert lines[-3:] == ["moved rows: 46 of 943", *UNMOVED[1:]]
+        assert lines[-3:] == [f"moved rows: {2 * REPORT_PAIRS} of {ROW_COUNT * REPORT_PAIRS}",
+                              *UNMOVED[1:]]

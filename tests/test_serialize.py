@@ -2,12 +2,13 @@
 
 import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
 
-from pairs import random_pairs
+from pairs import NORM_ONE_IDS, norm_one_pairs, random_pairs
 from ssftrace import checks, cli, serialize, ssf
 
 
@@ -139,7 +140,7 @@ def test_ssf_grid_csv_exact_values(tmp_path):
     t = np.array([0.0, 1.5, 3.0])
     v = np.array([0.125, -0.0625, 0.3])
     path = tmp_path / "grid.csv"
-    serialize.write_ssf_grid_csv(path, t, v)
+    serialize.write_csv(path, ["t", "xi_r"], zip(t.tolist(), v.tolist()))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "xi_r"]
@@ -157,7 +158,7 @@ def test_ssf_grid_csv_bytes_equal_the_csv_writer(tmp_path):
         for ti, vi in zip(t, v):
             writer.writerow([repr(float(ti)), repr(float(vi))])
     path = tmp_path / "grid.csv"
-    serialize.write_ssf_grid_csv(path, t, v)
+    serialize.write_csv(path, ["t", "xi_r"], zip(t.tolist(), v.tolist()))
     assert path.read_bytes() == ref.read_bytes()
     assert b"\r\n-0.0,1e+300\r\n" in path.read_bytes()
 
@@ -204,3 +205,41 @@ def test_matrix_json_bytes_equal_the_per_entry_writer():
         rows = [[float(v.real), float(v.imag)] for v in np.asarray(A, dtype=complex).ravel()]
         assert json.dumps(serialize.matrix_to_dict(A), sort_keys=True) == \
             json.dumps({"rows": A.shape[0], "cols": A.shape[1], "data": rows}, sort_keys=True)
+
+
+# the JSON files the commands write, each with its indent
+JSON_INDENTS = {"T.json": None, "T0.json": None, "manifest.json": 2, "summary.json": 2,
+                "ssf_coeffs.json": None}
+
+
+@pytest.mark.parametrize("pair_id", ["random_pair", "half_isometry_d16"])
+def test_command_files_are_the_bytes_of_the_standard_writers(tmp_path, pair_id):
+    # write_csv joins its fields by hand: every CSV that gen, verify, ssf and disc-report
+    # write is what csv.writer writes for its own rows, and every JSON what json.dumps
+    # writes for its own document
+    if pair_id == "random_pair":
+        assert cli.main(["gen", "--dim", "4", "--delta", "0.25", "--seed", "3",
+                         "--out", str(tmp_path)]) == 0
+    else:
+        pair = norm_one_pairs()[NORM_ONE_IDS.index(pair_id)]
+        serialize.save_matrix(tmp_path / "T.json", pair.T)
+        serialize.save_matrix(tmp_path / "T0.json", pair.T0)
+    files = ["--t", str(tmp_path / "T.json"), "--t0", str(tmp_path / "T0.json"),
+             "--out", str(tmp_path)]
+    assert cli.main(["verify", "--suite", "all", *files]) == 0
+    assert cli.main(["ssf", *files]) == 0 and cli.main(["disc-report", *files]) == 0
+    written = {path.name: path.read_bytes().decode() for path in tmp_path.iterdir()}
+    csvs = {"report.csv", "ssf.csv", "disc.csv"}
+    expected = csvs | JSON_INDENTS.keys()
+    if pair_id != "random_pair":
+        expected -= {"manifest.json"}  # only gen writes a manifest
+    assert written.keys() == expected
+    for name, text in written.items():
+        if name in csvs:
+            rows = list(csv.reader(io.StringIO(text)))
+            standard = io.StringIO()
+            csv.writer(standard).writerows(rows)
+            assert len(rows) > 1 and text == standard.getvalue(), name
+        else:
+            doc = json.loads(text)
+            assert text == json.dumps(doc, sort_keys=True, indent=JSON_INDENTS[name]) + "\n", name
