@@ -7,7 +7,6 @@ from-imports, so a profiler that rebinds module attributes sees every call.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from contextlib import contextmanager
@@ -55,9 +54,9 @@ DISC_TABLES = {
 CIRCLE_ORDER = max(max(terms) for terms in CIRCLE_SERIES.values())
 DISC_MAX_ORDER = max(abs(n) for terms in DISC_TABLES.values() for n in terms)
 XI_ORDERS = {"circle": CIRCLE_ORDER, "disc": DISC_MAX_ORDER}
-# powers of the stacked pair the left sides read: the circle symbols' babies to isqrt of
-# their largest degree, the disc tables' powers to their order
-TABLE_ORDER = max(math.isqrt(CIRCLE_ORDER), DISC_MAX_ORDER)
+# powers of the stacked pair the left sides read: the circle symbols' babies, to isqrt of
+# their largest degree; a disc table reads past them by apply_laurent's running product
+TABLE_ORDER = math.isqrt(CIRCLE_ORDER)
 DISC_CONFIG = disc.DiscQuadratureConfig()
 
 
@@ -188,7 +187,7 @@ def run(pair: linops.ContractionPair, suites) -> tuple[list[CheckResult], dict[s
     built to the largest of their ``XI_ORDERS``; building it is timed as "xi".
     The disc suite pairs only the modes of its tables, so the longer table
     moves none of its rows.  Their left sides read one power table of the stacked
-    pair, to ``TABLE_ORDER``, built and timed in the first of them that runs."""
+    pair, to ``TABLE_ORDER``, built once after xi and timed as "powers"."""
     results, timings = [], {}
     if "lemma" in suites:
         with _stopwatch(timings, "lemma"):
@@ -200,12 +199,12 @@ def run(pair: linops.ContractionPair, suites) -> tuple[list[CheckResult], dict[s
     if orders:
         with _stopwatch(timings, "xi"):
             xi = ssf.ssf_from_moments(ssf.moments(pair, max(orders.values())))
-        powers = functools.cache(
-            lambda: calculus.power_table(np.stack((pair.T, pair.T0)), TABLE_ORDER))
+        with _stopwatch(timings, "powers"):
+            powers = calculus.power_table(np.stack((pair.T, pair.T0)), TABLE_ORDER)
         if "circle" in suites:
             with _stopwatch(timings, "circle"):
-                results += circle_checks(powers(), xi)
+                results += circle_checks(powers, xi)
         if "disc" in suites:
             with _stopwatch(timings, "disc"):
-                results += disc_checks(powers(), xi)
+                results += disc_checks(powers, xi)
     return results, timings

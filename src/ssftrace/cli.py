@@ -1,8 +1,8 @@
 """Command-line surface: gen, verify, ssf, disc-report.
 
-Every command is deterministic given its inputs, seed and configuration.
-``verify`` exits 0 exactly when every assertion of the selected suites
-passes; reports are written regardless.
+Every command is deterministic given its inputs, seed, configuration and BLAS
+thread count.  ``verify`` exits 0 exactly when every assertion of the selected
+suites passes; reports are written regardless.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ Abel values at arbitrary angles by the dense mode matrix, the inverse of
 value of the disc quadrature, eigenpairs and defects of a bare matrix,
 the dilation's window as one dense array and its walk with every block formed,
 ``apply_series`` by plain Horner, both evaluators on one operator with its own
-powers, which the power table must match bit for bit, and pairs whose moments are
-known exactly, with those moments.
+powers, which the power table must match bit for bit, pairs whose moments are
+known exactly, with those moments, and the exact moments and trace differences of
+any pair of dyadic entries.
 """
 
 import math
@@ -239,3 +240,57 @@ def exact_moments(eig_T, eig_T0, n_max: int) -> list:
     a / 2^11 of ``hadamard_pair``: the powers a^n summed in integers, over 2^(11 n)."""
     return [Fraction(sum(a ** n for a in eig_T) - sum(b ** n for b in eig_T0), 2 ** (11 * n))
             for n in range(1, n_max + 1)]
+
+
+DYADIC_BITS = 12
+
+
+def _gaussian_integers(M) -> list:
+    """2^12 M as rows of (re, im) int pairs; AssertionError unless every part of every
+    entry of M is a dyadic k / 2^12."""
+    rows = []
+    for row in np.asarray(M, dtype=complex).tolist():
+        scaled = [(Fraction(z.real) * 2 ** DYADIC_BITS, Fraction(z.imag) * 2 ** DYADIC_BITS)
+                  for z in row]
+        assert all(part.denominator == 1 for entry in scaled for part in entry)
+        rows.append([(int(re), int(im)) for re, im in scaled])
+    return rows
+
+
+def exact_moments_general(T, T0, n_max: int) -> list:
+    """Tr T^n - Tr T0^n, n = 1..n_max, as (re, im) ``Fraction`` pairs, for square T and
+    T0 of dyadic entries k / 2^12: the powers of the Gaussian-integer matrices 2^12 T
+    and 2^12 T0 by plain integer loops, each trace over 2^(12 n)."""
+    traces = []
+    for M in (T, T0):
+        A = _gaussian_integers(M)
+        P, side = A, []
+        for n in range(1, n_max + 1):
+            if n > 1:
+                P = [[(sum(p[0] * a[0] - p[1] * a[1] for p, a in zip(row, col)),
+                       sum(p[0] * a[1] + p[1] * a[0] for p, a in zip(row, col)))
+                      for col in zip(*A)] for row in P]
+            side.append((sum(P[i][i][0] for i in range(len(P))),
+                         sum(P[i][i][1] for i in range(len(P)))))
+        traces.append(side)
+    return [(Fraction(a[0] - b[0], 2 ** (DYADIC_BITS * n)),
+             Fraction(a[1] - b[1], 2 ** (DYADIC_BITS * n)))
+            for n, (a, b) in enumerate(zip(*traces), start=1)]
+
+
+def exact_trace_difference(T, T0, phi: dict) -> tuple:
+    """Tr(phi~(T, T*) - phi~(T0, T0*)) as an (re, im) ``Fraction`` pair, for the table
+    phi = {n: phi_hat(n)} of float coefficients, each read exactly, and T, T0 of
+    ``exact_moments_general``: sum phi_hat(n) m_n + phi_hat(-n) conj(m_n) over n >= 1,
+    as Tr (T*)^n is conj Tr T^n and phi_hat(0) I cancels."""
+    m = exact_moments_general(T, T0, max(abs(n) for n in phi))
+    re = im = Fraction(0)
+    for n, a in phi.items():
+        if n == 0:
+            continue
+        m_re, m_im = m[abs(n) - 1]
+        m_im = m_im if n > 0 else -m_im
+        a_re, a_im = Fraction(complex(a).real), Fraction(complex(a).imag)
+        re += a_re * m_re - a_im * m_im
+        im += a_re * m_im + a_im * m_re
+    return re, im

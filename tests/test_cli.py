@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -94,7 +95,7 @@ class TestVerify:
         prefixes = {r[0].split("/")[0] for r in rows[1:]}
         assert prefixes == {"lemma", "dilation", "circle", "disc"}
         timings = summary["timings_s"]
-        assert set(timings) == {"lemma", "dilation", "xi", "circle", "disc"}
+        assert set(timings) == {"lemma", "dilation", "xi", "powers", "circle", "disc"}
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
         assert summary["config"] == {
             "tolerances": checks.TOLERANCES,
@@ -120,6 +121,25 @@ class TestVerify:
         checks.run(linops.random_pair(8, 0.25, 0.1, seed=1), checks.SUITES)
         config = checks.config(checks.SUITES)
         assert sizes == {config["quadrature_points"], config["disc_grid"]["angular_nodes"]}
+
+    @pytest.mark.parametrize("suites", [("lemma",), ("dilation",), ("circle",), ("disc",),
+                                        checks.SUITES], ids="-".join)
+    def test_power_table_is_built_once_and_timed_apart(self, monkeypatch, suites):
+        # the circle and disc left sides read one table of the circle babies, built
+        # once and timed as "powers", never inside either suite's own timing
+        built = []
+        exact = calculus.power_table
+
+        def counted(S, s):
+            built.append(s)
+            return exact(S, s)
+
+        monkeypatch.setattr(calculus, "power_table", counted)
+        _, timings = checks.run(linops.random_pair(8, 0.25, 0.1, seed=1), suites)
+        reads = bool({"circle", "disc"} & set(suites))
+        assert checks.TABLE_ORDER == math.isqrt(checks.CIRCLE_ORDER) == 5
+        assert built == [checks.TABLE_ORDER] * reads
+        assert set(timings) == set(suites) | ({"xi", "powers"} if reads else set())
 
     def test_single_suite(self, tmp_path):
         pair_dir = gen_pair(tmp_path, seed=5)

@@ -1,5 +1,7 @@
-"""scripts/diff_reports.py on one tree against itself and against edited copies."""
+"""scripts/diff_reports.py on one tree against itself and against edited copies, and
+scripts/bench_sweep.py on one small pair."""
 
+import json
 import runpy
 import shutil
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from pairs import ROW_COUNT, report_pairs
+from ssftrace import checks
 
 ROOT = Path(__file__).resolve().parents[1]
 REPORT_PAIRS = len(report_pairs())
@@ -90,3 +93,36 @@ def test_diff_reports_sees_an_edited_tree(tmp_path, request, edit):
                                                           "dilation/orthonormal_T0"}
         assert lines[-3:] == [f"moved rows: {2 * REPORT_PAIRS} of {ROW_COUNT * REPORT_PAIRS}",
                               *UNMOVED[1:]]
+
+
+def test_bench_sweep_writes_every_part_and_the_ledger(tmp_path):
+    # one repeat at d = 8, this tree against itself; no wall-clock value is gated
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_sweep.py"), str(ROOT / "src"),
+         "--label", "self", "--dims", "8", "--repeats", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    assert list(report) == ["command", "pair", "reference", "repeats", "env", "dims"]
+    assert report["reference"] == "self" and report["repeats"] == 1
+    assert list(report["env"]) == ["cores", "python", "numpy", "blas"]
+    assert list(report["env"]["blas"]) == ["name", "version", "threads"]
+    assert list(report["dims"]) == ["8"]
+    seconds, ledger = report["dims"]["8"]["seconds"], report["dims"]["8"]["ledger"]
+    parts = ["total", "load", "make_pair", "checks", "lemma", "dilation", "xi", "powers",
+             "circle", "disc", "write"]
+    assert list(seconds) == ["this", "reference", "ratio"]
+    for spreads in seconds.values():
+        assert list(spreads) == parts
+        assert all(list(s) == ["median", "q1", "q3"] for s in spreads.values())
+    # (svd, eigvalsh, eigvals) calls: the lemma suite's two per side, and make_pair's
+    # one SVD per contraction
+    factorizations = {"lemma": (0, 4, 0), "dilation": (0, 0, 0), "circle": (0, 0, 0),
+                      "disc": (0, 0, 0), "all": (0, 4, 0), "command": (2, 4, 0)}
+    assert list(ledger) == ["this", "reference"]
+    for entries in ledger.values():
+        assert list(entries) == [*checks.SUITES, "all", "command"]
+        assert {name: (e["svd"], e["eigvalsh"], e["eigvals"])
+                for name, e in entries.items()} == factorizations
+        assert all(e["peak_dxd"] > 0.0 for e in entries.values())

@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import (dense_window, evaluate_ssf_grid, exact_moments, hadamard_pair,
-                     moments_from_ssf, poisson_extend, sylvester_hadamard)
-from pairs import random_pairs, scalar_pair
-from ssftrace import linops, ssf
+from oracles import (dense_window, evaluate_ssf_grid, exact_moments, exact_moments_general,
+                     exact_trace_difference, hadamard_pair, moments_from_ssf, poisson_extend,
+                     sylvester_hadamard)
+from pairs import pair_powers, random_pairs, scalar_pair
+from ssftrace import calculus, checks, linops, ssf
 from ssftrace.errors import NonRealResultError
 
 
@@ -102,6 +103,46 @@ def test_moments_match_exact_hadamard_moments(d):
     assert exact_errors(schedule_moments(pair, 64), exact) <= 1e-18
     # a schedule one giant step short fails the same pin
     assert exact_errors(schedule_moments(pair, 64, skip=2), exact) > 1e-9
+
+
+def dyadic_pair(d: int, seed: int):
+    """(T, T0) of entries k / 2^12, k a Gaussian integer whose parts lie within
+    0.45 * 2^12 / sqrt(d): dense, non-normal, of norm about 0.5 to 0.7."""
+    rng = np.random.default_rng(seed)
+    K = int(0.45 * 2 ** 12 / math.sqrt(d))
+    return [(rng.integers(-K, K + 1, (d, d)) + 1j * rng.integers(-K, K + 1, (d, d))) / 2 ** 12
+            for _ in range(2)]
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_moments_and_left_sides_match_exact_general_pairs(d):
+    # exact references by integer loops, free of ssf and calculus; the bound is the a
+    # priori one of test_moments_near_the_power_loop, ~ n d u (||T||^n + ||T0||^n) for
+    # the n-th power, summed over a table's terms, its constant taken as one rounding
+    T, T0 = dyadic_pair(d, seed=d)
+    pair = linops.make_pair(T, T0)
+    assert np.array_equal(pair.T, T) and np.array_equal(pair.T0, T0)
+    norms = np.linalg.norm(T, 2), np.linalg.norm(T0, 2)
+    assert max(norms) <= 0.9
+
+    def bound(n):
+        n = max(abs(n), 1)
+        return 64 * 2.0 ** -53 * n * d * (norms[0] ** n + norms[1] ** n)
+
+    def error(value, exact):
+        return math.hypot(Fraction(value.real) - exact[0], Fraction(value.imag) - exact[1])
+
+    exact = exact_moments_general(T, T0, 30)
+    for n, (m, m_exact) in enumerate(zip(ssf.moments(pair, 30), exact), start=1):
+        assert error(m, m_exact) <= bound(n)
+    powers = pair_powers(pair)
+    left_sides = [(calculus.trace_lhs_circle, terms) for terms in checks.CIRCLE_SERIES.values()]
+    left_sides += [(calculus.laurent_difference_trace, terms)
+                   for terms in checks.DISC_TABLES.values()]
+    for left_side, terms in left_sides:
+        lhs = left_side(powers, ssf.LaurentSeries.from_terms(terms))
+        assert error(lhs, exact_trace_difference(T, T0, terms)) <= sum(
+            abs(a) * bound(n) for n, a in terms.items())
 
 
 SUM2_WIDTHS = (1, 2, 6, 16, 64, 256)
