@@ -2,11 +2,11 @@
 
 A table with no negative modes (an analytic symbol) acts on a contraction
 as sum a_k T^k, by Paterson-Stockmeyer; a two-sided table acts as
-psi_hat(0) I + sum psi_hat(-n) (T*)^n + sum psi_hat(n) T^n.  Both evaluators
-read one ``power_table`` of the stacked pair (T, T0), built once per verify run
-for every symbol.  The left side of the circle trace formula, its grid
-quadrature and the trace of the two-sided difference are computed here; the
-pairing is ``disc``'s closed form.
+psi_hat(0) I + sum psi_hat(-n) (T*)^n + sum psi_hat(n) T^n.  Both act on the stacked
+pair (T, T0) at once: the first reads its ``power_table``, built once per verify run
+for every circle symbol, the second steps from the pair.  The left side of the circle
+trace formula, its grid quadrature and the trace of the two-sided difference are
+computed here; the pairing is ``disc``'s closed form.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .ssf import LaurentSeries, evaluate_ssf_uniform, stack_tables, uniform_trig
 
 def power_table(S, s: int) -> np.ndarray:
     """S^1..S^s of a stack S (..., d, d) of square matrices, as (..., s, d, d): each
-    power the one before times S, one batched product per power past the first.  The
-    evaluators below take such a table; on the table of the stacked pair (T, T0) they
-    take every product once for both operators and every symbol, and each operator's
+    power the one before times S, one batched product per power past the first.
+    ``apply_series`` takes such a table; on the table of the stacked pair (T, T0) it
+    takes every product once for both operators and every symbol, and each operator's
     result is, bit for bit, the one its own products give, as its powers stay
     contiguous."""
     S = np.asarray(S, dtype=complex)
@@ -63,20 +63,20 @@ def apply_series(phi: LaurentSeries, powers: np.ndarray) -> np.ndarray:
     return acc
 
 
-def apply_laurent(psi: LaurentSeries, powers: np.ndarray) -> np.ndarray:
+def apply_laurent(psi: LaurentSeries, S) -> np.ndarray:
     """psi_hat(0) I + sum psi_hat(-n) (S*)^n + sum psi_hat(n) S^n, for each matrix S of
-    the stack whose ``power_table`` is ``powers``: S^n read off the table up to its
-    length, and past it by one running product, so a long table adds no power to it."""
-    *lead, held, d, _ = powers.shape
+    the stack S (..., d, d): S^n by one running product P <- P S from P = S, the products
+    ``power_table`` takes, so each power is, bit for bit, the one its table holds."""
+    S = np.asarray(S, dtype=complex)
+    *lead, d, _ = S.shape
     acc = np.zeros((*lead, d, d), dtype=complex)
     acc.reshape(-1, d * d)[:, ::d + 1] = psi.coeff(0)
-    P = None
     for n in range(1, psi.order + 1):
-        P = powers[..., n - 1, :, :] if n <= held else P @ powers[..., 0, :, :]
+        P = S if n == 1 else P @ S
         term = np.conjugate(P)
         acc += np.swapaxes(np.multiply(psi.coeff(-n), term, out=term), -1, -2)
         acc += np.multiply(psi.coeff(n), P, out=term)
-        del term  # so the next running product finds three stacks live: acc and two powers
+        del term  # so the next running product finds four stacks live: S, acc and two powers
     return acc
 
 
@@ -111,15 +111,15 @@ def trace_rhs_circle_quadrature(s: LaurentSeries, phis: list[LaurentSeries],
     return [complex((2.0 * np.pi / M) * np.sum(row * xi_r)) for row in phi_prime]
 
 
-def laurent_difference_trace(powers: np.ndarray, psi: LaurentSeries) -> complex:
-    """Tr(psi~(T, T*) - psi~(T0, T0*)) by matrix functional calculus, off the
-    ``power_table`` of the stacked pair (T, T0)."""
-    F = apply_laurent(psi, powers)
+def laurent_difference_trace(S, psi: LaurentSeries) -> complex:
+    """Tr(psi~(T, T*) - psi~(T0, T0*)) by matrix functional calculus, on the stacked
+    pair S = (T, T0)."""
+    F = apply_laurent(psi, S)
     return _trace(F[0] - F[1])
 
 
-def laurent_difference_bound(powers: np.ndarray, psi: LaurentSeries):
-    """(||psi~(T,T*) - psi~(T0,T0*)||_1, weighted_norm * ||T - T0||_1), off the
-    ``power_table`` of the stacked pair (T, T0)."""
-    F = apply_laurent(psi, powers)
-    return trace_norm(F[0] - F[1]), psi.weighted_norm * trace_norm(powers[0, 0] - powers[1, 0])
+def laurent_difference_bound(S, psi: LaurentSeries):
+    """(||psi~(T,T*) - psi~(T0,T0*)||_1, weighted_norm * ||T - T0||_1), on the stacked
+    pair S = (T, T0)."""
+    F = apply_laurent(psi, S)
+    return trace_norm(F[0] - F[1]), psi.weighted_norm * trace_norm(S[0] - S[1])

@@ -54,8 +54,7 @@ DISC_TABLES = {
 CIRCLE_ORDER = max(max(terms) for terms in CIRCLE_SERIES.values())
 DISC_MAX_ORDER = max(abs(n) for terms in DISC_TABLES.values() for n in terms)
 XI_ORDERS = {"circle": CIRCLE_ORDER, "disc": DISC_MAX_ORDER}
-# powers of the stacked pair the left sides read: the circle symbols' babies, to isqrt of
-# their largest degree; a disc table reads past them by apply_laurent's running product
+# the circle left sides' babies: powers of the stacked pair to isqrt of their largest degree
 TABLE_ORDER = math.isqrt(CIRCLE_ORDER)
 DISC_CONFIG = disc.DiscQuadratureConfig()
 
@@ -132,18 +131,18 @@ def circle_checks(powers, xi: ssf.LaurentSeries,
     return results
 
 
-def disc_checks(powers, xi: ssf.LaurentSeries) -> list[CheckResult]:
+def disc_checks(S, xi: ssf.LaurentSeries) -> list[CheckResult]:
     """Disc formula per table, from its three routes (quadrature over the radius schedule,
     closed form, trace of the two-sided difference): quadrature vs. closed form, limit gap
-    in the tail, cross-theorem.  The left sides read ``powers``, the
-    ``calculus.power_table`` of the stacked pair."""
+    in the tail, cross-theorem.  The left sides read the stacked pair S = (T, T0), the
+    circle one S^1 alone, the one baby a table of order 3 or less reads."""
     results = []
     psis = [ssf.LaurentSeries.from_terms(terms) for terms in DISC_TABLES.values()]
     radii = DISC_CONFIG.radius_schedule
     quads = disc.quadrature(xi, psis, radii)
     for (name, terms), psi, quad in zip(DISC_TABLES.items(), psis, quads):
         closed = disc.disc_integral_closed_form(xi, psi, radii).tolist()
-        lhs = calculus.laurent_difference_trace(powers, psi)
+        lhs = calculus.laurent_difference_trace(S, psi)
         worst = max(abs(q - c) for q, c in zip(quad.tolist(), closed))
         results.append(_within(f"disc/quad_vs_closed_{name}", worst, TOLERANCES["quad_match_tol"]))
         results.append(_within(f"disc/limit_gap_{name}", abs(closed[-1] - lhs),
@@ -151,7 +150,7 @@ def disc_checks(powers, xi: ssf.LaurentSeries) -> list[CheckResult]:
                                + TOLERANCES["disc_gap_extra"]))
         if all(n >= 0 for n in terms):  # no negative modes: the circle left side applies
             results.append(_within(f"disc/cross_theorem_{name}",
-                                   abs(lhs - calculus.trace_lhs_circle(powers, psi)),
+                                   abs(lhs - calculus.trace_lhs_circle(S[:, None], psi)),
                                    TOLERANCES["cross_theorem_tol"]))
     return results
 
@@ -182,12 +181,11 @@ def _stopwatch(timings: dict, name: str):
 
 
 def run(pair: linops.ContractionPair, suites) -> tuple[list[CheckResult], dict[str, float]]:
-    """Every check of the selected suites, in SUITES order, and the wall seconds
-    of each suite.  The circle and disc suites read one shift-function table,
-    built to the largest of their ``XI_ORDERS``; building it is timed as "xi".
-    The disc suite pairs only the modes of its tables, so the longer table
-    moves none of its rows.  Their left sides read one power table of the stacked
-    pair, to ``TABLE_ORDER``, built once after xi and timed as "powers"."""
+    """Every check of the selected suites, in SUITES order, and the wall seconds of each
+    suite.  The circle and disc suites read one xi, built to the largest of their
+    ``XI_ORDERS`` and timed as "xi" (the disc suite pairs only its tables' modes, so no
+    row moves); the circle suite reads ``TABLE_ORDER`` powers of S = (T, T0), timed as
+    "powers" and let go before the disc suite, which steps from S."""
     results, timings = [], {}
     if "lemma" in suites:
         with _stopwatch(timings, "lemma"):
@@ -199,12 +197,13 @@ def run(pair: linops.ContractionPair, suites) -> tuple[list[CheckResult], dict[s
     if orders:
         with _stopwatch(timings, "xi"):
             xi = ssf.ssf_from_moments(ssf.moments(pair, max(orders.values())))
-        with _stopwatch(timings, "powers"):
-            powers = calculus.power_table(np.stack((pair.T, pair.T0)), TABLE_ORDER)
         if "circle" in suites:
+            with _stopwatch(timings, "powers"):
+                powers = calculus.power_table(np.stack((pair.T, pair.T0)), TABLE_ORDER)
             with _stopwatch(timings, "circle"):
                 results += circle_checks(powers, xi)
+            del powers
         if "disc" in suites:
             with _stopwatch(timings, "disc"):
-                results += disc_checks(powers, xi)
+                results += disc_checks(np.stack((pair.T, pair.T0)), xi)
     return results, timings

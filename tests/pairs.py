@@ -147,8 +147,13 @@ def pair_space(draw):
     return (A, B) if draw(st.booleans()) else (B, A)
 
 
+def pair_stack(pair):
+    """The stacked pair S = (T, T0), which ``calculus.apply_laurent`` steps from."""
+    return np.stack((pair.T, pair.T0))
+
+
 def pair_powers(pair, s=None):
     """``calculus.power_table`` of the stacked pair (T, T0): S^1..S^s, by default to the
-    order ``checks.run`` builds for the circle and disc suites."""
+    order ``checks.run`` builds for the circle suite."""
     s = checks.TABLE_ORDER if s is None else s
-    return calculus.power_table(np.stack((pair.T, pair.T0)), s)
+    return calculus.power_table(pair_stack(pair), s)

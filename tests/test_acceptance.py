@@ -10,7 +10,7 @@ over seeded pair sets; C2, C3, C4 and C7 add the pairs with
 import numpy as np
 
 from oracles import disc_quadrature, eigh, kernel_expansion_check, poisson_extend
-from pairs import (norm_one_pairs, pair_powers, random_pairs, random_positive_pair,
+from pairs import (norm_one_pairs, pair_powers, pair_stack, random_pairs, random_positive_pair,
                    random_strict_pair, scalar_pair)
 from ssftrace import calculus, checks, disc, kernel_integral, ssf
 from ssftrace.calculus import LaurentSeries
@@ -121,7 +121,7 @@ def test_c7_disc_formula():
     results = []
     for pair in random_pairs(25, seed=9500, dims=(2, 4, 6)) + norm_one_pairs():
         xi = ssf.ssf_from_moments(ssf.moments(pair, 32))
-        results += checks.disc_checks(pair_powers(pair), xi)
+        results += checks.disc_checks(pair_stack(pair), xi)
     disc_ok = all(c.passed for c in results)
     gap_ok = all(c.passed for c in results if c.name.startswith("disc/limit_gap_"))
     # angular orthogonality of monomial Jacobians on a fixed disc
@@ -145,7 +145,7 @@ def test_c8_cross_theorem():
     results = []
     for pair in random_pairs(25, seed=9500, dims=(2, 4, 6)):
         xi = ssf.ssf_from_moments(ssf.moments(pair, checks.DISC_MAX_ORDER))
-        results += [c for c in checks.disc_checks(pair_powers(pair), xi)
+        results += [c for c in checks.disc_checks(pair_stack(pair), xi)
                     if c.name == "disc/cross_theorem_one_sided"]
     assert len(results) == 25
     ok = all(c.passed for c in results)
@@ -156,7 +156,7 @@ def test_c8_cross_theorem():
 def test_c9_scalar_golden():
     pair = scalar_pair(0.5, 0.25)
     psi = LaurentSeries.from_terms({1: 1.0})
-    lhs = calculus.laurent_difference_trace(pair_powers(pair), psi)
+    lhs = calculus.laurent_difference_trace(pair_stack(pair), psi)
     s = ssf.ssf_from_moments(ssf.moments(pair, 16))
     curve_err = max(
         abs(disc.disc_integral_closed_form(s, psi, R) - 0.25 * R ** 2)

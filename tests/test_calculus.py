@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from oracles import horner, per_operator_laurent, per_operator_series
-from pairs import NORM_ONE_IDS, norm_one_pairs, pair_powers, random_pairs, scalar_pair
+from pairs import (NORM_ONE_IDS, norm_one_pairs, pair_powers, pair_stack, random_pairs,
+                   scalar_pair)
 from ssftrace import calculus, checks, disc, linops, ssf
 from ssftrace.calculus import LaurentSeries
 from ssftrace.errors import InsufficientCoefficientsError, NonRealResultError
@@ -61,20 +62,17 @@ class TestApplySeries:
 class TestApplyLaurent:
     def test_constant(self):
         psi = LaurentSeries.from_terms({0: 2.5})
-        powers = calculus.power_table(np.zeros((2, 2)), 1)
-        np.testing.assert_allclose(calculus.apply_laurent(psi, powers), 2.5 * np.eye(2))
+        np.testing.assert_allclose(calculus.apply_laurent(psi, np.zeros((2, 2))), 2.5 * np.eye(2))
 
     def test_adjoint_mode(self):
         psi = LaurentSeries.from_terms({-1: 1.0})
         T = np.array([[0.1, 0.4], [0.0, 0.2]])
-        np.testing.assert_allclose(calculus.apply_laurent(psi, calculus.power_table(T, 1)),
-                                   T.conj().T)
+        np.testing.assert_allclose(calculus.apply_laurent(psi, T), T.conj().T)
 
     def test_symmetric_pair_of_modes(self):
         psi = LaurentSeries.from_terms({1: 1.0, -1: 1.0})
         T = np.array([[0, 1], [0, 0]], dtype=complex)
-        np.testing.assert_allclose(calculus.apply_laurent(psi, calculus.power_table(T, 1)),
-                                   np.array([[0, 1], [1, 0]]))
+        np.testing.assert_allclose(calculus.apply_laurent(psi, T), np.array([[0, 1], [1, 0]]))
 
 
 # diff_reports' random pairs, odd sizes (where a flat gemv over the stacked pair would
@@ -94,43 +92,46 @@ STACK_TABLES = [LaurentSeries.from_terms(t) for t in (
 class TestPowerTable:
     @pytest.mark.parametrize("pair_id, pair", FIXED_PAIRS)
     def test_stacked_pair_gives_each_operator_bit_for_bit(self, pair_id, pair):
-        # one table of S = (T, T0) for both operators and every symbol moves no bit of
-        # what each operator's own evaluation, with its own powers, gives
+        # one table of S = (T, T0) for both operators and every symbol, and one running
+        # product from S for every table, move no bit of what each operator's own
+        # evaluation, with its own powers, gives
         powers = pair_powers(pair)
         for phi in STACK_SYMBOLS:
             both = calculus.apply_series(phi, powers)
             assert [M.tobytes() for M in both] == [
                 per_operator_series(phi, M).tobytes() for M in (pair.T, pair.T0)], phi
         for psi in STACK_TABLES:
-            both = calculus.apply_laurent(psi, powers)
+            both = calculus.apply_laurent(psi, pair_stack(pair))
             assert [M.tobytes() for M in both] == [
                 per_operator_laurent(psi, M).tobytes() for M in (pair.T, pair.T0)], psi
 
     def test_laurent_past_the_table_takes_the_same_products(self):
-        # past its last power the table's evaluation goes on by one running product,
-        # the product the longer table holds
+        # the running product from S gives power_table's powers, read off a table of one
+        # mode, and per_operator_laurent's values bit for bit
         psi = STACK_TABLES[-1]
         for _, pair in FIXED_PAIRS[:8]:
-            values = {calculus.apply_laurent(psi, pair_powers(pair, s)).tobytes()
-                      for s in (1, 4, psi.order, psi.order + 3)}
-            assert len(values) == 1
+            S = pair_stack(pair)
+            table = calculus.power_table(S, psi.order)
+            for n in range(1, psi.order + 1):
+                power = calculus.apply_laurent(LaurentSeries.from_terms({n: 1.0}), S)
+                assert power.tobytes() == table[:, n - 1].tobytes(), n
+            assert [M.tobytes() for M in calculus.apply_laurent(psi, S)] == [
+                per_operator_laurent(psi, M).tobytes() for M in (pair.T, pair.T0)]
 
-    @pytest.mark.parametrize("s", [1, 5])
-    def test_order_127_table_memory_at_d128(self, s):
-        # the table and three more (2, d, d) stacks live at once: the sum, the running
-        # power and the next one, or one scaled power in its place; a table of all
-        # 127 powers would take 127 stacks
+    def test_order_127_table_memory_at_d128(self):
+        # S and three more (2, d, d) stacks live at once: the sum, the running power and
+        # the next one, or one scaled power in its place; a table of all 127 powers
+        # would take 127 stacks
         d = 128
         pair = linops.random_pair(d, 0.25, 0.1, seed=1)
         psi = LaurentSeries.from_terms({n: 0.5 ** abs(n) for n in range(-127, 128)})
-        S = np.stack((pair.T, pair.T0))
         tracemalloc.start()
         try:
-            calculus.laurent_difference_trace(calculus.power_table(S, s), psi)
+            calculus.laurent_difference_trace(pair_stack(pair), psi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (s + 4) * 2 * d * d * 16
+        assert peak < 5 * 2 * d * d * 16
 
     def test_short_table_refused(self):
         table = calculus.power_table(np.eye(3), 4)
@@ -159,7 +160,7 @@ class TestCircleLhs:
     def test_telescoping_trace_norm_bound(self):
         for pair in random_pairs(6, seed=601):
             for phi in (EXP_SERIES, LaurentSeries.from_terms({3: 1.0, 7: -2.0})):
-                lhs, rhs = calculus.laurent_difference_bound(pair_powers(pair), phi)
+                lhs, rhs = calculus.laurent_difference_bound(pair_stack(pair), phi)
                 assert lhs <= rhs + 1e-10
 
 
@@ -325,18 +326,18 @@ class TestLaurentTrace:
     def test_constant_cancels(self):
         psi = LaurentSeries.from_terms({0: 5.0})
         pair = random_pairs(1, seed=608, dims=(4,))[0]
-        assert calculus.laurent_difference_trace(pair_powers(pair), psi) == 0.0
+        assert calculus.laurent_difference_trace(pair_stack(pair), psi) == 0.0
 
     def test_positive_mode_is_moment(self):
         pair = random_pairs(1, seed=609, dims=(5,))[0]
         psi = LaurentSeries.from_terms({1: 1.0})
         m = ssf.moments(pair, 1)
-        assert calculus.laurent_difference_trace(pair_powers(pair), psi) == pytest.approx(
+        assert calculus.laurent_difference_trace(pair_stack(pair), psi) == pytest.approx(
             m[0], abs=1e-13)
 
     def test_negative_mode_scalar(self):
         psi = LaurentSeries.from_terms({-1: 1.0})
-        assert calculus.laurent_difference_trace(pair_powers(scalar_pair(0.5, 0.25)), psi) \
+        assert calculus.laurent_difference_trace(pair_stack(scalar_pair(0.5, 0.25)), psi) \
             == pytest.approx(0.25)
 
     def test_matches_moment_pairing(self):
@@ -344,13 +345,13 @@ class TestLaurentTrace:
         psi = LaurentSeries.from_terms({-2: 0.3 + 0.1j, -1: 0.5, 1: 0.2j, 3: -0.4})
         for pair in random_pairs(5, seed=610):
             xi = ssf.ssf_from_moments(ssf.moments(pair, 8))
-            direct = calculus.laurent_difference_trace(pair_powers(pair), psi)
+            direct = calculus.laurent_difference_trace(pair_stack(pair), psi)
             assert abs(direct - pairing(xi, psi)) <= 1e-11
 
     def test_trace_norm_inequality(self):
         psi = LaurentSeries.from_terms({-3: 0.2, -1: 1.0, 2: 0.7j})
         for pair in random_pairs(5, seed=611):
-            lhs, rhs = calculus.laurent_difference_bound(pair_powers(pair), psi)
+            lhs, rhs = calculus.laurent_difference_bound(pair_stack(pair), psi)
             assert lhs <= rhs + 1e-10
 
     def test_real_boundary_symbol_gives_real_trace(self):
@@ -358,5 +359,5 @@ class TestLaurentTrace:
         terms.update({-n: np.conj(v) for n, v in terms.items()})
         psi = LaurentSeries.from_terms(terms)
         for pair in random_pairs(5, seed=612):
-            val = calculus.laurent_difference_trace(pair_powers(pair), psi)
+            val = calculus.laurent_difference_trace(pair_stack(pair), psi)
             assert abs(val.imag) <= 1e-10

@@ -125,8 +125,8 @@ class TestVerify:
     @pytest.mark.parametrize("suites", [("lemma",), ("dilation",), ("circle",), ("disc",),
                                         checks.SUITES], ids="-".join)
     def test_power_table_is_built_once_and_timed_apart(self, monkeypatch, suites):
-        # the circle and disc left sides read one table of the circle babies, built
-        # once and timed as "powers", never inside either suite's own timing
+        # the circle left sides read one table of their babies, built once and timed
+        # as "powers", never inside the suite's own timing; the disc suite builds none
         built = []
         exact = calculus.power_table
 
@@ -136,10 +136,11 @@ class TestVerify:
 
         monkeypatch.setattr(calculus, "power_table", counted)
         _, timings = checks.run(linops.random_pair(8, 0.25, 0.1, seed=1), suites)
-        reads = bool({"circle", "disc"} & set(suites))
+        circle = "circle" in suites
         assert checks.TABLE_ORDER == math.isqrt(checks.CIRCLE_ORDER) == 5
-        assert built == [checks.TABLE_ORDER] * reads
-        assert set(timings) == set(suites) | ({"xi", "powers"} if reads else set())
+        assert built == [checks.TABLE_ORDER] * circle
+        expected = set(suites) | ({"xi"} if {"circle", "disc"} & set(suites) else set())
+        assert set(timings) == expected | ({"powers"} if circle else set())
 
     def test_single_suite(self, tmp_path):
         pair_dir = gen_pair(tmp_path, seed=5)

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import (OutsideOpenDiscError, _wirtinger, disc_quadrature, evaluate_ssf_grid,
                      jacobian_at, kernel_expansion_check, poisson_extend)
-from pairs import (norm_one_pairs, pair_powers, random_pairs, random_strict_pair,
+from pairs import (norm_one_pairs, pair_powers, pair_stack, random_pairs, random_strict_pair,
                    report_pairs, scalar_pair)
 from ssftrace import calculus, checks, disc, linops, ssf
 from ssftrace.calculus import LaurentSeries
@@ -291,7 +291,7 @@ def disc_routes(pair, xi, psi):
     quads, = disc.quadrature(xi, [psi], radii)
     closed = disc.disc_integral_closed_form(xi, psi, radii)
     return (list(zip(radii, quads.tolist(), closed.tolist())),
-            calculus.laurent_difference_trace(pair_powers(pair), psi))
+            calculus.laurent_difference_trace(pair_stack(pair), psi))
 
 
 class TestVerifyDiscFormula:
@@ -340,7 +340,7 @@ class TestVerifyDiscFormula:
         terms = {1: 0.6, 2: -0.3, 4: 0.1j}
         pair = random_pairs(1, seed=614, dims=(6,))[0]
         psi = LaurentSeries.from_terms(terms)
-        lhs_disc = calculus.laurent_difference_trace(pair_powers(pair), psi)
+        lhs_disc = calculus.laurent_difference_trace(pair_stack(pair), psi)
         lhs_circle = calculus.trace_lhs_circle(pair_powers(pair), psi)
         assert abs(lhs_disc - lhs_circle) <= 1e-10
 
@@ -376,7 +376,7 @@ class TestSharedQuadrature:
             return ring_wirtinger(coeffs, r, M)
 
         monkeypatch.setattr(disc, "_ring_wirtinger", counted)
-        checks.disc_checks(pair_powers(pair), xi)
+        checks.disc_checks(pair_stack(pair), xi)
         # the tables padded with zero modes to the largest order, stacked, and xi cut
         # to that order
         K = checks.DISC_MAX_ORDER
@@ -393,7 +393,7 @@ class TestSharedQuadrature:
         xi = ssf.ssf_from_moments(ssf.moments(pair, 64))
         tracemalloc.start()
         try:
-            results = checks.disc_checks(pair_powers(pair), xi)
+            results = checks.disc_checks(pair_stack(pair), xi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -425,7 +425,7 @@ class TestOneXi:
         # both suites moves no disc row
         m = ssf.moments(pair, 64)
         rows = [[(c.name, c.passed, c.measured.hex(), c.threshold.hex())
-                 for c in checks.disc_checks(pair_powers(pair), ssf.ssf_from_moments(m[:order]))]
+                 for c in checks.disc_checks(pair_stack(pair), ssf.ssf_from_moments(m[:order]))]
                 for order in (checks.DISC_MAX_ORDER, 64)]
         assert rows[0] == rows[1]
 

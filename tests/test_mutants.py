@@ -78,6 +78,18 @@ def ring_wirtinger_dzbar_sign_slip(coeffs, r, M):
     return dz, ssf.uniform_trig_values(n - 1, coeffs[..., None, K - n] * scale, M)
 
 
+def laurent_stepping_by_square(psi, S):
+    """calculus.apply_laurent whose running product steps by S^2 in place of S, so the
+    n-th modes read S^(2n - 1)."""
+    S = np.asarray(S, dtype=complex)
+    acc = psi.coeff(0) * np.eye(S.shape[-1])
+    P, S2 = S, S @ S
+    for n in range(1, psi.order + 1):
+        acc = acc + psi.coeff(-n) * np.swapaxes(P.conj(), -1, -2) + psi.coeff(n) * P
+        P = P @ S2
+    return acc
+
+
 def julia_minus_t(T, D, D_star):
     """dilation.julia with -T in place of -T* in block (-1, 1)."""
     J = exact_julia(T, D, D_star)
@@ -177,8 +189,13 @@ REGISTRY = (
     # two-sided left side moves off the closed form, and on a one-sided table off the
     # circle left side
     Mutant("swapped_laurent_slots_fail_limit_gap_and_cross_theorem", "calculus.apply_laurent",
-           lambda psi, powers: exact_laurent(ssf.LaurentSeries(psi.coeffs[::-1]), powers),
+           lambda psi, S: exact_laurent(ssf.LaurentSeries(psi.coeffs[::-1]), S),
            pool(rows("disc/limit_gap_", "disc/cross_theorem_"))),
+    # the running product stepping by S^2 reads S^3 in place of S^2: every disc table
+    # reaches order 2, so each left side moves off the closed form, and one_sided's off
+    # the circle left side
+    Mutant("square_step_laurent_fails_limit_gap_and_cross_theorem", "calculus.apply_laurent",
+           laurent_stepping_by_square, pool(rows("disc/limit_gap_", "disc/cross_theorem_"))),
 )
 # rows that no wrong implementation fails, each with the reason
 CANNOT_FAIL = {f"circle/constant_independence_{name}":

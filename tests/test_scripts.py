@@ -126,3 +126,27 @@ def test_bench_sweep_writes_every_part_and_the_ledger(tmp_path):
         assert {name: (e["svd"], e["eigvalsh"], e["eigvals"])
                 for name, e in entries.items()} == factorizations
         assert all(e["peak_dxd"] > 0.0 for e in entries.values())
+
+
+# upper bounds on the tracemalloc peak of checks.run at d = 128, in d x d complex
+# matrices: each suite alone, then all four, each its value on numpy 2.4.6 (lemma 10.04,
+# dilation 18.02, circle 16.53, disc 11.24, all 18.02) rounded up to a tenth, so a patch
+# release that moves a peak by a few kB does not trip it; no wall-clock value.  The disc
+# suite steps from the stacked pair, and the circle suite's table is let go before it
+PEAK_PINS_D128 = {"lemma": 10.1, "dilation": 18.1, "circle": 16.6, "disc": 11.3, "all": 18.1}
+
+
+def test_suite_memory_peaks_at_d128(tmp_path):
+    # bench_sweep's ledger in a process of its own, on the sweep's pair
+    # random_pair(128, 0.25, 0.1, 1), written by gen, with its defects built
+    code = ("import json, pathlib, runpy, sys; sys.path.insert(0, sys.argv[1]); "
+            "sweep = runpy.run_path(sys.argv[2]); from ssftrace import cli; "
+            "pair_dir = pathlib.Path(sys.argv[3]); sweep['_gen'](cli, 128, pair_dir); "
+            "print(json.dumps(sweep['ledger'](pair_dir)))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "scripts" / "bench_sweep.py"),
+         str(tmp_path / "pair")], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    ledger = json.loads(done.stdout)
+    peaks = {name: ledger[name]["peak_dxd"] for name in PEAK_PINS_D128}
+    assert all(peaks[name] <= pin for name, pin in PEAK_PINS_D128.items()), peaks

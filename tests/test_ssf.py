@@ -9,7 +9,7 @@ import pytest
 from oracles import (dense_window, evaluate_ssf_grid, exact_moments, exact_moments_general,
                      exact_trace_difference, hadamard_pair, moments_from_ssf, poisson_extend,
                      sylvester_hadamard)
-from pairs import pair_powers, random_pairs, scalar_pair
+from pairs import pair_powers, pair_stack, random_pairs, scalar_pair
 from ssftrace import calculus, checks, linops, ssf
 from ssftrace.errors import NonRealResultError
 
@@ -114,35 +114,64 @@ def dyadic_pair(d: int, seed: int):
             for _ in range(2)]
 
 
-@pytest.mark.parametrize("d", [2, 4, 6])
-def test_moments_and_left_sides_match_exact_general_pairs(d):
-    # exact references by integer loops, free of ssf and calculus; the bound is the a
-    # priori one of test_moments_near_the_power_loop, ~ n d u (||T||^n + ||T0||^n) for
-    # the n-th power, summed over a table's terms, its constant taken as one rounding
-    T, T0 = dyadic_pair(d, seed=d)
-    pair = linops.make_pair(T, T0)
-    assert np.array_equal(pair.T, T) and np.array_equal(pair.T0, T0)
-    norms = np.linalg.norm(T, 2), np.linalg.norm(T0, 2)
-    assert max(norms) <= 0.9
+def a_priori(pair):
+    """n -> 64 n d u (||T||^n + ||T0||^n), the a priori error of the n-th power's trace
+    that test_moments_near_the_power_loop bounds, a constant (n = 0) taken as one
+    rounding."""
+    norms = np.linalg.norm(pair.T, 2), np.linalg.norm(pair.T0, 2)
 
     def bound(n):
         n = max(abs(n), 1)
-        return 64 * 2.0 ** -53 * n * d * (norms[0] ** n + norms[1] ** n)
+        return 64 * 2.0 ** -53 * n * pair.dim * (norms[0] ** n + norms[1] ** n)
+    return bound
 
-    def error(value, exact):
-        return math.hypot(Fraction(value.real) - exact[0], Fraction(value.imag) - exact[1])
 
+def exact_error(value, exact):
+    return math.hypot(Fraction(value.real) - exact[0], Fraction(value.imag) - exact[1])
+
+
+def assert_left_sides_exact(pair, exact_value):
+    """The circle left side of every ``CIRCLE_SERIES`` symbol and the trace of every
+    ``DISC_TABLES`` table within ``a_priori`` summed over the terms, against
+    ``exact_value(terms)``, an (re, im) ``Fraction`` pair."""
+    bound = a_priori(pair)
+    left_sides = [(calculus.trace_lhs_circle, pair_powers(pair), terms)
+                  for terms in checks.CIRCLE_SERIES.values()]
+    left_sides += [(calculus.laurent_difference_trace, pair_stack(pair), terms)
+                   for terms in checks.DISC_TABLES.values()]
+    for left_side, operand, terms in left_sides:
+        lhs = left_side(operand, ssf.LaurentSeries.from_terms(terms))
+        assert exact_error(lhs, exact_value(terms)) <= sum(
+            abs(a) * bound(n) for n, a in terms.items()), terms
+
+
+@pytest.mark.parametrize("d", [16, 64])
+def test_left_sides_match_exact_hadamard_values(d):
+    # the exact moments m_n of the Hadamard pair are real, so Tr (T*)^n - Tr (T0*)^n =
+    # conj(m_n) = m_n, and each left side is sum over its modes n != 0 of phi_hat(n) m_|n|
+    pair, eig_T, eig_T0 = hadamard_pair(d, seed=d)
+    m = exact_moments(eig_T, eig_T0, max(checks.CIRCLE_ORDER, checks.DISC_MAX_ORDER))
+
+    def exact_value(terms):
+        scaled = [(complex(a), m[abs(n) - 1]) for n, a in terms.items() if n]
+        return (sum(Fraction(a.real) * m_n for a, m_n in scaled),
+                sum(Fraction(a.imag) * m_n for a, m_n in scaled))
+
+    assert_left_sides_exact(pair, exact_value)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_moments_and_left_sides_match_exact_general_pairs(d):
+    # exact references by integer loops, free of ssf and calculus
+    T, T0 = dyadic_pair(d, seed=d)
+    pair = linops.make_pair(T, T0)
+    assert np.array_equal(pair.T, T) and np.array_equal(pair.T0, T0)
+    assert max(np.linalg.norm(T, 2), np.linalg.norm(T0, 2)) <= 0.9
+    bound = a_priori(pair)
     exact = exact_moments_general(T, T0, 30)
     for n, (m, m_exact) in enumerate(zip(ssf.moments(pair, 30), exact), start=1):
-        assert error(m, m_exact) <= bound(n)
-    powers = pair_powers(pair)
-    left_sides = [(calculus.trace_lhs_circle, terms) for terms in checks.CIRCLE_SERIES.values()]
-    left_sides += [(calculus.laurent_difference_trace, terms)
-                   for terms in checks.DISC_TABLES.values()]
-    for left_side, terms in left_sides:
-        lhs = left_side(powers, ssf.LaurentSeries.from_terms(terms))
-        assert error(lhs, exact_trace_difference(T, T0, terms)) <= sum(
-            abs(a) * bound(n) for n, a in terms.items())
+        assert exact_error(m, m_exact) <= bound(n)
+    assert_left_sides_exact(pair, lambda terms: exact_trace_difference(T, T0, terms))
 
 
 SUM2_WIDTHS = (1, 2, 6, 16, 64, 256)
