@@ -118,20 +118,26 @@ class TestPowerTable:
             assert [M.tobytes() for M in calculus.apply_laurent(psi, S)] == [
                 per_operator_laurent(psi, M).tobytes() for M in (pair.T, pair.T0)]
 
-    def test_order_127_table_memory_at_d128(self):
-        # S and three more (2, d, d) stacks live at once: the sum, the running power and
-        # the next one, or one scaled power in its place; a table of all 127 powers
+    @pytest.mark.parametrize("s", [1, 5])
+    def test_order_127_table_memory_at_d128(self, s):
+        # a power table of order s held by the caller (5 is the circle suite's
+        # checks.TABLE_ORDER) and three more (2, d, d) stacks live at once: the sum, the
+        # running power from S and the next one, or one scaled power in its place; the
+        # evaluation copies nothing out of the table, and a table of all 127 powers
         # would take 127 stacks
         d = 128
         pair = linops.random_pair(d, 0.25, 0.1, seed=1)
         psi = LaurentSeries.from_terms({n: 0.5 ** abs(n) for n in range(-127, 128)})
+        S = pair_stack(pair)
         tracemalloc.start()
         try:
-            calculus.laurent_difference_trace(pair_stack(pair), psi)
+            table = calculus.power_table(S, s)
+            calculus.laurent_difference_trace(S, psi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 2 * d * d * 16
+        assert table.shape[-3] == s
+        assert peak < (s + 4) * 2 * d * d * 16
 
     def test_short_table_refused(self):
         table = calculus.power_table(np.eye(3), 4)
